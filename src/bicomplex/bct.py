@@ -9,7 +9,7 @@ Grammar (line oriented, 1-based positions in errors):
     basis: <label>              # ket and operator only; defaults to "canonical"
     <payload rows>
 
-The payload atom is ``(re1 im1 re2 im2)``, four decimal literals with
+The payload atom is ``(re1 im1 re2 im2)``, four finite decimal literals with
 z1 = re1 + im1*i1 and z2 = re2 + im2*i1.  A scalar is one atom, a ket
 one row of dim atoms, a matrix or operator dim rows of dim atoms
 (row-major).  A spec stores two Gram matrices as 2*dim rows of dim
@@ -19,6 +19,7 @@ significant digits, so parse and render round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -161,9 +162,12 @@ def _parse_atoms(line: str, line_no: int, arity: int) -> list[tuple[float, ...]]
         values = []
         for field in fields:
             try:
-                values.append(float(field))
+                value = float(field)
             except ValueError:
                 raise ParseError(f"bad number {field!r}", line_no, match.start() + 1) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite number {field!r}", line_no, match.start() + 1)
+            values.append(value)
         atoms.append(tuple(values))
         cursor = match.end()
     if line[cursor:].strip():
@@ -251,8 +255,18 @@ def parse(text: str) -> BctDocument:
 
 
 def load(path) -> BctDocument:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"non-ASCII byte 0x{data[exc.start]:02x}",
+            data.count(b"\n", 0, exc.start) + 1,
+            exc.start - line_start + 1,
+        ) from None
+    return parse(text)
 
 
 def save(path, doc: BctDocument) -> None:

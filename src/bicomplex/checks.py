@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .hilbert import (
 )
 from .matrix import BicomplexMatrix
 from .operators import (
+    EigenPair,
     Operator,
     adjoint,
     compose,
@@ -41,7 +43,6 @@ from .operators import (
     eigendecompose_unitary,
     is_self_adjoint,
     is_unitary,
-    outer_product,
     spectral_reconstruct,
 )
 from .reference import det_cofactor, scalar_product_direct
@@ -211,13 +212,7 @@ def _matrix_checks(matrix: BicomplexMatrix, tol: Tolerance):
             results.append(_result("orthogonalize-rows", math.inf, 1e-10))
             notes.append(f"orthogonalize-rows: {type(exc).__name__}: {exc}")
         else:
-            worst = 0.0
-            for i in range(n):
-                for j in range(i, n):
-                    product = scalar_product(spec, ortho[i], ortho[j])
-                    target = ONE if i == j else Bicomplex(0.0)
-                    worst = max(worst, (product - target).euclid_norm())
-            results.append(_result("orthogonalize-rows", worst, 1e-10))
+            results.append(_result("orthogonalize-rows", orthonormal_defect(spec, ortho), 1e-10))
     else:
         classification = det_fast.classify(tol)
         notes.append(f"inverse: skipped (singular, det {classification.value})")
@@ -251,18 +246,7 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
     if is_self_adjoint(spec, op, tol):
         notes.append("spectral-class: self-adjoint")
         pairs = eigendecompose_self_adjoint(spec, op, tol)
-        rebuilt = spectral_reconstruct(spec, pairs)
-        results.append(
-            _result("spectral-reconstruction", (rebuilt.matrix - op.matrix).max_norm() / scale, 1e-9)
-        )
-        imag = max(
-            max(abs(pair.value.to_idempotent().c1.imag), abs(pair.value.to_idempotent().c2.imag))
-            / max(1.0, pair.value.euclid_norm())
-            for pair in pairs
-        )
-        results.append(_result("eigenvalue-imag-parts", imag, 1e-10))
-        results.append(_result("eigenket-orthonormal", _orthonormal_defect(spec, pairs), 1e-10))
-        results.append(_result("completeness", _completeness_defect(spec, pairs), 1e-10))
+        results.extend(verify_self_adjoint_spectrum(spec, op, pairs))
     elif is_unitary(spec, op, tol):
         notes.append("spectral-class: unitary")
         pairs = eigendecompose_unitary(spec, op, tol)
@@ -272,8 +256,7 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
             (pair.value.conjugate(3) * pair.value - ONE).euclid_norm() for pair in pairs
         )
         results.append(_result("eigenvalue-unit-modulus", modulus, 1e-9))
-        results.append(_result("eigenket-orthonormal", _orthonormal_defect(spec, pairs), 1e-10))
-        results.append(_result("completeness", _completeness_defect(spec, pairs), 1e-10))
+        results.extend(_eigenbasis_results(spec, pairs))
     else:
         results.append(_result("spectral-class", 1.0, 0.0))
         notes.append(
@@ -282,21 +265,62 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
     return results, notes
 
 
-def _orthonormal_defect(spec: ScalarProductSpec, pairs) -> float:
-    worst = 0.0
-    for i in range(len(pairs)):
-        for j in range(i, len(pairs)):
-            product = scalar_product(spec, pairs[i].ket, pairs[j].ket)
-            target = ONE if i == j else Bicomplex(0.0)
-            worst = max(worst, (product - target).euclid_norm())
-    return worst
+def verify_self_adjoint_spectrum(
+    spec: ScalarProductSpec, op: Operator, pairs: Sequence[EigenPair]
+) -> list[CheckResult]:
+    """Reconstruction, real eigenvalues and an orthonormal, complete eigenbasis."""
+    scale = max(1.0, op.matrix.max_norm())
+    rebuilt = spectral_reconstruct(spec, pairs)
+    imag = max(
+        max(abs(pair.value.to_idempotent().c1.imag), abs(pair.value.to_idempotent().c2.imag))
+        / max(1.0, pair.value.euclid_norm())
+        for pair in pairs
+    )
+    return [
+        _result("spectral-reconstruction", (rebuilt.matrix - op.matrix).max_norm() / scale, 1e-9),
+        _result("eigenvalue-imag-parts", imag, 1e-10),
+    ] + _eigenbasis_results(spec, pairs)
 
 
-def _completeness_defect(spec: ScalarProductSpec, pairs) -> float:
-    total = outer_product(spec, pairs[0].ket, pairs[0].ket)
-    for pair in pairs[1:]:
-        total = total + outer_product(spec, pair.ket, pair.ket)
-    return (total.matrix - BicomplexMatrix.identity(total.dim)).max_norm()
+def _eigenbasis_results(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) -> list[CheckResult]:
+    kets = [pair.ket for pair in pairs]
+    return [
+        _result("eigenket-orthonormal", orthonormal_defect(spec, kets), 1e-10),
+        _result("completeness", completeness_defect(spec, kets), 1e-10),
+    ]
+
+
+def _entry_norms(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the entries of the bicomplex matrix d1*e1 + d2*e2."""
+    return np.sqrt(0.5 * (np.abs(d1) ** 2 + np.abs(d2) ** 2))
+
+
+def orthonormal_defect(spec: ScalarProductSpec, kets: Sequence[Ket]) -> float:
+    """Largest |(phi_i, phi_j) - delta_ij| over i <= j, Euclidean norm.
+
+    Computed from one Gram matrix V_k^H G_k V_k per component, V_k
+    holding the kets' component vectors as columns.
+    """
+    n = len(kets)
+    defects = []
+    for k in (1, 2):
+        vectors = np.column_stack([ket.component(k) for ket in kets])
+        defects.append(vectors.conj().T @ spec.gram(k) @ vectors - np.eye(n))
+    return float(np.triu(_entry_norms(*defects)).max())
+
+
+def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket]) -> float:
+    """Largest entry of sum_l |phi_l><phi_l| - I, Euclidean norm.
+
+    Per component the sum is V_k V_k^H G_k, V_k holding the kets'
+    component vectors as columns.
+    """
+    n = len(kets)
+    defects = []
+    for k in (1, 2):
+        vectors = np.column_stack([ket.component(k) for ket in kets])
+        defects.append(vectors @ (vectors.conj().T @ spec.gram(k)) - np.eye(n))
+    return float(_entry_norms(*defects).max())
 
 
 def check_spec(g1: np.ndarray, g2: np.ndarray, tol: Tolerance):

@@ -18,8 +18,14 @@ import numpy as np
 
 from . import bct
 from .bct import BctDocument, KindMismatch, ParseError
-from .checks import CheckResult, run_checks
-from .core import Bicomplex, BicomplexError, ONE, Tolerance
+from .checks import (
+    COFACTOR_MAX_ORDER,
+    CheckResult,
+    orthonormal_defect,
+    run_checks,
+    verify_self_adjoint_spectrum,
+)
+from .core import Bicomplex, BicomplexError, Tolerance
 from .reference import det_cofactor
 from .hilbert import (
     Ket,
@@ -35,9 +41,7 @@ from .operators import (
     eigendecompose_self_adjoint,
     evolve_series,
     op_exp,
-    outer_product,
     schrodinger_residual,
-    spectral_reconstruct,
 )
 
 
@@ -188,13 +192,13 @@ def _cmd_det(args, tol: Tolerance) -> int:
     checks = []
     notes = []
     scale = max(det.euclid_norm(), max(matrix.max_norm(), 1.0) ** matrix.order, 1e-30)
-    if matrix.order <= 5:
+    if matrix.order <= COFACTOR_MAX_ORDER:
         reference = det_cofactor(matrix)
         checks.append(
             CheckResult("det-idempotent-vs-direct", (det - reference).euclid_norm() / scale, 1e-9)
         )
     else:
-        notes.append("det-idempotent-vs-direct: skipped (order > 5)")
+        notes.append(f"det-idempotent-vs-direct: skipped (order > {COFACTOR_MAX_ORDER})")
     checks.append(
         CheckResult("det-transpose", (matrix.transpose().det() - det).euclid_norm() / scale, 1e-9)
     )
@@ -241,15 +245,9 @@ def _cmd_gram_schmidt(args, tol: Tolerance) -> int:
     lines = [f"file: {args.file}"]
     lines += _result_block(result)
 
-    worst = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            product = scalar_product(spec, ortho[i], ortho[j])
-            target = ONE if i == j else Bicomplex(0.0)
-            worst = max(worst, (product - target).euclid_norm())
     null_cone = sum(1 for k in ortho if k.classify(tol).value != "regular")
     checks = [
-        CheckResult("orthonormal-defect", worst, 1e-10),
+        CheckResult("orthonormal-defect", orthonormal_defect(spec, ortho), 1e-10),
         CheckResult("null-cone-outputs", float(null_cone), 0.0),
     ]
     return _emit("gram-schmidt", lines, checks, [])
@@ -269,31 +267,7 @@ def _cmd_spectral(args, tol: Tolerance) -> int:
         atoms = " ".join(bct.format_bicomplex_atom(pair.ket.coeff(l)) for l in range(op.dim))
         lines.append(f"eigenket {i}: {atoms}")
 
-    rebuilt = spectral_reconstruct(spec, pairs)
-    scale = max(1.0, op.matrix.max_norm())
-    imag = max(
-        max(abs(p.value.to_idempotent().c1.imag), abs(p.value.to_idempotent().c2.imag))
-        / max(1.0, p.value.euclid_norm())
-        for p in pairs
-    )
-    worst_ortho = 0.0
-    for i in range(len(pairs)):
-        for j in range(i, len(pairs)):
-            product = scalar_product(spec, pairs[i].ket, pairs[j].ket)
-            target = ONE if i == j else Bicomplex(0.0)
-            worst_ortho = max(worst_ortho, (product - target).euclid_norm())
-    total = outer_product(spec, pairs[0].ket, pairs[0].ket)
-    for pair in pairs[1:]:
-        total = total + outer_product(spec, pair.ket, pair.ket)
-    completeness = (total.matrix - BicomplexMatrix.identity(op.dim)).max_norm()
-
-    checks = [
-        CheckResult("spectral-reconstruction", (rebuilt.matrix - op.matrix).max_norm() / scale, 1e-9),
-        CheckResult("eigenvalue-imag-parts", imag, 1e-10),
-        CheckResult("eigenket-orthonormal", worst_ortho, 1e-10),
-        CheckResult("completeness", completeness, 1e-10),
-    ]
-    return _emit("spectral", lines, checks, [])
+    return _emit("spectral", lines, verify_self_adjoint_spectrum(spec, op, pairs), [])
 
 
 def _cmd_exp(args, tol: Tolerance) -> int:
@@ -327,7 +301,10 @@ def _cmd_evolve(args, tol: Tolerance) -> int:
     if args.xi is not None:
         xi_doc = bct.parse(f"bct v1\nkind: scalar\ndim: 1\n{args.xi}\n")
         xi = xi_doc.value
-    cfg = EvolutionConfig(hbar=args.hbar, t0=args.t0, t1=args.t1, steps=args.samples, xi=xi)
+    try:
+        cfg = EvolutionConfig(hbar=args.hbar, t0=args.t0, t1=args.t1, steps=args.samples, xi=xi)
+    except ValueError as exc:
+        raise BicomplexError(f"invalid evolution settings: {exc}") from exc
 
     series = evolve_series(cfg, op, state, spec, tol)
     lines = [

@@ -10,8 +10,10 @@ pair of ordinary Hermitian inner products:
 linear in the second slot and conjugate (kind-3) symmetric.  With both
 Gram matrices Hermitian positive definite, (psi, psi) always lands in
 the positive hyperbolic cone, every ket outside the null cone can be
-normalized, and any basis can be orthogonalized by the Gram-Schmidt
-recursion written directly in ring arithmetic.
+normalized, and any basis can be orthogonalized.  Gram-Schmidt runs as
+one QR factorization per component (LAPACK, through numpy); the
+recursion written directly in ring arithmetic is kept in
+``reference.gram_schmidt_ring`` as the oracle the tests compare against.
 
 Kets carry their basis label; mixing labels raises instead of silently
 coercing.  All values are immutable and operations pure.
@@ -214,7 +216,7 @@ class ScalarProductSpec:
 
     Any pair of Hermitian positive-definite complex matrices (G1, G2)
     defines a valid product; (I, I) is the standard one.  Cholesky
-    factors are kept for the eigensolver reduction.
+    factors are kept for the eigensolver reduction and Gram-Schmidt.
     """
 
     __slots__ = ("g1", "g2", "chol1", "chol2")
@@ -370,35 +372,34 @@ def gram_schmidt(
 ) -> list[Ket]:
     """Orthonormalize a basis under the given scalar product.
 
-    Applies the recursion
-
-        out_k = in_k - sum_l (out_l, in_k) / (out_l, out_l) * out_l
-
-    in bicomplex arithmetic (plus one refinement sweep, since a single
-    classical pass loses roughly cond**2 digits), then normalizes.
+    The bicomplex recursion is two complex Gram-Schmidt runs, one per
+    component.  With G_k = L L^H and the input kets as the columns of
+    X_k, run k is the QR factorization L^H X_k = Q_k R_k with diag(R_k)
+    made positive real; the output is L^{-H} Q_k.  Before normalization
+    ket i has self-product |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be
+    invertible.
     """
     kets = list(kets)
     if len(kets) != spec.dim:
         raise DimensionMismatch(f"expected {spec.dim} kets, got {len(kets)}")
     for ket in kets[1:]:
         kets[0]._check_compatible(ket)
-    if coefficient_matrix(kets).is_singular(tol):
+    matrix = coefficient_matrix(kets)
+    if matrix.is_singular(tol):
         raise NotABasis("input kets do not form a basis")
 
-    ortho: list[Ket] = []
-    self_products: list[Bicomplex] = []
-    for ket in kets:
-        current = ket
-        for _ in range(2):
-            for prev, prod in zip(ortho, self_products):
-                coeff = scalar_product(spec, prev, current) / prod
-                current = current - coeff * prev
-        prod = scalar_product(spec, current, current)
-        if prod.classify(tol) is not Classification.INVERTIBLE:
-            raise NullConePivot(len(ortho))
-        ortho.append(current)
-        self_products.append(prod)
-    return [normalize(spec, ket, tol) for ket in ortho]
+    columns, self_products = [], []
+    for k in (1, 2):
+        chol_h = spec.cholesky(k).conj().T
+        q, r = np.linalg.qr(chol_h @ matrix.component(k))
+        pivots = np.diagonal(r)
+        self_products.append(np.abs(pivots) ** 2)
+        columns.append(np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))))
+    for index, (a, b) in enumerate(zip(*self_products)):
+        if Bicomplex.from_idempotent(a, b).classify(tol) is not Classification.INVERTIBLE:
+            raise NullConePivot(index)
+    out1, out2 = columns
+    return [Ket.from_components(out1[:, i], out2[:, i], kets[0].basis_id) for i in range(len(kets))]
 
 
 def mix_orthogonal_bases(

@@ -14,11 +14,14 @@ H = sum_l lambda_l |phi_l><phi_l|; exp(i1*H) is unitary, and
 U(t, t0) = exp(-i1*(t - t0)*H / hbar) propagates the time-independent
 Schroedinger dynamics while conserving every self-product.
 
-Component eigenproblems are solved by cyclic Jacobi rotations (general
-Gram matrices are reduced through their Cholesky factors first).  Any
-pairing of component eigenpairs is algebraically valid; the canonical
-output sorts self-adjoint spectra ascending by real part and unitary
-spectra by phase angle, index to index.
+Component eigenproblems are reduced to standard Hermitian ones through
+the Cholesky factors of the Gram matrices and handed to LAPACK
+(``numpy.linalg.eigh``); a unitary component is diagonalized by one
+``eigh`` of a generic real combination of its commuting Hermitian and
+skew-Hermitian parts.  Any pairing of component eigenpairs is
+algebraically valid; the canonical output sorts self-adjoint spectra
+ascending by real part and unitary spectra by phase angle, index to
+index.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._eigen import diagonalize_normal, jacobi_hermitian
 from .core import (
     DEFAULT_TOLERANCE,
     Bicomplex,
@@ -49,6 +51,7 @@ __all__ = [
     "EigenPair",
     "EvolutionConfig",
     "InvalidXi",
+    "NoConvergence",
     "NotSelfAdjoint",
     "NotUnitary",
     "Operator",
@@ -73,8 +76,11 @@ __all__ = [
     "spectral_reconstruct",
 ]
 
-# numerically degenerate eigenvalue clusters are re-orthonormalized below this gap
-DEGENERACY_GAP = 1e-8
+# weight of the skew-Hermitian part in the one Hermitian matrix whose
+# eigenvectors diagonalize a unitary component; any irrational value
+# separates all eigenvalues except pairs mirrored about the direction
+# (1, NORMAL_MIX) in the complex plane
+NORMAL_MIX = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class NotSelfAdjoint(BicomplexError):
@@ -87,6 +93,15 @@ class NotUnitary(BicomplexError):
 
 class InvalidXi(BicomplexError):
     """Raised for a left-hand constant that is not real-componented and invertible."""
+
+
+class NoConvergence(BicomplexError):
+    """Raised when a unitary component is left with off-diagonal residue.
+
+    This happens when the input is not normal enough for a common
+    eigenbasis, or when two eigenvalues mirror each other about the
+    direction that ``NORMAL_MIX`` selects.
+    """
 
 
 class SeriesDivergence(BicomplexError):
@@ -231,46 +246,55 @@ def outer_product(spec: ScalarProductSpec, phi: Ket, psi: Ket) -> Operator:
     return Operator(BicomplexMatrix.from_components(parts[0], parts[1]), phi.basis_id)
 
 
-def _reorthonormalize_clusters(values: np.ndarray, vectors: np.ndarray, scale: float) -> None:
-    """Gram-Schmidt inside near-degenerate eigenvalue clusters, in place.
+def _cholesky_reduce(
+    spec: ScalarProductSpec, matrix: BicomplexMatrix, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Component k as a standard problem: (L^H A_k L^{-H}, L^{-H}).
 
-    Columns arrive orthonormal from the rotation accumulation; this only
-    guards against drift once eigenvalues are too close to separate.
+    With G_k = L L^H, the reduced matrix is Hermitian (unitary) whenever
+    A_k is G_k-self-adjoint (G_k-unitary), and back-transformed
+    orthonormal eigenvectors L^{-H} Y are G_k-orthonormal.
     """
-    n = values.shape[0]
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop].real - values[stop - 1].real <= DEGENERACY_GAP * scale:
-            stop += 1
-        for i in range(start, stop):
-            column = vectors[:, i].copy()
-            for j in range(start, i):
-                column -= np.vdot(vectors[:, j], column) * vectors[:, j]
-            vectors[:, i] = column / np.linalg.norm(column)
-        start = stop
+    chol_h = spec.cholesky(k).conj().T
+    inv_chol_h = np.linalg.inv(chol_h)
+    return chol_h @ matrix.component(k) @ inv_chol_h, inv_chol_h
 
 
 def _component_hermitian_eigh(
     spec: ScalarProductSpec, matrix: BicomplexMatrix, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensolve one component, reduced to a standard Hermitian problem.
-
-    With G = L L^H, the matrix B = L^H A L^{-H} is Hermitian whenever A
-    is G-self-adjoint, and back-transformed eigenvectors L^{-H} Y are
-    G-orthonormal.
-    """
-    component = matrix.component(k)
-    chol = spec.cholesky(k)
-    inv_chol_h = np.linalg.inv(chol.conj().T)
-    reduced = chol.conj().T @ component @ inv_chol_h
-    values, vectors = jacobi_hermitian(reduced)
-    order = np.argsort(values.real, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    scale = max(float(np.linalg.norm(reduced, "fro")), 1e-300)
-    _reorthonormalize_clusters(values, vectors, scale)
+    """Eigenvalues (ascending) and G_k-orthonormal eigenvectors of component k."""
+    reduced, inv_chol_h = _cholesky_reduce(spec, matrix, k)
+    # eigh reads one triangle; averaging keeps both halves of a matrix
+    # that is Hermitian only to rounding
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.conj().T))
     return values, inv_chol_h @ vectors
+
+
+def _component_unitary_eig(
+    spec: ScalarProductSpec, matrix: BicomplexMatrix, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (by phase angle) and G_k-orthonormal eigenvectors of component k.
+
+    The Hermitian and skew parts of a normal matrix commute, so the
+    eigenvectors of herm + NORMAL_MIX * skew diagonalize both (Bunse-
+    Gerstner, Byers & Mehrmann 1993).  The off-diagonal residue of the
+    transformed matrix is checked, since that argument fails for
+    non-normal input and for eigenvalues the mix maps to one value.
+    """
+    reduced, inv_chol_h = _cholesky_reduce(spec, matrix, k)
+    hermitian_part = 0.5 * (reduced + reduced.conj().T)
+    skew_part = -0.5j * (reduced - reduced.conj().T)
+    _, vectors = np.linalg.eigh(hermitian_part + NORMAL_MIX * skew_part)
+    transformed = vectors.conj().T @ reduced @ vectors
+    values = np.diag(transformed).copy()
+    residual = float(np.linalg.norm(transformed - np.diag(values), "fro"))
+    if residual > 1e-10 * max(float(np.linalg.norm(reduced, "fro")), 1e-300):
+        raise NoConvergence(
+            f"unitary component not diagonalized: off-diagonal residual {residual:.3e}"
+        )
+    order = np.argsort(np.angle(values), kind="stable")
+    return values[order], inv_chol_h @ vectors[:, order]
 
 
 def eigendecompose_self_adjoint(
@@ -301,15 +325,8 @@ def eigendecompose_unitary(
     """Orthonormal eigenkets of a unitary operator, sorted by phase angle."""
     if not is_unitary(spec, u, tol):
         raise NotUnitary("operator is not unitary under the given scalar product")
-    components = []
-    for k in (1, 2):
-        chol = spec.cholesky(k)
-        inv_chol_h = np.linalg.inv(chol.conj().T)
-        reduced = chol.conj().T @ u.matrix.component(k) @ inv_chol_h
-        values, vectors = diagonalize_normal(reduced)
-        order = np.argsort(np.angle(values), kind="stable")
-        components.append((values[order], inv_chol_h @ vectors[:, order]))
-    (values1, vectors1), (values2, vectors2) = components
+    values1, vectors1 = _component_unitary_eig(spec, u.matrix, 1)
+    values2, vectors2 = _component_unitary_eig(spec, u.matrix, 2)
     return [
         EigenPair(
             Bicomplex.from_idempotent(values1[i], values2[i]),

@@ -11,10 +11,28 @@ loops, so these are only meant for small orders.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, Bicomplex, Classification, ONE, Tolerance, ZERO
-from .hilbert import Ket, ScalarProductSpec
+from .core import (
+    DEFAULT_TOLERANCE,
+    Bicomplex,
+    Classification,
+    DimensionMismatch,
+    ONE,
+    Tolerance,
+    ZERO,
+)
+from .hilbert import (
+    Ket,
+    NotABasis,
+    NullConePivot,
+    ScalarProductSpec,
+    coefficient_matrix,
+    normalize,
+    scalar_product,
+)
 from .matrix import BicomplexMatrix, SingularMatrix
 
 
@@ -111,3 +129,41 @@ def scalar_product_direct(spec: ScalarProductSpec, psi: Ket, phi: Ket) -> Bicomp
         for j in range(phi.dim):
             total = total + left * gram.entry(i, j) * phi.coeff(j)
     return total
+
+
+def gram_schmidt_ring(
+    spec: ScalarProductSpec, kets: Sequence[Ket], tol: Tolerance = DEFAULT_TOLERANCE
+) -> list[Ket]:
+    """Orthonormalize a basis by the Gram-Schmidt recursion in ring arithmetic.
+
+    Applies
+
+        out_k = in_k - sum_l (out_l, in_k) / (out_l, out_l) * out_l
+
+    in bicomplex arithmetic (plus one refinement sweep, since a single
+    classical pass loses roughly cond**2 digits), then normalizes.  The
+    oracle for ``hilbert.gram_schmidt``, which factors each component
+    with QR instead.
+    """
+    kets = list(kets)
+    if len(kets) != spec.dim:
+        raise DimensionMismatch(f"expected {spec.dim} kets, got {len(kets)}")
+    for ket in kets[1:]:
+        kets[0]._check_compatible(ket)
+    if coefficient_matrix(kets).is_singular(tol):
+        raise NotABasis("input kets do not form a basis")
+
+    ortho: list[Ket] = []
+    self_products: list[Bicomplex] = []
+    for ket in kets:
+        current = ket
+        for _ in range(2):
+            for prev, prod in zip(ortho, self_products):
+                coeff = scalar_product(spec, prev, current) / prod
+                current = current - coeff * prev
+        prod = scalar_product(spec, current, current)
+        if prod.classify(tol) is not Classification.INVERTIBLE:
+            raise NullConePivot(len(ortho))
+        ortho.append(current)
+        self_products.append(prod)
+    return [normalize(spec, ket, tol) for ket in ortho]

@@ -11,6 +11,8 @@ from bicomplex.hilbert import Ket
 from bicomplex.matrix import BicomplexMatrix
 from bicomplex.operators import Operator
 
+from helpers import random_hermitian, random_spec
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -69,6 +71,32 @@ class TestSpectral:
         assert out.count("eigenvalue ") == 2
         assert out.count("eigenket ") == 2
         assert "check spectral-reconstruction" in out
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_large_order_general_spec(self, capsys, tmp_path, n):
+        rng = np.random.default_rng(n)
+        spec = random_spec(rng, n)
+        # inv(G_k) @ S_k with S_k Hermitian is self-adjoint under the spec
+        parts = [np.linalg.solve(spec.gram(k), random_hermitian(rng, n)) for k in (1, 2)]
+        h = Operator(BicomplexMatrix.from_components(*parts))
+        bct.save(tmp_path / "h.bct", bct.document_for(h))
+        bct.save(tmp_path / "g.bct", bct.document_for(spec))
+        code, out = run(
+            capsys, "spectral", str(tmp_path / "h.bct"), "--spec", str(tmp_path / "g.bct")
+        )
+        assert code == 0
+        assert out.count("eigenvalue ") == n
+        passed = [
+            line.split(":")[0]
+            for line in out.splitlines()
+            if line.startswith("check ") and line.endswith(" pass")
+        ]
+        assert passed == [
+            "check spectral-reconstruction",
+            "check eigenvalue-imag-parts",
+            "check eigenket-orthonormal",
+            "check completeness",
+        ]
 
     def test_non_self_adjoint_exit_2(self, capsys):
         code, out = run(capsys, "spectral", str(GOLDEN / "counter_nonselfadjoint_n2.bct"))
@@ -204,6 +232,33 @@ class TestErrorPaths:
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, out = run(capsys, "info", str(tmp_path / "absent.bct"))
         assert code == 1
+
+    @pytest.mark.parametrize("number", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_atom_exit_1(self, capsys, tmp_path, number):
+        bad = tmp_path / "bad.bct"
+        bad.write_text(f"bct v1\nkind: scalar\ndim: 1\n(1 {number} 0 0)\n")
+        code, out = run(capsys, "info", str(bad))
+        assert code == 1
+        assert out.startswith("parse error: line 4, column 1: non-finite number")
+
+    def test_non_ascii_exit_1(self, capsys, tmp_path):
+        bad = tmp_path / "bad.bct"
+        bad.write_bytes(b"bct v1\nkind: scalar\ndim: 1\n(1 0 0 0) \xc3\xa9\n")
+        code, out = run(capsys, "info", str(bad))
+        assert code == 1
+        assert out == "parse error: line 4, column 11: non-ASCII byte 0xc3\n"
+
+    def test_zero_samples_exit_2(self, capsys, workdir):
+        code, out = run(
+            capsys,
+            "evolve",
+            "--hamiltonian", str(workdir / "h.bct"),
+            "--state", str(workdir / "psi.bct"),
+            "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "0",
+        )
+        assert code == 2
+        assert out.startswith("error: ")
+        assert "steps must be at least 1" in out
 
     def test_bad_tolerance_exit_2(self, capsys, workdir):
         code, out = run(capsys, "--eps-null", "0.5", "det", str(workdir / "diag.bct"))

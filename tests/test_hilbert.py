@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from bicomplex import (
     riesz_representation,
     scalar_product,
 )
+from bicomplex import bct
 from bicomplex.core import E1, E2, J, ONE, ZERO
 from bicomplex.hilbert import coefficient_matrix
-from bicomplex.reference import scalar_product_direct
+from bicomplex.reference import gram_schmidt_ring, scalar_product_direct
 
 from helpers import (
     random_basis_kets,
@@ -37,6 +39,8 @@ from helpers import (
     random_spec,
     random_well_conditioned,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestScalarProduct:
@@ -245,6 +249,29 @@ class TestGramSchmidt:
         with pytest.raises(NullConePivot) as info:
             gram_schmidt(spec, [first, second])
         assert info.value.index == 1
+
+
+class TestGramSchmidtOracle:
+    """The QR route against the ring-arithmetic recursion it replaced."""
+
+    def test_matches_ring_recursion(self):
+        rng = np.random.default_rng(43)
+        for n in range(2, 9):
+            spec = random_spec(rng, n)
+            kets = random_basis_kets(rng, n)
+            fast = gram_schmidt(spec, kets)
+            oracle = gram_schmidt_ring(spec, kets)
+            assert [k.basis_id for k in fast] == [k.basis_id for k in oracle]
+            assert max((a - b).sup_norm() for a, b in zip(fast, oracle)) <= 1e-12
+
+    def test_both_raise_null_cone_pivot_on_golden_rows(self):
+        matrix = bct.load(GOLDEN / "counter_nullcone_pivot_n2.bct").value
+        rows = [Ket(matrix.z1[i, :], matrix.z2[i, :], "input-rows") for i in range(2)]
+        spec = ScalarProductSpec.identity(2)
+        for route in (gram_schmidt, gram_schmidt_ring):
+            with pytest.raises(NullConePivot) as info:
+                route(spec, rows)
+            assert info.value.index == 1
 
 
 class TestMixedBases:

@@ -39,7 +39,8 @@ from bicomplex import (
     schrodinger_residual,
     spectral_reconstruct,
 )
-from bicomplex.core import E1, I1, I2, J, ONE, ZERO
+from bicomplex.checks import check_operator, orthonormal_defect
+from bicomplex.core import DEFAULT_TOLERANCE, E1, I1, I2, J, ONE, ZERO
 
 from helpers import (
     random_basis_kets,
@@ -65,6 +66,18 @@ def spec_self_adjoint(rng, spec, basis_id="canonical"):
         gram = spec.gram(k)
         # inv(G) @ S with S Hermitian is G-self-adjoint
         parts.append(np.linalg.solve(gram, 0.5 * (h + h.conj().T)))
+    return Operator(BicomplexMatrix.from_components(parts[0], parts[1]), basis_id)
+
+
+def spec_operator_with_spectrum(rng, spec, values1, values2, basis_id="canonical"):
+    """L^-H W diag(v_k) W^H L^H per component: G-normal with eigenvalues v_k."""
+    n = spec.dim
+    parts = []
+    for k, values in ((1, values1), (2, values2)):
+        w, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        chol_h = spec.cholesky(k).conj().T
+        normal = w @ np.diag(np.asarray(values, dtype=complex)) @ w.conj().T
+        parts.append(np.linalg.solve(chol_h, normal @ chol_h))
     return Operator(BicomplexMatrix.from_components(parts[0], parts[1]), basis_id)
 
 
@@ -308,6 +321,23 @@ class TestEigendecomposeSelfAdjoint:
                 cross = scalar_product(spec, pairs[i].ket, pairs[j].ket)
                 assert cross.euclid_norm() <= 1e-12
 
+    def test_repeated_cluster_general_spec(self):
+        # an exactly repeated eigenvalue leaves the eigenbasis of its
+        # cluster free; the eigensolver must still return it orthonormal
+        rng = np.random.default_rng(173)
+        spec = random_spec(rng, 6)
+        values1 = [-3.0, 1.5, 1.5, 1.5, 2.0, 4.0]
+        values2 = [0.5, 0.5, 0.5, 0.5, -1.0, 7.0]
+        h = spec_operator_with_spectrum(rng, spec, values1, values2)
+        assert is_self_adjoint(spec, h)
+        pairs = eigendecompose_self_adjoint(spec, h)
+        assert orthonormal_defect(spec, [pair.ket for pair in pairs]) <= 1e-10
+        for k, expected in ((1, values1), (2, values2)):
+            got = [pair.value.to_idempotent()[k - 1] for pair in pairs]
+            assert np.abs(np.array(got) - np.sort(expected)).max() <= 1e-12
+        rebuilt = spectral_reconstruct(spec, pairs)
+        assert (rebuilt.matrix - h.matrix).max_norm() <= 1e-9 * max(1.0, h.matrix.max_norm())
+
     def test_rejects_non_self_adjoint(self):
         spec = ScalarProductSpec.identity(2)
         skew = Operator(BicomplexMatrix.from_entries([[ZERO, ONE], [-ONE, ZERO]]))
@@ -477,6 +507,25 @@ class TestEigendecomposeUnitary:
             lhs = star.apply(pair.ket)
             rhs = pair.ket.scale(pair.value.conjugate(3))
             assert (lhs - rhs).sup_norm() <= 1e-9
+
+    def test_degenerate_hermitian_part_general_spec(self):
+        # e^{+-ia} share a Hermitian part, and e^{ic} repeats: only the
+        # skew part separates the first pairs, and nothing the last one
+        rng = np.random.default_rng(179)
+        spec = random_spec(rng, 6)
+        phases1 = [0.7, -0.7, 1.9, -1.9, 2.6, 2.6]
+        phases2 = [-2.2, 2.2, 0.3, -0.3, 1.1, 1.1]
+        u = spec_operator_with_spectrum(
+            rng, spec, np.exp(1j * np.array(phases1)), np.exp(1j * np.array(phases2))
+        )
+        pairs = eigendecompose_unitary(spec, u)
+        assert orthonormal_defect(spec, [pair.ket for pair in pairs]) <= 1e-10
+        for k, expected in ((1, phases1), (2, phases2)):
+            got = [cmath.phase(pair.value.to_idempotent()[k - 1]) for pair in pairs]
+            assert np.abs(np.array(got) - np.sort(expected)).max() <= 1e-12
+        results, notes = check_operator(u, spec, DEFAULT_TOLERANCE)
+        assert "spectral-class: unitary" in notes
+        assert [r.name for r in results if not r.passed] == []
 
     def test_rejects_non_unitary(self):
         spec = ScalarProductSpec.identity(2)
