@@ -21,6 +21,7 @@ from .core import (
     IdempotentForm,
     J,
     KetClassification,
+    NonFinite,
     NotInvertible,
     ONE,
     Tolerance,
@@ -40,7 +41,6 @@ from .hilbert import (
     ScalarProductSpec,
     change_basis,
     gram_schmidt,
-    ket_classify,
     ket_norm,
     mix_orthogonal_bases,
     normalize,
@@ -48,7 +48,7 @@ from .hilbert import (
     riesz_representation,
     scalar_product,
 )
-from .matrix import BicomplexMatrix, MatrixInverse, SingularMatrix, matmul
+from .matrix import BicomplexMatrix, MatrixInverse, SingularMatrix
 from .operators import (
     EigenPair,
     EvolutionConfig,
@@ -71,7 +71,6 @@ from .operators import (
     op_exp,
     op_exp_spectral,
     op_function,
-    op_project,
     outer_product,
     schrodinger_residual,
     spectral_reconstruct,

@@ -1,10 +1,13 @@
-"""Invariant suites the `check` command runs on user-supplied documents.
+"""The verification layer: every residual check a `bct` command reports.
 
-Each suite re-derives the properties the value's kind promises, using
-independent routes where one exists (cofactor determinants, direct
-Gram-entry scalar products).  Results are (name, residual, tolerance)
-triples; a verdict passes only when every residual is within bounds.
-Probe vectors come from a fixed seed so runs are reproducible.
+Each `verify_*` function checks one computed result (a determinant, an
+inverse, an exponential, an orthonormalized basis, a spectrum, an
+evolved series) and the `check_*` suites re-derive everything a
+document's kind promises.  Both use independent routes where one exists
+(cofactor determinants, direct Gram-entry scalar products).  Results
+are (name, residual, tolerance) triples; a verdict passes only when
+every residual is within bounds.  Probe vectors come from a fixed seed
+so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .core import (
     Classification,
     Hyperbolic,
     KetClassification,
+    NonFinite,
     ONE,
     Tolerance,
 )
@@ -31,11 +35,13 @@ from .hilbert import (
     ScalarProductSpec,
     gram_schmidt,
     normalize,
+    row_kets,
     scalar_product,
 )
-from .matrix import BicomplexMatrix
+from .matrix import BicomplexMatrix, MatrixInverse
 from .operators import (
     EigenPair,
+    EvolutionConfig,
     Operator,
     adjoint,
     compose,
@@ -43,6 +49,7 @@ from .operators import (
     eigendecompose_unitary,
     is_self_adjoint,
     is_unitary,
+    schrodinger_residual,
     spectral_reconstruct,
 )
 from .reference import det_cofactor, scalar_product_direct
@@ -92,7 +99,8 @@ def check_scalar(w: Bicomplex, tol: Tolerance) -> tuple[list[CheckResult], list[
     involution = max((w.conjugate(k).conjugate(k) - w).euclid_norm() for k in (1, 2, 3))
     results.append(_result("conjugation-involution", involution / scale, tol.eps_eq))
 
-    squared = Hyperbolic.from_bicomplex(w.modulus_squared("j"), tol)
+    modulus = w.modulus_squared("j")
+    squared = Hyperbolic.from_bicomplex(modulus, tol)
     results.append(
         _result(
             "modulus-j-positive",
@@ -103,7 +111,7 @@ def check_scalar(w: Bicomplex, tol: Tolerance) -> tuple[list[CheckResult], list[
     results.append(
         _result(
             "norm-consistency",
-            abs(w.euclid_norm() - math.sqrt(max(w.modulus_squared("j").z1.real, 0.0))) / scale,
+            abs(w.euclid_norm() - math.sqrt(max(modulus.z1.real, 0.0))) / scale,
             tol.eps_eq,
         )
     )
@@ -130,13 +138,14 @@ def check_ket(psi: Ket, spec: ScalarProductSpec | None, tol: Tolerance):
     results.append(_result("component-round-trip", (rebuilt - psi).sup_norm() / scale, tol.eps_eq))
 
     ket_class = psi.classify(tol)
-    product_class = scalar_product(spec, psi, psi).classify(tol)
+    self_product = scalar_product(spec, psi, psi)
+    product_class = self_product.classify(tol)
     consistent = ket_class.value == product_class.value or (
         ket_class is KetClassification.REGULAR and product_class is Classification.INVERTIBLE
     )
     results.append(_result("classification-consistency", 0.0 if consistent else 1.0, 0.0))
 
-    squared = scalar_product(spec, psi, psi).to_idempotent()
+    squared = self_product.to_idempotent()
     results.append(
         _result(
             "self-product-positive",
@@ -155,27 +164,16 @@ def check_ket(psi: Ket, spec: ScalarProductSpec | None, tol: Tolerance):
     return results, notes
 
 
-def _matrix_checks(matrix: BicomplexMatrix, tol: Tolerance):
+def check_matrix(matrix: BicomplexMatrix, tol: Tolerance):
     results = []
     notes = []
     n = matrix.order
-    det_fast = matrix.det()
-    entry_scale = max(matrix.max_norm(), 1.0)
-    det_scale = max(det_fast.euclid_norm(), entry_scale**n, 1e-30)
-
-    if n <= COFACTOR_MAX_ORDER:
-        reference = det_cofactor(matrix)
-        results.append(
-            _result("det-idempotent-vs-direct", (det_fast - reference).euclid_norm() / det_scale, 1e-9)
-        )
-    else:
+    det = matrix.det()
+    results.extend(verify_determinant(matrix, det))
+    if n > COFACTOR_MAX_ORDER:
         notes.append(f"det-idempotent-vs-direct: skipped (order {n} > {COFACTOR_MAX_ORDER})")
-    results.append(
-        _result(
-            "det-transpose", (matrix.transpose().det() - det_fast).euclid_norm() / det_scale, 1e-9
-        )
-    )
 
+    entry_scale = max(matrix.max_norm(), 1.0)
     squared = matrix @ matrix
     law = max(
         float(np.abs(squared.component(k) - matrix.component(k) @ matrix.component(k)).max())
@@ -183,58 +181,97 @@ def _matrix_checks(matrix: BicomplexMatrix, tol: Tolerance):
     )
     results.append(_result("product-component-law", law / max(1.0, entry_scale**2), 1e-10))
 
-    if not matrix.is_singular(tol):
-        inverse = matrix.inverse(tol)
-        cond = max(inverse.cond1, inverse.cond2, 1.0)
-        identity = BicomplexMatrix.identity(n)
-        results.append(
-            _result(
-                "inverse-residual",
-                (matrix @ inverse.matrix - identity).max_norm(),
-                1e-10 * cond,
-            )
-        )
-        results.append(
-            _result(
-                "inverse-left-right",
-                (inverse.matrix @ matrix - matrix @ inverse.matrix).max_norm(),
-                1e-10 * cond,
-            )
-        )
-
-        rows = [
-            Ket(matrix.z1[i, :].copy(), matrix.z2[i, :].copy(), "check-rows") for i in range(n)
-        ]
+    classification = det.classify(tol)
+    if classification is Classification.INVERTIBLE:
+        results.extend(verify_inverse(matrix, matrix.inverse(tol)))
         spec = ScalarProductSpec.identity(n)
         try:
-            ortho = gram_schmidt(spec, rows, tol)
+            ortho = gram_schmidt(spec, row_kets(matrix, "check-rows"), tol)
         except (NullConePivot, NotABasis) as exc:
             results.append(_result("orthogonalize-rows", math.inf, 1e-10))
             notes.append(f"orthogonalize-rows: {type(exc).__name__}: {exc}")
         else:
             results.append(_result("orthogonalize-rows", orthonormal_defect(spec, ortho), 1e-10))
     else:
-        classification = det_fast.classify(tol)
         notes.append(f"inverse: skipped (singular, det {classification.value})")
         notes.append("orthogonalize-rows: skipped (singular)")
     return results, notes
 
 
-def check_matrix(matrix: BicomplexMatrix, tol: Tolerance):
-    return _matrix_checks(matrix, tol)
+def verify_determinant(matrix: BicomplexMatrix, det: Bicomplex) -> list[CheckResult]:
+    """det against the cofactor expansion (orders up to COFACTOR_MAX_ORDER) and det(A^T)."""
+    scale = max(det.euclid_norm(), max(matrix.max_norm(), 1.0) ** matrix.order, 1e-30)
+    results = []
+    if matrix.order <= COFACTOR_MAX_ORDER:
+        reference = det_cofactor(matrix)
+        residual = (det - reference).euclid_norm() / scale
+        results.append(_result("det-idempotent-vs-direct", residual, 1e-9))
+    transposed = (matrix.transpose().det() - det).euclid_norm() / scale
+    results.append(_result("det-transpose", transposed, 1e-9))
+    return results
+
+
+def verify_inverse(matrix: BicomplexMatrix, inverse: MatrixInverse) -> list[CheckResult]:
+    """A inv(A) = I and inv(A) A = A inv(A), to 1e-10 times the worse condition."""
+    cond = max(inverse.cond1, inverse.cond2, 1.0)
+    identity = BicomplexMatrix.identity(matrix.order)
+    return [
+        _result("inverse-residual", (matrix @ inverse.matrix - identity).max_norm(), 1e-10 * cond),
+        _result(
+            "inverse-left-right",
+            (inverse.matrix @ matrix - matrix @ inverse.matrix).max_norm(),
+            1e-10 * cond,
+        ),
+    ]
+
+
+def verify_exponential(forward: BicomplexMatrix, backward: BicomplexMatrix) -> list[CheckResult]:
+    """exp(A) exp(-A) = I, relative to the product of the two max norms."""
+    residual = (forward @ backward - BicomplexMatrix.identity(forward.order)).max_norm()
+    scale = max(1.0, forward.max_norm() * backward.max_norm())
+    return [_result("exp-inverse-consistency", residual / scale, 1e-9)]
+
+
+def verify_gram_schmidt(
+    spec: ScalarProductSpec, kets: Sequence[Ket], tol: Tolerance
+) -> list[CheckResult]:
+    """The output kets are orthonormal and none lies in the null cone."""
+    null_cone = sum(1 for ket in kets if ket.classify(tol) is not KetClassification.REGULAR)
+    return [
+        _result("orthonormal-defect", orthonormal_defect(spec, kets), 1e-10),
+        _result("null-cone-outputs", null_cone, 0.0),
+    ]
+
+
+def verify_evolution(
+    cfg: EvolutionConfig,
+    h: Operator,
+    state: Ket,
+    spec: ScalarProductSpec,
+    norms: Sequence[Hyperbolic],
+    tol: Tolerance,
+) -> list[CheckResult]:
+    """Self-product drift over the samples' norms, and the Schroedinger residual."""
+    base = norms[0]
+    scale = max(1.0, base.x1, base.x2)
+    drift = max(max(abs(n.x1 - base.x1), abs(n.x2 - base.x2)) for n in norms) / scale
+    return [
+        _result("norm-conservation", drift, 1e-9),
+        _result("schrodinger-residual", schrodinger_residual(cfg, h, state, spec, tol=tol), 1e-5),
+    ]
 
 
 def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance):
-    results, notes = _matrix_checks(op.matrix, tol)
+    results, notes = check_matrix(op.matrix, tol)
     if spec is None:
         spec = ScalarProductSpec.identity(op.dim)
     scale = max(1.0, op.matrix.max_norm())
 
-    twice = adjoint(spec, adjoint(spec, op))
+    star = adjoint(spec, op)
+    twice = adjoint(spec, star)
     results.append(_result("adjoint-involution", (twice.matrix - op.matrix).max_norm() / scale, 1e-10))
 
     probes = _probe_kets(op.dim, 2, op.basis_id)
-    star = adjoint(spec, op)
     defining = 0.0
     for psi in probes:
         for phi in probes:
@@ -250,7 +287,7 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
     elif is_unitary(spec, op, tol):
         notes.append("spectral-class: unitary")
         pairs = eigendecompose_unitary(spec, op, tol)
-        defect = (compose(adjoint(spec, op), op).matrix - BicomplexMatrix.identity(op.dim)).max_norm()
+        defect = (compose(star, op).matrix - BicomplexMatrix.identity(op.dim)).max_norm()
         results.append(_result("unitary-defect", defect, 1e-10))
         modulus = max(
             (pair.value.conjugate(3) * pair.value - ONE).euclid_norm() for pair in pairs
@@ -354,7 +391,18 @@ def check_spec(g1: np.ndarray, g2: np.ndarray, tol: Tolerance):
 
 
 def run_checks(doc, spec: ScalarProductSpec | None, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Dispatch on document kind; returns (results, notes)."""
+    """Dispatch on document kind; returns (results, notes).
+
+    A suite whose arithmetic overflows ends in a failing
+    ``finite-arithmetic`` check and a note instead of its other results.
+    """
+    try:
+        return _run_suite(doc, spec, tol)
+    except NonFinite as exc:
+        return [_result("finite-arithmetic", math.inf, 0.0)], [f"finite-arithmetic: {exc}"]
+
+
+def _run_suite(doc, spec: ScalarProductSpec | None, tol: Tolerance):
     if doc.kind == "scalar":
         return check_scalar(doc.value, tol)
     if doc.kind == "ket":

@@ -16,8 +16,10 @@ Elements with exactly one vanishing idempotent component are the zero
 divisors ("null cone"); everything else nonzero is invertible.
 
 Values are stored canonically as the pair (z1, z2); the idempotent pair
-is a derived view.  All values are immutable after construction and all
-operations are pure, so concurrent use is safe.
+is a derived view.  ``BicomplexArray`` holds the same pair for whole
+arrays and is the storage of kets and matrices.  All values are
+immutable after construction and all operations are pure, so concurrent
+use is safe.
 """
 
 from __future__ import annotations
@@ -28,14 +30,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "Bicomplex",
+    "BicomplexArray",
     "BicomplexError",
     "Classification",
     "DimensionMismatch",
     "Hyperbolic",
     "IdempotentForm",
     "KetClassification",
+    "NonFinite",
     "NotInvertible",
     "Tolerance",
     "DEFAULT_TOLERANCE",
@@ -65,6 +71,10 @@ class NotInvertible(BicomplexError):
 
 class DimensionMismatch(BicomplexError):
     """Raised when operands have incompatible sizes."""
+
+
+class NonFinite(BicomplexError, ValueError):
+    """Raised when a value or a result has an infinite or NaN part."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,7 @@ class Bicomplex:
         z1 = complex(z1)
         z2 = complex(z2)
         if not (cmath.isfinite(z1) and cmath.isfinite(z2)):
-            raise ValueError(f"components must be finite, got ({z1!r}, {z2!r})")
+            raise NonFinite(f"components must be finite, got ({z1!r}, {z2!r})")
         self.z1 = z1
         self.z2 = z2
 
@@ -339,6 +349,77 @@ def approx_eq(a, b, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return True
 
 
+class BicomplexArray:
+    """A nonempty array of bicomplex entries, stored as read-only (z1, z2) parts.
+
+    Subclasses set ``ndim`` (a 2-d array must be square), check operand
+    compatibility in ``_check_compatible`` and rebuild themselves from
+    new parts in ``_new``.
+    """
+
+    __slots__ = ("z1", "z2")
+
+    def __init__(self, z1: np.ndarray, z2: np.ndarray):
+        z1 = np.array(z1, dtype=complex)
+        z2 = np.array(z2, dtype=complex)
+        if z1.ndim != self.ndim or z1.shape[0] == 0 or len(set(z1.shape)) != 1:
+            kind = "vector" if self.ndim == 1 else "square array"
+            raise ValueError(f"expected a nonempty {kind}, got shape {z1.shape}")
+        if z1.shape != z2.shape:
+            raise ValueError(f"part shapes differ: {z1.shape} vs {z2.shape}")
+        if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
+            raise NonFinite(f"{type(self).__name__} entries must be finite")
+        z1.setflags(write=False)
+        z2.setflags(write=False)
+        self.z1 = z1
+        self.z2 = z2
+
+    @classmethod
+    def from_components(cls, c1: np.ndarray, c2: np.ndarray, *rest):
+        """Recombine c1*e1 + c2*e2; ``rest`` goes to the constructor (a ket's basis label)."""
+        c1 = np.asarray(c1, dtype=complex)
+        c2 = np.asarray(c2, dtype=complex)
+        return cls(0.5 * (c1 + c2), 0.5j * (c1 - c2), *rest)
+
+    def _new(self, z1: np.ndarray, z2: np.ndarray):
+        return type(self)(z1, z2)
+
+    def component(self, k: int) -> np.ndarray:
+        """The complex component array multiplying e1 (k=1) or e2 (k=2)."""
+        if k == 1:
+            return self.z1 - 1j * self.z2
+        if k == 2:
+            return self.z1 + 1j * self.z2
+        raise ValueError(f"component index must be 1 or 2, got {k!r}")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_compatible(other)
+        return self._new(self.z1 + other.z1, self.z2 + other.z2)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_compatible(other)
+        return self._new(self.z1 - other.z1, self.z2 - other.z2)
+
+    def __neg__(self):
+        return self._new(-self.z1, -self.z2)
+
+    def scale(self, factor):
+        """Multiply every entry by a bicomplex (or scalar) factor."""
+        w = as_bicomplex(factor)
+        return self._new(w.z1 * self.z1 - w.z2 * self.z2, w.z1 * self.z2 + w.z2 * self.z1)
+
+    def __mul__(self, factor):
+        if isinstance(factor, (int, float, complex, Bicomplex)):
+            return self.scale(factor)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True)
 class Hyperbolic:
     """A hyperbolic number x1*e1 + x2*e2, stored in idempotent coordinates.
@@ -352,7 +433,7 @@ class Hyperbolic:
 
     def __post_init__(self):
         if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise ValueError(f"coordinates must be finite, got ({self.x1!r}, {self.x2!r})")
+            raise NonFinite(f"coordinates must be finite, got ({self.x1!r}, {self.x2!r})")
 
     @classmethod
     def from_bicomplex(cls, value: Bicomplex, tol: Tolerance = DEFAULT_TOLERANCE) -> Hyperbolic:

@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCE,
     Bicomplex,
+    BicomplexArray,
     BicomplexError,
     Classification,
     DimensionMismatch,
@@ -38,7 +39,7 @@ from .core import (
     Tolerance,
     as_bicomplex,
 )
-from .matrix import BicomplexMatrix, SingularMatrix
+from .matrix import BicomplexMatrix, require_nonsingular
 
 REFERENCE_BASIS = "canonical"
 
@@ -78,25 +79,18 @@ class NonPositiveNorm(BicomplexError):
     """Raised if a self-product component is not positive (defensive)."""
 
 
-class Ket:
+class Ket(BicomplexArray):
     """A module element: bicomplex coefficients in a labelled basis."""
 
-    __slots__ = ("z1", "z2", "basis_id")
+    __slots__ = ("basis_id",)
+    ndim = 1
 
     def __init__(self, z1: np.ndarray, z2: np.ndarray, basis_id: str = REFERENCE_BASIS):
-        z1 = np.array(z1, dtype=complex)
-        z2 = np.array(z2, dtype=complex)
-        if z1.ndim != 1 or z1.shape[0] == 0:
-            raise ValueError(f"expected a nonempty vector, got shape {z1.shape}")
-        if z1.shape != z2.shape:
-            raise ValueError(f"part shapes differ: {z1.shape} vs {z2.shape}")
-        if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
-            raise ValueError("coefficients must be finite")
-        z1.setflags(write=False)
-        z2.setflags(write=False)
-        self.z1 = z1
-        self.z2 = z2
+        super().__init__(z1, z2)
         self.basis_id = str(basis_id)
+
+    def _new(self, z1: np.ndarray, z2: np.ndarray) -> Ket:
+        return Ket(z1, z2, self.basis_id)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, basis_id: str = REFERENCE_BASIS) -> Ket:
@@ -106,13 +100,6 @@ class Ket:
             np.array([w.z2 for w in values], dtype=complex),
             basis_id,
         )
-
-    @classmethod
-    def from_components(cls, c1: np.ndarray, c2: np.ndarray, basis_id: str = REFERENCE_BASIS) -> Ket:
-        """Recombine the two complex component vectors c1*e1 + c2*e2."""
-        c1 = np.asarray(c1, dtype=complex)
-        c2 = np.asarray(c2, dtype=complex)
-        return cls(0.5 * (c1 + c2), 0.5j * (c1 - c2), basis_id)
 
     @classmethod
     def standard(cls, dim: int, index: int, basis_id: str = REFERENCE_BASIS) -> Ket:
@@ -135,14 +122,6 @@ class Ket:
 
     def coeffs(self) -> list[Bicomplex]:
         return [self.coeff(i) for i in range(self.dim)]
-
-    def component(self, k: int) -> np.ndarray:
-        """Complex coefficient vector of the e1 (k=1) or e2 (k=2) projection."""
-        if k == 1:
-            return self.z1 - 1j * self.z2
-        if k == 2:
-            return self.z1 + 1j * self.z2
-        raise ValueError(f"component index must be 1 or 2, got {k!r}")
 
     def sup_norm(self) -> float:
         return float(np.sqrt(np.abs(self.z1) ** 2 + np.abs(self.z2) ** 2).max())
@@ -167,36 +146,6 @@ class Ket:
             raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
         if self.basis_id != other.basis_id:
             raise BasisMismatch(f"bases differ: {self.basis_id!r} vs {other.basis_id!r}")
-
-    def __add__(self, other):
-        if not isinstance(other, Ket):
-            return NotImplemented
-        self._check_compatible(other)
-        return Ket(self.z1 + other.z1, self.z2 + other.z2, self.basis_id)
-
-    def __sub__(self, other):
-        if not isinstance(other, Ket):
-            return NotImplemented
-        self._check_compatible(other)
-        return Ket(self.z1 - other.z1, self.z2 - other.z2, self.basis_id)
-
-    def __neg__(self):
-        return Ket(-self.z1, -self.z2, self.basis_id)
-
-    def scale(self, factor) -> Ket:
-        w = as_bicomplex(factor)
-        return Ket(
-            w.z1 * self.z1 - w.z2 * self.z2,
-            w.z1 * self.z2 + w.z2 * self.z1,
-            self.basis_id,
-        )
-
-    def __mul__(self, factor):
-        if isinstance(factor, (int, float, complex, Bicomplex)):
-            return self.scale(factor)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Ket):
@@ -331,6 +280,11 @@ def coefficient_matrix(kets: Sequence[Ket]) -> BicomplexMatrix:
     return BicomplexMatrix(z1, z2)
 
 
+def row_kets(matrix: BicomplexMatrix, basis_id: str = REFERENCE_BASIS) -> list[Ket]:
+    """Kets whose coefficient vectors are the matrix rows."""
+    return [Ket(matrix.z1[i], matrix.z2[i], basis_id) for i in range(matrix.order)]
+
+
 def scalar_product(spec: ScalarProductSpec, psi: Ket, phi: Ket) -> Bicomplex:
     """The bicomplex scalar product; linear in the second argument."""
     psi._check_compatible(phi)
@@ -339,10 +293,6 @@ def scalar_product(spec: ScalarProductSpec, psi: Ket, phi: Ket) -> Bicomplex:
     s1 = np.vdot(psi.component(1), spec.g1 @ phi.component(1))
     s2 = np.vdot(psi.component(2), spec.g2 @ phi.component(2))
     return Bicomplex.from_idempotent(complex(s1), complex(s2))
-
-
-def ket_classify(psi: Ket, tol: Tolerance = DEFAULT_TOLERANCE) -> KetClassification:
-    return psi.classify(tol)
 
 
 def ket_norm(spec: ScalarProductSpec, psi: Ket, tol: Tolerance = DEFAULT_TOLERANCE) -> HyperbolicNorm:
@@ -446,11 +396,9 @@ def riesz_representation(
     coeffs = [as_bicomplex(v) for v in values]
     if len(coeffs) != spec.dim:
         raise DimensionMismatch(f"expected {spec.dim} functional values, got {len(coeffs)}")
-    f1 = np.array([w.to_idempotent().c1 for w in coeffs], dtype=complex)
-    f2 = np.array([w.to_idempotent().c2 for w in coeffs], dtype=complex)
-    psi1 = np.conj(np.linalg.solve(spec.g1.T, f1))
-    psi2 = np.conj(np.linalg.solve(spec.g2.T, f2))
-    return Ket.from_components(psi1, psi2, basis_id)
+    functional = Ket.from_coeffs(coeffs)
+    parts = [np.conj(np.linalg.solve(spec.gram(k).T, functional.component(k))) for k in (1, 2)]
+    return Ket.from_components(*parts, basis_id)
 
 
 def change_basis(
@@ -469,16 +417,9 @@ def change_basis(
         new_basis_id = psi.basis_id + "'"
     if transform.order != psi.dim:
         raise DimensionMismatch(f"transform order {transform.order} != ket dimension {psi.dim}")
-    classification = transform.det().classify(tol)
-    if classification is Classification.ZERO:
-        raise SingularMatrix((1, 2))
-    if classification is Classification.NULL_CONE_1:
-        raise SingularMatrix((1,))
-    if classification is Classification.NULL_CONE_2:
-        raise SingularMatrix((2,))
-    new1 = np.linalg.solve(transform.component(1), psi.component(1))
-    new2 = np.linalg.solve(transform.component(2), psi.component(2))
-    return Ket.from_components(new1, new2, new_basis_id)
+    require_nonsingular(transform, tol)
+    parts = [np.linalg.solve(transform.component(k), psi.component(k)) for k in (1, 2)]
+    return Ket.from_components(*parts, new_basis_id)
 
 
 def project_basis(basis: Basis, k: int) -> list[np.ndarray]:

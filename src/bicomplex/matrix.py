@@ -9,8 +9,8 @@ all reduce to the two components:
 
 A matrix is singular when its determinant lies in the null cone, i.e.
 when at least one component determinant vanishes.  Storage is the
-canonical (z1, z2) pair of complex arrays; the component view is
-derived.  Matrices are immutable and all operations are pure.
+canonical (z1, z2) pair of complex arrays (``core.BicomplexArray``);
+the component view is derived.  Matrices are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCE,
     Bicomplex,
+    BicomplexArray,
     BicomplexError,
     Classification,
     DimensionMismatch,
@@ -51,24 +52,11 @@ class MatrixInverse(NamedTuple):
     cond2: float
 
 
-class BicomplexMatrix:
+class BicomplexMatrix(BicomplexArray):
     """An n-by-n array of bicomplex entries."""
 
-    __slots__ = ("z1", "z2")
-
-    def __init__(self, z1: np.ndarray, z2: np.ndarray):
-        z1 = np.array(z1, dtype=complex)
-        z2 = np.array(z2, dtype=complex)
-        if z1.ndim != 2 or z1.shape[0] != z1.shape[1] or z1.shape[0] == 0:
-            raise ValueError(f"expected a nonempty square array, got shape {z1.shape}")
-        if z1.shape != z2.shape:
-            raise ValueError(f"part shapes differ: {z1.shape} vs {z2.shape}")
-        if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
-            raise ValueError("matrix entries must be finite")
-        z1.setflags(write=False)
-        z2.setflags(write=False)
-        self.z1 = z1
-        self.z2 = z2
+    __slots__ = ()
+    ndim = 2
 
     # -- constructors ----------------------------------------------------
 
@@ -81,13 +69,6 @@ class BicomplexMatrix:
         z1 = np.array([[w.z1 for w in row] for row in entries], dtype=complex)
         z2 = np.array([[w.z2 for w in row] for row in entries], dtype=complex)
         return cls(z1, z2)
-
-    @classmethod
-    def from_components(cls, c1: np.ndarray, c2: np.ndarray) -> BicomplexMatrix:
-        """Recombine the idempotent component matrices c1*e1 + c2*e2."""
-        c1 = np.asarray(c1, dtype=complex)
-        c2 = np.asarray(c2, dtype=complex)
-        return cls(0.5 * (c1 + c2), 0.5j * (c1 - c2))
 
     @classmethod
     def identity(cls, n: int) -> BicomplexMatrix:
@@ -113,14 +94,6 @@ class BicomplexMatrix:
     def entry(self, i: int, j: int) -> Bicomplex:
         return Bicomplex(self.z1[i, j], self.z2[i, j])
 
-    def component(self, k: int) -> np.ndarray:
-        """The complex component matrix multiplying e1 (k=1) or e2 (k=2)."""
-        if k == 1:
-            return self.z1 - 1j * self.z2
-        if k == 2:
-            return self.z1 + 1j * self.z2
-        raise ValueError(f"component index must be 1 or 2, got {k!r}")
-
     def transpose(self) -> BicomplexMatrix:
         return BicomplexMatrix(self.z1.T.copy(), self.z2.T.copy())
 
@@ -130,40 +103,10 @@ class BicomplexMatrix:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, BicomplexMatrix):
-            return NotImplemented
-        self._check_order(other)
-        return BicomplexMatrix(self.z1 + other.z1, self.z2 + other.z2)
-
-    def __sub__(self, other):
-        if not isinstance(other, BicomplexMatrix):
-            return NotImplemented
-        self._check_order(other)
-        return BicomplexMatrix(self.z1 - other.z1, self.z2 - other.z2)
-
-    def __neg__(self):
-        return BicomplexMatrix(-self.z1, -self.z2)
-
-    def scale(self, factor) -> BicomplexMatrix:
-        """Multiply every entry by a bicomplex (or scalar) factor."""
-        w = as_bicomplex(factor)
-        return BicomplexMatrix(
-            w.z1 * self.z1 - w.z2 * self.z2,
-            w.z1 * self.z2 + w.z2 * self.z1,
-        )
-
-    def __mul__(self, factor):
-        if isinstance(factor, (int, float, complex, Bicomplex)):
-            return self.scale(factor)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         if not isinstance(other, BicomplexMatrix):
             return NotImplemented
-        self._check_order(other)
+        self._check_compatible(other)
         return BicomplexMatrix(
             self.z1 @ other.z1 - self.z2 @ other.z2,
             self.z1 @ other.z2 + self.z2 @ other.z1,
@@ -183,7 +126,7 @@ class BicomplexMatrix:
     def __repr__(self):
         return f"BicomplexMatrix(order={self.order})"
 
-    def _check_order(self, other: BicomplexMatrix):
+    def _check_compatible(self, other: BicomplexMatrix):
         if self.order != other.order:
             raise DimensionMismatch(f"orders differ: {self.order} vs {other.order}")
 
@@ -204,18 +147,23 @@ class BicomplexMatrix:
         The residual of A @ inv(A) scales with the reported conditions;
         callers decide how much accuracy to expect.
         """
-        classification = self.det().classify(tol)
-        if classification is Classification.ZERO:
-            raise SingularMatrix((1, 2))
-        if classification is Classification.NULL_CONE_1:
-            raise SingularMatrix((1,))
-        if classification is Classification.NULL_CONE_2:
-            raise SingularMatrix((2,))
+        require_nonsingular(self, tol)
         c1 = self.component(1)
         c2 = self.component(2)
         inverse = BicomplexMatrix.from_components(np.linalg.inv(c1), np.linalg.inv(c2))
         return MatrixInverse(inverse, float(np.linalg.cond(c1)), float(np.linalg.cond(c2)))
 
 
-def matmul(a: BicomplexMatrix, b: BicomplexMatrix) -> BicomplexMatrix:
-    return a @ b
+# idempotent components whose determinant vanishes, by det classification
+_VANISHING = {
+    Classification.ZERO: (1, 2),
+    Classification.NULL_CONE_1: (1,),
+    Classification.NULL_CONE_2: (2,),
+}
+
+
+def require_nonsingular(matrix: BicomplexMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> None:
+    """Raise SingularMatrix unless the determinant is invertible."""
+    vanishing = _VANISHING.get(matrix.det().classify(tol))
+    if vanishing is not None:
+        raise SingularMatrix(vanishing)

@@ -36,9 +36,11 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCE,
     Bicomplex,
+    BicomplexArray,
     BicomplexError,
     Classification,
     DimensionMismatch,
+    NonFinite,
     ONE,
     Tolerance,
     as_bicomplex,
@@ -126,11 +128,10 @@ class Operator:
     def identity(cls, dim: int, basis_id: str = "canonical") -> Operator:
         return cls(BicomplexMatrix.identity(dim), basis_id)
 
-    def _check_compatible(self, other: Operator):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
-        if self.basis_id != other.basis_id:
-            raise BasisMismatch(f"bases differ: {self.basis_id!r} vs {other.basis_id!r}")
+    # operators combine like kets: same dimension and basis label, any
+    # bicomplex (or scalar) factor
+    _check_compatible = Ket._check_compatible
+    __mul__ = __rmul__ = BicomplexArray.__mul__
 
     def __add__(self, other):
         if not isinstance(other, Operator):
@@ -151,13 +152,6 @@ class Operator:
 
     def scale(self, factor) -> Operator:
         return Operator(self.matrix.scale(factor), self.basis_id)
-
-    def __mul__(self, factor):
-        if isinstance(factor, (int, float, complex, Bicomplex)):
-            return self.scale(factor)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def apply(self, psi: Ket) -> Ket:
         if psi.dim != self.dim:
@@ -180,11 +174,6 @@ def compose(a: Operator, b: Operator) -> Operator:
     """The operator acting as a after b; its matrix is the product."""
     a._check_compatible(b)
     return Operator(a.matrix @ b.matrix, a.basis_id)
-
-
-def op_project(a: Operator, k: int) -> np.ndarray:
-    """Complex component matrix of the e1 (k=1) or e2 (k=2) projection."""
-    return a.matrix.component(k)
 
 
 def conjugate_by_basis(
@@ -297,6 +286,18 @@ def _component_unitary_eig(
     return values[order], inv_chol_h @ vectors[:, order]
 
 
+def _pair_components(solve, spec: ScalarProductSpec, a: Operator) -> list[EigenPair]:
+    """Join the two component eigensystems that ``solve`` returns, index to index."""
+    (values1, vectors1), (values2, vectors2) = (solve(spec, a.matrix, k) for k in (1, 2))
+    return [
+        EigenPair(
+            Bicomplex.from_idempotent(values1[i], values2[i]),
+            Ket.from_components(vectors1[:, i], vectors2[:, i], a.basis_id),
+        )
+        for i in range(a.dim)
+    ]
+
+
 def eigendecompose_self_adjoint(
     spec: ScalarProductSpec, h: Operator, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> list[EigenPair]:
@@ -308,15 +309,7 @@ def eigendecompose_self_adjoint(
     """
     if not is_self_adjoint(spec, h, tol):
         raise NotSelfAdjoint("operator is not self-adjoint under the given scalar product")
-    values1, vectors1 = _component_hermitian_eigh(spec, h.matrix, 1)
-    values2, vectors2 = _component_hermitian_eigh(spec, h.matrix, 2)
-    return [
-        EigenPair(
-            Bicomplex.from_idempotent(values1[i], values2[i]),
-            Ket.from_components(vectors1[:, i], vectors2[:, i], h.basis_id),
-        )
-        for i in range(h.dim)
-    ]
+    return _pair_components(_component_hermitian_eigh, spec, h)
 
 
 def eigendecompose_unitary(
@@ -325,15 +318,7 @@ def eigendecompose_unitary(
     """Orthonormal eigenkets of a unitary operator, sorted by phase angle."""
     if not is_unitary(spec, u, tol):
         raise NotUnitary("operator is not unitary under the given scalar product")
-    values1, vectors1 = _component_unitary_eig(spec, u.matrix, 1)
-    values2, vectors2 = _component_unitary_eig(spec, u.matrix, 2)
-    return [
-        EigenPair(
-            Bicomplex.from_idempotent(values1[i], values2[i]),
-            Ket.from_components(vectors1[:, i], vectors2[:, i], u.basis_id),
-        )
-        for i in range(u.dim)
-    ]
+    return _pair_components(_component_unitary_eig, spec, u)
 
 
 def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) -> Operator:
@@ -413,42 +398,42 @@ def op_function(
     finite coefficient sequence is summed in full).  Terms that fail to
     decay within ``max_terms`` raise SeriesDivergence.
     """
-    comp1 = a.matrix.component(1)
-    comp2 = a.matrix.component(2)
+    components = [a.matrix.component(k) for k in (1, 2)]
     n = a.dim
-    power1 = np.eye(n, dtype=complex)
-    power2 = np.eye(n, dtype=complex)
-    total1 = np.zeros((n, n), dtype=complex)
-    total2 = np.zeros((n, n), dtype=complex)
+    powers = [np.eye(n, dtype=complex) for _ in components]
+    totals = [np.zeros((n, n), dtype=complex) for _ in components]
     streak = 0
     for index, coeff in enumerate(coeffs):
         if index >= max_terms:
             raise SeriesDivergence(f"series terms did not decay within {max_terms} terms")
-        c1, c2 = as_bicomplex(coeff).to_idempotent()
+        factors = as_bicomplex(coeff).to_idempotent()
         if index > 0:
-            power1 = power1 @ comp1
-            power2 = power2 @ comp2
-        term1 = c1 * power1
-        term2 = c2 * power2
-        total1 += term1
-        total2 += term2
-        term_size = max(np.linalg.norm(term1, 1), np.linalg.norm(term2, 1))
-        sum_size = max(np.linalg.norm(total1, 1), np.linalg.norm(total2, 1), 1e-300)
+            powers = [power @ component for power, component in zip(powers, components)]
+        terms = [factor * power for factor, power in zip(factors, powers)]
+        for total, term in zip(totals, terms):
+            total += term
+        term_size = max(np.linalg.norm(term, 1) for term in terms)
+        sum_size = max(*(np.linalg.norm(total, 1) for total in totals), 1e-300)
         if term_size <= truncation * sum_size:
             streak += 1
             if streak >= 2 and index >= 1:
                 break
         else:
             streak = 0
-    return Operator(BicomplexMatrix.from_components(total1, total2), a.basis_id)
+    return Operator(BicomplexMatrix.from_components(*totals), a.basis_id)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring exponential with a truncated Taylor core."""
     n = a.shape[0]
     norm = float(np.linalg.norm(a, 1))
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    scaled = a / (2.0 ** squarings)
+    if not math.isfinite(norm):
+        raise NonFinite("matrix exponential of a non-finite matrix")
+    # smallest s with norm / 2**s <= 0.5, for every finite norm (norm / 0.5
+    # and 2.0**s overflow from about 9e307 on)
+    mantissa, exponent = math.frexp(norm)
+    squarings = 0 if norm <= 0.5 else exponent + (mantissa > 0.5)
+    scaled = a * math.ldexp(1.0, -squarings)
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
     for k in range(1, 64):
@@ -528,11 +513,16 @@ class EvolutionConfig:
         return np.linspace(self.t0, self.t1, self.steps)
 
 
-def _effective_hamiltonian(cfg: EvolutionConfig, h: Operator) -> Operator:
-    """Fold a left-hand constant into the generator: H' = inv(xi) * H."""
-    if cfg.xi is None:
-        return h
-    return h.scale(cfg.xi.inverse())
+def _effective_hamiltonian(
+    cfg: EvolutionConfig, h: Operator, spec: ScalarProductSpec | None, tol: Tolerance
+) -> Operator:
+    """The generator H' = inv(xi) * H, checked self-adjoint (default spec: identity)."""
+    h_eff = h if cfg.xi is None else h.scale(cfg.xi.inverse())
+    if spec is None:
+        spec = ScalarProductSpec.identity(h.dim)
+    if not is_self_adjoint(spec, h_eff, tol):
+        raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
+    return h_eff
 
 
 def _propagator(cfg: EvolutionConfig, h_eff: Operator, elapsed: float) -> Operator:
@@ -546,11 +536,7 @@ def evolution_operator(
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Operator:
     """U(t1, t0) = exp(-i1 (t1 - t0) H / hbar), a unitary propagator."""
-    if spec is None:
-        spec = ScalarProductSpec.identity(h.dim)
-    h_eff = _effective_hamiltonian(cfg, h)
-    if not is_self_adjoint(spec, h_eff, tol):
-        raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
+    h_eff = _effective_hamiltonian(cfg, h, spec, tol)
     return _propagator(cfg, h_eff, cfg.t1 - cfg.t0)
 
 
@@ -562,11 +548,7 @@ def evolve_series(
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[tuple[float, Ket]]:
     """The evolved state at each sample time in [t0, t1]."""
-    if spec is None:
-        spec = ScalarProductSpec.identity(h.dim)
-    h_eff = _effective_hamiltonian(cfg, h)
-    if not is_self_adjoint(spec, h_eff, tol):
-        raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
+    h_eff = _effective_hamiltonian(cfg, h, spec, tol)
     return [
         (float(t), _propagator(cfg, h_eff, float(t) - cfg.t0).apply(state))
         for t in cfg.sample_times()
@@ -586,11 +568,7 @@ def schrodinger_residual(
     The derivative is a central difference with the given step, so the
     result floors at roughly step**2 plus rounding amplified by 1/step.
     """
-    if spec is None:
-        spec = ScalarProductSpec.identity(h.dim)
-    h_eff = _effective_hamiltonian(cfg, h)
-    if not is_self_adjoint(spec, h_eff, tol):
-        raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
+    h_eff = _effective_hamiltonian(cfg, h, spec, tol)
     worst = 0.0
     factor = Bicomplex(complex(0.0, cfg.hbar / (2.0 * step)))
     for t in cfg.sample_times():

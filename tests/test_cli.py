@@ -1,5 +1,6 @@
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -281,3 +282,257 @@ class TestDeterminism:
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second
+
+
+class TestOverflow:
+    """Inputs whose arithmetic overflows end in exit 2 (or a failing check, exit 3)."""
+
+    INPUTS = {
+        "scalar": "bct v1\nkind: scalar\ndim: 1\n(1e308 1e308 1e308 0)\n",
+        "matrix": "bct v1\nkind: matrix\ndim: 2\n(1e308 0 0 0) (0 0 0 0)\n(0 0 0 0) (1e308 0 0 0)\n",
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kind, sub, expected",
+        [
+            ("scalar", "info", 0),
+            ("scalar", "idempotent", 0),
+            ("scalar", "check", 3),
+            ("matrix", "info", 2),
+            ("matrix", "idempotent", 0),
+            ("matrix", "det", 2),
+            ("matrix", "inv", 2),
+            ("matrix", "exp", 2),
+            ("matrix", "gram-schmidt", 2),
+            ("matrix", "spectral", 2),
+            ("matrix", "check", 3),
+        ],
+    )
+    def test_documented_exit_code(self, capsys, tmp_path, kind, sub, expected):
+        path = tmp_path / "big.bct"
+        path.write_text(self.INPUTS[kind])
+        code, out = run(capsys, sub, str(path))
+        assert code == expected
+        if sub == "check":
+            assert "\ncheck finite-arithmetic: residual inf tol 0 fail\n" in out
+            assert "\nnote: finite-arithmetic: " in out
+            assert out.endswith("verdict: fail\n")
+        elif code == 2:
+            assert out.startswith("error: NonFinite: ")
+
+
+# -- output layout of every subcommand on every golden file ----------------------------
+
+SUBCOMMANDS = ("info", "idempotent", "det", "inv", "exp", "gram-schmidt", "spectral", "evolve", "check")
+
+_CHECK_LINE = re.compile(r"^check (\S+): residual \S+ tol \S+ (pass|fail)$")
+_NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def layout(out: str) -> tuple[str, ...]:
+    """The check lines as "<name> <pass|fail>" and the notes with numbers as '#'."""
+    rows = []
+    for line in out.splitlines():
+        match = _CHECK_LINE.match(line)
+        if match:
+            rows.append(f"{match[1]} {match[2]}")
+        elif line.startswith("check "):
+            rows.append(f"malformed: {line}")
+        elif line.startswith("note: "):
+            rows.append(_NUMBER.sub("#", line[len("note: "):]))
+    return tuple(rows)
+
+
+DET = ("det-idempotent-vs-direct pass", "det-transpose pass")
+INV = ("inverse-residual pass", "inverse-left-right pass", "condition-estimates: # #")
+EXP = ("exp-inverse-consistency pass",)
+SPECTRUM = (
+    "spectral-reconstruction pass",
+    "eigenvalue-imag-parts pass",
+    "eigenket-orthonormal pass",
+    "completeness pass",
+)
+EVOLVE = ("norm-conservation pass", "schrodinger-residual pass")
+MATRIX_SUITE = DET + (
+    "product-component-law pass",
+    "inverse-residual pass",
+    "inverse-left-right pass",
+    "orthogonalize-rows pass",
+)
+ADJOINT = ("adjoint-involution pass", "adjoint-defining-relation pass")
+SCALAR_SUITE = (
+    "idempotent-round-trip pass",
+    "conjugation-involution pass",
+    "modulus-j-positive pass",
+    "norm-consistency pass",
+)
+SPEC_SUITE = (
+    "hermitian-g1 pass",
+    "hermitian-g2 pass",
+    "positive-definite pass",
+    "decomposition-vs-direct pass",
+)
+READABLE = {"info": (0, ()), "idempotent": (0, ())}
+SQUARE = {**READABLE, "det": (0, DET), "inv": (0, INV), "exp": (0, EXP)}
+
+# (exit code, layout) of every call that is not rejected with exit 2
+GOLDEN_LAYOUT = {
+    "counter_nonselfadjoint_n2.bct": {
+        **SQUARE,
+        "check": (
+            3,
+            MATRIX_SUITE
+            + ADJOINT
+            + (
+                "spectral-class fail",
+                "spectral-class: neither self-adjoint nor unitary; "
+                "spectral decomposition unavailable",
+            ),
+        ),
+    },
+    "counter_nullcone_pivot_n2.bct": {
+        **SQUARE,
+        "check": (
+            3,
+            MATRIX_SUITE[:-1]
+            + (
+                "orthogonalize-rows fail",
+                "orthogonalize-rows: NullConePivot: "
+                "self-product of orthogonalized ket # lies in the null cone",
+            ),
+        ),
+    },
+    "ket_nullcone_n2.bct": {
+        **READABLE,
+        "check": (
+            0,
+            (
+                "component-round-trip pass",
+                "classification-consistency pass",
+                "self-product-positive pass",
+                "normalize: skipped (null_cone_2)",
+            ),
+        ),
+    },
+    "ket_regular_n3.bct": {
+        **READABLE,
+        "check": (
+            0,
+            (
+                "component-round-trip pass",
+                "classification-consistency pass",
+                "self-product-positive pass",
+                "normalize-unit pass",
+            ),
+        ),
+    },
+    "matrix_diag_e1_1.bct": {
+        **READABLE,
+        "det": (0, DET),
+        "exp": (0, EXP),
+        "spectral": (0, SPECTRUM),
+        "evolve": (0, EVOLVE),
+        "check": (
+            0,
+            MATRIX_SUITE[:3]
+            + ("inverse: skipped (singular, det null_cone_2)", "orthogonalize-rows: skipped (singular)"),
+        ),
+    },
+    "matrix_identity_n2.bct": {
+        **SQUARE,
+        "gram-schmidt": (0, ("orthonormal-defect pass", "null-cone-outputs pass")),
+        "spectral": (0, SPECTRUM),
+        "evolve": (0, EVOLVE),
+        "check": (0, MATRIX_SUITE),
+    },
+    "matrix_random_n3.bct": {
+        **SQUARE,
+        "gram-schmidt": (0, ("orthonormal-defect pass", "null-cone-outputs pass")),
+        "check": (0, MATRIX_SUITE),
+    },
+    "operator_selfadjoint_n2.bct": {
+        **SQUARE,
+        "spectral": (0, SPECTRUM),
+        "evolve": (0, EVOLVE),
+        "check": (0, MATRIX_SUITE + ADJOINT + SPECTRUM + ("spectral-class: self-adjoint",)),
+    },
+    "operator_unitary_n2.bct": {
+        **SQUARE,
+        "check": (
+            0,
+            MATRIX_SUITE
+            + ADJOINT
+            + (
+                "unitary-defect pass",
+                "eigenvalue-unit-modulus pass",
+                "eigenket-orthonormal pass",
+                "completeness pass",
+                "spectral-class: unitary",
+            ),
+        ),
+    },
+    "scalar_e1.bct": {
+        **READABLE,
+        "check": (0, SCALAR_SUITE + ("cube-root-residual pass", "inverse: skipped (null_cone_2)")),
+    },
+    "scalar_j.bct": {
+        **READABLE,
+        "check": (0, SCALAR_SUITE + ("inverse-residual pass", "cube-root-residual pass")),
+    },
+    "scalar_mixed.bct": {
+        **READABLE,
+        "check": (0, SCALAR_SUITE + ("inverse-residual pass", "cube-root-residual pass")),
+    },
+    "scalar_one.bct": {
+        **READABLE,
+        "check": (0, SCALAR_SUITE + ("inverse-residual pass", "cube-root-residual pass")),
+    },
+    "spec_general_n3.bct": {
+        "info": (0, ()),
+        "check": (0, SPEC_SUITE + ("closed-under-reference: no",)),
+    },
+    "spec_identity_n2.bct": {
+        "info": (0, ()),
+        "check": (0, SPEC_SUITE + ("closed-under-reference: yes",)),
+    },
+}
+
+
+def test_golden_layout_covers_corpus():
+    assert sorted(path.name for path in GOLDEN.glob("*.bct")) == sorted(GOLDEN_LAYOUT)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LAYOUT))
+def test_output_layout(capsys, workdir, name):
+    path = str(GOLDEN / name)
+    for sub in SUBCOMMANDS:
+        if sub == "evolve":
+            argv = [
+                "evolve", "--hamiltonian", path, "--state", str(workdir / "psi.bct"),
+                "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "3",
+            ]
+        else:
+            argv = [sub, path]
+        code, out = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        expected = GOLDEN_LAYOUT[name].get(sub)
+        if expected is None:
+            assert code == 2, (sub, out)
+            assert out.startswith("error: ") and out.count("\n") == 1, (sub, out)
+        else:
+            assert (code, layout(out)) == expected, sub
+
+
+def test_determinant_skip_notes(capsys, tmp_path):
+    rng = np.random.default_rng(6)
+    parts = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(2)]
+    bct.save(tmp_path / "m6.bct", bct.document_for(BicomplexMatrix(*parts)))
+    code, out = run(capsys, "det", str(tmp_path / "m6.bct"))
+    assert code == 0
+    assert "\nnote: det-idempotent-vs-direct: skipped (order > 5)\n" in out
+    assert "check det-idempotent-vs-direct" not in out
+    code, out = run(capsys, "check", str(tmp_path / "m6.bct"))
+    assert code == 0
+    assert "\nnote: det-idempotent-vs-direct: skipped (order 6 > 5)\n" in out
+    assert "check det-idempotent-vs-direct" not in out

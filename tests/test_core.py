@@ -8,6 +8,7 @@ from bicomplex import (
     Bicomplex,
     Classification,
     Hyperbolic,
+    NonFinite,
     NotInvertible,
     Tolerance,
     approx_eq,
@@ -264,3 +265,23 @@ class TestHyperbolic:
         value = Hyperbolic(1.5, -0.25)
         again = Hyperbolic.from_bicomplex(value.to_bicomplex())
         assert again == value
+
+
+class TestNonFinite:
+    def test_is_a_value_error(self):
+        assert issubclass(NonFinite, ValueError)
+
+    @pytest.mark.parametrize("z1, z2", [(math.inf, 0.0), (0.0, complex(0.0, math.nan))])
+    def test_scalars(self, z1, z2):
+        with pytest.raises(NonFinite):
+            Bicomplex(z1, z2)
+        with pytest.raises(NonFinite):
+            Hyperbolic(abs(z1), abs(z2))
+
+    def test_arrays(self):
+        from bicomplex import BicomplexMatrix, Ket
+
+        with pytest.raises(NonFinite):
+            Ket(np.array([1.0, math.nan]), np.zeros(2))
+        with pytest.raises(NonFinite):
+            BicomplexMatrix(np.full((2, 2), math.inf), np.zeros((2, 2)))

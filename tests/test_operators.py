@@ -33,14 +33,13 @@ from bicomplex import (
     op_exp,
     op_exp_spectral,
     op_function,
-    op_project,
     outer_product,
     scalar_product,
     schrodinger_residual,
     spectral_reconstruct,
 )
 from bicomplex.checks import check_operator, orthonormal_defect
-from bicomplex.core import DEFAULT_TOLERANCE, E1, I1, I2, J, ONE, ZERO
+from bicomplex.core import DEFAULT_TOLERANCE, E1, I1, I2, J, ONE, ZERO, NonFinite
 
 from helpers import (
     random_basis_kets,
@@ -93,8 +92,8 @@ class TestComposeAndProject:
         b = random_operator(rng, 5)
         product = compose(a, b)
         for k in (1, 2):
-            direct = op_project(a, k) @ op_project(b, k)
-            assert np.abs(op_project(product, k) - direct).max() <= 1e-11 * max(
+            direct = a.matrix.component(k) @ b.matrix.component(k)
+            assert np.abs(product.matrix.component(k) - direct).max() <= 1e-11 * max(
                 1.0, float(np.abs(direct).max())
             )
 
@@ -103,8 +102,8 @@ class TestComposeAndProject:
         a = random_operator(rng, 5)
         b = random_operator(rng, 5)
         for k in (1, 2):
-            lhs = op_project(a + b, k)
-            rhs = op_project(a, k) + op_project(b, k)
+            lhs = (a + b).matrix.component(k)
+            rhs = a.matrix.component(k) + b.matrix.component(k)
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, float(np.abs(rhs).max()))
 
     def test_basis_mismatch(self):
@@ -198,8 +197,8 @@ class TestAdjoint:
         star = adjoint(spec, a)
         for k in (1, 2):
             gram = spec.gram(k)
-            direct = np.linalg.solve(gram, op_project(a, k).conj().T @ gram)
-            assert np.abs(op_project(star, k) - direct).max() <= 1e-11
+            direct = np.linalg.solve(gram, a.matrix.component(k).conj().T @ gram)
+            assert np.abs(star.matrix.component(k) - direct).max() <= 1e-11
 
 
 class TestOuterProduct:
@@ -426,9 +425,9 @@ class TestOpFunction:
             power = np.eye(3, dtype=complex)
             for index, c in enumerate(coeffs):
                 if index > 0:
-                    power = power @ op_project(a, k)
+                    power = power @ a.matrix.component(k)
                 expected += c.to_idempotent()[k - 1] * power
-            assert np.abs(op_project(result, k) - expected).max() <= 1e-12
+            assert np.abs(result.matrix.component(k) - expected).max() <= 1e-12
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(97)
@@ -475,6 +474,23 @@ class TestOpExp:
         factorial_coeffs = (Bicomplex(1 / math.factorial(k)) for k in range(60))
         series = op_function(a, factorial_coeffs)
         assert (series.matrix - op_exp(a).matrix).max_norm() <= 1e-12
+
+    def test_norm_past_two_to_the_1023(self):
+        # strictly upper triangular, so exp(N) = I + N; the 1-norm 1.2e308
+        # needs 1025 squarings, past the largest power of two a float holds
+        nilpotent = np.zeros((3, 3), dtype=complex)
+        nilpotent[:2, 2] = 6e307
+        a = Operator(BicomplexMatrix(nilpotent, np.zeros((3, 3))))
+        expected = BicomplexMatrix.identity(3) + a.matrix
+        assert op_exp(a).matrix == expected
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_component_raises(self):
+        # component 1 = z1 - i1*z2 overflows to inf
+        big = np.full((2, 2), 1e308, dtype=complex)
+        a = Operator(BicomplexMatrix(big, -1j * big))
+        with pytest.raises(NonFinite):
+            op_exp(a)
 
     def test_spectral_path_agrees(self):
         rng = np.random.default_rng(113)
