@@ -112,6 +112,10 @@ class KetClassification(Enum):
     REGULAR = "regular"
 
 
+_isfinite = cmath.isfinite
+_tuple_new = tuple.__new__
+
+
 class IdempotentForm(NamedTuple):
     """Idempotent components (c1, c2) of a bicomplex number."""
 
@@ -145,7 +149,14 @@ class Bicomplex:
         return cls(0.5 * (c1 + c2), 0.5j * (c1 - c2))
 
     def to_idempotent(self) -> IdempotentForm:
-        return IdempotentForm(self.z1 - 1j * self.z2, self.z1 + 1j * self.z2)
+        """The components (c1, c2); raises NonFinite when one overflows."""
+        i_z2 = 1j * self.z2
+        c1 = self.z1 - i_z2
+        c2 = self.z1 + i_z2
+        if not (_isfinite(c1) and _isfinite(c2)):
+            raise NonFinite(f"idempotent components overflow: ({c1!r}, {c2!r})")
+        # tuple.__new__ skips the namedtuple's Python-level __new__ on this hot path
+        return _tuple_new(IdempotentForm, (c1, c2))
 
     # -- ring structure ------------------------------------------------
 

@@ -40,6 +40,7 @@ from bicomplex import (
 )
 from bicomplex.checks import check_operator, orthonormal_defect
 from bicomplex.core import DEFAULT_TOLERANCE, E1, I1, I2, J, ONE, ZERO, NonFinite
+from bicomplex.operators import NORMAL_MIX
 
 from helpers import (
     random_basis_kets,
@@ -543,6 +544,27 @@ class TestEigendecomposeUnitary:
         assert "spectral-class: unitary" in notes
         assert [r.name for r in results if not r.passed] == []
 
+    @pytest.mark.parametrize("general", [False, True])
+    def test_mirrored_about_mix_direction(self, general):
+        # e^{i(atan(m) +- 0.5)} have one value under herm + m*skew; the
+        # Hermitian part must split that cluster
+        rng = np.random.default_rng(181)
+        spec = random_spec(rng, 3) if general else ScalarProductSpec.identity(3)
+        phases = [math.atan(NORMAL_MIX) + 0.5, math.atan(NORMAL_MIX) - 0.5, 2.0]
+        values = np.exp(1j * np.array(phases))
+        u = spec_operator_with_spectrum(rng, spec, values, values[::-1])
+        pairs = eigendecompose_unitary(spec, u)
+        assert orthonormal_defect(spec, [pair.ket for pair in pairs]) <= 1e-10
+        for k in (1, 2):
+            got = [cmath.phase(pair.value.to_idempotent()[k - 1]) for pair in pairs]
+            assert np.abs(np.array(got) - np.sort(phases)).max() <= 1e-12
+        for pair in pairs:
+            residual = (u.apply(pair.ket) - pair.ket.scale(pair.value)).sup_norm()
+            assert residual <= 1e-10 * max(1.0, u.matrix.max_norm())
+        results, notes = check_operator(u, spec, DEFAULT_TOLERANCE)
+        assert "spectral-class: unitary" in notes
+        assert [r.name for r in results if not r.passed] == []
+
     def test_rejects_non_unitary(self):
         spec = ScalarProductSpec.identity(2)
         with pytest.raises(NotUnitary):
@@ -626,3 +648,79 @@ class TestEvolution:
             EvolutionConfig(hbar=0.0, t0=0.0, t1=1.0, steps=2)
         with pytest.raises(ValueError):
             EvolutionConfig(hbar=1.0, t0=0.0, t1=1.0, steps=0)
+
+
+def _ket_relative(got: Ket, expected: Ket) -> float:
+    return (got - expected).sup_norm() / max(expected.sup_norm(), 1e-300)
+
+
+def _oracle_propagator(h_eff: Operator, hbar: float, elapsed: float) -> Operator:
+    """exp(-i1 (t - t0) H' / hbar) by scaling and squaring."""
+    return op_exp(h_eff.scale(Bicomplex(complex(0.0, -elapsed / hbar))))
+
+
+class TestSpectralPropagator:
+    """The eigenbasis propagator against the scaling-and-squaring oracle."""
+
+    XI = Bicomplex.from_idempotent(1.6, 0.7)
+
+    def problem(self, seed, xi):
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, 4)
+        h = spec_self_adjoint(rng, spec)
+        h_eff = h if xi is None else h.scale(xi.inverse())
+        return spec, h, h_eff, random_ket(rng, 4)
+
+    @pytest.mark.parametrize("xi", [None, XI])
+    def test_series_matches_oracle(self, xi):
+        spec, h, h_eff, psi = self.problem(191, xi)
+        cfg = EvolutionConfig(hbar=0.8, t0=-1.0, t1=2.0, steps=13, xi=xi)
+        for t, ket in evolve_series(cfg, h, psi, spec):
+            expected = _oracle_propagator(h_eff, cfg.hbar, t - cfg.t0).apply(psi)
+            assert _ket_relative(ket, expected) <= 1e-9
+
+    @pytest.mark.parametrize("xi", [None, XI])
+    @pytest.mark.parametrize("t1", [-3.0, 0.4, 3.0])
+    def test_operator_matches_oracle(self, xi, t1):
+        spec, h, h_eff, _ = self.problem(193, xi)
+        cfg = EvolutionConfig(hbar=1.3, t0=0.0, t1=t1, steps=2, xi=xi)
+        got = evolution_operator(cfg, h, spec).matrix
+        expected = _oracle_propagator(h_eff, cfg.hbar, t1).matrix
+        assert (got - expected).max_norm() <= 1e-9 * expected.max_norm()
+
+    @pytest.mark.parametrize("xi", [None, XI])
+    def test_residual_routes_agree(self, xi):
+        spec, h, h_eff, psi = self.problem(197, xi)
+        cfg = EvolutionConfig(hbar=0.9, t0=0.5, t1=3.5, steps=9, xi=xi)
+        step = 1e-5
+        oracle = 0.0
+        for t in cfg.sample_times():
+            elapsed = t - cfg.t0
+            ahead = _oracle_propagator(h_eff, cfg.hbar, elapsed + step).apply(psi)
+            behind = _oracle_propagator(h_eff, cfg.hbar, elapsed - step).apply(psi)
+            rhs = h_eff.apply(_oracle_propagator(h_eff, cfg.hbar, elapsed).apply(psi))
+            lhs = (ahead - behind).scale(Bicomplex(complex(0.0, cfg.hbar / (2.0 * step))))
+            oracle = max(oracle, _ket_relative(lhs, rhs))
+        assert oracle <= 1e-5
+        assert schrodinger_residual(cfg, h, psi, spec, step=step) <= 1e-5
+
+    def test_long_window_stays_unitary(self):
+        # the scaling-and-squaring propagator drifts off unitarity roughly
+        # in proportion to t; the eigenbasis one does not
+        spec, h, _, psi = self.problem(199, self.XI)
+        cfg = EvolutionConfig(hbar=1.0, t0=0.0, t1=1e6, steps=100, xi=self.XI)
+        base = scalar_product(spec, psi, psi).to_idempotent()
+        scale = max(1.0, abs(base.c1), abs(base.c2))
+        for _, ket in evolve_series(cfg, h, psi, spec):
+            now = scalar_product(spec, ket, ket).to_idempotent()
+            assert max(abs(now.c1 - base.c1), abs(now.c2 - base.c2)) <= 1e-9 * scale
+        assert schrodinger_residual(cfg, h, psi, spec) <= 1e-5
+        u = evolution_operator(cfg, h, spec)
+        assert is_unitary(spec, u)
+
+    def test_frozen_sample_is_input(self):
+        spec, h, _, psi = self.problem(211, None)
+        cfg = EvolutionConfig(hbar=1.0, t0=0.25, t1=0.25, steps=3)
+        for t, ket in evolve_series(cfg, h, psi, spec):
+            assert t == 0.25
+            assert np.array_equal(ket.z1, psi.z1) and np.array_equal(ket.z2, psi.z2)
