@@ -22,6 +22,7 @@ from .core import (
     J,
     KetClassification,
     NonFinite,
+    NotHyperbolic,
     NotInvertible,
     ONE,
     Tolerance,
@@ -65,6 +66,7 @@ from .operators import (
     eigendecompose_unitary,
     eigenket_orthogonality_check,
     evolution_operator,
+    evolve_samples,
     evolve_series,
     is_self_adjoint,
     is_unitary,

@@ -15,6 +15,15 @@ one row of dim atoms, a matrix or operator dim rows of dim atoms
 (row-major).  A spec stores two Gram matrices as 2*dim rows of dim
 complex atoms ``(re im)``, G1 first.  Numbers are printed with 17
 significant digits, so parse and render round-trip bit-exactly.
+
+The payload is read in one pass: each row is checked against one
+full-line pattern for its atom arity and its atoms are counted, then
+every field of the payload goes through ``float`` at once and the array
+is reshaped to (rows, atoms, arity), the (re, im) pairs viewed as
+complex.  Only when that read rejects a payload does a second,
+atom-by-atom scan run, to raise the first error with its line and
+column; it never builds a document.  Rendering fills one ``%.17g``
+template per row from the row's float fields.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -33,8 +42,6 @@ from .operators import Operator
 
 KINDS = ("scalar", "ket", "matrix", "operator", "spec")
 DEFAULT_BASIS = "canonical"
-
-_ATOM = re.compile(r"\(([^()]*)\)")
 
 
 class ParseError(BicomplexError):
@@ -107,17 +114,37 @@ def document_for(value, basis: str | None = None) -> BctDocument:
 
 # -- rendering -----------------------------------------------------------------
 
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# one atom of 2 (spec) or 4 (bicomplex) fields; %.17g round-trips every double
+_ATOM_FORMAT = {2: "(%.17g %.17g)", 4: "(%.17g %.17g %.17g %.17g)"}
 
 
 def format_bicomplex_atom(w: Bicomplex) -> str:
-    return f"({_fmt(w.z1.real)} {_fmt(w.z1.imag)} {_fmt(w.z2.real)} {_fmt(w.z2.imag)})"
+    return _ATOM_FORMAT[4] % (w.z1.real, w.z1.imag, w.z2.real, w.z2.imag)
 
 
 def format_complex_atom(value: complex) -> str:
-    return f"({_fmt(value.real)} {_fmt(value.imag)})"
+    return _ATOM_FORMAT[2] % (value.real, value.imag)
+
+
+def atoms_template(count: int, arity: int = 4, sep: str = " ") -> str:
+    """A %-template for ``count`` atoms of ``arity`` fields, joined by ``sep``."""
+    return sep.join([_ATOM_FORMAT[arity]] * count)
+
+
+def atom_fields(*parts: np.ndarray) -> np.ndarray:
+    """The atom fields of equally shaped complex arrays, in print order.
+
+    The last axis of the entries is flattened into one axis holding, per
+    entry, the real and imaginary part of each part in turn: two parts
+    (z1, z2) give bicomplex atoms, one part gives complex atoms.
+    """
+    stacked = np.stack(parts, axis=-1).astype(complex, copy=False)
+    return stacked.view(float).reshape(*stacked.shape[:-2], -1)
+
+
+def format_rows(template: str, fields: np.ndarray) -> list[str]:
+    """One line per row of ``fields`` (a vector is one row), filled into ``template``."""
+    return [template % tuple(row) for row in np.atleast_2d(fields).tolist()]
 
 
 def render(doc: BctDocument) -> str:
@@ -126,19 +153,13 @@ def render(doc: BctDocument) -> str:
         lines.append(f"basis: {doc.basis if doc.basis is not None else DEFAULT_BASIS}")
     if doc.kind == "scalar":
         lines.append(format_bicomplex_atom(doc.value))
-    elif doc.kind == "ket":
-        ket: Ket = doc.value
-        lines.append(" ".join(format_bicomplex_atom(ket.coeff(i)) for i in range(ket.dim)))
-    elif doc.kind in ("matrix", "operator"):
-        matrix = doc.value.matrix if doc.kind == "operator" else doc.value
-        for i in range(matrix.order):
-            lines.append(
-                " ".join(format_bicomplex_atom(matrix.entry(i, j)) for j in range(matrix.order))
-            )
+    elif doc.kind in ("ket", "matrix", "operator"):
+        value = doc.value.matrix if doc.kind == "operator" else doc.value
+        lines += format_rows(atoms_template(value.z1.shape[-1]), atom_fields(value.z1, value.z2))
     elif doc.kind == "spec":
         for gram in doc.value:
-            for row in np.asarray(gram):
-                lines.append(" ".join(format_complex_atom(complex(v)) for v in row))
+            gram = np.asarray(gram)
+            lines += format_rows(atoms_template(gram.shape[-1], 2), atom_fields(gram))
     else:
         raise ValueError(f"unknown kind {doc.kind!r}")
     return "\n".join(lines) + "\n"
@@ -146,9 +167,52 @@ def render(doc: BctDocument) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
+# A whole payload row: atoms of exactly `arity` fields, whitespace between
+# and around them, nothing else.  `\s` matches what str.split and
+# str.strip treat as whitespace, so a row matches exactly when the
+# atom-by-atom scan below accepts its structure.
+_FIELD = r"[^()\s]+"
+_ROW = {
+    arity: re.compile(rf"\s*(?:\(\s*{_FIELD}(?:\s+{_FIELD}){{{arity - 1}}}\s*\)\s*)*")
+    for arity in (2, 4)
+}
+_ATOM = re.compile(r"\(([^()]*)\)")
 
-def _parse_atoms(line: str, line_no: int, arity: int) -> list[tuple[float, ...]]:
-    atoms = []
+
+def _read_payload(
+    lines: list[str], start: int, arity: int, atoms_needed: int, rows_needed: int
+) -> np.ndarray | None:
+    """Every payload number as a (rows, atoms, arity) array, in one conversion.
+
+    Returns None when the payload has any error; :func:`_locate_error`
+    then finds and raises the first one.
+    """
+    pattern = _ROW[arity]
+    rows = []
+    for line in lines[start:]:
+        if pattern.fullmatch(line) is None:
+            return None
+        atoms = line.count("(")
+        if atoms == 0:  # blank line
+            continue
+        if atoms != atoms_needed:
+            return None
+        rows.append(line)
+    if len(rows) != rows_needed:
+        return None
+    fields = " ".join(rows).replace("(", " ").replace(")", " ").split()
+    try:
+        values = np.fromiter(map(float, fields), float, count=len(fields))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.reshape(rows_needed, atoms_needed, arity)
+
+
+def _scan_atoms(line: str, line_no: int, arity: int) -> int:
+    """Check one row atom by atom, raising its first error; returns the atom count."""
+    count = 0
     cursor = 0
     for match in _ATOM.finditer(line):
         gap = line[cursor : match.start()]
@@ -159,7 +223,6 @@ def _parse_atoms(line: str, line_no: int, arity: int) -> list[tuple[float, ...]]
             raise ParseError(
                 f"atom needs {arity} numbers, got {len(fields)}", line_no, match.start() + 1
             )
-        values = []
         for field in fields:
             try:
                 value = float(field)
@@ -167,12 +230,32 @@ def _parse_atoms(line: str, line_no: int, arity: int) -> list[tuple[float, ...]]
                 raise ParseError(f"bad number {field!r}", line_no, match.start() + 1) from None
             if not math.isfinite(value):
                 raise ParseError(f"non-finite number {field!r}", line_no, match.start() + 1)
-            values.append(value)
-        atoms.append(tuple(values))
+        count += 1
         cursor = match.end()
     if line[cursor:].strip():
         raise ParseError(f"unexpected text {line[cursor:].strip()!r}", line_no, cursor + 1)
-    return atoms
+    return count
+
+
+def _locate_error(
+    lines: list[str], start: int, kind: str, arity: int, atoms_needed: int, rows_needed: int
+) -> NoReturn:
+    """Raise the first error of a payload that :func:`_read_payload` rejected.
+
+    Rows are checked in order, atom by atom; the row count is checked last.
+    """
+    rows = 0
+    for line_no in range(start, len(lines)):
+        line = lines[line_no]
+        if not line.strip():
+            continue
+        atoms = _scan_atoms(line, line_no + 1, arity)
+        if atoms != atoms_needed:
+            raise DimMismatch(f"expected {atoms_needed} atoms per row, got {atoms}", line_no + 1)
+        rows += 1
+    raise DimMismatch(
+        f"expected {rows_needed} payload rows for kind {kind!r}, got {rows}", len(lines)
+    )
 
 
 def parse(text: str) -> BctDocument:
@@ -217,41 +300,23 @@ def parse(text: str) -> BctDocument:
     atoms_needed = {"scalar": 1, "ket": dim, "matrix": dim, "operator": dim, "spec": dim}[kind]
     arity = 2 if kind == "spec" else 4
 
-    rows = []
-    line_no = payload_start
-    for line_no in range(payload_start, len(lines)):
-        line = lines[line_no]
-        if not line.strip():
-            continue
-        atoms = _parse_atoms(line, line_no + 1, arity)
-        if len(atoms) != atoms_needed:
-            raise DimMismatch(
-                f"expected {atoms_needed} atoms per row, got {len(atoms)}", line_no + 1
-            )
-        rows.append(atoms)
-    if len(rows) != rows_needed:
-        raise DimMismatch(
-            f"expected {rows_needed} payload rows for kind {kind!r}, got {len(rows)}",
-            len(lines),
-        )
-
+    values = _read_payload(lines, payload_start, arity, atoms_needed, rows_needed)
+    if values is None:
+        _locate_error(lines, payload_start, kind, arity, atoms_needed, rows_needed)
+    # (re, im) field pairs viewed as complex keep every bit, -0.0 included
+    parts = values.view(complex)
+    if kind == "spec":
+        gram = parts[..., 0]
+        return BctDocument("spec", dim, (gram[:dim], gram[dim:]))
+    z1, z2 = parts[..., 0], parts[..., 1]
     if kind == "scalar":
-        (a, b, c, d) = rows[0][0]
-        return BctDocument("scalar", 1, Bicomplex(complex(a, b), complex(c, d)))
+        return BctDocument("scalar", 1, Bicomplex(z1.item(), z2.item()))
     if kind == "ket":
-        z1 = np.array([complex(a, b) for (a, b, _, _) in rows[0]])
-        z2 = np.array([complex(c, d) for (_, _, c, d) in rows[0]])
-        return BctDocument("ket", dim, Ket(z1, z2, basis), basis)
-    if kind in ("matrix", "operator"):
-        z1 = np.array([[complex(a, b) for (a, b, _, _) in row] for row in rows])
-        z2 = np.array([[complex(c, d) for (_, _, c, d) in row] for row in rows])
-        matrix = BicomplexMatrix(z1, z2)
-        if kind == "matrix":
-            return BctDocument("matrix", dim, matrix)
-        return BctDocument("operator", dim, Operator(matrix, basis), basis)
-    g1 = np.array([[complex(a, b) for (a, b) in row] for row in rows[:dim]])
-    g2 = np.array([[complex(a, b) for (a, b) in row] for row in rows[dim:]])
-    return BctDocument("spec", dim, (g1, g2))
+        return BctDocument("ket", dim, Ket(z1[0], z2[0], basis), basis)
+    matrix = BicomplexMatrix(z1, z2)
+    if kind == "matrix":
+        return BctDocument("matrix", dim, matrix)
+    return BctDocument("operator", dim, Operator(matrix, basis), basis)
 
 
 def load(path) -> BctDocument:

@@ -248,13 +248,13 @@ def verify_evolution(
     h: Operator,
     state: Ket,
     spec: ScalarProductSpec,
-    norms: Sequence[Hyperbolic],
+    norms: tuple[np.ndarray, np.ndarray],
     tol: Tolerance,
 ) -> list[CheckResult]:
-    """Self-product drift over the samples' norms, and the Schroedinger residual."""
-    base = norms[0]
-    scale = max(1.0, base.x1, base.x2)
-    drift = max(max(abs(n.x1 - base.x1), abs(n.x2 - base.x2)) for n in norms) / scale
+    """Self-product drift over the samples' norms (x1, x2), and the Schroedinger residual."""
+    x1, x2 = norms
+    scale = max(1.0, x1[0], x2[0])
+    drift = float(max(np.abs(x1 - x1[0]).max(), np.abs(x2 - x2[0]).max()) / scale)
     return [
         _result("norm-conservation", drift, 1e-9),
         _result("schrodinger-residual", schrodinger_residual(cfg, h, state, spec, tol=tol), 1e-5),

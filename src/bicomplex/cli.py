@@ -13,6 +13,7 @@ depends only on the input bytes and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -34,10 +35,10 @@ from .checks import (
 from .core import Bicomplex, BicomplexError, Tolerance
 from .hilbert import (
     Ket,
-    Hyperbolic,
     ScalarProductSpec,
     coefficient_matrix,
     gram_schmidt,
+    ket_norms,
     row_kets,
     scalar_product,
 )
@@ -46,7 +47,7 @@ from .operators import (
     EvolutionConfig,
     Operator,
     eigendecompose_self_adjoint,
-    evolve_series,
+    evolve_samples,
     op_exp,
 )
 
@@ -157,10 +158,7 @@ def _cmd_info(args, tol: Tolerance) -> int:
 
 
 def _component_rows(component: np.ndarray) -> list[str]:
-    return [
-        " ".join(bct.format_complex_atom(complex(v)) for v in row)
-        for row in np.atleast_2d(component)
-    ]
+    return bct.format_rows(bct.atoms_template(component.shape[-1], 2), bct.atom_fields(component))
 
 
 def _cmd_idempotent(args, tol: Tolerance) -> int:
@@ -227,12 +225,19 @@ def _cmd_spectral(args, tol: Tolerance) -> int:
     spec = _load_spec(args.spec, op.dim)
     pairs = eigendecompose_self_adjoint(spec, op, tol)
 
+    values = [pair.value for pair in pairs]
+    kets = [pair.ket for pair in pairs]
+    value_rows = bct.format_rows(
+        bct.atoms_template(1),
+        bct.atom_fields(np.array([[w.z1] for w in values]), np.array([[w.z2] for w in values])),
+    )
+    ket_rows = bct.format_rows(
+        bct.atoms_template(op.dim),
+        bct.atom_fields(np.array([k.z1 for k in kets]), np.array([k.z2 for k in kets])),
+    )
     lines = [f"file: {args.file}"]
-    for i, pair in enumerate(pairs):
-        lines.append(f"eigenvalue {i}: {bct.format_bicomplex_atom(pair.value)}")
-    for i, pair in enumerate(pairs):
-        atoms = " ".join(bct.format_bicomplex_atom(pair.ket.coeff(l)) for l in range(op.dim))
-        lines.append(f"eigenket {i}: {atoms}")
+    lines += [f"eigenvalue {i}: {row}" for i, row in enumerate(value_rows)]
+    lines += [f"eigenket {i}: {row}" for i, row in enumerate(ket_rows)]
 
     return _emit("spectral", lines, verify_self_adjoint_spectrum(spec, op, pairs), [])
 
@@ -268,7 +273,7 @@ def _cmd_evolve(args, tol: Tolerance) -> int:
     except ValueError as exc:
         raise BicomplexError(f"invalid evolution settings: {exc}") from exc
 
-    series = evolve_series(cfg, op, state, spec, tol)
+    times, z1, z2 = evolve_samples(cfg, op, state, spec, tol)
     lines = [
         f"hamiltonian: {args.hamiltonian}",
         f"state: {args.state}",
@@ -278,13 +283,9 @@ def _cmd_evolve(args, tol: Tolerance) -> int:
         f"samples: {args.samples}",
         "columns: t\tket-atoms\tnorm-e1\tnorm-e2",
     ]
-    norms = []
-    for t, ket in series:
-        product = scalar_product(spec, ket, ket)
-        hyper = Hyperbolic.from_bicomplex(product, tol)
-        norms.append(hyper)
-        atoms = "\t".join(bct.format_bicomplex_atom(ket.coeff(i)) for i in range(ket.dim))
-        lines.append(f"{t:.17g}\t{atoms}\t{hyper.x1:.17g}\t{hyper.x2:.17g}")
+    norms = ket_norms(spec, z1, z2, tol)
+    template = "%.17g\t" + bct.atoms_template(op.dim, sep="\t") + "\t%.17g\t%.17g"
+    lines += bct.format_rows(template, np.column_stack([times, bct.atom_fields(z1, z2), *norms]))
 
     return _emit("evolve", lines, verify_evolution(cfg, op, state, spec, norms, tol), [])
 
@@ -302,6 +303,7 @@ def _cmd_check(args, tol: Tolerance) -> int:
 # -- dispatch ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bct",

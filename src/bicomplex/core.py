@@ -42,6 +42,7 @@ __all__ = [
     "IdempotentForm",
     "KetClassification",
     "NonFinite",
+    "NotHyperbolic",
     "NotInvertible",
     "Tolerance",
     "DEFAULT_TOLERANCE",
@@ -75,6 +76,10 @@ class DimensionMismatch(BicomplexError):
 
 class NonFinite(BicomplexError, ValueError):
     """Raised when a value or a result has an infinite or NaN part."""
+
+
+class NotHyperbolic(BicomplexError, ValueError):
+    """Raised when a value expected to be hyperbolic has imaginary idempotent parts."""
 
 
 @dataclass(frozen=True)
@@ -451,7 +456,7 @@ class Hyperbolic:
         c1, c2 = value.to_idempotent()
         scale = max(abs(c1), abs(c2), 1.0)
         if max(abs(c1.imag), abs(c2.imag)) > tol.eps_eq * scale:
-            raise ValueError(f"{value!r} is not hyperbolic within tolerance")
+            raise NotHyperbolic(f"{value!r} is not hyperbolic within tolerance")
         return cls(c1.real, c2.real)
 
     def to_bicomplex(self) -> Bicomplex:

@@ -301,6 +301,37 @@ def ket_norm(spec: ScalarProductSpec, psi: Ket, tol: Tolerance = DEFAULT_TOLERAN
     return HyperbolicNorm(value, flat)
 
 
+def ket_norms(
+    spec: ScalarProductSpec, z1: np.ndarray, z2: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Self-products (x1, x2) of the kets whose coefficient vectors are the rows of (z1, z2).
+
+    Row by row this is the arithmetic of
+    ``Hyperbolic.from_bicomplex(scalar_product(spec, psi, psi), tol)``,
+    so the coordinates agree with it bit for bit; the first row it would
+    reject raises the same error.
+    """
+    if z1.shape[-1] != spec.dim:
+        raise DimensionMismatch(f"ket dimension {z1.shape[-1]} != spec dimension {spec.dim}")
+    # contiguous rows: BLAS rounds a strided vector differently
+    s1 = np.array([np.vdot(c, spec.g1 @ c) for c in np.ascontiguousarray(z1 - 1j * z2)])
+    s2 = np.array([np.vdot(c, spec.g2 @ c) for c in np.ascontiguousarray(z1 + 1j * z2)])
+    # Bicomplex.from_idempotent, then Bicomplex.to_idempotent
+    w1 = 0.5 * (s1 + s2)
+    w2 = 0.5j * (s1 - s2)
+    i_w2 = 1j * w2
+    c1 = w1 - i_w2
+    c2 = w1 + i_w2
+    scale = np.maximum(np.maximum(np.abs(c1), np.abs(c2)), 1.0)
+    rejected = ~(np.isfinite(c1) & np.isfinite(c2))
+    rejected |= np.maximum(np.abs(c1.imag), np.abs(c2.imag)) > tol.eps_eq * scale
+    if rejected.any():
+        # the scalar path raises its own error, message included, for that row
+        i = int(np.argmax(rejected))
+        Hyperbolic.from_bicomplex(Bicomplex(w1[i], w2[i]), tol)
+    return c1.real, c2.real
+
+
 def normalize(spec: ScalarProductSpec, psi: Ket, tol: Tolerance = DEFAULT_TOLERANCE) -> Ket:
     """Rescale so the self-product is exactly one.
 

@@ -73,6 +73,7 @@ __all__ = [
     "eigendecompose_unitary",
     "eigenket_orthogonality_check",
     "evolution_operator",
+    "evolve_samples",
     "evolve_series",
     "is_self_adjoint",
     "is_unitary",
@@ -610,14 +611,14 @@ def _evolved_components(
     ]
 
 
-def evolve_series(
+def evolve_samples(
     cfg: EvolutionConfig,
     h: Operator,
     state: Ket,
     spec: ScalarProductSpec | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> list[tuple[float, Ket]]:
-    """The evolved state at each sample time in [t0, t1].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sample times in [t0, t1] and the evolved state's (z1, z2) parts, one row per sample.
 
     All samples come from one eigensolve of H' per component:
     psi_k(t) = V (exp(-i1 lambda (t - t0) / hbar) * V^H G_k psi_k).  A
@@ -627,9 +628,29 @@ def evolve_series(
     h._check_compatible(state)
     times = cfg.sample_times()
     c1, c2 = _evolved_components(bases, state, times - cfg.t0)
+    # Ket.from_components of every sample at once
+    z1 = (0.5 * (c1 + c2)).T
+    z2 = (0.5j * (c1 - c2)).T
+    frozen = times == cfg.t0
+    z1[frozen] = state.z1
+    z2[frozen] = state.z2
+    if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
+        raise NonFinite("Ket entries must be finite")
+    return times, z1, z2
+
+
+def evolve_series(
+    cfg: EvolutionConfig,
+    h: Operator,
+    state: Ket,
+    spec: ScalarProductSpec | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> list[tuple[float, Ket]]:
+    """The evolved state at each sample time, as kets; see :func:`evolve_samples`."""
+    times, z1, z2 = evolve_samples(cfg, h, state, spec, tol)
     return [
-        (float(t), state if t == cfg.t0 else Ket.from_components(c1[:, j], c2[:, j], h.basis_id))
-        for j, t in enumerate(times)
+        (float(t), state if t == cfg.t0 else Ket(a, b, h.basis_id))
+        for t, a, b in zip(times, z1, z2)
     ]
 
 

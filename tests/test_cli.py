@@ -12,7 +12,7 @@ from bicomplex.hilbert import Ket
 from bicomplex.matrix import BicomplexMatrix
 from bicomplex.operators import Operator
 
-from helpers import random_hermitian, random_spec
+from helpers import random_hermitian, random_ket, random_spec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -200,6 +200,28 @@ class TestEvolve:
             got = [float(x) for x in row_xi.replace("(", " ").replace(")", " ").split()]
             expected = [float(x) for x in row_direct.replace("(", " ").replace(")", " ").split()]
             assert max(abs(g - e) for g, e in zip(got, expected)) <= 1e-10
+
+    def test_norm_rounding_below_eps_eq_exit_2(self, capsys, tmp_path):
+        # A zero Hamiltonian is self-adjoint under any spec; the self-products of
+        # the (constant) state under a general spec carry imaginary rounding of
+        # about 1e-15, which --eps-eq 1e-300 rejects as not hyperbolic.
+        rng = np.random.default_rng(8)
+        zero = BicomplexMatrix(np.zeros((8, 8)), np.zeros((8, 8)))
+        bct.save(tmp_path / "z.bct", bct.document_for(Operator(zero)))
+        bct.save(tmp_path / "psi8.bct", bct.document_for(random_ket(rng, 8)))
+        bct.save(tmp_path / "g8.bct", bct.document_for(random_spec(rng, 8)))
+        code, out = run(
+            capsys,
+            "--eps-eq", "1e-300",
+            "evolve",
+            "--hamiltonian", str(tmp_path / "z.bct"),
+            "--state", str(tmp_path / "psi8.bct"),
+            "--spec", str(tmp_path / "g8.bct"),
+            "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "3",
+        )
+        assert code == 2
+        assert out.startswith("error: NotHyperbolic: Bicomplex(")
+        assert out.rstrip().endswith("is not hyperbolic within tolerance")
 
     def test_invalid_xi_exit_2(self, capsys, workdir):
         code, out = run(

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from bicomplex import (
     Bicomplex,
+    BicomplexError,
     Classification,
     Hyperbolic,
     NonFinite,
+    NotHyperbolic,
     NotInvertible,
     Tolerance,
     approx_eq,
@@ -260,6 +262,9 @@ class TestHyperbolic:
     def test_from_bicomplex_rejects_non_hyperbolic(self):
         with pytest.raises(ValueError):
             Hyperbolic.from_bicomplex(I1)
+        with pytest.raises(NotHyperbolic) as info:
+            Hyperbolic.from_bicomplex(I1)
+        assert isinstance(info.value, BicomplexError)
 
     def test_round_trip(self):
         value = Hyperbolic(1.5, -0.25)

@@ -11,13 +11,16 @@ from bicomplex import (
     Bicomplex,
     Classification,
     DimensionMismatch,
+    Hyperbolic,
     Ket,
     KetClassification,
     NotABasis,
+    NotHyperbolic,
     NullConeKet,
     NullConePivot,
     ScalarProductSpec,
     SingularMatrix,
+    Tolerance,
     approx_eq,
     change_basis,
     gram_schmidt,
@@ -30,7 +33,7 @@ from bicomplex import (
 )
 from bicomplex import bct
 from bicomplex.core import E1, E2, J, ONE, ZERO
-from bicomplex.hilbert import coefficient_matrix
+from bicomplex.hilbert import coefficient_matrix, ket_norms
 from bicomplex.reference import gram_schmidt_ring, scalar_product_direct
 
 from helpers import (
@@ -195,6 +198,30 @@ class TestNormalize:
                 component = psi.component(k)
                 direct += float(np.real(np.vdot(component, spec.gram(k) @ component)))
             assert flat == pytest.approx(math.sqrt(direct / 2.0), rel=1e-10)
+
+
+    def test_ket_norms_match_scalar_path_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        spec = random_spec(rng, 16)
+        kets = [random_ket(rng, 16) for _ in range(12)] + [Ket.zero(16), Ket.standard(16, 2)]
+        # rows of a transposed array: strided rows must round like contiguous ones
+        z1 = np.array([k.z1 for k in kets]).T.copy().T
+        z2 = np.array([k.z2 for k in kets]).T.copy().T
+        x1, x2 = ket_norms(spec, z1, z2)
+        for ket, a, b in zip(kets, x1.tolist(), x2.tolist()):
+            norm = Hyperbolic.from_bicomplex(scalar_product(spec, ket, ket))
+            assert (repr(a), repr(b)) == (repr(norm.x1), repr(norm.x2))
+
+    def test_ket_norms_rejects_like_scalar_path(self):
+        rng = np.random.default_rng(29)
+        spec = random_spec(rng, 4)
+        psi = random_ket(rng, 4)
+        tol = Tolerance(eps_eq=1e-300)
+        with pytest.raises(NotHyperbolic) as scalar:
+            Hyperbolic.from_bicomplex(scalar_product(spec, psi, psi), tol)
+        with pytest.raises(NotHyperbolic) as batched:
+            ket_norms(spec, psi.z1[None], psi.z2[None], tol)
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestGramSchmidt:
