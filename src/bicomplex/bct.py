@@ -108,7 +108,7 @@ def document_for(value, basis: str | None = None) -> BctDocument:
     if isinstance(value, BicomplexMatrix):
         return BctDocument("matrix", value.order, value)
     if isinstance(value, ScalarProductSpec):
-        return BctDocument("spec", value.dim, (np.array(value.g1), np.array(value.g2)))
+        return BctDocument("spec", value.dim, tuple(np.array(value.grams)))
     raise TypeError(f"no document kind for {type(value).__name__}")
 
 

@@ -46,8 +46,8 @@ from .matrix import BicomplexMatrix
 from .operators import (
     EvolutionConfig,
     Operator,
+    _evolve,
     eigendecompose_self_adjoint,
-    evolve_samples,
     op_exp,
 )
 
@@ -171,9 +171,9 @@ def _cmd_idempotent(args, tol: Tolerance) -> int:
         lines.append(f"component 2: {bct.format_complex_atom(c2)}")
     else:
         value = doc.value if doc.kind == "ket" else _as_matrix(doc)
-        for k in (1, 2):
+        for k, component in enumerate(value.components, 1):
             lines.append(f"component {k}:")
-            lines.extend(_component_rows(value.component(k)))
+            lines.extend(_component_rows(component))
     return _emit("idempotent", lines, [], [])
 
 
@@ -273,7 +273,8 @@ def _cmd_evolve(args, tol: Tolerance) -> int:
     except ValueError as exc:
         raise BicomplexError(f"invalid evolution settings: {exc}") from exc
 
-    times, z1, z2 = evolve_samples(cfg, op, state, spec, tol)
+    evolution = _evolve(cfg, op, state, spec, tol)
+    times, z1, z2 = evolution.samples()
     lines = [
         f"hamiltonian: {args.hamiltonian}",
         f"state: {args.state}",
@@ -287,7 +288,7 @@ def _cmd_evolve(args, tol: Tolerance) -> int:
     template = "%.17g\t" + bct.atoms_template(op.dim, sep="\t") + "\t%.17g\t%.17g"
     lines += bct.format_rows(template, np.column_stack([times, bct.atom_fields(z1, z2), *norms]))
 
-    return _emit("evolve", lines, verify_evolution(cfg, op, state, spec, norms, tol), [])
+    return _emit("evolve", lines, verify_evolution(evolution, norms), [])
 
 
 def _cmd_check(args, tol: Tolerance) -> int:

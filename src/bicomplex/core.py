@@ -17,7 +17,9 @@ divisors ("null cone"); everything else nonzero is invertible.
 
 Values are stored canonically as the pair (z1, z2); the idempotent pair
 is a derived view.  ``BicomplexArray`` holds the same pair for whole
-arrays and is the storage of kets and matrices.  All values are
+arrays and is the storage of kets and matrices.  It derives the split
+once, as one ``(2, ...)`` stack of the c1 and c2 arrays, so the complex
+work on both components is one batched numpy call.  All values are
 immutable after construction and all operations are pure, so concurrent
 use is safe.
 """
@@ -55,6 +57,7 @@ __all__ = [
     "E2",
     "approx_eq",
     "as_bicomplex",
+    "component_index",
 ]
 
 
@@ -365,6 +368,13 @@ def approx_eq(a, b, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return True
 
 
+def component_index(k: int) -> int:
+    """Position of idempotent component k (1 for e1, 2 for e2) along a stack's first axis."""
+    if k == 1 or k == 2:
+        return int(k) - 1
+    raise ValueError(f"component index must be 1 or 2, got {k!r}")
+
+
 class BicomplexArray:
     """A nonempty array of bicomplex entries, stored as read-only (z1, z2) parts.
 
@@ -373,7 +383,7 @@ class BicomplexArray:
     new parts in ``_new``.
     """
 
-    __slots__ = ("z1", "z2")
+    __slots__ = ("z1", "z2", "_components")
 
     def __init__(self, z1: np.ndarray, z2: np.ndarray):
         z1 = np.array(z1, dtype=complex)
@@ -400,13 +410,20 @@ class BicomplexArray:
     def _new(self, z1: np.ndarray, z2: np.ndarray):
         return type(self)(z1, z2)
 
+    @property
+    def components(self) -> np.ndarray:
+        """The read-only stack (c1, c2) = (z1 - i1*z2, z1 + i1*z2), kept after first use."""
+        try:
+            return self._components
+        except AttributeError:
+            stack = np.stack([self.z1 - 1j * self.z2, self.z1 + 1j * self.z2])
+            stack.setflags(write=False)
+            self._components = stack
+            return stack
+
     def component(self, k: int) -> np.ndarray:
         """The complex component array multiplying e1 (k=1) or e2 (k=2)."""
-        if k == 1:
-            return self.z1 - 1j * self.z2
-        if k == 2:
-            return self.z1 + 1j * self.z2
-        raise ValueError(f"component index must be 1 or 2, got {k!r}")
+        return self.components[component_index(k)]
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

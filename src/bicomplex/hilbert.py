@@ -10,10 +10,14 @@ pair of ordinary Hermitian inner products:
 linear in the second slot and conjugate (kind-3) symmetric.  With both
 Gram matrices Hermitian positive definite, (psi, psi) always lands in
 the positive hyperbolic cone, every ket outside the null cone can be
-normalized, and any basis can be orthogonalized.  Gram-Schmidt runs as
-one QR factorization per component (LAPACK, through numpy); the
-recursion written directly in ring arithmetic is kept in
-``reference.gram_schmidt_ring`` as the oracle the tests compare against.
+normalized, and any basis can be orthogonalized.  A scalar-product spec
+holds its Gram matrices and their Cholesky factors as ``(2, n, n)``
+stacks, matching the component stacks of kets and matrices, so each
+product, solve and factorization below is one batched numpy call over
+both components.  Gram-Schmidt is one batched QR factorization (LAPACK,
+through numpy); the recursion written directly in ring arithmetic is
+kept in ``reference.gram_schmidt_ring`` as the oracle the tests compare
+against.
 
 Kets carry their basis label; mixing labels raises instead of silently
 coercing.  All values are immutable and operations pure.
@@ -38,6 +42,7 @@ from .core import (
     KetClassification,
     Tolerance,
     as_bicomplex,
+    component_index,
 )
 from .matrix import BicomplexMatrix, require_nonsingular
 
@@ -128,8 +133,7 @@ class Ket(BicomplexArray):
 
     def classify(self, tol: Tolerance = DEFAULT_TOLERANCE) -> KetClassification:
         """Null-cone test: component k must vanish in every coefficient."""
-        m1 = float(np.abs(self.component(1)).max())
-        m2 = float(np.abs(self.component(2)).max())
+        m1, m2 = (float(m) for m in np.abs(self.components).max(axis=1))
         scale = max(m1, m2)
         if scale == 0.0:
             return KetClassification.ZERO
@@ -164,11 +168,12 @@ class ScalarProductSpec:
     """A bicomplex scalar product, given by its two component Gram matrices.
 
     Any pair of Hermitian positive-definite complex matrices (G1, G2)
-    defines a valid product; (I, I) is the standard one.  Cholesky
-    factors are kept for the eigensolver reduction and Gram-Schmidt.
+    defines a valid product; (I, I) is the standard one.  ``grams`` is
+    the read-only stack (G1, G2) and ``chols`` the stack of their lower
+    Cholesky factors, kept for the eigensolver reduction and Gram-Schmidt.
     """
 
-    __slots__ = ("g1", "g2", "chol1", "chol2")
+    __slots__ = ("grams", "chols")
 
     def __init__(self, g1: np.ndarray, g2: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE):
         g1 = np.array(g1, dtype=complex)
@@ -181,17 +186,15 @@ class ScalarProductSpec:
                 raise ValueError(f"{name} is not Hermitian within tolerance")
         if g1.shape != g2.shape:
             raise ValueError(f"Gram matrix shapes differ: {g1.shape} vs {g2.shape}")
+        grams = np.stack([g1, g2])
         try:
-            chol1 = np.linalg.cholesky(g1)
-            chol2 = np.linalg.cholesky(g2)
+            chols = np.linalg.cholesky(grams)
         except np.linalg.LinAlgError as exc:
             raise ValueError("Gram matrices must be positive definite") from exc
-        for arr in (g1, g2, chol1, chol2):
-            arr.setflags(write=False)
-        self.g1 = g1
-        self.g2 = g2
-        self.chol1 = chol1
-        self.chol2 = chol2
+        grams.setflags(write=False)
+        chols.setflags(write=False)
+        self.grams = grams
+        self.chols = chols
 
     @classmethod
     def identity(cls, dim: int) -> ScalarProductSpec:
@@ -200,17 +203,13 @@ class ScalarProductSpec:
 
     @property
     def dim(self) -> int:
-        return self.g1.shape[0]
+        return self.grams.shape[-1]
 
     def gram(self, k: int) -> np.ndarray:
-        if k == 1:
-            return self.g1
-        if k == 2:
-            return self.g2
-        raise ValueError(f"component index must be 1 or 2, got {k!r}")
+        return self.grams[component_index(k)]
 
     def cholesky(self, k: int) -> np.ndarray:
-        return self.chol1 if k == 1 else self.chol2
+        return self.chols[component_index(k)]
 
     def is_closed_under_reference(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """True when complex-coefficient kets always get complex products.
@@ -218,8 +217,9 @@ class ScalarProductSpec:
         Equivalent to the two Gram matrices coinciding; the property is
         tied to the reference basis.
         """
-        scale = max(float(np.abs(self.g1).max()), float(np.abs(self.g2).max()), 1.0)
-        return float(np.abs(self.g1 - self.g2).max()) <= tol.eps_eq * scale
+        g1, g2 = self.grams
+        scale = max(float(np.abs(self.grams).max()), 1.0)
+        return float(np.abs(g1 - g2).max()) <= tol.eps_eq * scale
 
 
 class HyperbolicNorm(NamedTuple):
@@ -290,9 +290,8 @@ def scalar_product(spec: ScalarProductSpec, psi: Ket, phi: Ket) -> Bicomplex:
     psi._check_compatible(phi)
     if psi.dim != spec.dim:
         raise DimensionMismatch(f"ket dimension {psi.dim} != spec dimension {spec.dim}")
-    s1 = np.vdot(psi.component(1), spec.g1 @ phi.component(1))
-    s2 = np.vdot(psi.component(2), spec.g2 @ phi.component(2))
-    return Bicomplex.from_idempotent(complex(s1), complex(s2))
+    s1, s2 = np.vecdot(psi.components, np.matvec(spec.grams, phi.components))
+    return Bicomplex.from_idempotent(s1, s2)
 
 
 def ket_norm(spec: ScalarProductSpec, psi: Ket, tol: Tolerance = DEFAULT_TOLERANCE) -> HyperbolicNorm:
@@ -313,9 +312,9 @@ def ket_norms(
     """
     if z1.shape[-1] != spec.dim:
         raise DimensionMismatch(f"ket dimension {z1.shape[-1]} != spec dimension {spec.dim}")
-    # contiguous rows: BLAS rounds a strided vector differently
-    s1 = np.array([np.vdot(c, spec.g1 @ c) for c in np.ascontiguousarray(z1 - 1j * z2)])
-    s2 = np.array([np.vdot(c, spec.g2 @ c) for c in np.ascontiguousarray(z1 + 1j * z2)])
+    # contiguous rows: a strided row is summed in a different order
+    rows = np.ascontiguousarray(np.stack([z1 - 1j * z2, z1 + 1j * z2]))
+    s1, s2 = np.vecdot(rows, np.matvec(spec.grams[:, None], rows))
     # Bicomplex.from_idempotent, then Bicomplex.to_idempotent
     w1 = 0.5 * (s1 + s2)
     w2 = 0.5j * (s1 - s2)
@@ -369,18 +368,14 @@ def gram_schmidt(
     if matrix.is_singular(tol):
         raise NotABasis("input kets do not form a basis")
 
-    columns, self_products = [], []
-    for k in (1, 2):
-        chol_h = spec.cholesky(k).conj().T
-        q, r = np.linalg.qr(chol_h @ matrix.component(k))
-        pivots = np.diagonal(r)
-        self_products.append(np.abs(pivots) ** 2)
-        columns.append(np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))))
-    for index, (a, b) in enumerate(zip(*self_products)):
+    chol_h = spec.chols.conj().mT
+    q, r = np.linalg.qr(chol_h @ matrix.components)
+    pivots = np.diagonal(r, axis1=1, axis2=2)
+    for index, (a, b) in enumerate(zip(*np.abs(pivots) ** 2)):
         if Bicomplex.from_idempotent(a, b).classify(tol) is not Classification.INVERTIBLE:
             raise NullConePivot(index)
-    out1, out2 = columns
-    return [Ket.from_components(out1[:, i], out2[:, i], kets[0].basis_id) for i in range(len(kets))]
+    columns = np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))[:, None])
+    return [Ket.from_components(*columns[..., i], kets[0].basis_id) for i in range(len(kets))]
 
 
 def mix_orthogonal_bases(
@@ -428,8 +423,8 @@ def riesz_representation(
     if len(coeffs) != spec.dim:
         raise DimensionMismatch(f"expected {spec.dim} functional values, got {len(coeffs)}")
     functional = Ket.from_coeffs(coeffs)
-    parts = [np.conj(np.linalg.solve(spec.gram(k).T, functional.component(k))) for k in (1, 2)]
-    return Ket.from_components(*parts, basis_id)
+    parts = np.linalg.solve(spec.grams.mT, functional.components[..., None])[..., 0]
+    return Ket.from_components(*np.conj(parts), basis_id)
 
 
 def change_basis(
@@ -449,7 +444,7 @@ def change_basis(
     if transform.order != psi.dim:
         raise DimensionMismatch(f"transform order {transform.order} != ket dimension {psi.dim}")
     require_nonsingular(transform, tol)
-    parts = [np.linalg.solve(transform.component(k), psi.component(k)) for k in (1, 2)]
+    parts = np.linalg.solve(transform.components, psi.components[..., None])[..., 0]
     return Ket.from_components(*parts, new_basis_id)
 
 

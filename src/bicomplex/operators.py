@@ -1,10 +1,11 @@
 """Linear operators on the module: adjoints, spectra, evolution.
 
 An operator is a bicomplex matrix in a declared basis.  Everything
-spectral reduces to the two complex component matrices: an operator is
-self-adjoint (unitary) exactly when both components are Hermitian
-(unitary) with respect to their Gram matrices, eigenvalue problems
-decouple into two complex ones, and
+spectral reduces to the two complex component matrices, which each step
+below takes as the matrix's ``(2, n, n)`` component stack in one batched
+numpy call: an operator is self-adjoint (unitary) exactly when both
+components are Hermitian (unitary) with respect to their Gram matrices,
+eigenvalue problems decouple into two complex ones, and
 
     f(A) = f1(A1)*e1 + f2(A2)*e2,    exp(A) = exp(A1)*e1 + exp(A2)*e2.
 
@@ -13,21 +14,21 @@ hyperbolic eigenvalues and the rank-one expansion
 H = sum_l lambda_l |phi_l><phi_l|; exp(i1*H) is unitary, and
 U(t, t0) = exp(-i1*(t - t0)*H / hbar) propagates the time-independent
 Schroedinger dynamics while conserving every self-product.  Evolution
-runs on that expansion: each component of the generator is
-diagonalized once per call, and every sample time costs one phase
-vector, so the propagator is unitary to rounding however long the
-window.  ``op_exp`` (scaling and squaring) is kept as the independent
-route that tests compare it with.
+runs on that expansion: the generator is diagonalized once per call,
+and every sample time costs one phase vector, so the propagator is
+unitary to rounding however long the window.  ``op_exp`` (scaling and
+squaring) is kept as the independent route that tests compare it with.
 
 Component eigenproblems are reduced to standard Hermitian ones through
 the Cholesky factors of the Gram matrices and handed to LAPACK
-(``numpy.linalg.eigh``); a unitary component is diagonalized by one
-``eigh`` of a generic real combination of its commuting Hermitian and
-skew-Hermitian parts, with any cluster that combination leaves coupled
-split by the Hermitian part.  Any pairing of component eigenpairs is
-algebraically valid; the canonical output sorts self-adjoint spectra
-ascending by real part and unitary spectra by phase angle, index to
-index.
+(one ``numpy.linalg.eigh`` for both components); a unitary component is
+diagonalized by one ``eigh`` of a generic real combination of its
+commuting Hermitian and skew-Hermitian parts, with any cluster that
+combination leaves coupled split by the Hermitian part, one component
+at a time since the clusters differ.  Any pairing of component
+eigenpairs is algebraically valid; the canonical output sorts
+self-adjoint spectra ascending by real part and unitary spectra by
+phase angle, index to index.
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.order
 
-    def component(self, k: int) -> np.ndarray:
-        return self.matrix.component(k)
-
     @classmethod
     def identity(cls, dim: int, basis_id: str = "canonical") -> Operator:
         return cls(BicomplexMatrix.identity(dim), basis_id)
@@ -210,12 +208,8 @@ def adjoint(spec: ScalarProductSpec, a: Operator) -> Operator:
     """
     if spec.dim != a.dim:
         raise DimensionMismatch(f"spec dimension {spec.dim} != operator dimension {a.dim}")
-    parts = []
-    for k in (1, 2):
-        component = a.matrix.component(k)
-        gram = spec.gram(k)
-        parts.append(np.linalg.solve(gram, component.conj().T @ gram))
-    return Operator(BicomplexMatrix.from_components(parts[0], parts[1]), a.basis_id)
+    parts = np.linalg.solve(spec.grams, a.matrix.components.conj().mT @ spec.grams)
+    return Operator(BicomplexMatrix.from_components(*parts), a.basis_id)
 
 
 def is_self_adjoint(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -234,35 +228,33 @@ def outer_product(spec: ScalarProductSpec, phi: Ket, psi: Ket) -> Operator:
     phi._check_compatible(psi)
     if phi.dim != spec.dim:
         raise DimensionMismatch(f"ket dimension {phi.dim} != spec dimension {spec.dim}")
-    parts = [
-        np.outer(phi.component(k), np.conj(spec.gram(k) @ psi.component(k)))
-        for k in (1, 2)
-    ]
-    return Operator(BicomplexMatrix.from_components(parts[0], parts[1]), phi.basis_id)
+    right = np.conj(np.matvec(spec.grams, psi.components))
+    parts = phi.components[:, :, None] * right[:, None, :]
+    return Operator(BicomplexMatrix.from_components(*parts), phi.basis_id)
 
 
 def _cholesky_reduce(
-    spec: ScalarProductSpec, matrix: BicomplexMatrix, k: int
+    spec: ScalarProductSpec, matrix: BicomplexMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component k as a standard problem: (L^H A_k L^{-H}, L^{-H}).
+    """Both components as standard problems: the stacks (L^H A_k L^{-H}, L^{-H}).
 
     With G_k = L L^H, the reduced matrix is Hermitian (unitary) whenever
     A_k is G_k-self-adjoint (G_k-unitary), and back-transformed
     orthonormal eigenvectors L^{-H} Y are G_k-orthonormal.
     """
-    chol_h = spec.cholesky(k).conj().T
+    chol_h = spec.chols.conj().mT
     inv_chol_h = np.linalg.inv(chol_h)
-    return chol_h @ matrix.component(k) @ inv_chol_h, inv_chol_h
+    return chol_h @ matrix.components @ inv_chol_h, inv_chol_h
 
 
-def _component_hermitian_eigh(
-    spec: ScalarProductSpec, matrix: BicomplexMatrix, k: int
+def _hermitian_eigh(
+    spec: ScalarProductSpec, matrix: BicomplexMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and G_k-orthonormal eigenvectors of component k."""
-    reduced, inv_chol_h = _cholesky_reduce(spec, matrix, k)
+    """Eigenvalues (ascending) and G_k-orthonormal eigenvectors of both components, stacked."""
+    reduced, inv_chol_h = _cholesky_reduce(spec, matrix)
     # eigh reads one triangle; averaging keeps both halves of a matrix
     # that is Hermitian only to rounding
-    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.conj().T))
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.conj().mT))
     return values, inv_chol_h @ vectors
 
 
@@ -278,9 +270,9 @@ def _coupled_clusters(transformed: np.ndarray, threshold: float) -> list[np.ndar
 
 
 def _component_unitary_eig(
-    spec: ScalarProductSpec, matrix: BicomplexMatrix, k: int
+    reduced: np.ndarray, inv_chol_h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (by phase angle) and G_k-orthonormal eigenvectors of component k.
+    """Eigenvalues (by phase angle) and G_k-orthonormal eigenvectors of one reduced component.
 
     The Hermitian and skew parts of a normal matrix commute, so the
     eigenvectors of herm + NORMAL_MIX * skew diagonalize both (Bunse-
@@ -292,7 +284,6 @@ def _component_unitary_eig(
     parts differ.  The off-diagonal residue is then checked, since the
     argument fails for non-normal input.
     """
-    reduced, inv_chol_h = _cholesky_reduce(spec, matrix, k)
     scale = max(float(np.linalg.norm(reduced, "fro")), 1e-300)
     hermitian_part = 0.5 * (reduced + reduced.conj().T)
     skew_part = -0.5j * (reduced - reduced.conj().T)
@@ -315,15 +306,14 @@ def _component_unitary_eig(
     return values[order], inv_chol_h @ vectors[:, order]
 
 
-def _pair_components(solve, spec: ScalarProductSpec, a: Operator) -> list[EigenPair]:
-    """Join the two component eigensystems that ``solve`` returns, index to index."""
-    (values1, vectors1), (values2, vectors2) = (solve(spec, a.matrix, k) for k in (1, 2))
+def _pair_components(values: np.ndarray, vectors: np.ndarray, basis_id: str) -> list[EigenPair]:
+    """Join the stacked component eigensystems, index to index."""
     return [
         EigenPair(
-            Bicomplex.from_idempotent(values1[i], values2[i]),
-            Ket.from_components(vectors1[:, i], vectors2[:, i], a.basis_id),
+            Bicomplex.from_idempotent(*values[:, i]),
+            Ket.from_components(*vectors[..., i], basis_id),
         )
-        for i in range(a.dim)
+        for i in range(values.shape[1])
     ]
 
 
@@ -338,7 +328,7 @@ def eigendecompose_self_adjoint(
     """
     if not is_self_adjoint(spec, h, tol):
         raise NotSelfAdjoint("operator is not self-adjoint under the given scalar product")
-    return _pair_components(_component_hermitian_eigh, spec, h)
+    return _pair_components(*_hermitian_eigh(spec, h.matrix), h.basis_id)
 
 
 def eigendecompose_unitary(
@@ -347,7 +337,9 @@ def eigendecompose_unitary(
     """Orthonormal eigenkets of a unitary operator, sorted by phase angle."""
     if not is_unitary(spec, u, tol):
         raise NotUnitary("operator is not unitary under the given scalar product")
-    return _pair_components(_component_unitary_eig, spec, u)
+    reduced, inv_chol_h = _cholesky_reduce(spec, u.matrix)
+    values, vectors = zip(*map(_component_unitary_eig, reduced, inv_chol_h))
+    return _pair_components(np.stack(values), np.stack(vectors), u.basis_id)
 
 
 def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) -> Operator:
@@ -427,22 +419,20 @@ def op_function(
     finite coefficient sequence is summed in full).  Terms that fail to
     decay within ``max_terms`` raise SeriesDivergence.
     """
-    components = [a.matrix.component(k) for k in (1, 2)]
-    n = a.dim
-    powers = [np.eye(n, dtype=complex) for _ in components]
-    totals = [np.zeros((n, n), dtype=complex) for _ in components]
+    components = a.matrix.components
+    powers = np.broadcast_to(np.eye(a.dim, dtype=complex), components.shape)
+    totals = np.zeros(components.shape, dtype=complex)
     streak = 0
     for index, coeff in enumerate(coeffs):
         if index >= max_terms:
             raise SeriesDivergence(f"series terms did not decay within {max_terms} terms")
-        factors = as_bicomplex(coeff).to_idempotent()
+        factors = np.array(as_bicomplex(coeff).to_idempotent())
         if index > 0:
-            powers = [power @ component for power, component in zip(powers, components)]
-        terms = [factor * power for factor, power in zip(factors, powers)]
-        for total, term in zip(totals, terms):
-            total += term
-        term_size = max(np.linalg.norm(term, 1) for term in terms)
-        sum_size = max(*(np.linalg.norm(total, 1) for total in totals), 1e-300)
+            powers = powers @ components
+        terms = factors[:, None, None] * powers
+        totals += terms
+        term_size = max(np.linalg.norm(terms, 1, axis=(1, 2)))
+        sum_size = max(*np.linalg.norm(totals, 1, axis=(1, 2)), 1e-300)
         if term_size <= truncation * sum_size:
             streak += 1
             if streak >= 2 and index >= 1:
@@ -477,10 +467,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def op_exp(a: Operator) -> Operator:
     """exp(A), computed per component by scaling and squaring."""
-    return Operator(
-        BicomplexMatrix.from_components(_expm(a.matrix.component(1)), _expm(a.matrix.component(2))),
-        a.basis_id,
-    )
+    return Operator(BicomplexMatrix.from_components(*map(_expm, a.matrix.components)), a.basis_id)
 
 
 def _exp_scalar(w: Bicomplex) -> Bicomplex:
@@ -542,25 +529,14 @@ class EvolutionConfig:
         return np.linspace(self.t0, self.t1, self.steps)
 
 
-def _effective_hamiltonian(
-    cfg: EvolutionConfig, h: Operator, spec: ScalarProductSpec | None, tol: Tolerance
-) -> tuple[ScalarProductSpec, Operator]:
-    """The spec (default: identity) and the generator H' = inv(xi) * H, checked self-adjoint."""
-    h_eff = h if cfg.xi is None else h.scale(cfg.xi.inverse())
-    if spec is None:
-        spec = ScalarProductSpec.identity(h.dim)
-    if not is_self_adjoint(spec, h_eff, tol):
-        raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
-    return spec, h_eff
-
-
 @dataclass(frozen=True)
 class _Eigenbasis:
-    """Component k of H' / hbar as V diag(frequencies) V^H G_k, with V^H G_k V = I."""
+    """H' and, stacked over k, component k of H' / hbar as V diag(frequencies) V^H G_k."""
 
+    generator: Operator
     frequencies: np.ndarray
     vectors: np.ndarray
-    # V^H G_k: takes a component array to its eigen-coefficients
+    # V^H G_k, with V^H G_k V = I: takes a component array to its eigen-coefficients
     coefficients: np.ndarray
 
     def propagate(self, coeffs: np.ndarray, elapsed) -> np.ndarray:
@@ -569,16 +545,17 @@ class _Eigenbasis:
         return self.vectors @ (phases * coeffs)
 
 
-def _eigenbases(
+def _eigenbasis(
     cfg: EvolutionConfig, h: Operator, spec: ScalarProductSpec | None, tol: Tolerance
-) -> tuple[Operator, list[_Eigenbasis]]:
-    """H' and the eigenbasis of each of its components, from one eigensolve each."""
-    spec, h_eff = _effective_hamiltonian(cfg, h, spec, tol)
-    bases = []
-    for k in (1, 2):
-        values, vectors = _component_hermitian_eigh(spec, h_eff.matrix, k)
-        bases.append(_Eigenbasis(values / cfg.hbar, vectors, vectors.conj().T @ spec.gram(k)))
-    return h_eff, bases
+) -> _Eigenbasis:
+    """H' = inv(xi) * H, checked self-adjoint under spec (default: identity), and its eigenbasis."""
+    h_eff = h if cfg.xi is None else h.scale(cfg.xi.inverse())
+    if spec is None:
+        spec = ScalarProductSpec.identity(h.dim)
+    if not is_self_adjoint(spec, h_eff, tol):
+        raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
+    values, vectors = _hermitian_eigh(spec, h_eff.matrix)
+    return _Eigenbasis(h_eff, values / cfg.hbar, vectors, vectors.conj().mT @ spec.grams)
 
 
 def evolution_operator(
@@ -593,22 +570,65 @@ def evolution_operator(
     from one eigensolve of H', so it is unitary to rounding for any
     window; at t1 == t0 it is the exact identity.
     """
-    _, bases = _eigenbases(cfg, h, spec, tol)
+    basis = _eigenbasis(cfg, h, spec, tol)
     elapsed = cfg.t1 - cfg.t0
     if elapsed == 0.0:
         return Operator.identity(h.dim, h.basis_id)
-    parts = [basis.propagate(basis.coefficients, elapsed) for basis in bases]
+    parts = basis.propagate(basis.coefficients, elapsed)
     return Operator(BicomplexMatrix.from_components(*parts), h.basis_id)
 
 
-def _evolved_components(
-    bases: Sequence[_Eigenbasis], state: Ket, elapsed: np.ndarray
-) -> list[np.ndarray]:
-    """Each component of the state at every elapsed time, one column per time."""
-    return [
-        basis.propagate((basis.coefficients @ state.component(k))[:, None], elapsed)
-        for k, basis in zip((1, 2), bases)
-    ]
+@dataclass(frozen=True)
+class _Evolution:
+    """The eigenbasis of H' and the evolved state: component k at sample j in [k - 1, :, j]."""
+
+    cfg: EvolutionConfig
+    basis: _Eigenbasis
+    state: Ket
+    components: np.ndarray
+
+    def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """See :func:`evolve_samples`."""
+        times = self.cfg.sample_times()
+        c1, c2 = self.components
+        # Ket.from_components of every sample at once
+        z1 = (0.5 * (c1 + c2)).T
+        z2 = (0.5j * (c1 - c2)).T
+        frozen = times == self.cfg.t0
+        z1[frozen] = self.state.z1
+        z2[frozen] = self.state.z2
+        if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
+            raise NonFinite("Ket entries must be finite")
+        return times, z1, z2
+
+    def schrodinger_residual(self, step: float = 1e-5) -> float:
+        """See :func:`schrodinger_residual`."""
+        basis = self.basis
+        coeffs = basis.coefficients @ self.components
+        ahead = basis.propagate(coeffs, step)
+        behind = basis.propagate(coeffs, -step)
+        rhs = basis.generator.matrix.components @ self.components
+        factor = 1j * self.cfg.hbar / (2.0 * step)
+        defect_sq = (np.abs((ahead - behind) * factor - rhs) ** 2).sum(axis=0)
+        rhs_sq = (np.abs(rhs) ** 2).sum(axis=0)
+        # the sup norm of a ket is sqrt(max((|c1|^2 + |c2|^2) / 2)) over its coefficients
+        defect = np.sqrt(0.5 * defect_sq.max(axis=0))
+        scale = np.maximum(np.sqrt(0.5 * rhs_sq.max(axis=0)), 1e-300)
+        return float((defect / scale).max())
+
+
+def _evolve(
+    cfg: EvolutionConfig, h: Operator, state: Ket, spec: ScalarProductSpec | None, tol: Tolerance
+) -> _Evolution:
+    """Diagonalize H' once and propagate the state to every sample time.
+
+    ``evolve_samples`` and ``schrodinger_residual`` each call this; a
+    caller that needs both results calls it once.
+    """
+    basis = _eigenbasis(cfg, h, spec, tol)
+    h._check_compatible(state)
+    coeffs = basis.coefficients @ state.components[..., None]
+    return _Evolution(cfg, basis, state, basis.propagate(coeffs, cfg.sample_times() - cfg.t0))
 
 
 def evolve_samples(
@@ -620,23 +640,11 @@ def evolve_samples(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sample times in [t0, t1] and the evolved state's (z1, z2) parts, one row per sample.
 
-    All samples come from one eigensolve of H' per component:
+    All samples come from one eigensolve of H':
     psi_k(t) = V (exp(-i1 lambda (t - t0) / hbar) * V^H G_k psi_k).  A
     sample at t == t0 is the input ket itself.
     """
-    _, bases = _eigenbases(cfg, h, spec, tol)
-    h._check_compatible(state)
-    times = cfg.sample_times()
-    c1, c2 = _evolved_components(bases, state, times - cfg.t0)
-    # Ket.from_components of every sample at once
-    z1 = (0.5 * (c1 + c2)).T
-    z2 = (0.5j * (c1 - c2)).T
-    frozen = times == cfg.t0
-    z1[frozen] = state.z1
-    z2[frozen] = state.z2
-    if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
-        raise NonFinite("Ket entries must be finite")
-    return times, z1, z2
+    return _evolve(cfg, h, state, spec, tol).samples()
 
 
 def evolve_series(
@@ -672,20 +680,4 @@ def schrodinger_residual(
     at roughly step**2 plus rounding amplified by 1/step, whatever
     |t - t0|.
     """
-    h_eff, bases = _eigenbases(cfg, h, spec, tol)
-    h._check_compatible(state)
-    states = _evolved_components(bases, state, cfg.sample_times() - cfg.t0)
-    defect_sq = 0.0
-    rhs_sq = 0.0
-    factor = 1j * cfg.hbar / (2.0 * step)
-    for k, basis, psi in zip((1, 2), bases, states):
-        coeffs = basis.coefficients @ psi
-        ahead = basis.propagate(coeffs, step)
-        behind = basis.propagate(coeffs, -step)
-        rhs = h_eff.matrix.component(k) @ psi
-        defect_sq = defect_sq + np.abs((ahead - behind) * factor - rhs) ** 2
-        rhs_sq = rhs_sq + np.abs(rhs) ** 2
-    # the sup norm of a ket is sqrt(max((|c1|^2 + |c2|^2) / 2)) over its coefficients
-    defect = np.sqrt(0.5 * defect_sq.max(axis=0))
-    scale = np.maximum(np.sqrt(0.5 * rhs_sq.max(axis=0)), 1e-300)
-    return float((defect / scale).max())
+    return _evolve(cfg, h, state, spec, tol).schrodinger_residual(step)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOLERANCE,
     Bicomplex,
@@ -122,7 +120,7 @@ def scalar_product_direct(spec: ScalarProductSpec, psi: Ket, phi: Ket) -> Bicomp
     Builds the ring-valued Gram matrix G1*e1 + G2*e2 once and evaluates
     sum_ij conj3(psi_i) * G_ij * phi_j without projecting anything.
     """
-    gram = BicomplexMatrix.from_components(np.asarray(spec.g1), np.asarray(spec.g2))
+    gram = BicomplexMatrix.from_components(*spec.grams)
     total = ZERO
     for i in range(psi.dim):
         left = psi.coeff(i).conjugate(3)

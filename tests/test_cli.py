@@ -147,6 +147,26 @@ class TestEvolve:
         for atom in state_atoms:
             assert atom.strip("()\n ") in table_row
 
+    def test_one_batched_eigensolve_per_run(self, capsys, monkeypatch, workdir):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        code, out = run(
+            capsys,
+            "evolve",
+            "--hamiltonian", str(GOLDEN / "operator_selfadjoint_n2.bct"),
+            "--state", str(workdir / "psi.bct"),
+            "--hbar", "1", "--t0", "0", "--t1", "3", "--samples", "5",
+        )
+        assert code == 0
+        assert "check schrodinger-residual" in out
+        assert shapes == [(2, 2, 2)]
+
     def test_norm_conservation_reported(self, capsys, workdir):
         code, out = run(
             capsys,

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bicomplex import (
     Bicomplex,
     BicomplexError,
+    BicomplexMatrix,
     Classification,
     Hyperbolic,
     NonFinite,
     NotHyperbolic,
     NotInvertible,
+    Ket,
+    ScalarProductSpec,
     Tolerance,
     approx_eq,
 )
@@ -290,3 +293,63 @@ class TestNonFinite:
             Ket(np.array([1.0, math.nan]), np.zeros(2))
         with pytest.raises(NonFinite):
             BicomplexMatrix(np.full((2, 2), math.inf), np.zeros((2, 2)))
+
+
+# signed zeros, subnormals and parts near overflow, where the split
+# c1, c2 = z1 -/+ i1*z2 can round, flip a zero's sign or overflow
+edge_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def bicomplex_arrays(draw):
+    cls = draw(st.sampled_from([Ket, BicomplexMatrix]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    shape = (n,) if cls is Ket else (n, n)
+    count = 4 * math.prod(shape)
+    parts = np.array(draw(st.lists(edge_parts, min_size=count, max_size=count)))
+    z1, z2 = parts.view(complex).reshape((2,) + shape)
+    return cls(z1, z2)
+
+
+def _bits(*arrays):
+    return [np.asarray(a).view(np.uint64) for a in arrays]
+
+
+def _rebuilt_bits(cls, c1, c2):
+    """The (z1, z2) bit patterns of cls.from_components(c1, c2), or the error it raises."""
+    try:
+        rebuilt = cls.from_components(c1, c2)
+    except NonFinite:
+        return "NonFinite"
+    return _bits(rebuilt.z1, rebuilt.z2)
+
+
+class TestComponentStack:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(bicomplex_arrays())
+    def test_stack_is_the_split_bit_for_bit(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.stack([x.z1 - 1j * x.z2, x.z1 + 1j * x.z2])
+            stack = x.components
+            assert stack is x.components and not stack.flags.writeable
+            assert stack.shape == expected.shape
+            assert np.array_equal(*_bits(stack, expected))
+            for k in (1, 2):
+                assert np.array_equal(*_bits(x.component(k), expected[k - 1]))
+            cls = type(x)
+            got = _rebuilt_bits(cls, *stack)
+            want = _rebuilt_bits(cls, *expected)
+        if want == "NonFinite":
+            assert got == want
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    @pytest.mark.parametrize("accessor", ["component", "gram", "cholesky"])
+    def test_accessors_reject_bad_component_index(self, accessor, k):
+        owner = Ket.from_coeffs([1, I1]) if accessor == "component" else ScalarProductSpec.identity(2)
+        with pytest.raises(ValueError, match="component index must be 1 or 2"):
+            getattr(owner, accessor)(k)

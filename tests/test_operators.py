@@ -118,7 +118,7 @@ class TestComposeAndProject:
         op = Operator(BicomplexMatrix.from_components(zero, live))
         transform = random_well_conditioned(rng, 3)
         moved = conjugate_by_basis(op, transform)
-        assert float(np.abs(moved.component(1)).max()) <= 1e-12 * moved.matrix.max_norm()
+        assert float(np.abs(moved.matrix.component(1)).max()) <= 1e-12 * moved.matrix.max_norm()
 
 
 class TestConjugateByBasis:
@@ -146,7 +146,7 @@ class TestConjugateByBasis:
         )
         transform = random_well_conditioned(rng, 4, cond_cap=20)
         moved = conjugate_by_basis(h, transform)
-        moved_components = [np.linalg.eigvals(moved.component(k)) for k in (1, 2)]
+        moved_components = [np.linalg.eigvals(moved.matrix.component(k)) for k in (1, 2)]
         for index, k in ((0, 0), (1, 1)):
             got = np.sort_complex(moved_components[k])
             expected = np.array(sorted(v[index] for v in values))
