@@ -52,6 +52,7 @@ from .hilbert import (
 from .matrix import BicomplexMatrix, MatrixInverse, SingularMatrix
 from .operators import (
     EigenPair,
+    Eigensystem,
     EvolutionConfig,
     InvalidXi,
     NotSelfAdjoint,

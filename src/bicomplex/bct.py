@@ -16,14 +16,14 @@ one row of dim atoms, a matrix or operator dim rows of dim atoms
 complex atoms ``(re im)``, G1 first.  Numbers are printed with 17
 significant digits, so parse and render round-trip bit-exactly.
 
-The payload is read in one pass: each row is checked against one
-full-line pattern for its atom arity and its atoms are counted, then
-every field of the payload goes through ``float`` at once and the array
-is reshaped to (rows, atoms, arity), the (re, im) pairs viewed as
-complex.  Only when that read rejects a payload does a second,
-atom-by-atom scan run, to raise the first error with its line and
-column; it never builds a document.  Rendering fills one ``%.17g``
-template per row from the row's float fields.
+The payload is read in one pass: each row must hold exactly as many
+``(`` and ``)`` as atoms, then the joined rows are split into one token
+list that must repeat ``( field ... field )``; every field goes through
+``float`` at once and the array is reshaped to (rows, atoms, arity),
+the (re, im) pairs viewed as complex.  Only a rejected payload is
+scanned again, atom by atom, to raise the first error with its line
+and column; that scan never builds a document.  Rendering fills one
+``%.17g`` template per row from the row's float fields.
 """
 
 from __future__ import annotations
@@ -167,15 +167,6 @@ def render(doc: BctDocument) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
-# A whole payload row: atoms of exactly `arity` fields, whitespace between
-# and around them, nothing else.  `\s` matches what str.split and
-# str.strip treat as whitespace, so a row matches exactly when the
-# atom-by-atom scan below accepts its structure.
-_FIELD = r"[^()\s]+"
-_ROW = {
-    arity: re.compile(rf"\s*(?:\(\s*{_FIELD}(?:\s+{_FIELD}){{{arity - 1}}}\s*\)\s*)*")
-    for arity in (2, 4)
-}
 _ATOM = re.compile(r"\(([^()]*)\)")
 
 
@@ -185,24 +176,27 @@ def _read_payload(
     """Every payload number as a (rows, atoms, arity) array, in one conversion.
 
     Returns None when the payload has any error; :func:`_locate_error`
-    then finds and raises the first one.
+    then finds and raises the first one.  With both parens counted per
+    row, tokens that run "(", ``arity`` fields, ")" over and over leave no
+    atom across two rows and no other text: what the atom scan accepts.
     """
-    pattern = _ROW[arity]
     rows = []
     for line in lines[start:]:
-        if pattern.fullmatch(line) is None:
+        if line.count("(") == atoms_needed and line.count(")") == atoms_needed:
+            rows.append(line)
+        elif line.strip():
             return None
-        atoms = line.count("(")
-        if atoms == 0:  # blank line
-            continue
-        if atoms != atoms_needed:
-            return None
-        rows.append(line)
     if len(rows) != rows_needed:
         return None
-    fields = " ".join(rows).replace("(", " ").replace(")", " ").split()
+    tokens = " ".join(rows).replace("(", " ( ").replace(")", " ) ").split()
+    unit = arity + 2
+    opens = ["("] * (rows_needed * atoms_needed)
+    if tokens[::unit] != opens or tokens[unit - 1 :: unit] != [")"] * len(opens):
+        return None
+    del tokens[::unit]  # the "(" tokens, then the ")" ones: the fields remain
+    del tokens[arity :: arity + 1]
     try:
-        values = np.fromiter(map(float, fields), float, count=len(fields))
+        values = np.fromiter(map(float, tokens), float, count=len(tokens))
     except ValueError:
         return None
     if not np.isfinite(values).all():

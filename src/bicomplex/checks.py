@@ -42,6 +42,7 @@ from .hilbert import (
 from .matrix import BicomplexMatrix, MatrixInverse
 from .operators import (
     EigenPair,
+    Eigensystem,
     Operator,
     _Evolution,
     adjoint,
@@ -75,17 +76,13 @@ def _result(name: str, residual: float, tolerance: float) -> CheckResult:
 
 def _probe_kets(dim: int, count: int, basis_id: str) -> list[Ket]:
     rng = np.random.default_rng(PROBE_SEED)
-    kets = []
-    for _ in range(count):
-        z1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        z2 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        kets.append(Ket(z1, z2, basis_id))
-    return kets
+    # per ket, in draw order: re z1, im z1, re z2, im z2
+    draws = rng.standard_normal((count, 2, 2, dim))
+    return [Ket(*(re + 1j * im), basis_id) for re, im in draws.transpose(0, 2, 1, 3)]
 
 
 def check_scalar(w: Bicomplex, tol: Tolerance) -> tuple[list[CheckResult], list[str]]:
-    results = []
-    notes = []
+    results, notes = [], []
     scale = max(1.0, w.euclid_norm())
 
     c1, c2 = w.to_idempotent()
@@ -129,8 +126,7 @@ def check_scalar(w: Bicomplex, tol: Tolerance) -> tuple[list[CheckResult], list[
 
 
 def check_ket(psi: Ket, spec: ScalarProductSpec | None, tol: Tolerance):
-    results = []
-    notes = []
+    results, notes = [], []
     if spec is None:
         spec = ScalarProductSpec.identity(psi.dim)
     rebuilt = Ket.from_components(*psi.components, psi.basis_id)
@@ -165,8 +161,7 @@ def check_ket(psi: Ket, spec: ScalarProductSpec | None, tol: Tolerance):
 
 
 def check_matrix(matrix: BicomplexMatrix, tol: Tolerance):
-    results = []
-    notes = []
+    results, notes = [], []
     n = matrix.order
     det = matrix.det()
     results.extend(verify_determinant(matrix, det))
@@ -278,18 +273,17 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
 
     if is_self_adjoint(spec, op, tol):
         notes.append("spectral-class: self-adjoint")
-        pairs = eigendecompose_self_adjoint(spec, op, tol)
-        results.extend(verify_self_adjoint_spectrum(spec, op, pairs))
+        system = eigendecompose_self_adjoint(spec, op, tol)
+        results.extend(verify_self_adjoint_spectrum(spec, op, system))
     elif is_unitary(spec, op, tol):
         notes.append("spectral-class: unitary")
-        pairs = eigendecompose_unitary(spec, op, tol)
+        system = eigendecompose_unitary(spec, op, tol)
         defect = (compose(star, op).matrix - BicomplexMatrix.identity(op.dim)).max_norm()
         results.append(_result("unitary-defect", defect, 1e-10))
-        modulus = max(
-            (pair.value.conjugate(3) * pair.value - ONE).euclid_norm() for pair in pairs
-        )
+        # lambda conj3(lambda) - 1 is (|c1|^2 - 1) e1 + (|c2|^2 - 1) e2
+        modulus = _entry_norms(*(np.abs(system.value_components) ** 2 - 1.0)).max()
         results.append(_result("eigenvalue-unit-modulus", modulus, 1e-9))
-        results.extend(_eigenbasis_results(spec, pairs))
+        results.extend(_eigenbasis_results(spec, system))
     else:
         results.append(_result("spectral-class", 1.0, 0.0))
         notes.append(
@@ -302,24 +296,23 @@ def verify_self_adjoint_spectrum(
     spec: ScalarProductSpec, op: Operator, pairs: Sequence[EigenPair]
 ) -> list[CheckResult]:
     """Reconstruction, real eigenvalues and an orthonormal, complete eigenbasis."""
+    system = Eigensystem.of(pairs)
     scale = max(1.0, op.matrix.max_norm())
-    rebuilt = spectral_reconstruct(spec, pairs)
-    imag = max(
-        max(abs(pair.value.to_idempotent().c1.imag), abs(pair.value.to_idempotent().c2.imag))
-        / max(1.0, pair.value.euclid_norm())
-        for pair in pairs
-    )
+    rebuilt = spectral_reconstruct(spec, system)
+    c1, c2 = system.value_components
+    # Bicomplex.euclid_norm of each eigenvalue
+    norms = [math.hypot(a.real, a.imag, b.real, b.imag) for a, b in zip(*system.values.tolist())]
+    imag = (np.maximum(abs(c1.imag), abs(c2.imag)) / np.maximum(1.0, norms)).max()
     return [
         _result("spectral-reconstruction", (rebuilt.matrix - op.matrix).max_norm() / scale, 1e-9),
         _result("eigenvalue-imag-parts", imag, 1e-10),
-    ] + _eigenbasis_results(spec, pairs)
+    ] + _eigenbasis_results(spec, system)
 
 
-def _eigenbasis_results(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) -> list[CheckResult]:
-    kets = [pair.ket for pair in pairs]
+def _eigenbasis_results(spec: ScalarProductSpec, system: Eigensystem) -> list[CheckResult]:
     return [
-        _result("eigenket-orthonormal", orthonormal_defect(spec, kets), 1e-10),
-        _result("completeness", completeness_defect(spec, kets), 1e-10),
+        _result("eigenket-orthonormal", orthonormal_defect(spec, system.ket_components), 1e-10),
+        _result("completeness", completeness_defect(spec, system.ket_components), 1e-10),
     ]
 
 
@@ -328,31 +321,30 @@ def _entry_norms(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (np.abs(d1) ** 2 + np.abs(d2) ** 2))
 
 
-def orthonormal_defect(spec: ScalarProductSpec, kets: Sequence[Ket]) -> float:
+def orthonormal_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray) -> float:
     """Largest |(phi_i, phi_j) - delta_ij| over i <= j, Euclidean norm.
 
     Computed from one Gram matrix V_k^H G_k V_k per component, V_k
-    holding the kets' component vectors as columns.
+    holding the kets' component vectors as columns (or ``kets`` is V).
     """
-    vectors = coefficient_matrix(kets).components
-    defects = vectors.conj().mT @ spec.grams @ vectors - np.eye(len(kets))
+    vectors = kets if isinstance(kets, np.ndarray) else coefficient_matrix(kets).components
+    defects = vectors.conj().mT @ spec.grams @ vectors - np.eye(vectors.shape[-1])
     return float(np.triu(_entry_norms(*defects)).max())
 
 
-def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket]) -> float:
+def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray) -> float:
     """Largest entry of sum_l |phi_l><phi_l| - I, Euclidean norm.
 
     Per component the sum is V_k V_k^H G_k, V_k holding the kets'
-    component vectors as columns.
+    component vectors as columns (or ``kets`` is V).
     """
-    vectors = coefficient_matrix(kets).components
-    defects = vectors @ (vectors.conj().mT @ spec.grams) - np.eye(len(kets))
+    vectors = kets if isinstance(kets, np.ndarray) else coefficient_matrix(kets).components
+    defects = vectors @ (vectors.conj().mT @ spec.grams) - np.eye(vectors.shape[1])
     return float(_entry_norms(*defects).max())
 
 
 def check_spec(g1: np.ndarray, g2: np.ndarray, tol: Tolerance):
-    results = []
-    notes = []
+    results, notes = [], []
     grams = np.stack([g1, g2])
     scales = np.maximum(np.abs(grams).max(axis=(1, 2)), 1.0)
     asymmetry = np.abs(grams - grams.conj().mT).max(axis=(1, 2)) / scales

@@ -368,6 +368,18 @@ def approx_eq(a, b, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return True
 
 
+def stack_components(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The (2, ...) stack (c1, c2) = (z1 - i1*z2, z1 + i1*z2) of equally shaped parts."""
+    return np.stack([z1 - 1j * z2, z1 + 1j * z2])
+
+
+def parts_from_components(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """The (2, ...) stack (z1, z2) of c1*e1 + c2*e2, for equally shaped c1 and c2."""
+    c1 = np.asarray(c1, dtype=complex)
+    c2 = np.asarray(c2, dtype=complex)
+    return np.stack([0.5 * (c1 + c2), 0.5j * (c1 - c2)])
+
+
 def component_index(k: int) -> int:
     """Position of idempotent component k (1 for e1, 2 for e2) along a stack's first axis."""
     if k == 1 or k == 2:
@@ -403,9 +415,7 @@ class BicomplexArray:
     @classmethod
     def from_components(cls, c1: np.ndarray, c2: np.ndarray, *rest):
         """Recombine c1*e1 + c2*e2; ``rest`` goes to the constructor (a ket's basis label)."""
-        c1 = np.asarray(c1, dtype=complex)
-        c2 = np.asarray(c2, dtype=complex)
-        return cls(0.5 * (c1 + c2), 0.5j * (c1 - c2), *rest)
+        return cls(*parts_from_components(c1, c2), *rest)
 
     def _new(self, z1: np.ndarray, z2: np.ndarray):
         return type(self)(z1, z2)
@@ -416,7 +426,7 @@ class BicomplexArray:
         try:
             return self._components
         except AttributeError:
-            stack = np.stack([self.z1 - 1j * self.z2, self.z1 + 1j * self.z2])
+            stack = stack_components(self.z1, self.z2)
             stack.setflags(write=False)
             self._components = stack
             return stack

@@ -43,6 +43,8 @@ from .core import (
     Tolerance,
     as_bicomplex,
     component_index,
+    parts_from_components,
+    stack_components,
 )
 from .matrix import BicomplexMatrix, require_nonsingular
 
@@ -275,9 +277,7 @@ class Basis:
 
 def coefficient_matrix(kets: Sequence[Ket]) -> BicomplexMatrix:
     """Matrix whose columns are the kets' coefficient vectors."""
-    z1 = np.column_stack([k.z1 for k in kets])
-    z2 = np.column_stack([k.z2 for k in kets])
-    return BicomplexMatrix(z1, z2)
+    return BicomplexMatrix(*np.stack([[k.z1, k.z2] for k in kets], axis=-1))
 
 
 def row_kets(matrix: BicomplexMatrix, basis_id: str = REFERENCE_BASIS) -> list[Ket]:
@@ -313,14 +313,11 @@ def ket_norms(
     if z1.shape[-1] != spec.dim:
         raise DimensionMismatch(f"ket dimension {z1.shape[-1]} != spec dimension {spec.dim}")
     # contiguous rows: a strided row is summed in a different order
-    rows = np.ascontiguousarray(np.stack([z1 - 1j * z2, z1 + 1j * z2]))
+    rows = np.ascontiguousarray(stack_components(z1, z2))
     s1, s2 = np.vecdot(rows, np.matvec(spec.grams[:, None], rows))
     # Bicomplex.from_idempotent, then Bicomplex.to_idempotent
-    w1 = 0.5 * (s1 + s2)
-    w2 = 0.5j * (s1 - s2)
-    i_w2 = 1j * w2
-    c1 = w1 - i_w2
-    c2 = w1 + i_w2
+    w1, w2 = parts_from_components(s1, s2)
+    c1, c2 = stack_components(w1, w2)
     scale = np.maximum(np.maximum(np.abs(c1), np.abs(c2)), 1.0)
     rejected = ~(np.isfinite(c1) & np.isfinite(c2))
     rejected |= np.maximum(np.abs(c1.imag), np.abs(c2.imag)) > tol.eps_eq * scale

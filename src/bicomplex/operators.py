@@ -28,12 +28,14 @@ combination leaves coupled split by the Hermitian part, one component
 at a time since the clusters differ.  Any pairing of component
 eigenpairs is algebraically valid; the canonical output sorts
 self-adjoint spectra ascending by real part and unitary spectra by
-phase angle, index to index.
+phase angle, index to index.  Both decompositions return an
+``Eigensystem``, stacked from ``eigh`` through the reconstruction
+(V diag(lambda) V^H G_k) and the checks; indexing builds an ``EigenPair``.
 """
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -52,12 +54,15 @@ from .core import (
     Tolerance,
     as_bicomplex,
     approx_eq,
+    parts_from_components,
+    stack_components,
 )
 from .hilbert import BasisMismatch, Ket, ScalarProductSpec, scalar_product
 from .matrix import BicomplexMatrix
 
 __all__ = [
     "EigenPair",
+    "Eigensystem",
     "EvolutionConfig",
     "InvalidXi",
     "NoConvergence",
@@ -172,6 +177,42 @@ class EigenPair:
 
     value: Bicomplex
     ket: Ket
+
+
+class Eigensystem(Sequence):
+    """Eigenpairs kept as arrays; an index builds one :class:`EigenPair`, a slice an Eigensystem.
+
+    ``values`` stacks the (z1, z2) parts of the m eigenvalues, shape (2, m),
+    and ``kets`` those of the eigenkets, shape (2, n, m), ket l in column l;
+    ``value_components`` and ``ket_components`` split them along e1/e2.
+    """
+
+    def __init__(self, values: np.ndarray, kets: np.ndarray, basis_id: str):
+        self.values, self.kets, self.basis_id = values, kets, basis_id
+        if not (np.isfinite(values).all() and np.isfinite(kets).all()):
+            list(self)  # raises the NonFinite of the first pair that has a non-finite part
+        self.value_components = stack_components(*values)
+        self.ket_components = stack_components(*kets)
+
+    @classmethod
+    def of(cls, pairs: Sequence[EigenPair]) -> Eigensystem:
+        """Nonempty eigenpairs as one eigensystem; an eigensystem is returned as it is."""
+        if isinstance(pairs, cls):
+            return pairs
+        kets = [pair.ket for pair in pairs]
+        for ket in kets[1:]:
+            kets[0]._check_compatible(ket)
+        values = np.array([[pair.value.z1, pair.value.z2] for pair in pairs]).T
+        return cls(values, np.stack([[ket.z1, ket.z2] for ket in kets], axis=-1), kets[0].basis_id)
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Eigensystem(self.values[:, index], self.kets[..., index], self.basis_id)
+        (z1, z2), (k1, k2) = self.values[:, index], self.kets[..., index]
+        return EigenPair(Bicomplex(z1, z2), Ket(k1, k2, self.basis_id))
 
 
 def compose(a: Operator, b: Operator) -> Operator:
@@ -306,20 +347,9 @@ def _component_unitary_eig(
     return values[order], inv_chol_h @ vectors[:, order]
 
 
-def _pair_components(values: np.ndarray, vectors: np.ndarray, basis_id: str) -> list[EigenPair]:
-    """Join the stacked component eigensystems, index to index."""
-    return [
-        EigenPair(
-            Bicomplex.from_idempotent(*values[:, i]),
-            Ket.from_components(*vectors[..., i], basis_id),
-        )
-        for i in range(values.shape[1])
-    ]
-
-
 def eigendecompose_self_adjoint(
     spec: ScalarProductSpec, h: Operator, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[EigenPair]:
+) -> Eigensystem:
     """Orthonormal eigenkets and hyperbolic eigenvalues of a self-adjoint operator.
 
     Component eigenvalues are sorted ascending by real part and matched
@@ -328,28 +358,34 @@ def eigendecompose_self_adjoint(
     """
     if not is_self_adjoint(spec, h, tol):
         raise NotSelfAdjoint("operator is not self-adjoint under the given scalar product")
-    return _pair_components(*_hermitian_eigh(spec, h.matrix), h.basis_id)
+    values, vectors = _hermitian_eigh(spec, h.matrix)
+    return Eigensystem(parts_from_components(*values), parts_from_components(*vectors), h.basis_id)
 
 
 def eigendecompose_unitary(
     spec: ScalarProductSpec, u: Operator, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[EigenPair]:
+) -> Eigensystem:
     """Orthonormal eigenkets of a unitary operator, sorted by phase angle."""
     if not is_unitary(spec, u, tol):
         raise NotUnitary("operator is not unitary under the given scalar product")
     reduced, inv_chol_h = _cholesky_reduce(spec, u.matrix)
     values, vectors = zip(*map(_component_unitary_eig, reduced, inv_chol_h))
-    return _pair_components(np.stack(values), np.stack(vectors), u.basis_id)
+    return Eigensystem(parts_from_components(*values), parts_from_components(*vectors), u.basis_id)
 
 
 def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) -> Operator:
-    """Rebuild sum_l lambda_l |phi_l><phi_l| from orthonormal eigenpairs."""
+    """Rebuild sum_l lambda_l |phi_l><phi_l| from orthonormal eigenpairs.
+
+    Component k is V diag(lambda) V^H G_k, V holding the eigenket components as columns.
+    """
     if not pairs:
         raise ValueError("need at least one eigenpair")
-    total = outer_product(spec, pairs[0].ket, pairs[0].ket).scale(pairs[0].value)
-    for pair in pairs[1:]:
-        total = total + outer_product(spec, pair.ket, pair.ket).scale(pair.value)
-    return total
+    system = Eigensystem.of(pairs)
+    vectors = system.ket_components
+    if vectors.shape[1] != spec.dim:
+        raise DimensionMismatch(f"ket dimension {vectors.shape[1]} != spec dimension {spec.dim}")
+    parts = (vectors * system.value_components[:, None, :]) @ (vectors.conj().mT @ spec.grams)
+    return Operator(BicomplexMatrix.from_components(*parts), system.basis_id)
 
 
 @dataclass(frozen=True)
@@ -394,12 +430,11 @@ def eigenket_orthogonality_check(
     orthogonality constraint; they are reported but never asserted.
     """
     records = []
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            gap = pairs[i].value - pairs[j].value
-            constrained = gap.classify(tol) is Classification.INVERTIBLE
-            residual = scalar_product(spec, pairs[i].ket, pairs[j].ket).euclid_norm()
-            records.append(OrthogonalityRecord(i, j, constrained, residual))
+    # each pair is built once, however often the pairs below use it
+    for (i, first), (j, second) in itertools.combinations(enumerate(pairs), 2):
+        constrained = (first.value - second.value).classify(tol) is Classification.INVERTIBLE
+        residual = scalar_product(spec, first.ket, second.ket).euclid_norm()
+        records.append(OrthogonalityRecord(i, j, constrained, residual))
     return OrthogonalityReport(tuple(records), residual_tol)
 
 
@@ -470,11 +505,6 @@ def op_exp(a: Operator) -> Operator:
     return Operator(BicomplexMatrix.from_components(*map(_expm, a.matrix.components)), a.basis_id)
 
 
-def _exp_scalar(w: Bicomplex) -> Bicomplex:
-    c1, c2 = w.to_idempotent()
-    return Bicomplex.from_idempotent(cmath.exp(c1), cmath.exp(c2))
-
-
 def op_exp_spectral(
     spec: ScalarProductSpec,
     h: Operator,
@@ -485,11 +515,10 @@ def op_exp_spectral(
 
     Cross-checks the scaling-and-squaring route; not the default path.
     """
-    pairs = eigendecompose_self_adjoint(spec, h, tol)
-    scaled = [
-        EigenPair(_exp_scalar(prefactor * pair.value), pair.ket) for pair in pairs
-    ]
-    return spectral_reconstruct(spec, scaled)
+    system = eigendecompose_self_adjoint(spec, h, tol)
+    exponents = np.array(prefactor.to_idempotent())[:, None] * system.value_components
+    values = parts_from_components(*np.exp(exponents))
+    return spectral_reconstruct(spec, Eigensystem(values, system.kets, h.basis_id))
 
 
 # -- evolution ------------------------------------------------------------------
@@ -590,10 +619,8 @@ class _Evolution:
     def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """See :func:`evolve_samples`."""
         times = self.cfg.sample_times()
-        c1, c2 = self.components
         # Ket.from_components of every sample at once
-        z1 = (0.5 * (c1 + c2)).T
-        z2 = (0.5j * (c1 - c2)).T
+        z1, z2 = parts_from_components(*self.components).mT
         frozen = times == self.cfg.t0
         z1[frozen] = self.state.z1
         z2[frozen] = self.state.z2

@@ -5,7 +5,9 @@ under their own seeds.  ``oracle_parse`` and ``oracle_render`` are the
 .bct reader and writer as they were before the payload moved to whole
 arrays: one regex match and one ``float`` per atom field, one f-string
 per printed atom.  The tests hold ``bct.parse`` and ``bct.render`` to
-them.
+them.  ``oracle_pairs`` and ``oracle_reconstruct`` are the spectral
+route as it was before eigensystems stayed stacked: one ``EigenPair``
+per eigenvalue, and one rank-one operator per pair, added in order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ import re
 
 import numpy as np
 
-from bicomplex import Bicomplex, BicomplexMatrix, Ket, Operator, ScalarProductSpec
+from bicomplex import (
+    Bicomplex,
+    BicomplexMatrix,
+    EigenPair,
+    Ket,
+    Operator,
+    ScalarProductSpec,
+    outer_product,
+)
 from bicomplex.bct import DEFAULT_BASIS, KINDS, BctDocument, DimMismatch, ParseError
 
 
@@ -78,6 +88,28 @@ def random_basis_kets(rng, n: int, basis_id: str = "canonical") -> list[Ket]:
         kets = [random_ket(rng, n, basis_id) for _ in range(n)]
         if not coefficient_matrix(kets).is_singular():
             return kets
+
+
+# -- spectral oracles: one EigenPair and one rank-one operator per eigenvalue ------
+
+
+def oracle_pairs(values: np.ndarray, vectors: np.ndarray, basis_id: str) -> list[EigenPair]:
+    """Join the (2, m) and (2, n, m) component eigensystems pair by pair, index to index."""
+    return [
+        EigenPair(
+            Bicomplex.from_idempotent(*values[:, i]),
+            Ket.from_components(*vectors[..., i], basis_id),
+        )
+        for i in range(values.shape[1])
+    ]
+
+
+def oracle_reconstruct(spec: ScalarProductSpec, pairs) -> Operator:
+    """sum_l lambda_l |phi_l><phi_l|, one outer product per pair, summed in order."""
+    total = outer_product(spec, pairs[0].ket, pairs[0].ket).scale(pairs[0].value)
+    for pair in pairs[1:]:
+        total = total + outer_product(spec, pair.ket, pair.ket).scale(pair.value)
+    return total
 
 
 # -- .bct oracles: the atom-by-atom reader and writer ---------------------------

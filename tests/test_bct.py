@@ -352,3 +352,39 @@ class TestParseOracle:
     def test_same_document_or_same_error(self, text):
         # anything but a ParseError escaping either parser fails the test
         assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
+
+
+# Rows whose "(" count per line is what the kind needs but whose atom
+# structure is wrong: the one-pass payload read must reject each, and the
+# atom-by-atom scan must report it exactly as the oracle does.
+KET2 = "bct v1\nkind: ket\ndim: 2\n"
+MATRIX2 = "bct v1\nkind: matrix\ndim: 2\n"
+STRUCTURE_EDGES = {
+    "atom split across two lines": MATRIX2 + "(1 2 3 4) (5 6\n(7 8) 1 2 3 4)\n",
+    "atom split, both parens counted": MATRIX2 + "(1 2 3 4) (5 6 7 8\n) (1 2 3 4) (5 6 7 8)\n",
+    "stray text line": MATRIX2 + "(1 2 3 4) (5 6 7 8)\njunk\n(1 2 3 4) (5 6 7 8)\n",
+    "stray text line with parens": KET2 + "x)(x)(\n",
+    "close-open with no space": KET2 + ")(1 2 3 4)(5 6 7 8\n",
+    "close-open inside an atom": KET2 + "(1 2)(3 4) (5 6 7 8)\n",
+    "field glued after a paren": KET2 + "(1 2 3 4)5 (6 7 8 9)\n",
+    "field glued before a paren": KET2 + "1(2 3 4 5) (6 7 8 9)\n",
+    "row of empty atoms": KET2 + "() ()\n",
+    "extra close paren": KET2 + "(1 2 3 4) (5 6 7 8))\n",
+    "nested open paren": KET2 + "((1 2 3 4) 5 6 7 8)\n",
+    "spec atom with bicomplex arity": "bct v1\nkind: spec\ndim: 1\n(1 0 0 0)\n(1 0)\n",
+    "third atom on the row": KET2 + "(1 2 3 4) (5 6 7 8) (9 0 1 2)\n",
+    "second row": KET2 + "(1 2 3 4) (5 6 7 8)\n(1 2 3 4) (5 6 7 8)\n",
+}
+
+
+class TestPayloadStructureEdges:
+    @pytest.mark.parametrize("text", STRUCTURE_EDGES.values(), ids=STRUCTURE_EDGES.keys())
+    def test_rejected_as_the_oracle_rejects(self, text):
+        outcome = _outcome(bct.parse, text)
+        assert outcome[0] == "error"
+        assert outcome == _outcome(oracle_parse, text)
+
+    def test_adjacent_atoms_accepted(self):
+        text = KET2 + "(1 2 3 4)(5 6 7 8)\n"
+        assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
+        assert bct.parse(text).value == Ket([1 + 2j, 5 + 6j], [3 + 4j, 7 + 8j])

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import math
 import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicomplex import bct
 from bicomplex.cli import main
@@ -590,3 +593,61 @@ def test_determinant_skip_notes(capsys, tmp_path):
     assert code == 0
     assert "\nnote: det-idempotent-vs-direct: skipped (order 6 > 5)\n" in out
     assert "check det-idempotent-vs-direct" not in out
+
+
+# -- every input ends in a documented exit code ---------------------------------
+
+GOLDEN_BYTES = [path.read_bytes() for path in sorted(GOLDEN.glob("*.bct"))]
+# bytes and snippets that reach the header, payload, number and encoding checks
+BYTE_SNIPPETS = [b"(", b")", b"()", b")(", b" ", b"\t", b"\n", b"\r\n", b"-", b"0", b"9", b"e",
+                 b".", b"nan", b"1e308", b"1e-320", b"\x00", b"\xff", b"dim: 9\n", b"kind: spec\n"]
+
+
+@st.composite
+def mutated_golden(draw):
+    """A golden file with one to four byte-level edits anywhere in it."""
+    data = draw(st.sampled_from(GOLDEN_BYTES))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["insert", "delete", "replace", "line"]))
+        if op == "insert":
+            data = data[:at] + draw(st.sampled_from(BYTE_SNIPPETS)) + data[at:]
+        elif op == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 4)):]
+        elif op == "replace":
+            data = data[:at] + draw(st.sampled_from(BYTE_SNIPPETS)) + data[at + 1:]
+        else:
+            lines = data.split(b"\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i + 1] = draw(st.sampled_from([[], [lines[i]] * 2]))
+            data = b"\n".join(lines)
+    return data
+
+
+def _file_calls(path: str) -> list[list[str]]:
+    """Every subcommand that reads a file, with the fuzzed file in each file slot."""
+    spec = str(GOLDEN / "spec_identity_n2.bct")
+    hamiltonian = str(GOLDEN / "operator_selfadjoint_n2.bct")
+    state = str(GOLDEN / "ket_nullcone_n2.bct")
+    evolve = ["evolve", "--hbar", "1", "--t0", "0", "--t1", "2", "--samples", "3"]
+    calls = [[sub, path] for sub in ("info", "idempotent", "det", "inv", "exp")]
+    for sub in ("gram-schmidt", "spectral", "check"):
+        calls += [[sub, path], [sub, path, "--spec", spec], [sub, hamiltonian, "--spec", path]]
+    calls += [
+        evolve + ["--hamiltonian", path, "--state", state],
+        evolve + ["--hamiltonian", hamiltonian, "--state", path],
+        evolve + ["--hamiltonian", hamiltonian, "--state", state, "--spec", path],
+    ]
+    return calls
+
+
+class TestExitCodeContract:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.one_of(mutated_golden(), st.binary(max_size=120)))
+    def test_any_bytes_end_in_a_documented_exit_code(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.bct"
+        path.write_bytes(data)
+        for argv in _file_calls(str(path)):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv

@@ -9,6 +9,7 @@ from bicomplex import (
     Bicomplex,
     BicomplexMatrix,
     Classification,
+    EigenPair,
     EvolutionConfig,
     InvalidXi,
     Ket,
@@ -16,6 +17,7 @@ from bicomplex import (
     NotSelfAdjoint,
     NotUnitary,
     Operator,
+    Eigensystem,
     ScalarProductSpec,
     SeriesDivergence,
     adjoint,
@@ -40,9 +42,16 @@ from bicomplex import (
 )
 from bicomplex.checks import check_operator, orthonormal_defect
 from bicomplex.core import DEFAULT_TOLERANCE, E1, I1, I2, J, ONE, ZERO, NonFinite
-from bicomplex.operators import NORMAL_MIX
+from bicomplex.operators import (
+    NORMAL_MIX,
+    _cholesky_reduce,
+    _component_unitary_eig,
+    _hermitian_eigh,
+)
 
 from helpers import (
+    oracle_pairs,
+    oracle_reconstruct,
     random_basis_kets,
     random_ket,
     random_matrix,
@@ -365,6 +374,71 @@ class TestSpectralReconstruct:
             Classification.NULL_CONE_1,
             Classification.NULL_CONE_2,
         )
+
+
+def _spectrum(kind, spec_kind, n=5, seed=181):
+    """(spec, eigensystem, the raw (2, m) and (2, n, m) component stacks) of a random operator."""
+    rng = np.random.default_rng(seed)
+    spec = ScalarProductSpec.identity(n) if spec_kind == "identity" else random_spec(rng, n)
+    if kind == "self-adjoint":
+        h = spec_self_adjoint(rng, spec)
+        return spec, eigendecompose_self_adjoint(spec, h), _hermitian_eigh(spec, h.matrix)
+    phases = [np.exp(1j * rng.uniform(-3.0, 3.0, n)) for _ in range(2)]
+    u = spec_operator_with_spectrum(rng, spec, *phases)
+    stacks = zip(*map(_component_unitary_eig, *_cholesky_reduce(spec, u.matrix)))
+    return spec, eigendecompose_unitary(spec, u), tuple(map(np.stack, stacks))
+
+
+def _bits(pair: EigenPair) -> tuple:
+    """Every bit of a pair: eigenvalue parts, eigenket parts, basis label."""
+    value = np.array([pair.value.z1, pair.value.z2]).view(np.uint64)
+    ket = np.concatenate([pair.ket.z1, pair.ket.z2]).view(np.uint64)
+    return value.tolist(), ket.tolist(), pair.ket.basis_id
+
+
+SPECTRA = [(kind, spec) for kind in ("self-adjoint", "unitary") for spec in ("identity", "random")]
+
+
+class TestEigensystem:
+    @pytest.mark.parametrize("kind, spec_kind", SPECTRA)
+    def test_reconstruct_matches_pairwise_oracle(self, kind, spec_kind):
+        spec, system, _ = _spectrum(kind, spec_kind)
+        pairs = list(system)
+        for count in range(1, len(system) + 1):
+            expected = oracle_reconstruct(spec, pairs[:count]).matrix
+            scale = max(1.0, expected.max_norm())
+            for head in (system[:count], pairs[:count]):
+                rebuilt = spectral_reconstruct(spec, head)
+                assert (rebuilt.matrix - expected).max_norm() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind, spec_kind", SPECTRA)
+    def test_sequence_view_bit_identical_to_pairwise_join(self, kind, spec_kind):
+        _, system, (values, vectors) = _spectrum(kind, spec_kind)
+        expected = [_bits(pair) for pair in oracle_pairs(values, vectors, "canonical")]
+        n = len(expected)
+        assert len(system) == n
+        assert [_bits(pair) for pair in system] == expected
+        for index in range(-n, n):
+            assert _bits(system[index]) == expected[index]
+        assert [_bits(pair) for pair in system[1:-1]] == expected[1:-1]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                system[index]
+
+    def test_stacks_any_pair_sequence_once(self):
+        _, system, _ = _spectrum("self-adjoint", "random")
+        again = Eigensystem.of(list(system))
+        assert Eigensystem.of(system) is system
+        assert np.array_equal(again.values, system.values)
+        assert np.array_equal(again.kets, system.kets)
+
+    def test_rejects_mixed_bases_and_empty(self):
+        spec = ScalarProductSpec.identity(2)
+        pairs = [EigenPair(ONE, Ket.standard(2, 0)), EigenPair(ONE, Ket.standard(2, 1, "other"))]
+        with pytest.raises(BasisMismatch):
+            spectral_reconstruct(spec, pairs)
+        with pytest.raises(ValueError):
+            spectral_reconstruct(spec, [])
 
 
 class TestOrthogonalityCheck:
