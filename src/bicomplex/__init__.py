@@ -35,6 +35,7 @@ from .hilbert import (
     BasisMismatch,
     HyperbolicNorm,
     Ket,
+    KetColumns,
     NonPositiveNorm,
     NotABasis,
     NullConeKet,

@@ -17,7 +17,10 @@ product, solve and factorization below is one batched numpy call over
 both components.  Gram-Schmidt is one batched QR factorization (LAPACK,
 through numpy); the recursion written directly in ring arithmetic is
 kept in ``reference.gram_schmidt_ring`` as the oracle the tests compare
-against.
+against.  Its basis stays stacked: ``KetColumns`` holds the kets as the
+columns of one coefficient matrix, from the rows ``row_kets`` takes to
+the QR, the pivot test, the null-cone count and the printed rows, and
+builds a ``Ket`` only when one is indexed.
 
 Kets carry their basis label; mixing labels raises instead of silently
 coercing.  All values are immutable and operations pure.
@@ -36,7 +39,6 @@ from .core import (
     Bicomplex,
     BicomplexArray,
     BicomplexError,
-    Classification,
     DimensionMismatch,
     Hyperbolic,
     KetClassification,
@@ -275,14 +277,40 @@ class Basis:
         return self.vectors[0].basis_id
 
 
+class KetColumns(Sequence):
+    """n kets kept as the columns of one n-by-n coefficient matrix, in one basis.
+
+    An index builds one :class:`Ket` (column ``index`` of ``matrix``), a
+    slice a list of them; ``coefficient_matrix`` hands back ``matrix``
+    itself.
+    """
+
+    __slots__ = ("matrix", "basis_id")
+
+    def __init__(self, matrix: BicomplexMatrix, basis_id: str = REFERENCE_BASIS):
+        self.matrix = matrix
+        self.basis_id = str(basis_id)
+
+    def __len__(self) -> int:
+        return self.matrix.order
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return Ket(self.matrix.z1[:, index], self.matrix.z2[:, index], self.basis_id)
+
+
 def coefficient_matrix(kets: Sequence[Ket]) -> BicomplexMatrix:
     """Matrix whose columns are the kets' coefficient vectors."""
+    if isinstance(kets, KetColumns):
+        return kets.matrix
     return BicomplexMatrix(*np.stack([[k.z1, k.z2] for k in kets], axis=-1))
 
 
-def row_kets(matrix: BicomplexMatrix, basis_id: str = REFERENCE_BASIS) -> list[Ket]:
+def row_kets(matrix: BicomplexMatrix, basis_id: str = REFERENCE_BASIS) -> KetColumns:
     """Kets whose coefficient vectors are the matrix rows."""
-    return [Ket(matrix.z1[i], matrix.z2[i], basis_id) for i in range(matrix.order)]
+    # transpose copies, so the columns are laid out as a stacked ket list would be
+    return KetColumns(matrix.transpose(), basis_id)
 
 
 def scalar_product(spec: ScalarProductSpec, psi: Ket, phi: Ket) -> Bicomplex:
@@ -346,33 +374,44 @@ def normalize(spec: ScalarProductSpec, psi: Ket, tol: Tolerance = DEFAULT_TOLERA
 
 def gram_schmidt(
     spec: ScalarProductSpec, kets: Sequence[Ket], tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[Ket]:
+) -> KetColumns:
     """Orthonormalize a basis under the given scalar product.
 
     The bicomplex recursion is two complex Gram-Schmidt runs, one per
     component.  With G_k = L L^H and the input kets as the columns of
     X_k, run k is the QR factorization L^H X_k = Q_k R_k with diag(R_k)
-    made positive real; the output is L^{-H} Q_k.  Before normalization
-    ket i has self-product |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be
-    invertible.
+    made positive real; the output is L^{-H} Q_k, one coefficient
+    matrix.  Before normalization ket i has self-product
+    |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be invertible.
     """
-    kets = list(kets)
+    if not isinstance(kets, KetColumns):
+        kets = list(kets)
     if len(kets) != spec.dim:
         raise DimensionMismatch(f"expected {spec.dim} kets, got {len(kets)}")
-    for ket in kets[1:]:
-        kets[0]._check_compatible(ket)
-    matrix = coefficient_matrix(kets)
-    if matrix.is_singular(tol):
+    if not isinstance(kets, KetColumns):
+        for ket in kets[1:]:
+            kets[0]._check_compatible(ket)
+        kets = KetColumns(coefficient_matrix(kets), kets[0].basis_id)
+    if kets.matrix.is_singular(tol):
         raise NotABasis("input kets do not form a basis")
 
     chol_h = spec.chols.conj().mT
-    q, r = np.linalg.qr(chol_h @ matrix.components)
+    q, r = np.linalg.qr(chol_h @ kets.matrix.components)
     pivots = np.diagonal(r, axis1=1, axis2=2)
-    for index, (a, b) in enumerate(zip(*np.abs(pivots) ** 2)):
-        if Bicomplex.from_idempotent(a, b).classify(tol) is not Classification.INVERTIBLE:
-            raise NullConePivot(index)
+    # Bicomplex.from_idempotent(a, b).classify(tol), for every pivot at once; an
+    # overflow shows as a non-finite scale and is raised below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = np.abs(pivots) ** 2
+        m1, m2 = np.abs(stack_components(*parts_from_components(a, b)))
+    scale = np.maximum(m1, m2)
+    rejected = ~np.isfinite(scale) | (m1 <= tol.eps_null * scale) | (m2 <= tol.eps_null * scale)
+    if rejected.any():
+        index = int(np.argmax(rejected))
+        # the scalar path raises its own NonFinite for a pivot that overflows
+        Bicomplex.from_idempotent(a[index], b[index]).to_idempotent()
+        raise NullConePivot(index)
     columns = np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))[:, None])
-    return [Ket.from_components(*columns[..., i], kets[0].basis_id) for i in range(len(kets))]
+    return KetColumns(BicomplexMatrix.from_components(*columns), kets.basis_id)
 
 
 def mix_orthogonal_bases(

@@ -8,7 +8,10 @@ all reduce to the two components:
     A**-1  = inv(A1)*e1 + inv(A2)*e2   (defined iff det(A) is invertible).
 
 A matrix is singular when its determinant lies in the null cone, i.e.
-when at least one component determinant vanishes.  Storage is the
+when at least one component determinant vanishes.  When a component
+determinant overflows, the same relative test runs on the component
+log-moduli instead, so a large regular matrix can still be inverted
+although its determinant is not representable.  Storage is the
 canonical (z1, z2) pair of complex arrays (``core.BicomplexArray``);
 determinant, inverse and condition numbers are each one batched LAPACK
 call on the ``(2, n, n)`` component stack.  The product stays in (z1, z2)
@@ -18,6 +21,7 @@ independent routes.  Matrices are immutable and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +33,7 @@ from .core import (
     BicomplexError,
     Classification,
     DimensionMismatch,
+    NonFinite,
     Tolerance,
     as_bicomplex,
 )
@@ -135,13 +140,44 @@ class BicomplexMatrix(BicomplexArray):
 
     # -- determinant and inverse --------------------------------------------
 
+    def _component_dets(self) -> np.ndarray:
+        # an overflowing determinant is reported by the callers, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.det(self.components)
+
     def det(self) -> Bicomplex:
-        """Determinant via the component determinants (LU under the hood)."""
-        d1, d2 = np.linalg.det(self.components)
+        """Determinant via the component determinants (LU under the hood).
+
+        Raises NonFinite, with both component moduli, when one overflows.
+        """
+        d1, d2 = self._component_dets()
+        if not (np.isfinite(d1) and np.isfinite(d2)):
+            raise _det_overflow(d1, d2)
         return Bicomplex.from_idempotent(d1, d2)
 
+    def _classify_det(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Classification:
+        """``det().classify(tol)``, also when a component determinant overflows.
+
+        Then the component log-moduli from ``slogdet`` take the place of
+        the moduli in the same relative null-cone test, as long as the
+        product of any two entries is finite; beyond that the overflow
+        raises NonFinite as in ``det``.
+        """
+        d1, d2 = self._component_dets()
+        if np.isfinite(d1) and np.isfinite(d2):
+            return Bicomplex.from_idempotent(d1, d2).classify(tol)
+        if np.abs(self.components).max() > _ENTRY_LIMIT:
+            raise _det_overflow(d1, d2)
+        l1, l2 = np.linalg.slogdet(self.components).logabsdet
+        threshold = math.log(tol.eps_null) + max(l1, l2)
+        if l1 <= threshold:
+            return Classification.NULL_CONE_1
+        if l2 <= threshold:
+            return Classification.NULL_CONE_2
+        return Classification.INVERTIBLE
+
     def is_singular(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        return self.det().classify(tol) is not Classification.INVERTIBLE
+        return self._classify_det(tol) is not Classification.INVERTIBLE
 
     def inverse(self, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixInverse:
         """Componentwise inverse, plus condition estimates for both components.
@@ -155,6 +191,15 @@ class BicomplexMatrix(BicomplexArray):
         return MatrixInverse(inverse, float(cond1), float(cond2))
 
 
+# largest entry component modulus whose square is finite
+_ENTRY_LIMIT = math.sqrt(np.finfo(float).max)
+
+
+def _det_overflow(d1: complex, d2: complex) -> NonFinite:
+    moduli = tuple(np.abs([d1, d2]).tolist())
+    return NonFinite(f"determinant overflows: component moduli {moduli}")
+
+
 # idempotent components whose determinant vanishes, by det classification
 _VANISHING = {
     Classification.ZERO: (1, 2),
@@ -165,6 +210,6 @@ _VANISHING = {
 
 def require_nonsingular(matrix: BicomplexMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> None:
     """Raise SingularMatrix unless the determinant is invertible."""
-    vanishing = _VANISHING.get(matrix.det().classify(tol))
+    vanishing = _VANISHING.get(matrix._classify_det(tol))
     if vanishing is not None:
         raise SingularMatrix(vanishing)

@@ -8,6 +8,9 @@ per printed atom.  The tests hold ``bct.parse`` and ``bct.render`` to
 them.  ``oracle_pairs`` and ``oracle_reconstruct`` are the spectral
 route as it was before eigensystems stayed stacked: one ``EigenPair``
 per eigenvalue, and one rank-one operator per pair, added in order.
+``oracle_gram_schmidt`` is the QR route as it was before the basis stayed
+stacked: one ``Ket`` per output column and one scalar null-cone test per
+pivot.
 """
 
 from __future__ import annotations
@@ -20,12 +23,18 @@ import numpy as np
 from bicomplex import (
     Bicomplex,
     BicomplexMatrix,
+    Classification,
+    DimensionMismatch,
     EigenPair,
     Ket,
+    NotABasis,
+    NullConePivot,
     Operator,
     ScalarProductSpec,
     outer_product,
 )
+from bicomplex.core import DEFAULT_TOLERANCE, Tolerance
+from bicomplex.hilbert import coefficient_matrix
 from bicomplex.bct import DEFAULT_BASIS, KINDS, BctDocument, DimMismatch, ParseError
 
 
@@ -82,8 +91,6 @@ def random_ket(rng, n: int, basis_id: str = "canonical") -> Ket:
 
 
 def random_basis_kets(rng, n: int, basis_id: str = "canonical") -> list[Ket]:
-    from bicomplex.hilbert import coefficient_matrix
-
     while True:
         kets = [random_ket(rng, n, basis_id) for _ in range(n)]
         if not coefficient_matrix(kets).is_singular():
@@ -110,6 +117,31 @@ def oracle_reconstruct(spec: ScalarProductSpec, pairs) -> Operator:
     for pair in pairs[1:]:
         total = total + outer_product(spec, pair.ket, pair.ket).scale(pair.value)
     return total
+
+
+# -- Gram-Schmidt oracle: one Ket per output column, one scalar test per pivot ------
+
+
+def oracle_gram_schmidt(
+    spec: ScalarProductSpec, kets, tol: Tolerance = DEFAULT_TOLERANCE
+) -> list[Ket]:
+    kets = list(kets)
+    if len(kets) != spec.dim:
+        raise DimensionMismatch(f"expected {spec.dim} kets, got {len(kets)}")
+    for ket in kets[1:]:
+        kets[0]._check_compatible(ket)
+    matrix = coefficient_matrix(kets)
+    if matrix.is_singular(tol):
+        raise NotABasis("input kets do not form a basis")
+
+    chol_h = spec.chols.conj().mT
+    q, r = np.linalg.qr(chol_h @ matrix.components)
+    pivots = np.diagonal(r, axis1=1, axis2=2)
+    for index, (a, b) in enumerate(zip(*np.abs(pivots) ** 2)):
+        if Bicomplex.from_idempotent(a, b).classify(tol) is not Classification.INVERTIBLE:
+            raise NullConePivot(index)
+    columns = np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))[:, None])
+    return [Ket.from_components(*columns[..., i], kets[0].basis_id) for i in range(len(kets))]
 
 
 # -- .bct oracles: the atom-by-atom reader and writer ---------------------------

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,13 @@ from bicomplex.hilbert import Ket
 from bicomplex.matrix import BicomplexMatrix
 from bicomplex.operators import Operator
 
-from helpers import random_hermitian, random_ket, random_spec
+from helpers import (
+    random_hermitian,
+    random_ket,
+    random_self_adjoint,
+    random_spec,
+    random_well_conditioned,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -124,6 +133,23 @@ class TestGramSchmidt:
         code, out = run(capsys, "gram-schmidt", str(GOLDEN / "counter_nullcone_pivot_n2.bct"))
         assert code == 2
         assert "NullConePivot" in out
+
+    def test_no_ket_per_row(self, capsys, monkeypatch, tmp_path):
+        # the rows stay one coefficient matrix from the QR to the printed rows
+        matrix = random_well_conditioned(np.random.default_rng(8), 8)
+        bct.save(tmp_path / "m.bct", bct.document_for(matrix))
+        built = []
+        init = Ket.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Ket, "__init__", counting_init)
+        code, out = run(capsys, "gram-schmidt", str(tmp_path / "m.bct"))
+        assert code == 0
+        assert "check null-cone-outputs: residual 0.000e+00" in out
+        assert built == []
 
 
 class TestExp:
@@ -377,6 +403,41 @@ class TestOverflow:
             assert out.endswith("verdict: fail\n")
         elif code == 2:
             assert out.startswith("error: NonFinite: ")
+
+
+class TestDeterminantOverflow:
+    """An order-8 Hermitian operator with entries near 1e150: det overflows, its inverse does not."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from bicomplex.cli import main\n"
+        "for sub in ('info', 'det', 'inv', 'check'):\n"
+        "    code = main([sub, sys.argv[1]])\n"
+        "    print(f'exit {sub} {code}')\n"
+    )
+
+    def test_inverse_exists_det_reports_inf(self, tmp_path):
+        op = random_self_adjoint(np.random.default_rng(150), 8).scale(1e150)
+        path = tmp_path / "hbig8.bct"
+        bct.save(path, bct.document_for(op))
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        out = done.stdout
+        assert re.findall(r"^exit (\w+) (\d)$", out, re.M) == [
+            ("info", "2"), ("det", "2"), ("inv", "0"), ("check", "3"),
+        ]
+        overflow = "determinant overflows: component moduli (inf, inf)"
+        assert out.count(f"error: NonFinite: {overflow}\n") == 2
+        assert f"note: finite-arithmetic: {overflow}\n" in out
+        assert "check finite-arithmetic: residual inf tol 0 fail\n" in out
+        assert "check inverse-residual: " in out
+        assert re.search(r"\bnan\b", out) is None
 
 
 # -- output layout of every subcommand on every golden file ----------------------------

@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicomplex import (
     Basis,
@@ -14,6 +15,7 @@ from bicomplex import (
     Hyperbolic,
     Ket,
     KetClassification,
+    KetColumns,
     NotABasis,
     NotHyperbolic,
     NullConeKet,
@@ -31,14 +33,17 @@ from bicomplex import (
     riesz_representation,
     scalar_product,
 )
-from bicomplex import bct
+from bicomplex import BicomplexMatrix, bct
+from bicomplex.checks import verify_gram_schmidt
 from bicomplex.core import E1, E2, J, ONE, ZERO
-from bicomplex.hilbert import coefficient_matrix, ket_norms
+from bicomplex.hilbert import coefficient_matrix, ket_norms, row_kets
 from bicomplex.reference import gram_schmidt_ring, scalar_product_direct
 
 from helpers import (
+    oracle_gram_schmidt,
     random_basis_kets,
     random_ket,
+    random_matrix,
     random_spec,
     random_well_conditioned,
 )
@@ -295,10 +300,114 @@ class TestGramSchmidtOracle:
         matrix = bct.load(GOLDEN / "counter_nullcone_pivot_n2.bct").value
         rows = [Ket(matrix.z1[i, :], matrix.z2[i, :], "input-rows") for i in range(2)]
         spec = ScalarProductSpec.identity(2)
-        for route in (gram_schmidt, gram_schmidt_ring):
+        stacked = row_kets(matrix, "input-rows")
+        routes = ((gram_schmidt, rows), (gram_schmidt, stacked), (gram_schmidt_ring, rows))
+        for route, kets in routes:
             with pytest.raises(NullConePivot) as info:
-                route(spec, rows)
+                route(spec, kets)
             assert info.value.index == 1
+
+
+def _bits(kets) -> np.ndarray:
+    """The (z1, z2) parts of the kets, column by column, as raw 64-bit words."""
+    return np.stack([np.stack([k.z1, k.z2]) for k in kets], axis=-1).view(np.uint64)
+
+
+class TestStackedGramSchmidt:
+    """The stacked route against the one it replaced (a Ket per column, a scalar test per pivot)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 32])
+    def test_bit_identical_to_per_ket_route(self, n):
+        rng = np.random.default_rng(700 + n)
+        spec = random_spec(rng, n)
+        kets = random_basis_kets(rng, n, "b")
+        oracle = _bits(oracle_gram_schmidt(spec, kets))
+        out = gram_schmidt(spec, kets)
+        assert isinstance(out, KetColumns) and out.basis_id == "b"
+        assert np.array_equal(_bits(out), oracle)
+        assert np.array_equal(np.stack([out.matrix.z1, out.matrix.z2]).view(np.uint64), oracle)
+        # the same kets handed over as the rows of one matrix
+        rows = row_kets(coefficient_matrix(kets).transpose(), "b")
+        assert np.array_equal(_bits(gram_schmidt(spec, rows)), oracle)
+
+    @pytest.mark.parametrize("name", ["matrix_identity_n2.bct", "matrix_random_n3.bct"])
+    def test_golden_rows_bit_identical(self, name):
+        matrix = bct.load(GOLDEN / name).value
+        spec = ScalarProductSpec.identity(matrix.order)
+        rows = row_kets(matrix, "input-rows")
+        oracle = oracle_gram_schmidt(spec, list(rows))
+        assert np.array_equal(_bits(gram_schmidt(spec, rows)), _bits(oracle))
+
+    def test_row_kets_leaves_the_rows_in_place(self):
+        matrix = random_matrix(np.random.default_rng(61), 4)
+        rows = row_kets(matrix, "r")
+        assert coefficient_matrix(rows) is rows.matrix
+        assert rows.matrix.z1.flags.c_contiguous
+        assert np.array_equal(rows.matrix.transpose().z1, matrix.z1)
+
+    def test_ket_columns_sequence(self):
+        matrix = random_matrix(np.random.default_rng(67), 3)
+        columns = KetColumns(matrix, "cols")
+        expected = [Ket(matrix.z1[:, i], matrix.z2[:, i], "cols") for i in range(3)]
+        assert len(columns) == 3 and columns.basis_id == "cols"
+        assert list(columns) == expected
+        assert [columns[i] for i in range(-3, 3)] == expected + expected
+        assert columns[1:] == expected[1:] and columns[::-2] == expected[::-2]
+        assert columns[5:] == []
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                columns[index]
+        assert all(ket.basis_id == "cols" for ket in columns)
+        assert expected[2] in columns and columns.index(expected[1]) == 1
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        k=st.sampled_from([0, 1]),
+        exponent=st.floats(-14.0, -1.0),
+        eps_null=st.sampled_from([1e-14, 1e-12, 1e-9, 1e-6]),
+        stacked=st.booleans(),
+    )
+    def test_pivot_test_near_the_null_cone(self, seed, n, k, exponent, eps_null, stacked):
+        # component k of ket j lies within 10**exponent of the span of the kets before it
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        j = int(rng.integers(1, n))
+        mix = rng.standard_normal(j) + 1j * rng.standard_normal(j)
+        parts[k][:, j] = parts[k][:, :j] @ mix + 10.0**exponent * parts[k][:, j]
+        kets = KetColumns(BicomplexMatrix.from_components(*parts), "b")
+        if not stacked:
+            kets = list(kets)
+        spec = random_spec(rng, n)
+        tol = Tolerance(eps_null=eps_null)
+        outcomes = []
+        for route in (gram_schmidt, oracle_gram_schmidt):
+            try:
+                outcomes.append(_bits(route(spec, kets, tol)).tobytes())
+            except (NullConePivot, NotABasis) as exc:
+                outcomes.append((type(exc), getattr(exc, "index", None)))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        exponents=st.lists(st.floats(-16.0, 0.0) | st.just(-np.inf), min_size=12, max_size=12),
+        eps_null=st.sampled_from([1e-14, 1e-12, 1e-9, 1e-6]),
+    )
+    def test_null_cone_count_near_the_null_cone(self, seed, n, exponents, eps_null):
+        # ket i has its component 1 scaled by 10**exponents[2i], component 2 by 10**exponents[2i+1]
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        parts *= 10.0 ** np.reshape(exponents[: 2 * n], (n, 2)).T[:, None, :]
+        kets = KetColumns(BicomplexMatrix.from_components(*parts), "b")
+        tol = Tolerance(eps_null=eps_null)
+        per_ket = sum(ket.classify(tol) is not KetClassification.REGULAR for ket in kets)
+        spec = ScalarProductSpec.identity(n)
+        for route in (kets, list(kets)):
+            count = {r.name: r.residual for r in verify_gram_schmidt(spec, route, tol)}
+            assert count["null-cone-outputs"] == per_ket
 
 
 class TestMixedBases:
