@@ -24,10 +24,20 @@ the (re, im) pairs viewed as complex.  Only a rejected payload is
 scanned again, atom by atom, to raise the first error with its line
 and column; that scan never builds a document.  Rendering fills one
 ``%.17g`` template per row from the row's float fields.
+
+``load`` parses each distinct file content once per process: it reads
+the file on every call and looks its bytes up in a cache of the last 4
+documents loaded, keyed on those exact bytes.  Four covers the most files
+one command reads (``evolve --spec`` reads 3), so in-process callers that
+run several commands on one input (``det``, ``inv``, ``gram-schmidt`` and
+``check`` on one matrix) pay for one parse.  Errors are not cached, and a
+cached document is shared by every later load, so its payload arrays are
+read-only.  ``parse`` and ``render`` are not cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -297,6 +307,9 @@ def parse(text: str) -> BctDocument:
     values = _read_payload(lines, payload_start, arity, atoms_needed, rows_needed)
     if values is None:
         _locate_error(lines, payload_start, kind, arity, atoms_needed, rows_needed)
+    # a loaded document is shared by every later load of the same bytes,
+    # so the payload, and the spec's Gram views of it, stay read-only
+    values.setflags(write=False)
     # (re, im) field pairs viewed as complex keep every bit, -0.0 included
     parts = values.view(complex)
     if kind == "spec":
@@ -314,8 +327,22 @@ def parse(text: str) -> BctDocument:
 
 
 def load(path) -> BctDocument:
+    """The document in the file at ``path``, parsed once per distinct content.
+
+    The file is read on every call and its bytes are the key of a cache
+    of the last 4 documents (one command reads at most 3 files): a
+    rewritten file is parsed again, a missing one raises OSError, and a
+    malformed one raises its ParseError on every call.  Later loads of
+    the same bytes return the same document, so it must not be mutated;
+    its arrays are read-only.
+    """
     with open(path, "rb") as handle:
         data = handle.read()
+    return _parse_bytes(data)
+
+
+@functools.lru_cache(maxsize=4)
+def _parse_bytes(data: bytes) -> BctDocument:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:

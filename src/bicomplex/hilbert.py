@@ -382,7 +382,9 @@ def gram_schmidt(
     X_k, run k is the QR factorization L^H X_k = Q_k R_k with diag(R_k)
     made positive real; the output is L^{-H} Q_k, one coefficient
     matrix.  Before normalization ket i has self-product
-    |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be invertible.
+    |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be invertible; where a
+    square overflows, the same scale-invariant test runs on the pivot
+    moduli divided by the larger of the two.
     """
     if not isinstance(kets, KetColumns):
         kets = list(kets)
@@ -398,20 +400,31 @@ def gram_schmidt(
     chol_h = spec.chols.conj().mT
     q, r = np.linalg.qr(chol_h @ kets.matrix.components)
     pivots = np.diagonal(r, axis1=1, axis2=2)
-    # Bicomplex.from_idempotent(a, b).classify(tol), for every pivot at once; an
-    # overflow shows as a non-finite scale and is raised below, not warned about
+    # Bicomplex.from_idempotent(a, b).classify(tol), for every pivot at once
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = np.abs(pivots) ** 2
-        m1, m2 = np.abs(stack_components(*parts_from_components(a, b)))
+        m1, m2 = _pivot_moduli(a, b)
+        overflow = ~np.isfinite(np.maximum(m1, m2))
+        if overflow.any():
+            # the test is scale invariant: where the squares overflow, it runs
+            # on the pivot moduli scaled by their maximum
+            moduli = np.abs(pivots[:, overflow])
+            m1[overflow], m2[overflow] = _pivot_moduli(*(moduli / moduli.max(axis=0)) ** 2)
     scale = np.maximum(m1, m2)
     rejected = ~np.isfinite(scale) | (m1 <= tol.eps_null * scale) | (m2 <= tol.eps_null * scale)
     if rejected.any():
         index = int(np.argmax(rejected))
-        # the scalar path raises its own NonFinite for a pivot that overflows
-        Bicomplex.from_idempotent(a[index], b[index]).to_idempotent()
+        if not np.isfinite(scale[index]):
+            # an infinite or NaN pivot: the scalar path raises its own NonFinite
+            Bicomplex.from_idempotent(a[index], b[index]).to_idempotent()
         raise NullConePivot(index)
     columns = np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))[:, None])
     return KetColumns(BicomplexMatrix.from_components(*columns), kets.basis_id)
+
+
+def _pivot_moduli(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The idempotent moduli (m1, m2) of a*e1 + b*e2, as ``Bicomplex.classify`` forms them."""
+    return np.abs(stack_components(*parts_from_components(a, b)))
 
 
 def mix_orthogonal_bases(

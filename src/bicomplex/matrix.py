@@ -9,14 +9,14 @@ all reduce to the two components:
 
 A matrix is singular when its determinant lies in the null cone, i.e.
 when at least one component determinant vanishes.  When a component
-determinant overflows, the same relative test runs on the component
-log-moduli instead, so a large regular matrix can still be inverted
-although its determinant is not representable.  Storage is the
-canonical (z1, z2) pair of complex arrays (``core.BicomplexArray``);
-determinant, inverse and condition numbers are each one batched LAPACK
-call on the ``(2, n, n)`` component stack.  The product stays in (z1, z2)
-ring form, so the component law that ``checks`` verifies compares two
-independent routes.  Matrices are immutable and all operations are pure.
+determinant overflows, underflows or is subnormal, the same relative
+test runs on the component log-moduli instead, so a large or a small
+regular matrix can still be inverted although its determinant is not
+representable.  Storage is the canonical (z1, z2) pair of complex
+arrays (``core.BicomplexArray``); determinant, inverse and condition
+numbers are each one batched LAPACK call on the ``(2, n, n)`` component
+stack.  The product stays in (z1, z2) ring form, so the component law
+that ``checks`` verifies compares two independent routes.  Matrices are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -156,19 +156,24 @@ class BicomplexMatrix(BicomplexArray):
         return Bicomplex.from_idempotent(d1, d2)
 
     def _classify_det(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Classification:
-        """``det().classify(tol)``, also when a component determinant overflows.
+        """``det().classify(tol)``, also when a component determinant is not normal.
 
-        Then the component log-moduli from ``slogdet`` take the place of
-        the moduli in the same relative null-cone test, as long as the
-        product of any two entries is finite; beyond that the overflow
-        raises NonFinite as in ``det``.
+        When one overflows, or is zero or subnormal, the component
+        log-moduli from ``slogdet`` take the place of the moduli in the
+        same relative null-cone test: an exactly singular component has
+        log-modulus -inf and still vanishes, one that only underflowed
+        does not.  An overflow raises NonFinite as in ``det`` when the
+        product of two entries is not finite.
         """
         d1, d2 = self._component_dets()
         if np.isfinite(d1) and np.isfinite(d2):
-            return Bicomplex.from_idempotent(d1, d2).classify(tol)
-        if np.abs(self.components).max() > _ENTRY_LIMIT:
+            if min(abs(d1), abs(d2)) >= _TINY:
+                return Bicomplex.from_idempotent(d1, d2).classify(tol)
+        elif np.abs(self.components).max() > _ENTRY_LIMIT:
             raise _det_overflow(d1, d2)
         l1, l2 = np.linalg.slogdet(self.components).logabsdet
+        if max(l1, l2) == -math.inf:
+            return Classification.ZERO
         threshold = math.log(tol.eps_null) + max(l1, l2)
         if l1 <= threshold:
             return Classification.NULL_CONE_1
@@ -193,6 +198,8 @@ class BicomplexMatrix(BicomplexArray):
 
 # largest entry component modulus whose square is finite
 _ENTRY_LIMIT = math.sqrt(np.finfo(float).max)
+# smallest normal modulus: below it a determinant has lost relative precision
+_TINY = np.finfo(float).tiny
 
 
 def _det_overflow(d1: complex, d2: complex) -> NonFinite:

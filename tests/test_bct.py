@@ -1,4 +1,5 @@
 import operator
+import pathlib
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bicomplex import Bicomplex, BicomplexMatrix, Ket, Operator, ScalarProductSpec
 from bicomplex import bct
-from bicomplex.core import E1, J, ONE
+from bicomplex.core import E1, J, ONE, BicomplexArray
 
 from helpers import oracle_parse, oracle_render, random_matrix, random_spd
 
@@ -388,3 +389,96 @@ class TestPayloadStructureEdges:
         text = KET2 + "(1 2 3 4)(5 6 7 8)\n"
         assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
         assert bct.parse(text).value == Ket([1 + 2j, 5 + 6j], [3 + 4j, 7 + 8j])
+
+
+# -- the load cache ----------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# one golden file of each kind
+GOLDEN_KINDS = {
+    "scalar": "scalar_mixed.bct",
+    "ket": "ket_regular_n3.bct",
+    "matrix": "matrix_random_n3.bct",
+    "operator": "operator_selfadjoint_n2.bct",
+    "spec": "spec_general_n3.bct",
+}
+
+
+def reachable_arrays(value) -> list[np.ndarray]:
+    """Every numpy array a document's value holds, lazily derived stacks included."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [array for item in value for array in reachable_arrays(item)]
+    if not type(value).__module__.startswith("bicomplex"):
+        return []
+    if isinstance(value, BicomplexArray):
+        value.components  # built on first use, then kept
+    names = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+    names += list(getattr(value, "__dict__", {}))
+    return [array for name in names for array in reachable_arrays(getattr(value, name, None))]
+
+
+class TestLoadCache:
+    @pytest.mark.parametrize("kind", GOLDEN_KINDS)
+    def test_second_load_is_the_same_document(self, cold_cache, kind):
+        path = GOLDEN / GOLDEN_KINDS[kind]
+        first = bct.load(path)
+        assert first.kind == kind
+        assert bct.load(path) is first
+        assert first == bct.parse(path.read_text())
+        assert bct._parse_bytes.cache_info().misses == 1
+
+    def test_content_is_the_key(self, cold_cache, tmp_path):
+        text = (GOLDEN / "matrix_random_n3.bct").read_text()
+        (tmp_path / "a.bct").write_text(text)
+        (tmp_path / "b.bct").write_text(text)
+        assert bct.load(tmp_path / "a.bct") is bct.load(tmp_path / "b.bct")
+
+    def test_rewritten_file_is_parsed_again(self, cold_cache, tmp_path):
+        path = tmp_path / "m.bct"
+        bct.save(path, bct.document_for(BicomplexMatrix.identity(2)))
+        assert bct.load(path).value == BicomplexMatrix.identity(2)
+        bct.save(path, bct.document_for(BicomplexMatrix.zeros(2)))
+        assert bct.load(path).value == BicomplexMatrix.zeros(2)
+
+    @pytest.mark.parametrize(
+        "data", [b"bct v1\nkind: scalar\ndim: 1\n(1 0 0)\n", b"bct v1\nkind: scalar\xff\n"]
+    )
+    def test_malformed_file_raises_on_every_load(self, cold_cache, tmp_path, data):
+        path = tmp_path / "bad.bct"
+        path.write_bytes(data)
+        for _ in range(3):
+            with pytest.raises(bct.ParseError):
+                bct.load(path)
+        assert bct._parse_bytes.cache_info().currsize == 0
+
+    def test_missing_file_raises_on_every_load(self, cold_cache, tmp_path):
+        for _ in range(2):
+            with pytest.raises(OSError):
+                bct.load(tmp_path / "missing.bct")
+
+    def test_keeps_the_last_four_contents(self, cold_cache, tmp_path):
+        paths = []
+        for i in range(5):
+            paths.append(tmp_path / f"s{i}.bct")
+            bct.save(paths[-1], bct.document_for(Bicomplex(i)))
+        docs = [bct.load(path) for path in paths]
+        assert [bct.load(path) is doc for path, doc in zip(paths[1:], docs[1:])] == [True] * 4
+        assert bct.load(paths[0]) is not docs[0]
+
+    def test_parse_is_not_cached(self):
+        text = (GOLDEN / "matrix_random_n3.bct").read_text()
+        assert bct.parse(text) is not bct.parse(text)
+
+    @pytest.mark.parametrize("kind", GOLDEN_KINDS)
+    def test_loaded_arrays_are_read_only(self, cold_cache, kind):
+        doc = bct.load(GOLDEN / GOLDEN_KINDS[kind])
+        arrays = reachable_arrays(doc)
+        if kind == "spec":
+            arrays += reachable_arrays(doc.to_spec())
+        assert len(arrays) == {"scalar": 0, "ket": 3, "matrix": 3, "operator": 3, "spec": 4}[kind]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0

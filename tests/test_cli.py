@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bicomplex import bct
 from bicomplex.cli import main
 from bicomplex.core import Bicomplex, E1, I1, J, ONE
-from bicomplex.hilbert import Ket
+from bicomplex.hilbert import Ket, ScalarProductSpec
 from bicomplex.matrix import BicomplexMatrix
 from bicomplex.operators import Operator
 
@@ -134,7 +135,7 @@ class TestGramSchmidt:
         assert code == 2
         assert "NullConePivot" in out
 
-    def test_no_ket_per_row(self, capsys, monkeypatch, tmp_path):
+    def test_no_ket_per_row(self, capsys, monkeypatch, tmp_path, cold_cache):
         # the rows stay one coefficient matrix from the QR to the printed rows
         matrix = random_well_conditioned(np.random.default_rng(8), 8)
         bct.save(tmp_path / "m.bct", bct.document_for(matrix))
@@ -176,7 +177,7 @@ class TestEvolve:
         for atom in state_atoms:
             assert atom.strip("()\n ") in table_row
 
-    def test_one_batched_eigensolve_per_run(self, capsys, monkeypatch, workdir):
+    def test_one_batched_eigensolve_per_run(self, capsys, monkeypatch, workdir, cold_cache):
         shapes = []
         eigh = np.linalg.eigh
 
@@ -438,6 +439,100 @@ class TestDeterminantOverflow:
         assert "check finite-arithmetic: residual inf tol 0 fail\n" in out
         assert "check inverse-residual: " in out
         assert re.search(r"\bnan\b", out) is None
+
+
+class TestSmallDeterminant:
+    """1e-50 times the identity of order 8: both component determinants underflow to 0."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        path = tmp_path / "tiny8.bct"
+        bct.save(path, bct.document_for(BicomplexMatrix.identity(8).scale(1e-50)))
+        return str(path)
+
+    @pytest.mark.parametrize("sub, count", [("inv", 2), ("gram-schmidt", 2), ("check", 5)])
+    def test_inverted_and_orthogonalized(self, capsys, tiny, sub, count):
+        code, out = run(capsys, sub, tiny)
+        assert code == 0, out
+        checks = [line for line in out.splitlines() if line.startswith("check ")]
+        assert len(checks) == count
+        assert all(line.endswith(" pass") for line in checks)
+
+    def test_det_prints_the_zero_it_computes(self, capsys, tiny):
+        code, out = run(capsys, "det", tiny)
+        assert code == 0
+        assert "\n(0 0 0 0)\nclassification: zero\n" in out
+        code, out = run(capsys, "info", tiny)
+        assert code == 0
+        assert "det: (0 0 0 0)\nclassification: zero\nsingular: no\n" in out
+
+
+def test_overflowing_gram_schmidt_pivots(capsys, tmp_path):
+    # rows near 1e150 under G1 = G2 = 1e100 I: the pivot self-products are near 1e400
+    rows = random_well_conditioned(np.random.default_rng(3), 3).scale(1e150)
+    bct.save(tmp_path / "big.bct", bct.document_for(rows))
+    gram = 1e100 * np.eye(3)
+    bct.save(tmp_path / "g.bct", bct.document_for(ScalarProductSpec(gram, gram)))
+    code, out = run(
+        capsys, "gram-schmidt", str(tmp_path / "big.bct"), "--spec", str(tmp_path / "g.bct")
+    )
+    assert code == 0, out
+    assert re.search(r"^check orthonormal-defect: residual \S+ tol 1e-10 pass$", out, re.M)
+    assert re.search(r"\b(nan|inf)\b", out) is None
+
+
+# -- the load cache ------------------------------------------------------------------
+
+
+def bench_golden() -> dict[str, tuple[str, ...]]:
+    """The golden files and subcommands of the benchmark's cli workload."""
+    path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module.GOLDEN
+
+
+GOLDEN_CALLS = [(name, sub) for name, subs in bench_golden().items() for sub in subs]
+
+
+class TestLoadCache:
+    @pytest.mark.parametrize("name, sub", GOLDEN_CALLS, ids=[" ".join(c) for c in GOLDEN_CALLS])
+    def test_cold_and_warm_cache_print_the_same(self, capsys, cold_cache, name, sub):
+        path = str(GOLDEN / name)
+        cold = run(capsys, sub, path)
+        hits = bct._parse_bytes.cache_info().hits
+        warm = run(capsys, sub, path)
+        assert bct._parse_bytes.cache_info().hits == hits + 1
+        assert warm == cold
+
+    def test_one_parse_per_linalg_job(self, capsys, monkeypatch, tmp_path, cold_cache):
+        matrix = random_well_conditioned(np.random.default_rng(10), 8)
+        bct.save(tmp_path / "m.bct", bct.document_for(matrix))
+        parsed = []
+        parse = bct.parse
+
+        def counting_parse(text):
+            parsed.append(len(text))
+            return parse(text)
+
+        monkeypatch.setattr(bct, "parse", counting_parse)
+        for sub in ("det", "inv", "gram-schmidt", "check"):
+            code, _ = run(capsys, sub, str(tmp_path / "m.bct"))
+            assert code == 0, sub
+        assert len(parsed) == 1
+
+    def test_commands_leave_cached_documents_unchanged(self, capsys, cold_cache):
+        spec = str(GOLDEN / "spec_general_n3.bct")
+        for path in sorted(GOLDEN.glob("*.bct")):
+            doc = bct.load(path)
+            for sub in SUBCOMMANDS[:-2] + ("check",):
+                run(capsys, sub, str(path))
+            run(capsys, "check", str(path), "--spec", spec)
+            assert bct.load(path) is doc
+            assert doc == bct.parse(path.read_text())
 
 
 # -- output layout of every subcommand on every golden file ----------------------------

@@ -283,6 +283,31 @@ class TestGramSchmidt:
         assert info.value.index == 1
 
 
+class TestOverflowingPivots:
+    """Rows near 1e150 under G1 = G2 = 1e100 I: every |R_ii|^2 is near 1e400."""
+
+    @staticmethod
+    def big_spec(n: int) -> ScalarProductSpec:
+        gram = 1e100 * np.eye(n)
+        return ScalarProductSpec(gram, gram)
+
+    def test_orthonormalized_as_the_scaled_problem(self):
+        rows = random_well_conditioned(np.random.default_rng(3), 3)
+        spec = self.big_spec(3)
+        out = gram_schmidt(spec, row_kets(rows.scale(1e150)))
+        assert all(result.passed for result in verify_gram_schmidt(spec, out, Tolerance()))
+        # the same kets as for unit rows under the unit spec, times 1e-50
+        small = gram_schmidt(ScalarProductSpec.identity(3), row_kets(rows))
+        got = coefficient_matrix(out).components * 1e50
+        assert np.allclose(got, coefficient_matrix(small).components, rtol=0, atol=1e-14)
+
+    def test_null_cone_pivot_still_rejected(self):
+        rows = bct.load(GOLDEN / "counter_nullcone_pivot_n2.bct").value
+        with pytest.raises(NullConePivot) as info:
+            gram_schmidt(self.big_spec(2), row_kets(rows.scale(1e150)))
+        assert info.value.index == 1
+
+
 class TestGramSchmidtOracle:
     """The QR route against the ring-arithmetic recursion it replaced."""
 

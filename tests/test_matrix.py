@@ -100,6 +100,45 @@ class TestSingular:
         assert info.value.components == (1,)
 
 
+class TestDeterminantUnderflow:
+    def test_small_identity_is_regular(self):
+        m = BicomplexMatrix.identity(8).scale(1e-50)
+        # both component determinants underflow: 1e-400 is not a double
+        assert m.det() == Bicomplex(0)
+        assert not m.is_singular()
+        inverse = m.inverse().matrix
+        assert np.allclose(inverse.z1, 1e50 * np.eye(8), rtol=1e-15, atol=0)
+        assert not inverse.z2.any()
+
+    def test_exactly_singular_components_still_vanish(self):
+        tiny = 1e-50 * np.eye(8)
+        cut = tiny.copy()
+        cut[3, 3] = 0.0
+        for c1, c2, vanishing in ((cut, tiny, (1,)), (tiny, cut, (2,)), (cut, cut, (1, 2))):
+            with pytest.raises(SingularMatrix) as info:
+                BicomplexMatrix.from_components(c1, c2).inverse()
+            assert info.value.components == vanishing
+        assert BicomplexMatrix.zeros(8).is_singular()
+
+    def test_relative_test_on_log_moduli(self):
+        # component 2 is 1e-20 times component 1 in determinant: null cone 2
+        tiny = 1e-50 * np.eye(8)
+        smaller = tiny.copy()
+        smaller[0, 0] *= 1e-20
+        m = BicomplexMatrix.from_components(tiny, smaller)
+        assert m._classify_det() is Classification.NULL_CONE_2
+
+    def test_normal_determinants_classify_as_det(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            for scale in (1e-30, 1e-3, 1.0, 1e3, 1e30):
+                for shrink in (1.0, 1e-5, 1e-11, 1e-13):
+                    c1, c2 = (random_matrix(rng, n, scale).components)
+                    c2 = c2 * shrink ** (1.0 / n)
+                    m = BicomplexMatrix.from_components(c1, c2)
+                    assert m._classify_det() is m.det().classify()
+
+
 class TestInverse:
     def test_identity(self):
         inv = BicomplexMatrix.identity(3).inverse()
