@@ -68,7 +68,6 @@ from .operators import (
     eigendecompose_unitary,
     eigenket_orthogonality_check,
     evolution_operator,
-    evolve_samples,
     evolve_series,
     is_self_adjoint,
     is_unitary,

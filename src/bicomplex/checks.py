@@ -27,6 +27,7 @@ from .core import (
     NonFinite,
     ONE,
     Tolerance,
+    null_cone_codes,
 )
 from .hilbert import (
     Ket,
@@ -135,7 +136,10 @@ def check_ket(psi: Ket, spec: ScalarProductSpec | None, tol: Tolerance):
 
     ket_class = psi.classify(tol)
     self_product = scalar_product(spec, psi, psi)
-    product_class = self_product.classify(tol)
+    # classified on the exactly rescaled ket, whose self-product does not
+    # underflow when the ket is small
+    scaled = psi.scaled_down()
+    product_class = scalar_product(spec, scaled, scaled).classify(tol)
     consistent = ket_class.value == product_class.value or (
         ket_class is KetClassification.REGULAR and product_class is Classification.INVERTIBLE
     )
@@ -230,10 +234,8 @@ def verify_gram_schmidt(
 ) -> list[CheckResult]:
     """The output kets are orthonormal and none lies in the null cone."""
     vectors = coefficient_matrix(kets).components
-    # Ket.classify, column by column: a component vanishing against the larger one
-    m1, m2 = np.abs(vectors).max(axis=1)
-    scale = np.maximum(m1, m2)
-    null_cone = ((m1 <= tol.eps_null * scale) | (m2 <= tol.eps_null * scale)).sum()
+    # Ket.classify, column by column
+    null_cone = (null_cone_codes(np.abs(vectors).max(axis=1), tol.eps_null) != 3).sum()
     return [
         _result("orthonormal-defect", orthonormal_defect(spec, vectors), 1e-10),
         _result("null-cone-outputs", null_cone, 0.0),

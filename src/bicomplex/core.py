@@ -58,6 +58,7 @@ __all__ = [
     "approx_eq",
     "as_bicomplex",
     "component_index",
+    "null_cone_codes",
 ]
 
 
@@ -89,7 +90,10 @@ class NotHyperbolic(BicomplexError, ValueError):
 class Tolerance:
     """Floating-point thresholds for null-cone tests and approximate equality.
 
-    ``eps_null`` is relative to the larger idempotent component;
+    ``eps_null`` is relative to the larger idempotent modulus: component
+    k vanishes when m_k <= eps_null * max(m1, m2), tested by
+    ``null_cone_codes`` on moduli rescaled exactly by a power of two, so
+    the outcome does not depend on the magnitude of the moduli.
     ``eps_eq`` is used componentwise, absolute-or-relative.
     """
 
@@ -118,6 +122,11 @@ class KetClassification(Enum):
     NULL_CONE_1 = "null_cone_1"
     NULL_CONE_2 = "null_cone_2"
     REGULAR = "regular"
+
+
+# the members of each classification by null_cone_codes code
+_CLASSIFICATIONS = tuple(Classification)
+_KET_CLASSIFICATIONS = tuple(KetClassification)
 
 
 _isfinite = cmath.isfinite
@@ -293,19 +302,10 @@ class Bicomplex:
         """Sort the element into zero / null cone / invertible.
 
         null_cone_k means the k-th idempotent component vanishes relative
-        to the larger one, which makes the test scale invariant.
+        to the larger one (see ``null_cone_codes``).
         """
         c1, c2 = self.to_idempotent()
-        m1 = abs(c1)
-        m2 = abs(c2)
-        scale = max(m1, m2)
-        if scale == 0.0:
-            return Classification.ZERO
-        if m1 <= tol.eps_null * scale:
-            return Classification.NULL_CONE_1
-        if m2 <= tol.eps_null * scale:
-            return Classification.NULL_CONE_2
-        return Classification.INVERTIBLE
+        return _CLASSIFICATIONS[null_cone_codes((abs(c1), abs(c2)), tol.eps_null)]
 
     def inverse(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Bicomplex:
         classification = self.classify(tol)
@@ -326,6 +326,24 @@ class Bicomplex:
             return self
         c1, c2 = self.to_idempotent()
         return Bicomplex.from_idempotent(_principal_root(c1, n), _principal_root(c2, n))
+
+
+def null_cone_codes(moduli, eps_null: float) -> np.ndarray:
+    """Null-cone codes of a (2, ...) stack of idempotent moduli (m1, m2).
+
+    Code 0 is zero, code k = 1 or 2 means m_k <= eps_null * max(m1, m2)
+    (component k vanishes) and code 3 is regular; the codes index
+    ``Classification`` and ``KetClassification``.  Both moduli are first
+    divided by the power of two of the larger one.  That division is
+    exact, so the codes are those of the plain test wherever its values
+    are normal, and the bound eps_null * max never over- or underflows.
+    An infinite modulus gives 0 and a NaN one 3: callers test finiteness.
+    """
+    moduli = np.asarray(moduli, dtype=float)
+    # the mantissa of the larger modulus is that modulus scaled
+    mantissa, exponent = np.frexp(moduli.max(axis=0))
+    vanishes = np.ldexp(moduli, -exponent) <= eps_null * mantissa
+    return 3 - 2 * vanishes[0] - vanishes[1]
 
 
 def _principal_root(value: complex, n: int) -> complex:

@@ -35,6 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    _KET_CLASSIFICATIONS,
     DEFAULT_TOLERANCE,
     Bicomplex,
     BicomplexArray,
@@ -45,6 +46,7 @@ from .core import (
     Tolerance,
     as_bicomplex,
     component_index,
+    null_cone_codes,
     parts_from_components,
     stack_components,
 )
@@ -129,23 +131,20 @@ class Ket(BicomplexArray):
     def coeff(self, index: int) -> Bicomplex:
         return Bicomplex(self.z1[index], self.z2[index])
 
-    def coeffs(self) -> list[Bicomplex]:
-        return [self.coeff(i) for i in range(self.dim)]
-
     def sup_norm(self) -> float:
         return float(np.sqrt(np.abs(self.z1) ** 2 + np.abs(self.z2) ** 2).max())
 
     def classify(self, tol: Tolerance = DEFAULT_TOLERANCE) -> KetClassification:
         """Null-cone test: component k must vanish in every coefficient."""
-        m1, m2 = (float(m) for m in np.abs(self.components).max(axis=1))
-        scale = max(m1, m2)
-        if scale == 0.0:
-            return KetClassification.ZERO
-        if m1 <= tol.eps_null * scale:
-            return KetClassification.NULL_CONE_1
-        if m2 <= tol.eps_null * scale:
-            return KetClassification.NULL_CONE_2
-        return KetClassification.REGULAR
+        moduli = np.abs(self.components).max(axis=1)
+        return _KET_CLASSIFICATIONS[null_cone_codes(moduli, tol.eps_null)]
+
+    def scaled_down(self) -> Ket:
+        """This ket divided by the power of two of its largest idempotent modulus (exact)."""
+        exponent = np.frexp(np.abs(self.components).max())[1]
+        # on the float view, so every part, signed zeros included, scales exactly
+        z1, z2 = np.ldexp(np.stack([self.z1, self.z2]).view(float), -exponent).view(complex)
+        return Ket(z1, z2, self.basis_id)
 
     # -- module structure -------------------------------------------------
 
@@ -365,6 +364,9 @@ def normalize(spec: ScalarProductSpec, psi: Ket, tol: Tolerance = DEFAULT_TOLERA
     classification = psi.classify(tol)
     if classification is not KetClassification.REGULAR:
         raise NullConeKet(classification)
+    # the same unit ket, exactly, from a self-product that does not under- or
+    # overflow with the ket's scale
+    psi = psi.scaled_down()
     c1, c2 = scalar_product(spec, psi, psi).to_idempotent()
     a, b = c1.real, c2.real
     if a <= 0.0 or b <= 0.0:
@@ -382,9 +384,11 @@ def gram_schmidt(
     X_k, run k is the QR factorization L^H X_k = Q_k R_k with diag(R_k)
     made positive real; the output is L^{-H} Q_k, one coefficient
     matrix.  Before normalization ket i has self-product
-    |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be invertible; where a
-    square overflows, the same scale-invariant test runs on the pivot
-    moduli divided by the larger of the two.
+    |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be invertible.  Its null-cone
+    test runs on the pivot moduli divided by the power of two of the
+    larger one before they are squared: the division is exact, so the
+    test is the one on the squares wherever those are normal, and the
+    squares do not depend on the scale of the kets or the spec.
     """
     if not isinstance(kets, KetColumns):
         kets = list(kets)
@@ -400,31 +404,23 @@ def gram_schmidt(
     chol_h = spec.chols.conj().mT
     q, r = np.linalg.qr(chol_h @ kets.matrix.components)
     pivots = np.diagonal(r, axis1=1, axis2=2)
-    # Bicomplex.from_idempotent(a, b).classify(tol), for every pivot at once
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = np.abs(pivots) ** 2
-        m1, m2 = _pivot_moduli(a, b)
-        overflow = ~np.isfinite(np.maximum(m1, m2))
-        if overflow.any():
-            # the test is scale invariant: where the squares overflow, it runs
-            # on the pivot moduli scaled by their maximum
-            moduli = np.abs(pivots[:, overflow])
-            m1[overflow], m2[overflow] = _pivot_moduli(*(moduli / moduli.max(axis=0)) ** 2)
-    scale = np.maximum(m1, m2)
-    rejected = ~np.isfinite(scale) | (m1 <= tol.eps_null * scale) | (m2 <= tol.eps_null * scale)
+    moduli = np.abs(pivots)
+    # Bicomplex.from_idempotent(a, b).classify(tol) for every pivot self-product
+    # a e1 + b e2 at once, on the moduli divided by a power of two per pivot
+    with np.errstate(invalid="ignore"):
+        a, b = np.ldexp(moduli, -np.frexp(moduli.max(axis=0))[1]) ** 2
+        round_trip = stack_components(*parts_from_components(a, b))
+        codes = null_cone_codes(np.abs(round_trip), tol.eps_null)
+    finite = np.isfinite(moduli).all(axis=0)
+    rejected = ~finite | (codes != 3)
     if rejected.any():
         index = int(np.argmax(rejected))
-        if not np.isfinite(scale[index]):
+        if not finite[index]:
             # an infinite or NaN pivot: the scalar path raises its own NonFinite
-            Bicomplex.from_idempotent(a[index], b[index]).to_idempotent()
+            Bicomplex.from_idempotent(*moduli[:, index] ** 2)
         raise NullConePivot(index)
     columns = np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))[:, None])
     return KetColumns(BicomplexMatrix.from_components(*columns), kets.basis_id)
-
-
-def _pivot_moduli(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The idempotent moduli (m1, m2) of a*e1 + b*e2, as ``Bicomplex.classify`` forms them."""
-    return np.abs(stack_components(*parts_from_components(a, b)))
 
 
 def mix_orthogonal_bases(

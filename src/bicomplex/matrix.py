@@ -8,15 +8,18 @@ all reduce to the two components:
     A**-1  = inv(A1)*e1 + inv(A2)*e2   (defined iff det(A) is invertible).
 
 A matrix is singular when its determinant lies in the null cone, i.e.
-when at least one component determinant vanishes.  When a component
-determinant overflows, underflows or is subnormal, the same relative
-test runs on the component log-moduli instead, so a large or a small
-regular matrix can still be inverted although its determinant is not
-representable.  Storage is the canonical (z1, z2) pair of complex
-arrays (``core.BicomplexArray``); determinant, inverse and condition
-numbers are each one batched LAPACK call on the ``(2, n, n)`` component
-stack.  The product stays in (z1, z2) ring form, so the component law
-that ``checks`` verifies compares two independent routes.  Matrices are immutable and all operations are pure.
+when at least one component determinant vanishes against the other.
+That is the one test of ``core.null_cone_codes``, on the determinant
+moduli divided exactly by a power of two.  When a component determinant
+overflows, underflows or is subnormal, the moduli come from the
+component log-moduli instead, so a large or a small regular matrix can
+still be inverted although its determinant is not representable.
+Storage is the canonical (z1, z2) pair of complex arrays
+(``core.BicomplexArray``); determinant, inverse and condition numbers
+are each one batched LAPACK call on the ``(2, n, n)`` component stack.
+The product stays in (z1, z2) ring form, so the component law that
+``checks`` verifies compares two independent routes.  Matrices are
+immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    _CLASSIFICATIONS,
     DEFAULT_TOLERANCE,
     Bicomplex,
     BicomplexArray,
@@ -36,6 +40,7 @@ from .core import (
     NonFinite,
     Tolerance,
     as_bicomplex,
+    null_cone_codes,
 )
 
 
@@ -158,28 +163,26 @@ class BicomplexMatrix(BicomplexArray):
     def _classify_det(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Classification:
         """``det().classify(tol)``, also when a component determinant is not normal.
 
-        When one overflows, or is zero or subnormal, the component
-        log-moduli from ``slogdet`` take the place of the moduli in the
-        same relative null-cone test: an exactly singular component has
-        log-modulus -inf and still vanishes, one that only underflowed
-        does not.  An overflow raises NonFinite as in ``det`` when the
-        product of two entries is not finite.
+        Both determinants are divided by the power of two of the larger
+        modulus first, which is exact, so their recombination cannot
+        overflow.  When one overflows, or is zero or subnormal, the moduli
+        come from the ``slogdet`` log-moduli as exp(l_k - max(l1, l2)): an
+        exactly singular component has log-modulus -inf and still
+        vanishes, one that only underflowed does not.  An overflow raises
+        NonFinite as in ``det`` when the product of two entries is not
+        finite.
         """
         d1, d2 = self._component_dets()
         if np.isfinite(d1) and np.isfinite(d2):
             if min(abs(d1), abs(d2)) >= _TINY:
-                return Bicomplex.from_idempotent(d1, d2).classify(tol)
+                scale = np.ldexp(1.0, -np.frexp(max(abs(d1), abs(d2)))[1])
+                return Bicomplex.from_idempotent(d1 * scale, d2 * scale).classify(tol)
         elif np.abs(self.components).max() > _ENTRY_LIMIT:
             raise _det_overflow(d1, d2)
-        l1, l2 = np.linalg.slogdet(self.components).logabsdet
-        if max(l1, l2) == -math.inf:
+        logs = np.linalg.slogdet(self.components).logabsdet
+        if logs.max() == -math.inf:
             return Classification.ZERO
-        threshold = math.log(tol.eps_null) + max(l1, l2)
-        if l1 <= threshold:
-            return Classification.NULL_CONE_1
-        if l2 <= threshold:
-            return Classification.NULL_CONE_2
-        return Classification.INVERTIBLE
+        return _CLASSIFICATIONS[null_cone_codes(np.exp(logs - logs.max()), tol.eps_null)]
 
     def is_singular(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         return self._classify_det(tol) is not Classification.INVERTIBLE

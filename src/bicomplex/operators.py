@@ -79,7 +79,6 @@ __all__ = [
     "eigendecompose_unitary",
     "eigenket_orthogonality_check",
     "evolution_operator",
-    "evolve_samples",
     "evolve_series",
     "is_self_adjoint",
     "is_unitary",
@@ -147,17 +146,6 @@ class Operator:
             return NotImplemented
         self._check_compatible(other)
         return Operator(self.matrix + other.matrix, self.basis_id)
-
-    def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._check_compatible(other)
-        return Operator(self.matrix - other.matrix, self.basis_id)
-
-    def __matmul__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return compose(self, other)
 
     def scale(self, factor) -> Operator:
         return Operator(self.matrix.scale(factor), self.basis_id)
@@ -617,7 +605,7 @@ class _Evolution:
     components: np.ndarray
 
     def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """See :func:`evolve_samples`."""
+        """The sample times and the evolved state's (z1, z2) parts, one row per sample."""
         times = self.cfg.sample_times()
         # Ket.from_components of every sample at once
         z1, z2 = parts_from_components(*self.components).mT
@@ -649,29 +637,13 @@ def _evolve(
 ) -> _Evolution:
     """Diagonalize H' once and propagate the state to every sample time.
 
-    ``evolve_samples`` and ``schrodinger_residual`` each call this; a
+    ``evolve_series`` and ``schrodinger_residual`` each call this; a
     caller that needs both results calls it once.
     """
     basis = _eigenbasis(cfg, h, spec, tol)
     h._check_compatible(state)
     coeffs = basis.coefficients @ state.components[..., None]
     return _Evolution(cfg, basis, state, basis.propagate(coeffs, cfg.sample_times() - cfg.t0))
-
-
-def evolve_samples(
-    cfg: EvolutionConfig,
-    h: Operator,
-    state: Ket,
-    spec: ScalarProductSpec | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sample times in [t0, t1] and the evolved state's (z1, z2) parts, one row per sample.
-
-    All samples come from one eigensolve of H':
-    psi_k(t) = V (exp(-i1 lambda (t - t0) / hbar) * V^H G_k psi_k).  A
-    sample at t == t0 is the input ket itself.
-    """
-    return _evolve(cfg, h, state, spec, tol).samples()
 
 
 def evolve_series(
@@ -681,8 +653,13 @@ def evolve_series(
     spec: ScalarProductSpec | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[tuple[float, Ket]]:
-    """The evolved state at each sample time, as kets; see :func:`evolve_samples`."""
-    times, z1, z2 = evolve_samples(cfg, h, state, spec, tol)
+    """The evolved state at each sample time in [t0, t1], as (time, ket) pairs.
+
+    All samples come from one eigensolve of H':
+    psi_k(t) = V (exp(-i1 lambda (t - t0) / hbar) * V^H G_k psi_k).  A
+    sample at t == t0 is the input ket itself.
+    """
+    times, z1, z2 = _evolve(cfg, h, state, spec, tol).samples()
     return [
         (float(t), state if t == cfg.t0 else Ket(a, b, h.basis_id))
         for t, a, b in zip(times, z1, z2)

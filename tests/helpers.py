@@ -10,13 +10,19 @@ route as it was before eigensystems stayed stacked: one ``EigenPair``
 per eigenvalue, and one rank-one operator per pair, added in order.
 ``oracle_gram_schmidt`` is the QR route as it was before the basis stayed
 stacked: one ``Ket`` per output column and one scalar null-cone test per
-pivot.
+pivot.  The ``old_*`` oracles are the five null-cone tests as they were
+before ``core.null_cone_codes`` replaced them, each with its own way of
+handling range.  ``bench_golden`` reads the golden calls of the
+benchmark's cli workload.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import pathlib
 import re
+import sys
 
 import numpy as np
 
@@ -33,7 +39,14 @@ from bicomplex import (
     ScalarProductSpec,
     outer_product,
 )
-from bicomplex.core import DEFAULT_TOLERANCE, Tolerance
+from bicomplex.core import (
+    DEFAULT_TOLERANCE,
+    KetClassification,
+    NonFinite,
+    Tolerance,
+    parts_from_components,
+    stack_components,
+)
 from bicomplex.hilbert import coefficient_matrix
 from bicomplex.bct import DEFAULT_BASIS, KINDS, BctDocument, DimMismatch, ParseError
 
@@ -142,6 +155,86 @@ def oracle_gram_schmidt(
             raise NullConePivot(index)
     columns = np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))[:, None])
     return [Ket.from_components(*columns[..., i], kets[0].basis_id) for i in range(len(kets))]
+
+
+# -- null-cone oracles: the five relative tests before core.null_cone_codes ----------
+
+
+def old_code(m1: float, m2: float, eps_null: float) -> int:
+    """The test of ``Bicomplex.classify`` and ``Ket.classify``, as a null_cone_codes code."""
+    scale = max(m1, m2)
+    if scale == 0.0:
+        return 0
+    if m1 <= eps_null * scale:
+        return 1
+    if m2 <= eps_null * scale:
+        return 2
+    return 3
+
+
+def old_classify(w: Bicomplex, tol: Tolerance = DEFAULT_TOLERANCE) -> Classification:
+    c1, c2 = w.to_idempotent()
+    return tuple(Classification)[old_code(abs(c1), abs(c2), tol.eps_null)]
+
+
+def old_ket_classify(psi: Ket, tol: Tolerance = DEFAULT_TOLERANCE) -> KetClassification:
+    m1, m2 = (float(m) for m in np.abs(psi.components).max(axis=1))
+    return tuple(KetClassification)[old_code(m1, m2, tol.eps_null)]
+
+
+def old_classify_det(matrix: BicomplexMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> Classification:
+    """The determinant test: moduli where both are normal, a log threshold otherwise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2 = np.linalg.det(matrix.components)
+    if np.isfinite(d1) and np.isfinite(d2):
+        if min(abs(d1), abs(d2)) >= np.finfo(float).tiny:
+            return old_classify(Bicomplex.from_idempotent(d1, d2), tol)
+    elif np.abs(matrix.components).max() > math.sqrt(np.finfo(float).max):
+        raise NonFinite("determinant overflows")
+    l1, l2 = np.linalg.slogdet(matrix.components).logabsdet
+    if max(l1, l2) == -math.inf:
+        return Classification.ZERO
+    threshold = math.log(tol.eps_null) + max(l1, l2)
+    if l1 <= threshold:
+        return Classification.NULL_CONE_1
+    if l2 <= threshold:
+        return Classification.NULL_CONE_2
+    return Classification.INVERTIBLE
+
+
+def _old_pivot_moduli(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(stack_components(*parts_from_components(a, b)))
+
+
+def old_pivots_rejected(pivots: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    """The Gram-Schmidt pivot test on the squares, rerun on scaled moduli where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = np.abs(pivots) ** 2
+        m1, m2 = _old_pivot_moduli(a, b)
+        overflow = ~np.isfinite(np.maximum(m1, m2))
+        if overflow.any():
+            moduli = np.abs(pivots[:, overflow])
+            m1[overflow], m2[overflow] = _old_pivot_moduli(*(moduli / moduli.max(axis=0)) ** 2)
+    scale = np.maximum(m1, m2)
+    return ~np.isfinite(scale) | (m1 <= tol.eps_null * scale) | (m2 <= tol.eps_null * scale)
+
+
+def old_null_cone_count(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
+    """The ``null-cone-outputs`` count over the columns of a (2, n, n) component stack."""
+    m1, m2 = np.abs(vectors).max(axis=1)
+    scale = np.maximum(m1, m2)
+    return int(((m1 <= tol.eps_null * scale) | (m2 <= tol.eps_null * scale)).sum())
+
+
+def bench_golden() -> dict[str, tuple[str, ...]]:
+    """The golden files and subcommands of the benchmark's cli workload."""
+    path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module.GOLDEN
 
 
 # -- .bct oracles: the atom-by-atom reader and writer ---------------------------

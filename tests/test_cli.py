@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import math
 import os
@@ -20,6 +19,7 @@ from bicomplex.matrix import BicomplexMatrix
 from bicomplex.operators import Operator
 
 from helpers import (
+    bench_golden,
     random_hermitian,
     random_ket,
     random_self_adjoint,
@@ -482,17 +482,6 @@ def test_overflowing_gram_schmidt_pivots(capsys, tmp_path):
 
 
 # -- the load cache ------------------------------------------------------------------
-
-
-def bench_golden() -> dict[str, tuple[str, ...]]:
-    """The golden files and subcommands of the benchmark's cli workload."""
-    path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclass looks its module up by name
-    sys.modules.setdefault(spec.name, module)
-    spec.loader.exec_module(module)
-    return module.GOLDEN
 
 
 GOLDEN_CALLS = [(name, sub) for name, subs in bench_golden().items() for sub in subs]

@@ -1,0 +1,290 @@
+"""The one null-cone test, ``core.null_cone_codes``, and the sites that call it.
+
+Parity: on moduli from 1e-290 to 1e290, at eps_null * scale and at its
+``nextafter`` neighbours, in both component orders, the helper and every
+site give the label of the formula they replaced (the ``old_*`` oracles
+of ``helpers``) wherever that formula's values are normal.
+
+Scale: dividing by a power of two is exact, so every golden call of the
+benchmark's cli workload keeps its exit code and verdict when its input
+is scaled by 2**k, for k down to -900.
+"""
+
+import contextlib
+import functools
+import io
+import math
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from bicomplex import (
+    Bicomplex,
+    BicomplexMatrix,
+    Ket,
+    NullConePivot,
+    ScalarProductSpec,
+    Tolerance,
+    gram_schmidt,
+    normalize,
+    scalar_product,
+)
+from bicomplex.checks import verify_gram_schmidt
+from bicomplex.cli import main
+from bicomplex.core import null_cone_codes
+from bicomplex.hilbert import KetColumns
+
+from helpers import (
+    bench_golden,
+    old_classify,
+    old_classify_det,
+    old_code,
+    old_ket_classify,
+    old_null_cone_count,
+    old_pivots_rejected,
+    random_ket,
+    random_spec,
+)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+EPS_NULL = (1e-14, 1e-12, 1e-9, 1e-6)
+TINY = np.finfo(float).tiny
+HUGE = np.finfo(float).max
+# decades, and odd mantissas between them
+FINE_SCALES = np.geomspace(1e-290, 1e290, 1741)
+SITE_SCALES = 10.0 ** np.arange(-290.0, 291.0, 10.0)
+
+
+def boundary_cases(eps_null: float, scales: np.ndarray) -> np.ndarray:
+    """(2, m) moduli: eps_null * scale and its two neighbours against scale, in both orders."""
+    edge = eps_null * scales
+    small = np.concatenate([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+    large = np.tile(scales, 3)
+    return np.concatenate([np.stack([small, large]), np.stack([large, small])], axis=1)
+
+
+class TestHelper:
+    @pytest.mark.parametrize("eps_null", EPS_NULL)
+    def test_plain_test_on_boundary_moduli(self, eps_null):
+        moduli = boundary_cases(eps_null, FINE_SCALES)
+        expected = [old_code(m1, m2, eps_null) for m1, m2 in zip(*moduli.tolist())]
+        assert null_cone_codes(moduli, eps_null).tolist() == expected
+        assert set(expected) == {1, 2, 3}
+
+    def test_zero_and_non_finite_moduli(self):
+        inf, nan = math.inf, math.nan
+        moduli = [
+            [0.0, 0.0, 1.0, inf, inf, 1.0, nan, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0, inf, inf, 1.0, nan, 5e-324],
+        ]
+        assert null_cone_codes(moduli, 1e-12).tolist() == [0, 1, 2, 0, 0, 0, 3, 3, 1]
+
+    def test_subnormal_moduli(self):
+        # 5 units of 5e-324 against eps_null * large = 4.6 units: the ratio is
+        # 1.09e-12, regular, but the plain test rounds its bound up to 5 units
+        large, small = 4.6e12 * 5e-324, 5 * 5e-324
+        moduli = [[large, small, 1e-310], [small, large, 1e-323]]
+        assert null_cone_codes(moduli, 1e-12).tolist() == [3, 3, 2]
+
+    def test_shapes(self):
+        assert null_cone_codes((1.0, 1e-13), 1e-12) == 2
+        moduli = np.ones((2, 3, 4))
+        moduli[0, 1, 2] = 0.0
+        codes = null_cone_codes(moduli, 1e-12)
+        assert codes.shape == (3, 4)
+        assert codes[1, 2] == 1 and (codes == 3).sum() == 11
+
+    @pytest.mark.parametrize("k", [-900, -537, -1, 1, 537, 900])
+    def test_power_of_two_scale_keeps_codes(self, k):
+        moduli = boundary_cases(1e-12, 10.0 ** np.arange(-5.0, 6.0))
+        scaled = np.ldexp(moduli, k)
+        # where the scaled smaller modulus is still normal
+        normal = scaled.min(axis=0) >= TINY
+        assert normal.sum() >= moduli.shape[1] // 2
+        codes = null_cone_codes(moduli, 1e-12)[normal]
+        assert np.array_equal(null_cone_codes(scaled, 1e-12)[normal], codes)
+
+
+def site_cases(eps_null: float) -> list[tuple[float, float]]:
+    return list(zip(*boundary_cases(eps_null, SITE_SCALES).tolist()))
+
+
+class TestSites:
+    """Each caller of null_cone_codes against the formula it replaced."""
+
+    @pytest.mark.parametrize("eps_null", EPS_NULL)
+    def test_scalar_classify(self, eps_null):
+        tol = Tolerance(eps_null=eps_null)
+        labels = set()
+        for m1, m2 in site_cases(eps_null):
+            w = Bicomplex.from_idempotent(m1, m2)
+            labels.add(w.classify(tol))
+            assert w.classify(tol) is old_classify(w, tol), (m1, m2)
+        assert len(labels) == 3
+
+    @pytest.mark.parametrize("eps_null", EPS_NULL)
+    def test_ket_classify(self, eps_null):
+        tol = Tolerance(eps_null=eps_null)
+        labels = set()
+        for m1, m2 in site_cases(eps_null):
+            psi = Ket.from_components(np.array([m1, 0.5 * m1]), np.array([0.25 * m2, m2]))
+            labels.add(psi.classify(tol))
+            assert psi.classify(tol) is old_ket_classify(psi, tol), (m1, m2)
+        assert len(labels) == 3
+
+    @pytest.mark.parametrize("eps_null", EPS_NULL)
+    def test_determinant(self, eps_null):
+        tol = Tolerance(eps_null=eps_null)
+        labels = set()
+        for m1, m2 in site_cases(eps_null):
+            matrix = BicomplexMatrix.from_components([[m1]], [[m2]])
+            labels.add(matrix._classify_det(tol))
+            assert matrix._classify_det(tol) is old_classify_det(matrix, tol), (m1, m2)
+        assert len(labels) == 3
+
+    @pytest.mark.parametrize("eps_null", EPS_NULL)
+    @pytest.mark.parametrize("entry", [1e-50, 1e50])
+    def test_determinant_log_moduli(self, eps_null, entry):
+        # order 8: determinants near 1e-400 (zero) or 1e400 (overflow), components
+        # apart by a ratio well away from eps_null, so rounding cannot decide
+        tol = Tolerance(eps_null=eps_null)
+        base = entry * np.eye(8)
+        for ratio in (0.0, eps_null * 1e-3, eps_null * 1e3, 1.0):
+            other = base.copy()
+            other[0, 0] *= ratio
+            for c1, c2 in ((base, other), (other, base)):
+                matrix = BicomplexMatrix.from_components(c1, c2)
+                assert matrix._classify_det(tol) is old_classify_det(matrix, tol)
+
+    @pytest.mark.parametrize("eps_null", EPS_NULL)
+    def test_gram_schmidt_pivots(self, eps_null):
+        # diagonal kets: QR leaves the diagonal as the pivots; pivot 1 mirrors
+        # pivot 0 at unit scale, so the determinant stays regular.  The test is
+        # on the squared moduli, so its boundary lies at sqrt(eps_null) * scale.
+        tol = Tolerance(eps_null=eps_null)
+        spec = ScalarProductSpec.identity(2)
+        outcomes = set()
+        for m1, m2 in zip(*boundary_cases(math.sqrt(eps_null), SITE_SCALES).tolist()):
+            scale = max(m1, m2)
+            kets = KetColumns(BicomplexMatrix.from_components(
+                np.diag([m1, m2 / scale]), np.diag([m2, m1 / scale])
+            ))
+            pivots = np.diagonal(
+                np.linalg.qr(spec.chols.conj().mT @ kets.matrix.components)[1], axis1=1, axis2=2
+            )
+            moduli = np.abs(pivots)
+            if moduli.min() < math.sqrt(TINY) or moduli.max() > math.sqrt(HUGE):
+                # the old test squared these moduli out of range (and rescaled an
+                # overflow inexactly): it is asked about each pivot times the power
+                # of two that brings it to unit scale, an exact scale
+                pivots = pivots * np.ldexp(1.0, -np.frexp(moduli.max(axis=0))[1])
+            rejected = old_pivots_rejected(pivots, tol)
+            expected = int(np.argmax(rejected)) if rejected.any() else None
+            try:
+                gram_schmidt(spec, kets, tol)
+                got = None
+            except NullConePivot as exc:
+                got = exc.index
+            assert got == expected, (m1, m2)
+            outcomes.add(got)
+        # pivot 0 both rejected and accepted
+        assert 0 in outcomes and outcomes - {0}
+
+    @pytest.mark.parametrize("eps_null", EPS_NULL)
+    def test_null_cone_count(self, eps_null):
+        tol = Tolerance(eps_null=eps_null)
+        spec = ScalarProductSpec.identity(1)
+        counts = set()
+        for m1, m2 in site_cases(eps_null):
+            kets = KetColumns(BicomplexMatrix.from_components([[m1]], [[m2]]))
+            # the orthonormal defect of moduli near 1e290 overflows; only the count matters
+            with np.errstate(over="ignore", invalid="ignore"):
+                results = {r.name: r.residual for r in verify_gram_schmidt(spec, kets, tol)}
+            count = old_null_cone_count(kets.matrix.components, tol)
+            assert results["null-cone-outputs"] == count, (m1, m2)
+            counts.add(count)
+        assert counts == {0, 1}
+
+
+def test_scaled_kets_normalize_to_the_same_bits():
+    # the self-product of a ket at 2**-600 underflows; normalize scales the ket first
+    rng = np.random.default_rng(5)
+    spec = random_spec(rng, 3)
+    psi = random_ket(rng, 3)
+    unit = normalize(spec, psi)
+    # the formula on the unscaled self-product, bit for bit
+    c1, c2 = scalar_product(spec, psi, psi).to_idempotent()
+    factor = Bicomplex.from_idempotent(1.0 / math.sqrt(c1.real), 1.0 / math.sqrt(c2.real))
+    assert psi.scale(factor) == unit
+    parts = np.stack([psi.z1, psi.z2]).view(float)
+    for k in (-900, -600, -300, 300, 500):
+        scaled = Ket(*np.ldexp(parts, k).view(complex))
+        assert normalize(spec, scaled) == unit, k
+
+
+# -- golden calls on inputs scaled by 2**k -----------------------------------------------
+
+SCALES = (-900, -600, -300)
+_NUMBER = re.compile(r"[^\s()]+")
+
+
+def outcome(*argv) -> tuple[int, str | None]:
+    """Exit code and verdict of one in-process ``bct`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    verdicts = [line for line in out.getvalue().splitlines() if line.startswith("verdict: ")]
+    return code, verdicts[-1] if verdicts else None
+
+
+@functools.lru_cache(maxsize=None)
+def unscaled_outcome(name: str, sub: str) -> tuple[int, str | None]:
+    return outcome(sub, str(GOLDEN / name))
+
+
+@pytest.fixture(scope="module")
+def scaled_dir(tmp_path_factory):
+    """Every golden file with each payload number multiplied by 2**k (exact), per k."""
+    root = tmp_path_factory.mktemp("scaled")
+    for k in SCALES:
+        (root / str(k)).mkdir()
+        for path in GOLDEN.glob("*.bct"):
+            lines = [
+                _NUMBER.sub(lambda m: repr(math.ldexp(float(m.group()), k)), line)
+                if line.startswith("(") else line
+                for line in path.read_text().splitlines()
+            ]
+            (root / str(k) / path.name).write_text("\n".join(lines) + "\n")
+    return root
+
+
+# scale 1 fails this check (exit 3); the absolute branch of eps_eq passes any
+# adjoint residual this small, so the verdict flips to pass (ROADMAP item 2)
+_VERDICT_FLIP = pytest.mark.xfail(
+    strict=True, reason="open defect: eps_eq's absolute branch flips the verdict"
+)
+SCALED_CALLS = [
+    pytest.param(
+        name, sub, k, id=f"{sub} {name} 2^{k}",
+        marks=_VERDICT_FLIP if name == "counter_nonselfadjoint_n2.bct" else (),
+    )
+    for name, subs in bench_golden().items() for sub in subs for k in SCALES
+]
+
+
+@pytest.mark.parametrize("name, sub, k", SCALED_CALLS)
+def test_scaled_golden_call_keeps_exit_code_and_verdict(scaled_dir, name, sub, k):
+    assert outcome(sub, str(scaled_dir / str(k) / name)) == unscaled_outcome(name, sub)
+
+
+def test_inverse_of_a_near_overflow_scalar_matrix(tmp_path):
+    # det components 1.5e308 each: recombining them unscaled overflowed to inf
+    path = tmp_path / "big.bct"
+    path.write_text("bct v1\nkind: matrix\ndim: 1\n(1.5e308 0 0 0)\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["inv", str(path)]) == 0
+    assert "\n(6.6666666666666677e-309 0 0 0)\n" in out.getvalue()
+    assert "verdict: pass" in out.getvalue()
