@@ -8,6 +8,10 @@ document's kind promises.  Both use independent routes where one exists
 are (name, residual, tolerance) triples; a verdict passes only when
 every residual is within bounds.  Probe vectors come from a fixed seed
 so runs are reproducible.
+
+Entrywise norms are ``core.entry_norms`` and scales that multiply norms
+go through ``_relative``; neither overflows.  ``reference`` keeps its own
+arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .core import (
     NonFinite,
     ONE,
     Tolerance,
+    entry_norms,
     null_cone_codes,
+    parts_from_components,
 )
 from .hilbert import (
     Ket,
@@ -75,6 +81,16 @@ def _result(name: str, residual: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(residual), float(tolerance))
 
 
+def _relative(residual: float, *factors: float, floor: float = 1.0) -> float:
+    """residual / max(floor, product of the factors), one factor at a time where that overflows."""
+    scale = math.prod(factors)
+    if scale < math.inf:
+        return residual / max(floor, scale)
+    for factor in factors:
+        residual /= factor
+    return residual
+
+
 def _probe_kets(dim: int, count: int, basis_id: str) -> list[Ket]:
     rng = np.random.default_rng(PROBE_SEED)
     # per ket, in draw order: re z1, im z1, re z2, im z2
@@ -99,13 +115,8 @@ def check_scalar(w: Bicomplex, tol: Tolerance) -> tuple[list[CheckResult], list[
 
     modulus = w.modulus_squared("j")
     squared = Hyperbolic.from_bicomplex(modulus, tol)
-    results.append(
-        _result(
-            "modulus-j-positive",
-            max(0.0, -min(squared.x1, squared.x2)) / scale**2,
-            tol.eps_eq,
-        )
-    )
+    negative = max(0.0, -min(squared.x1, squared.x2))
+    results.append(_result("modulus-j-positive", _relative(negative, scale, scale), tol.eps_eq))
     results.append(
         _result(
             "norm-consistency",
@@ -146,13 +157,8 @@ def check_ket(psi: Ket, spec: ScalarProductSpec | None, tol: Tolerance):
     results.append(_result("classification-consistency", 0.0 if consistent else 1.0, 0.0))
 
     squared = self_product.to_idempotent()
-    results.append(
-        _result(
-            "self-product-positive",
-            max(0.0, -min(squared.c1.real, squared.c2.real)) / scale**2,
-            tol.eps_eq,
-        )
-    )
+    negative = max(0.0, -min(squared.c1.real, squared.c2.real))
+    results.append(_result("self-product-positive", _relative(negative, scale, scale), tol.eps_eq))
 
     if ket_class is KetClassification.REGULAR:
         unit = normalize(spec, psi, tol)
@@ -172,10 +178,10 @@ def check_matrix(matrix: BicomplexMatrix, tol: Tolerance):
     if n > COFACTOR_MAX_ORDER:
         notes.append(f"det-idempotent-vs-direct: skipped (order {n} > {COFACTOR_MAX_ORDER})")
 
-    entry_scale = max(matrix.max_norm(), 1.0)
+    norm = matrix.max_norm()
     squared = matrix @ matrix
     law = float(np.abs(squared.components - matrix.components @ matrix.components).max())
-    results.append(_result("product-component-law", law / max(1.0, entry_scale**2), 1e-10))
+    results.append(_result("product-component-law", _relative(law, norm, norm), 1e-10))
 
     # det.classify(tol), also where a component determinant is not normal
     classification = matrix._classify_det(tol)
@@ -196,14 +202,14 @@ def check_matrix(matrix: BicomplexMatrix, tol: Tolerance):
 
 
 def verify_determinant(matrix: BicomplexMatrix, det: Bicomplex) -> list[CheckResult]:
-    """det against the cofactor expansion (orders up to COFACTOR_MAX_ORDER) and det(A^T)."""
-    scale = max(det.euclid_norm(), max(matrix.max_norm(), 1.0) ** matrix.order, 1e-30)
+    """det against the cofactor expansion (orders up to COFACTOR_MAX_ORDER) and det(A^T),
+    relative to max(1, |det|, max_norm**n)."""
+    bound, floor = [matrix.max_norm()] * matrix.order, max(1.0, det.euclid_norm())
     results = []
     if matrix.order <= COFACTOR_MAX_ORDER:
-        reference = det_cofactor(matrix)
-        residual = (det - reference).euclid_norm() / scale
+        residual = _relative((det - det_cofactor(matrix)).euclid_norm(), *bound, floor=floor)
         results.append(_result("det-idempotent-vs-direct", residual, 1e-9))
-    transposed = (matrix.transpose().det() - det).euclid_norm() / scale
+    transposed = _relative((matrix.transpose().det() - det).euclid_norm(), *bound, floor=floor)
     results.append(_result("det-transpose", transposed, 1e-9))
     return results
 
@@ -225,8 +231,8 @@ def verify_inverse(matrix: BicomplexMatrix, inverse: MatrixInverse) -> list[Chec
 def verify_exponential(forward: BicomplexMatrix, backward: BicomplexMatrix) -> list[CheckResult]:
     """exp(A) exp(-A) = I, relative to the product of the two max norms."""
     residual = (forward @ backward - BicomplexMatrix.identity(forward.order)).max_norm()
-    scale = max(1.0, forward.max_norm() * backward.max_norm())
-    return [_result("exp-inverse-consistency", residual / scale, 1e-9)]
+    relative = _relative(residual, forward.max_norm(), backward.max_norm())
+    return [_result("exp-inverse-consistency", relative, 1e-9)]
 
 
 def verify_gram_schmidt(
@@ -263,11 +269,10 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
     results, notes = check_matrix(op.matrix, tol)
     if spec is None:
         spec = ScalarProductSpec.identity(op.dim)
-    scale = max(1.0, op.matrix.max_norm())
 
     star = adjoint(spec, op)
-    twice = adjoint(spec, star)
-    results.append(_result("adjoint-involution", (twice.matrix - op.matrix).max_norm() / scale, 1e-10))
+    twice = (adjoint(spec, star).matrix - op.matrix).max_norm()
+    results.append(_result("adjoint-involution", _relative(twice, op.matrix.max_norm()), 1e-10))
 
     probes = _probe_kets(op.dim, 2, op.basis_id)
     defining = 0.0
@@ -288,7 +293,8 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
         defect = (compose(star, op).matrix - BicomplexMatrix.identity(op.dim)).max_norm()
         results.append(_result("unitary-defect", defect, 1e-10))
         # lambda conj3(lambda) - 1 is (|c1|^2 - 1) e1 + (|c2|^2 - 1) e2
-        modulus = _entry_norms(*(np.abs(system.value_components) ** 2 - 1.0)).max()
+        defects = np.abs(system.value_components) ** 2 - 1.0
+        modulus = entry_norms(*parts_from_components(*defects)).max()
         results.append(_result("eigenvalue-unit-modulus", modulus, 1e-9))
         results.extend(_eigenbasis_results(spec, system))
     else:
@@ -306,10 +312,8 @@ def verify_self_adjoint_spectrum(
     system = Eigensystem.of(pairs)
     scale = max(1.0, op.matrix.max_norm())
     rebuilt = spectral_reconstruct(spec, system)
-    c1, c2 = system.value_components
-    # Bicomplex.euclid_norm of each eigenvalue
-    norms = [math.hypot(a.real, a.imag, b.real, b.imag) for a, b in zip(*system.values.tolist())]
-    imag = (np.maximum(abs(c1.imag), abs(c2.imag)) / np.maximum(1.0, norms)).max()
+    imag = np.abs(system.value_components.imag).max(axis=0)
+    imag = (imag / np.maximum(1.0, entry_norms(*system.values))).max()
     return [
         _result("spectral-reconstruction", (rebuilt.matrix - op.matrix).max_norm() / scale, 1e-9),
         _result("eigenvalue-imag-parts", imag, 1e-10),
@@ -323,11 +327,6 @@ def _eigenbasis_results(spec: ScalarProductSpec, system: Eigensystem) -> list[Ch
     ]
 
 
-def _entry_norms(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the entries of the bicomplex matrix d1*e1 + d2*e2."""
-    return np.sqrt(0.5 * (np.abs(d1) ** 2 + np.abs(d2) ** 2))
-
-
 def orthonormal_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray) -> float:
     """Largest |(phi_i, phi_j) - delta_ij| over i <= j, Euclidean norm.
 
@@ -336,7 +335,7 @@ def orthonormal_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray
     """
     vectors = kets if isinstance(kets, np.ndarray) else coefficient_matrix(kets).components
     defects = vectors.conj().mT @ spec.grams @ vectors - np.eye(vectors.shape[-1])
-    return float(np.triu(_entry_norms(*defects)).max())
+    return float(np.triu(entry_norms(*parts_from_components(*defects))).max())
 
 
 def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray) -> float:
@@ -347,7 +346,7 @@ def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarra
     """
     vectors = kets if isinstance(kets, np.ndarray) else coefficient_matrix(kets).components
     defects = vectors @ (vectors.conj().mT @ spec.grams) - np.eye(vectors.shape[1])
-    return float(_entry_norms(*defects).max())
+    return float(entry_norms(*parts_from_components(*defects)).max())
 
 
 def check_spec(g1: np.ndarray, g2: np.ndarray, tol: Tolerance):

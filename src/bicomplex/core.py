@@ -22,6 +22,10 @@ once, as one ``(2, ...)`` stack of the c1 and c2 arrays, so the complex
 work on both components is one batched numpy call.  All values are
 immutable after construction and all operations are pure, so concurrent
 use is safe.
+
+``entry_norms`` is the one Euclidean norm of array entries, behind every
+max norm and entrywise residual; it never squares, so it is finite for
+finite entries.  ``reference.py`` keeps its own arithmetic as the oracle.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
     "approx_eq",
     "as_bicomplex",
     "component_index",
+    "entry_norms",
     "null_cone_codes",
 ]
 
@@ -160,10 +165,14 @@ class Bicomplex:
 
     @classmethod
     def from_idempotent(cls, c1: complex, c2: complex) -> Bicomplex:
-        """Recombine idempotent components: w = c1*e1 + c2*e2."""
-        c1 = complex(c1)
-        c2 = complex(c2)
-        return cls(0.5 * (c1 + c2), 0.5j * (c1 - c2))
+        """Recombine w = c1*e1 + c2*e2, halving first where the sum overflows."""
+        c1, c2 = complex(c1), complex(c2)
+        z1, z2 = 0.5 * (c1 + c2), 0.5j * (c1 - c2)
+        if not _isfinite(z1):
+            z1 = 0.5 * c1 + 0.5 * c2
+        if not _isfinite(z2):
+            z2 = 0.5j * c1 - 0.5j * c2
+        return cls(z1, z2)
 
     def to_idempotent(self) -> IdempotentForm:
         """The components (c1, c2); raises NonFinite when one overflows."""
@@ -392,10 +401,19 @@ def stack_components(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 
 
 def parts_from_components(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """The (2, ...) stack (z1, z2) of c1*e1 + c2*e2, for equally shaped c1 and c2."""
-    c1 = np.asarray(c1, dtype=complex)
-    c2 = np.asarray(c2, dtype=complex)
-    return np.stack([0.5 * (c1 + c2), 0.5j * (c1 - c2)])
+    """The (2, ...) stack (z1, z2) of c1*e1 + c2*e2, halving first where the sum overflows."""
+    c1, c2 = np.asarray(c1, dtype=complex), np.asarray(c2, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = np.stack([0.5 * (c1 + c2), 0.5j * (c1 - c2)])
+        finite = np.isfinite(parts)
+        if not finite.all():
+            parts = np.where(finite, parts, [0.5 * c1 + 0.5 * c2, 0.5j * c1 - 0.5j * c2])
+    return parts
+
+
+def entry_norms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Euclidean norms sqrt(|z1|^2 + |z2|^2) of the entries, as hypot(|z1|, |z2|): no squares."""
+    return np.hypot(np.abs(z1), np.abs(z2))
 
 
 def component_index(k: int) -> int:
@@ -452,6 +470,10 @@ class BicomplexArray:
     def component(self, k: int) -> np.ndarray:
         """The complex component array multiplying e1 (k=1) or e2 (k=2)."""
         return self.components[component_index(k)]
+
+    def max_norm(self) -> float:
+        """Largest entrywise Euclidean norm."""
+        return float(entry_norms(self.z1, self.z2).max())
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

@@ -14,13 +14,9 @@ normalized, and any basis can be orthogonalized.  A scalar-product spec
 holds its Gram matrices and their Cholesky factors as ``(2, n, n)``
 stacks, matching the component stacks of kets and matrices, so each
 product, solve and factorization below is one batched numpy call over
-both components.  Gram-Schmidt is one batched QR factorization (LAPACK,
-through numpy); the recursion written directly in ring arithmetic is
-kept in ``reference.gram_schmidt_ring`` as the oracle the tests compare
-against.  Its basis stays stacked: ``KetColumns`` holds the kets as the
-columns of one coefficient matrix, from the rows ``row_kets`` takes to
-the QR, the pivot test, the null-cone count and the printed rows, and
-builds a ``Ket`` only when one is indexed.
+both components.  Gram-Schmidt is one batched QR factorization, checked
+against the ring-arithmetic recursion of ``reference.gram_schmidt_ring``,
+and its basis stays stacked as ``KetColumns``.
 
 Kets carry their basis label; mixing labels raises instead of silently
 coercing.  All values are immutable and operations pure.
@@ -131,8 +127,7 @@ class Ket(BicomplexArray):
     def coeff(self, index: int) -> Bicomplex:
         return Bicomplex(self.z1[index], self.z2[index])
 
-    def sup_norm(self) -> float:
-        return float(np.sqrt(np.abs(self.z1) ** 2 + np.abs(self.z2) ** 2).max())
+    sup_norm = BicomplexArray.max_norm
 
     def classify(self, tol: Tolerance = DEFAULT_TOLERANCE) -> KetClassification:
         """Null-cone test: component k must vanish in every coefficient."""
@@ -445,11 +440,12 @@ def mix_orthogonal_bases(
         Ket.from_components(kets[l].component(1), kets[permutation[l]].component(2), parent)
         for l in range(n)
     ]
-    scale = max(ket.sup_norm() for ket in mixed) ** 2
+    scale = max(1.0, *(ket.max_norm() for ket in mixed))
     for i in range(n):
         for j in range(i + 1, n):
             residual = scalar_product(spec, mixed[i], mixed[j]).euclid_norm()
-            if residual > ORTHOGONALITY_TOL * max(1.0, scale):
+            # the bound times the squared scale, which overflows only past any finite residual
+            if residual > ORTHOGONALITY_TOL * scale * scale:
                 raise NotABasis("input kets were not orthogonal: mix is not orthogonal either")
     if basis_id is None:
         basis_id = f"{parent}/mix-" + "-".join(str(i) for i in permutation)

@@ -8,12 +8,8 @@ all reduce to the two components:
     A**-1  = inv(A1)*e1 + inv(A2)*e2   (defined iff det(A) is invertible).
 
 A matrix is singular when its determinant lies in the null cone, i.e.
-when at least one component determinant vanishes against the other.
-That is the one test of ``core.null_cone_codes``, on the determinant
-moduli divided exactly by a power of two.  When a component determinant
-overflows, underflows or is subnormal, the moduli come from the
-component log-moduli instead, so a large or a small regular matrix can
-still be inverted although its determinant is not representable.
+when at least one component determinant vanishes against the other
+(``_classify_det``, also where a determinant is not representable).
 Storage is the canonical (z1, z2) pair of complex arrays
 (``core.BicomplexArray``); determinant, inverse and condition numbers
 are each one batched LAPACK call on the ``(2, n, n)`` component stack.
@@ -110,20 +106,17 @@ class BicomplexMatrix(BicomplexArray):
     def transpose(self) -> BicomplexMatrix:
         return BicomplexMatrix(self.z1.T.copy(), self.z2.T.copy())
 
-    def max_norm(self) -> float:
-        """Largest entrywise Euclidean norm."""
-        return float(np.sqrt(np.abs(self.z1) ** 2 + np.abs(self.z2) ** 2).max())
-
     # -- ring operations ---------------------------------------------------
 
     def __matmul__(self, other):
         if not isinstance(other, BicomplexMatrix):
             return NotImplemented
         self._check_compatible(other)
-        return BicomplexMatrix(
-            self.z1 @ other.z1 - self.z2 @ other.z2,
-            self.z1 @ other.z2 + self.z2 @ other.z1,
-        )
+        # an overflowing product raises the constructor's NonFinite, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            z1 = self.z1 @ other.z1 - self.z2 @ other.z2
+            z2 = self.z1 @ other.z2 + self.z2 @ other.z1
+        return BicomplexMatrix(z1, z2)
 
     def matvec(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Apply to a coefficient vector given as its (z1, z2) parts."""

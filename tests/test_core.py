@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from bicomplex import (
     Tolerance,
     approx_eq,
 )
-from bicomplex.core import E1, E2, I1, I2, J, ONE, ZERO
+from bicomplex.checks import _relative
+from bicomplex.core import E1, E2, I1, I2, J, ONE, ZERO, entry_norms, parts_from_components
 
 from helpers import random_bicomplex
 
@@ -353,3 +355,91 @@ class TestComponentStack:
         owner = Ket.from_coeffs([1, I1]) if accessor == "component" else ScalarProductSpec.identity(2)
         with pytest.raises(ValueError, match="component index must be 1 or 2"):
             getattr(owner, accessor)(k)
+
+
+class TestRecombination:
+    """c1*e1 + c2*e2 halves before adding only where the sum overflows."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(bicomplex_arrays())
+    def test_plain_formula_wherever_it_is_finite(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            c1, c2 = x.components
+            plain = np.stack([0.5 * (c1 + c2), 0.5j * (c1 - c2)])
+            halved = np.stack([0.5 * c1 + 0.5 * c2, 0.5j * c1 - 0.5j * c2])
+        got = parts_from_components(c1, c2)
+        finite = np.isfinite(plain)
+        assert np.array_equal(*_bits(got[finite], plain[finite]))
+        assert np.array_equal(*_bits(got[~finite], halved[~finite]))
+        # the scalar recombination: its own plain formula's bits where finite, the
+        # same values as the array route (up to the sign of a zero) where not
+        rows = zip(c1.ravel().tolist(), c2.ravel().tolist(), got.reshape(2, -1).T.tolist())
+        for a, b, parts in rows:
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                continue
+            w = Bicomplex.from_idempotent(a, b)
+            for got_part, part in zip((w.z1, w.z2), (0.5 * (a + b), 0.5j * (a - b))):
+                if cmath.isfinite(part):
+                    assert np.array_equal(*_bits([got_part], [part]))
+            assert [w.z1, w.z2] == parts
+
+    @pytest.mark.parametrize("c1, c2, z1, z2", [
+        (1.5e308, 1.5e308, 1.5e308, 0.0),
+        (1.5e308, -1.5e308, 0.0, 1.5e308j),
+        (1.5e308j, 1.5e308j, 1.5e308j, 0.0),
+    ])
+    def test_overflowing_sums(self, c1, c2, z1, z2):
+        w = Bicomplex.from_idempotent(c1, c2)
+        assert (w.z1, w.z2) == (z1, z2)
+        assert tuple(w.to_idempotent()) == (c1, c2)
+        parts = parts_from_components(np.array([c1]), np.array([c2]))
+        assert parts.tolist() == [[z1], [z2]]
+
+    def test_finite_components_give_finite_parts(self):
+        # each part is at most the larger component in modulus, per real coordinate
+        huge = np.finfo(float).max
+        values = [complex(x, y) for x in (huge, -huge, 0.0) for y in (huge, -huge, 0.0)]
+        c1, c2 = np.array([(a, b) for a in values for b in values]).T
+        assert np.isfinite(parts_from_components(c1, c2)).all()
+        for a, b in zip(c1, c2):
+            Bicomplex.from_idempotent(a, b)
+
+
+class TestEntryNorms:
+    def test_the_squared_formula_at_unit_scale(self):
+        rng = np.random.default_rng(12)
+        z1, z2 = rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50))
+        old = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
+        assert np.allclose(entry_norms(z1, z2), old, rtol=4e-16, atol=0.0)
+        # sqrt((|c1|^2 + |c2|^2) / 2) in the idempotent components
+        c1, c2 = z1 - 1j * z2, z1 + 1j * z2
+        assert np.allclose(entry_norms(z1, z2), np.sqrt((abs(c1) ** 2 + abs(c2) ** 2) / 2))
+
+    @pytest.mark.parametrize("k", [-1060, -600, 600, 1020])
+    def test_no_square_over_or_underflows(self, k):
+        z1, z2 = np.array([3.0, 1.0 + 1.0j]), np.array([4.0j, -1.0 + 1.0j])
+        z1, z2 = (np.ldexp(z.view(float), k).view(complex) for z in (z1, z2))
+        with np.errstate(over="raise", invalid="raise"):
+            norms = entry_norms(z1, z2)
+        assert np.allclose(np.ldexp(norms, -k), [5.0, 2.0], rtol=1e-15 if k > -1000 else 1e-3)
+
+    def test_max_norm_of_kets_and_matrices(self):
+        psi = Ket(np.array([3e300, 0.0]), np.array([4e300j, 1.0]))
+        assert psi.max_norm() == pytest.approx(5e300, rel=1e-15)
+        assert psi.sup_norm() == psi.max_norm()
+        matrix = BicomplexMatrix(np.diag([3e300, 1.0]), np.diag([4e300, 0.0]))
+        assert matrix.max_norm() == pytest.approx(5e300, rel=1e-15)
+
+
+class TestRelativeScale:
+    def test_the_plain_quotient_while_the_product_is_finite(self):
+        assert _relative(6.0, 2.0, 3.0) == 1.0
+        assert _relative(6.0, 0.5, 0.5) == 6.0
+        assert _relative(6.0) == 6.0
+        assert _relative(0.3, 1e100, 1e100) == 0.3 / (1e100 * 1e100)
+
+    def test_an_overflowing_product_is_divided_out(self):
+        assert _relative(1e300, 1e200, 1e200) == pytest.approx(1e-100, rel=1e-14)
+        assert _relative(1.0, *[1e120] * 3) == 0.0
+        assert _relative(1e300, *[1e120] * 3) == pytest.approx(1e-60, rel=1e-14)
+        assert math.isnan(_relative(math.nan, 1e200, 1e200))

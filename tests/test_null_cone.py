@@ -7,7 +7,8 @@ of ``helpers``) wherever that formula's values are normal.
 
 Scale: dividing by a power of two is exact, so every golden call of the
 benchmark's cli workload keeps its exit code and verdict when its input
-is scaled by 2**k, for k down to -900.
+is scaled by 2**k, for k down to -900 and up to 500, except the calls
+whose result truly overflows, and none writes to stderr.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import io
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -226,17 +228,25 @@ def test_scaled_kets_normalize_to_the_same_bits():
 
 # -- golden calls on inputs scaled by 2**k -----------------------------------------------
 
-SCALES = (-900, -600, -300)
+SCALES = (-900, -600, -300, 300, 500)
 _NUMBER = re.compile(r"[^\s()]+")
+
+
+def run_quietly(*argv) -> tuple[int, str | None, str]:
+    """Exit code, verdict and stderr (every warning included) of one in-process ``bct`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    verdicts = [line for line in out.getvalue().splitlines() if line.startswith("verdict: ")]
+    stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, verdicts[-1] if verdicts else None, stderr
 
 
 def outcome(*argv) -> tuple[int, str | None]:
     """Exit code and verdict of one in-process ``bct`` call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    verdicts = [line for line in out.getvalue().splitlines() if line.startswith("verdict: ")]
-    return code, verdicts[-1] if verdicts else None
+    return run_quietly(*argv)[:2]
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,18 +275,65 @@ def scaled_dir(tmp_path_factory):
 _VERDICT_FLIP = pytest.mark.xfail(
     strict=True, reason="open defect: eps_eq's absolute branch flips the verdict"
 )
+_ENTRIES_OVERFLOW = (2, None)  # error: NonFinite
+# the calls whose outcome at 2**k is not the unscaled one, with the outcome they have:
+# exp(A) truly overflows from 2**300 on; so does the determinant of matrix_random_n3
+# at 2**500; and unitarity is not homogeneous, so a scaled unitary fails its check
+SCALED_EXEMPTIONS = {
+    **{
+        ("exp", name, k): _ENTRIES_OVERFLOW
+        for name, subs in bench_golden().items() if "exp" in subs for k in (300, 500)
+    },
+    ("info", "matrix_random_n3.bct", 500): _ENTRIES_OVERFLOW,
+    ("det", "matrix_random_n3.bct", 500): _ENTRIES_OVERFLOW,
+    ("check", "matrix_random_n3.bct", 500): (3, "verdict: fail"),
+    ("check", "operator_unitary_n2.bct", 300): (3, "verdict: fail"),
+    ("check", "operator_unitary_n2.bct", 500): (3, "verdict: fail"),
+}
 SCALED_CALLS = [
     pytest.param(
         name, sub, k, id=f"{sub} {name} 2^{k}",
-        marks=_VERDICT_FLIP if name == "counter_nonselfadjoint_n2.bct" else (),
+        marks=_VERDICT_FLIP if name == "counter_nonselfadjoint_n2.bct" and k < 0 else (),
     )
     for name, subs in bench_golden().items() for sub in subs for k in SCALES
 ]
 
 
+def test_scaled_exemptions_are_golden_calls():
+    assert len([key for key in SCALED_EXEMPTIONS if key[0] == "exp"]) == 10
+    calls = {(sub, name, k) for name, subs in bench_golden().items()
+             for sub in subs for k in SCALES}
+    assert set(SCALED_EXEMPTIONS) <= calls
+
+
 @pytest.mark.parametrize("name, sub, k", SCALED_CALLS)
 def test_scaled_golden_call_keeps_exit_code_and_verdict(scaled_dir, name, sub, k):
-    assert outcome(sub, str(scaled_dir / str(k) / name)) == unscaled_outcome(name, sub)
+    code, verdict, stderr = run_quietly(sub, str(scaled_dir / str(k) / name))
+    assert stderr == ""
+    expected = SCALED_EXEMPTIONS.get((sub, name, k)) or unscaled_outcome(name, sub)
+    assert (code, verdict) == expected
+
+
+def test_spectral_of_a_self_adjoint_operator_near_1e200(tmp_path):
+    # the max norm squared entries near 1e200: the reconstruction residual was inf/inf = nan
+    lines = [
+        _NUMBER.sub(lambda m: repr(float(m.group()) * 1e200), line)
+        if line.startswith("(") else line
+        for line in (GOLDEN / "operator_selfadjoint_n2.bct").read_text().splitlines()
+    ]
+    path = tmp_path / "big.bct"
+    path.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["spectral", str(path)]) == 0
+    assert err.getvalue() == ""
+    checks = re.findall(r"^check (\S+): residual (\S+) tol \S+ (\w+)$", out.getvalue(), re.M)
+    assert [name for name, _, _ in checks] == [
+        "spectral-reconstruction", "eigenvalue-imag-parts", "eigenket-orthonormal", "completeness",
+    ]
+    assert all(status == "pass" and float(r) <= 1e-13 for _, r, status in checks), checks
 
 
 def test_inverse_of_a_near_overflow_scalar_matrix(tmp_path):
@@ -288,3 +345,36 @@ def test_inverse_of_a_near_overflow_scalar_matrix(tmp_path):
         assert main(["inv", str(path)]) == 0
     assert "\n(6.6666666666666677e-309 0 0 0)\n" in out.getvalue()
     assert "verdict: pass" in out.getvalue()
+
+
+@pytest.mark.parametrize("sub, prefix", [("det", "\n(1.5"), ("info", "\ndet: (1.5")])
+def test_determinant_of_a_near_overflow_scalar_matrix(tmp_path, sub, prefix):
+    # c1 + c2 = 3e308 overflows; halving first recombines the determinant.  numpy's
+    # det goes through the log-modulus, so it is 1.5e308 to about 1e-14 relative.
+    path = tmp_path / "big.bct"
+    path.write_text("bct v1\nkind: matrix\ndim: 1\n(1.5e308 0 0 0)\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([sub, str(path)]) == 0
+    text = out.getvalue()
+    assert text.endswith("verdict: pass\n")
+    atom = re.search(re.escape(prefix) + r"[^ ]*e\+308 0 0 0\)", text).group()
+    assert math.isclose(float(atom.split("(")[1].split()[0]), 1.5e308, rel_tol=1e-13)
+
+
+# det 1, but max_norm**3 is 1e360: the determinant scale used to raise OverflowError
+HUGE_ENTRY_3X3 = (
+    "bct v1\nkind: matrix\ndim: 3\n"
+    "(1 0 0 0) (0 0 0 0) (1e120 0 0 0)\n"
+    "(0 0 0 0) (1 0 0 0) (0 0 0 0)\n"
+    "(0 0 0 0) (0 0 0 0) (1 0 0 0)\n"
+)
+
+
+@pytest.mark.parametrize("sub, codes", [("det", (0,)), ("check", (0, 3))])
+def test_huge_entry_with_unit_determinant(tmp_path, sub, codes):
+    path = tmp_path / "huge3.bct"
+    path.write_text(HUGE_ENTRY_3X3)
+    code, verdict, stderr = run_quietly(sub, str(path))
+    assert code in codes and stderr == ""
+    assert verdict == ("verdict: pass" if code == 0 else "verdict: fail")

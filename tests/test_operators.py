@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from bicomplex import (
     Bicomplex,
     BicomplexMatrix,
     Classification,
+    DimensionMismatch,
     EigenPair,
     EvolutionConfig,
     InvalidXi,
@@ -470,6 +472,43 @@ class TestOrthogonalityCheck:
         pairs = eigendecompose_unitary(spec, u)
         report = eigenket_orthogonality_check(spec, pairs)
         assert report.passed
+
+    @staticmethod
+    def per_pair(spec, pairs, tol=DEFAULT_TOLERANCE):
+        """The check pair by pair in ring arithmetic: (largest constrained residual, free pairs)."""
+        worst, free = 0.0, []
+        for i, j in itertools.combinations(range(len(pairs)), 2):
+            if (pairs[i].value - pairs[j].value).classify(tol) is Classification.INVERTIBLE:
+                worst = max(worst, scalar_product(spec, pairs[i].ket, pairs[j].ket).euclid_norm())
+            else:
+                free.append((i, j))
+        return worst, free
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_pair_by_pair_check(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, 4)
+        # G_k^-1 times a Hermitian matrix is self-adjoint under the spec
+        hermitian = random_self_adjoint(rng, 4).matrix.components
+        h = Operator(BicomplexMatrix.from_components(*np.linalg.solve(spec.grams, hermitian)))
+        # an operator whose e2 component is 3 I: every e2 gap vanishes
+        shared = Operator(BicomplexMatrix.from_components(h.matrix.component(1), 3.0 * np.eye(4)))
+        all_pairs = list(itertools.combinations(range(4), 2))
+        for op, expected_free in ((h, []), (shared, all_pairs), (Operator.identity(4), None)):
+            system = eigendecompose_self_adjoint(spec, op)
+            # kets that are not orthogonal, so the residuals are not all rounding
+            kets = system.kets + 1e-3 * np.roll(system.kets, 1, -1)
+            for pairs in (system, Eigensystem(system.values, kets, system.basis_id)):
+                report = eigenket_orthogonality_check(spec, pairs)
+                worst, free = self.per_pair(spec, list(pairs))
+                assert report.unconstrained_pairs == free
+                assert report.max_constrained_residual == pytest.approx(worst, rel=1e-12, abs=1e-15)
+            assert expected_free is None or free == expected_free
+
+    def test_rejects_a_spec_of_another_dimension(self):
+        pairs = eigendecompose_self_adjoint(ScalarProductSpec.identity(2), Operator.identity(2))
+        with pytest.raises(DimensionMismatch):
+            eigenket_orthogonality_check(ScalarProductSpec.identity(3), pairs)
 
 
 class TestOpFunction:
