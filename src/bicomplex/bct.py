@@ -40,12 +40,11 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .core import Bicomplex, BicomplexError
+from .core import Bicomplex, BicomplexError, SlottedValue
 from .hilbert import Ket, ScalarProductSpec
 from .matrix import BicomplexMatrix
 from .operators import Operator
@@ -76,8 +75,7 @@ class KindMismatch(BicomplexError):
         self.got = got
 
 
-@dataclass(frozen=True, eq=False)
-class BctDocument:
+class BctDocument(SlottedValue):
     """A parsed .bct file: kind, dimension, optional basis label, value.
 
     The value is the matching domain object, except for kind "spec"
@@ -85,10 +83,13 @@ class BctDocument:
     in :meth:`to_spec`).
     """
 
-    kind: str
-    dim: int
-    value: object
-    basis: str | None = None
+    __slots__ = ("kind", "dim", "value", "basis")
+
+    def __init__(self, kind: str, dim: int, value: object, basis: str | None = None):
+        self.kind = kind
+        self.dim = dim
+        self.value = value
+        self.basis = basis
 
     def __eq__(self, other):
         if not isinstance(other, BctDocument):

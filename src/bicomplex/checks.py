@@ -17,8 +17,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,8 +65,7 @@ PROBE_SEED = 271828
 COFACTOR_MAX_ORDER = 5
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     residual: float
     tolerance: float

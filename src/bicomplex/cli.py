@@ -4,9 +4,15 @@ Every subcommand loads its input, computes, and hands the result to
 the verification layer in ``checks`` (the same checks ``bct check``
 runs), which re-derives its defining residuals; the final verdict line
 is "pass" only when all residuals are within tolerance.  Exit codes:
-0 verdict pass, 1 unreadable or malformed input, 2 violated
-precondition (singular matrix, non-self-adjoint Hamiltonian, a result
-that overflows, ...), 3 completed run with verdict fail.  Output
+0 verdict pass, 1 unreadable or malformed input, or a stdout that
+closed or failed before the report was written (nothing is printed to
+stderr then), 2 violated precondition (singular matrix,
+non-self-adjoint Hamiltonian, a result that overflows, ...), 3
+completed run with verdict fail.  The ``bct`` console script
+(:func:`entry`) flushes stdout and stderr and ends the process with
+``os._exit``, skipping interpreter finalization, so ``atexit`` handlers
+that other code registers do not run in a ``bct`` process; in-process
+callers of :func:`main` return normally.  Output
 depends on the input bytes and flags; at order 128, info, det, inv,
 gram-schmidt, spectral and check print other last digits with one
 OpenBLAS thread than with two.  The golden corpus (order <= 3) does not.
@@ -16,8 +22,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,45 +60,24 @@ from .operators import (
 )
 
 
-@dataclass
-class Report:
-    """One command's outcome: payload lines, residual checks, notes.
+def _emit(
+    command: str, lines: list[str], checks: list[CheckResult], notes: list[str]
+) -> tuple[str, int]:
+    """One command's report (payload lines, residual checks, notes, verdict) and exit code.
 
-    The verdict is pass exactly when every residual is within its
-    declared tolerance; rendering is deterministic.
+    The verdict is pass, exit code 0, exactly when every residual is
+    within its declared tolerance, and fail, exit code 3, otherwise.
     """
-
-    command: str
-    lines: list[str]
-    checks: list[CheckResult]
-    notes: list[str]
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if all(c.passed for c in self.checks) else "fail"
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.verdict == "pass" else 3
-
-    def render(self) -> str:
-        out = [f"command: {self.command}"]
-        out.extend(self.lines)
-        for check in self.checks:
-            status = "pass" if check.passed else "fail"
-            out.append(
-                f"check {check.name}: residual {check.residual:.3e} "
-                f"tol {check.tolerance:g} {status}"
-            )
-        out.extend(f"note: {n}" for n in self.notes)
-        out.append(f"verdict: {self.verdict}")
-        return "\n".join(out)
-
-
-def _emit(command: str, lines: list[str], checks: list[CheckResult], notes: list[str]) -> int:
-    report = Report(command, lines, checks, notes)
-    print(report.render())
-    return report.exit_code
+    out = [f"command: {command}", *lines]
+    for check in checks:
+        status = "pass" if check.passed else "fail"
+        out.append(
+            f"check {check.name}: residual {check.residual:.3e} tol {check.tolerance:g} {status}"
+        )
+    out.extend(f"note: {n}" for n in notes)
+    passed = all(check.passed for check in checks)
+    out.append(f"verdict: {'pass' if passed else 'fail'}")
+    return "\n".join(out), 0 if passed else 3
 
 
 def _load_spec(path: str | None, dim: int) -> ScalarProductSpec:
@@ -332,29 +317,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> tuple[str, int]:
+    """What one parsed command line prints, and its exit code."""
     try:
         tol = Tolerance(eps_null=args.eps_null, eps_eq=args.eps_eq)
     except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+        return f"error: {exc}", 2
     try:
         return args.handler(args, tol)
     except ParseError as exc:
-        print(f"parse error: {exc}")
-        return 1
+        return f"parse error: {exc}", 1
     except OSError as exc:
-        print(f"cannot read input: {exc}")
-        return 1
+        return f"cannot read input: {exc}", 1
     except BicomplexError as exc:
-        print(f"error: {type(exc).__name__}: {exc}")
-        return 2
+        return f"error: {type(exc).__name__}: {exc}", 2
+
+
+def main(argv=None) -> int:
+    text, code = _run(_build_parser().parse_args(argv))
+    try:
+        print(text)
+    except OSError:
+        # the reader closed stdout early (``bct ... | head -1``) or the
+        # write failed: nothing more can be reported, and stderr stays quiet
+        return 1
+    return code
 
 
 def entry():
-    sys.exit(main())
+    """The ``bct`` console script: :func:`main`, then ``os._exit`` after flushing.
+
+    Skipping interpreter finalization saves a good share of a short
+    call.  A flush that fails ends the call with 1, as a failed write in
+    :func:`main` does.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

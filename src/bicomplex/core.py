@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -91,8 +90,33 @@ class NotHyperbolic(BicomplexError, ValueError):
     """Raised when a value expected to be hyperbolic has imaginary idempotent parts."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class SlottedValue:
+    """Base of the slotted value types: equality, hash and repr over their slots.
+
+    A subclass lists its fields in ``__slots__`` and sets them in
+    ``__init__``; ``_key`` names what equality and the hash compare.
+    Like :class:`Bicomplex`, instances are treated as immutable.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Tolerance(SlottedValue):
     """Floating-point thresholds for null-cone tests and approximate equality.
 
     ``eps_null`` is relative to the larger idempotent modulus: component
@@ -102,14 +126,14 @@ class Tolerance:
     ``eps_eq`` is used componentwise, absolute-or-relative.
     """
 
-    eps_null: float = 1e-12
-    eps_eq: float = 1e-12
+    __slots__ = ("eps_null", "eps_eq")
 
-    def __post_init__(self):
-        for name in ("eps_null", "eps_eq"):
-            value = getattr(self, name)
+    def __init__(self, eps_null: float = 1e-12, eps_eq: float = 1e-12):
+        for name, value in (("eps_null", eps_null), ("eps_eq", eps_eq)):
             if not 0.0 < value <= 1e-6:
                 raise ValueError(f"{name} must lie in (0, 1e-6], got {value!r}")
+        self.eps_null = eps_null
+        self.eps_eq = eps_eq
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -503,20 +527,20 @@ class BicomplexArray:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(SlottedValue):
     """A hyperbolic number x1*e1 + x2*e2, stored in idempotent coordinates.
 
     The natural predicate on these values is positivity of both
     coordinates, which characterizes the squared moduli w * conj3(w).
     """
 
-    x1: float
-    x2: float
+    __slots__ = ("x1", "x2")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise NonFinite(f"coordinates must be finite, got ({self.x1!r}, {self.x2!r})")
+    def __init__(self, x1: float, x2: float):
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise NonFinite(f"coordinates must be finite, got ({x1!r}, {x2!r})")
+        self.x1 = x1
+        self.x2 = x2
 
     @classmethod
     def from_bicomplex(cls, value: Bicomplex, tol: Tolerance = DEFAULT_TOLERANCE) -> Hyperbolic:

@@ -25,7 +25,6 @@ coercing.  All values are immutable and operations pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ from .core import (
     DimensionMismatch,
     Hyperbolic,
     KetClassification,
+    SlottedValue,
     Tolerance,
     as_bicomplex,
     component_index,
@@ -231,22 +231,20 @@ class HyperbolicNorm(NamedTuple):
     flat: float
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(SlottedValue):
     """n kets, expressed in a parent basis, that are linearly independent.
 
     Construction enforces what independence over the ring requires: the
     change-of-basis matrix is nonsingular and no member lies in the
-    null cone.
+    null cone.  Equality compares ``id`` and ``vectors``.
     """
 
-    id: str
-    vectors: tuple[Ket, ...]
-    tol: Tolerance = field(default=DEFAULT_TOLERANCE, compare=False)
+    __slots__ = ("id", "vectors", "tol")
 
-    def __post_init__(self):
-        vectors = tuple(self.vectors)
-        object.__setattr__(self, "vectors", vectors)
+    def __init__(self, id: str, vectors: Sequence[Ket], tol: Tolerance = DEFAULT_TOLERANCE):
+        self.id = id
+        self.vectors = vectors = tuple(vectors)
+        self.tol = tol
         if not vectors:
             raise ValueError("a basis needs at least one ket")
         dim = vectors[0].dim
@@ -261,6 +259,9 @@ class Basis:
                 raise NotABasis(f"ket {index} lies in the null cone")
         if coefficient_matrix(vectors).is_singular(self.tol):
             raise NotABasis("change-of-basis matrix is singular")
+
+    def _key(self) -> tuple:
+        return self.id, self.vectors
 
     @property
     def dim(self) -> int:

@@ -27,8 +27,7 @@ a stacked ``Eigensystem``, in the order their docstrings give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .core import (
     DimensionMismatch,
     NonFinite,
     ONE,
+    SlottedValue,
     Tolerance,
     as_bicomplex,
     approx_eq,
@@ -87,6 +87,11 @@ __all__ = [
 # (1, NORMAL_MIX) in the complex plane, which the Hermitian part splits
 NORMAL_MIX = (math.sqrt(5.0) - 1.0) / 2.0
 
+# phase lambda s / hbar of the fastest eigen-mode over the default Schroedinger
+# step s: a central difference's truncation (phase^2 / 6) and rounding
+# (eps / phase) balance here (Nocedal & Wright, Numerical Optimization, 8.1)
+SCHRODINGER_PHASE = (3.0 * np.finfo(float).eps) ** (1.0 / 3.0)
+
 
 class NotSelfAdjoint(BicomplexError):
     """Raised when an operation requires a self-adjoint operator."""
@@ -112,12 +117,14 @@ class SeriesDivergence(BicomplexError):
     """Raised when operator series terms fail to decay within the step cap."""
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(SlottedValue):
     """Matrix representation of a linear operator in a labelled basis."""
 
-    matrix: BicomplexMatrix
-    basis_id: str = "canonical"
+    __slots__ = ("matrix", "basis_id")
+
+    def __init__(self, matrix: BicomplexMatrix, basis_id: str = "canonical"):
+        self.matrix = matrix
+        self.basis_id = basis_id
 
     @property
     def dim(self) -> int:
@@ -150,8 +157,7 @@ class Operator:
         return Ket(z1, z2, self.basis_id)
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """An eigenvalue with a (non-null-cone) eigenket."""
 
     value: Bicomplex
@@ -369,8 +375,7 @@ def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) ->
     return Operator(BicomplexMatrix.from_components(*parts), system.basis_id)
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     """Largest cross product of eigenkets i < j with an invertible eigenvalue gap; the others."""
 
     max_constrained_residual: float
@@ -497,8 +502,7 @@ def op_exp_spectral(
 # -- evolution ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
+class EvolutionConfig(SlottedValue):
     """Time window, step count and constants for evolving states.
 
     ``steps`` is the number of sample times in [t0, t1], used both for
@@ -508,31 +512,33 @@ class EvolutionConfig:
     components real) and be invertible.
     """
 
-    hbar: float
-    t0: float
-    t1: float
-    steps: int = 100
-    xi: Bicomplex | None = None
+    __slots__ = ("hbar", "t0", "t1", "steps", "xi")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+    def __init__(
+        self, hbar: float, t0: float, t1: float, steps: int = 100, xi: Bicomplex | None = None
+    ):
+        if not (math.isfinite(hbar) and hbar > 0.0):
+            raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+        if not (math.isfinite(t0) and math.isfinite(t1)):
             raise ValueError("t0 and t1 must be finite")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps!r}")
-        if self.xi is not None:
-            if not approx_eq(self.xi.conjugate(3), self.xi):
+        if steps < 1:
+            raise ValueError(f"steps must be at least 1, got {steps!r}")
+        if xi is not None:
+            if not approx_eq(xi.conjugate(3), xi):
                 raise InvalidXi("xi must equal its kind-3 conjugate (real idempotent components)")
-            if self.xi.classify() is not Classification.INVERTIBLE:
+            if xi.classify() is not Classification.INVERTIBLE:
                 raise InvalidXi("xi must be invertible")
+        self.hbar = hbar
+        self.t0 = t0
+        self.t1 = t1
+        self.steps = steps
+        self.xi = xi
 
     def sample_times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps)
 
 
-@dataclass(frozen=True)
-class _Eigenbasis:
+class _Eigenbasis(NamedTuple):
     """H' and, stacked over k, component k of H' / hbar as V diag(frequencies) V^H G_k."""
 
     generator: Operator
@@ -580,8 +586,7 @@ def evolution_operator(
     return Operator(BicomplexMatrix.from_components(*parts), h.basis_id)
 
 
-@dataclass(frozen=True)
-class _Evolution:
+class _Evolution(NamedTuple):
     """The eigenbasis of H' and the evolved state: component k at sample j in [k - 1, :, j]."""
 
     cfg: EvolutionConfig
@@ -601,17 +606,37 @@ class _Evolution:
             raise NonFinite("Ket entries must be finite")
         return times, z1, z2
 
-    def schrodinger_residual(self, step: float = 1e-5) -> float:
+    def schrodinger_residual(self, step: float | None = None) -> float:
         """See :func:`schrodinger_residual`."""
         basis = self.basis
-        coeffs = basis.coefficients @ self.components
+        if step is None:
+            # the smallest normal double stands in for H' = 0, whose difference
+            # quotient vanishes at any step
+            peak = max(float(np.abs(basis.frequencies).max()), np.finfo(float).tiny)
+            step = SCHRODINGER_PHASE / peak
+        # the defect and H' psi are linear in psi and in H': dividing both exactly
+        # by powers of two keeps their products finite and leaves each ratio as it is
+        states, _ = _scaled_down(self.components)
+        generator, exponent = _scaled_down(basis.generator.matrix.components)
+        coeffs = basis.coefficients @ states
         ahead = basis.propagate(coeffs, step)
         behind = basis.propagate(coeffs, -step)
-        rhs = basis.generator.matrix.components @ self.components
-        defect = (ahead - behind) * (1j * self.cfg.hbar / (2.0 * step)) - rhs
+        rhs = generator @ states
+        # the factor overflows only where hbar / |H'| nears the double range and the
+        # frequencies underflow; the residual is then nan, a failing check
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = 1j * np.ldexp(self.cfg.hbar / (2.0 * step), -exponent)
+            defect = (ahead - behind) * factor - rhs
         # the sup norm of each sample's ket, over its coefficients
         defect, rhs = (entry_norms(*parts_from_components(*c)).max(axis=0) for c in (defect, rhs))
         return float((defect / np.maximum(rhs, 1e-300)).max())
+
+
+def _scaled_down(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Complex values divided exactly by 2**k, k the binary exponent of their largest modulus; k."""
+    exponent = int(np.frexp(np.abs(values).max())[1])
+    # on the float view, so every part scales exactly
+    return np.ldexp(np.ascontiguousarray(values).view(float), -exponent).view(complex), exponent
 
 
 def _evolve(
@@ -653,17 +678,20 @@ def schrodinger_residual(
     h: Operator,
     state: Ket,
     spec: ScalarProductSpec | None = None,
-    step: float = 1e-5,
+    step: float | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
     """Largest relative defect of i1 hbar dpsi/dt = H' psi along the samples.
 
-    The derivative is a central difference with the given step, taken at
-    s = 0 on each sample psi(t) through the semigroup property: the
+    The derivative is a central difference with step s, taken at s = 0
+    on each sample psi(t) through the semigroup property: the
     eigen-coefficients of psi(t) are advanced by exp(-/+ i1 lambda s / hbar).
     The right-hand side applies the components of H' itself, so the
-    check tests the eigensystem against the operator.  The result floors
-    at roughly step**2 plus rounding amplified by 1/step, whatever
-    |t - t0|.
+    check tests the eigensystem against the operator.  With the phase
+    w = max|lambda| s / hbar, the result floors at roughly w**2 / 6 plus
+    eps / w, whatever |t - t0|.  The default step puts w at
+    ``SCHRODINGER_PHASE`` = (3 eps)**(1/3), where that floor is lowest
+    (about 4e-11) at every scale of H' and hbar; the rounding part grows
+    with max|lambda| |psi| / |H' psi|, i.e. for a state confined to slow modes.
     """
     return _evolve(cfg, h, state, spec, tol).schrodinger_residual(step)

@@ -22,6 +22,7 @@ from helpers import (
     bench_golden,
     random_hermitian,
     random_ket,
+    random_matrix,
     random_self_adjoint,
     random_spec,
     random_well_conditioned,
@@ -273,6 +274,29 @@ class TestEvolve:
         assert out.startswith("error: NotHyperbolic: Bicomplex(")
         assert out.rstrip().endswith("is not hyperbolic within tolerance")
 
+    @pytest.mark.parametrize(
+        "scale, hbar",
+        [(1e-8, 1), (1e-3, 1), (1, 1), (1e3, 1), (1e6, 1), (1e100, 1), (1e200, 1),
+         (1, 1e-3), (1, 1e7)],
+    )
+    def test_checks_hold_at_every_scale(self, capsys, tmp_path, scale, hbar):
+        # the Schroedinger step follows max|lambda| / hbar, so the check's floor does
+        # not move with the scale of H or hbar
+        rng = np.random.default_rng(8)
+        h = random_self_adjoint(rng, 8)
+        bct.save(tmp_path / "h.bct", bct.document_for(h.scale(scale)))
+        bct.save(tmp_path / "psi.bct", bct.document_for(random_ket(rng, 8)))
+        code, out = run(
+            capsys,
+            "evolve",
+            "--hamiltonian", str(tmp_path / "h.bct"),
+            "--state", str(tmp_path / "psi.bct"),
+            "--hbar", repr(hbar), "--t0", "0", "--t1", "1", "--samples", "10",
+        )
+        assert code == 0, out
+        assert re.search(r"^check norm-conservation: residual \S+ tol 1e-09 pass$", out, re.M)
+        assert re.search(r"^check schrodinger-residual: residual \S+ tol 1e-05 pass$", out, re.M)
+
     def test_invalid_xi_exit_2(self, capsys, workdir):
         code, out = run(
             capsys,
@@ -348,6 +372,56 @@ class TestErrorPaths:
     def test_bad_tolerance_exit_2(self, capsys, workdir):
         code, out = run(capsys, "--eps-null", "0.5", "det", str(workdir / "diag.bct"))
         assert code == 2
+
+
+class TestConsoleScript:
+    """The `bct` script path: `entry()` in a fresh interpreter, ended by `os._exit`."""
+
+    SCRIPT = "import sys; from bicomplex.cli import entry; sys.argv[0] = 'bct'; entry()"
+
+    def spawn(self, argv, unbuffered, **kwargs):
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs,
+        )
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "expected, argv",
+        [
+            (0, ["det", str(GOLDEN / "matrix_identity_n2.bct")]),
+            (1, ["det", "BAD"]),
+            (2, ["spectral", str(GOLDEN / "counter_nonselfadjoint_n2.bct")]),
+            (3, ["check", str(GOLDEN / "counter_nonselfadjoint_n2.bct")]),
+        ],
+    )
+    def test_same_output_as_main(self, capsys, tmp_path, expected, argv, unbuffered):
+        bad = tmp_path / "bad.bct"
+        bad.write_text("bct v1\nkind: matrix\ndim: 2\n(1 0 0\n")
+        argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+        code, out = run(capsys, *argv)
+        assert code == expected
+        proc = self.spawn(argv, unbuffered)
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stdout.decode(), stderr.decode()) == (code, out, "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_that_stops_early(self, tmp_path, unbuffered):
+        # about 400 kB of rows: more than a pipe holds, so the call is still
+        # writing when the reader closes its end
+        path = tmp_path / "m64.bct"
+        bct.save(path, bct.document_for(random_matrix(np.random.default_rng(64), 64)))
+        proc = self.spawn(["idempotent", str(path)], unbuffered)
+        assert proc.stdout.readline() == b"command: idempotent\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), stderr) == (1, b"")
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 import cmath
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -256,6 +258,31 @@ class TestTolerance:
     def test_defaults(self):
         tol = Tolerance()
         assert tol.eps_null == 1e-12 and tol.eps_eq == 1e-12
+
+    def test_value_semantics(self):
+        tol = Tolerance(eps_null=1e-10)
+        assert tol == Tolerance(1e-10, 1e-12) and hash(tol) == hash(Tolerance(1e-10))
+        assert tol != Tolerance() and tol != (1e-10, 1e-12)
+        assert repr(tol) == "Tolerance(eps_null=1e-10, eps_eq=1e-12)"
+        with pytest.raises(AttributeError):
+            tol.other = 1.0
+
+
+def _package_classes():
+    package = importlib.import_module("bicomplex")
+    for info in pkgutil.iter_modules(package.__path__, "bicomplex."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__.startswith("bicomplex"):
+                yield value
+
+
+def test_no_dataclasses():
+    # records are NamedTuples and value types slotted classes: building a
+    # dataclass costs about 1 ms of every `bct` start
+    names = {c.__name__ for c in _package_classes()}
+    assert {"Tolerance", "CheckResult", "BctDocument", "_Evolution"} <= names
+    assert [c for c in _package_classes() if hasattr(c, "__dataclass_fields__")] == []
 
 
 class TestHyperbolic:

@@ -545,8 +545,12 @@ class TestChangeBasis:
 class TestBasisAndProjections:
     def test_basis_validation(self):
         kets = [Ket.standard(2, 0), Ket.standard(2, 1)]
-        basis = Basis("b", tuple(kets))
+        basis = Basis("b", kets)
         assert basis.dim == 2 and basis.parent_id == "canonical"
+        assert basis.vectors == tuple(kets)
+        # equality compares the label and the kets, not the tolerance
+        assert basis == Basis("b", tuple(kets), Tolerance(eps_null=1e-10))
+        assert basis != Basis("c", tuple(kets))
 
     def test_null_cone_member_rejected(self):
         kets = [Ket.from_coeffs([E1, ZERO]), Ket.standard(2, 1)]

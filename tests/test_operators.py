@@ -756,6 +756,26 @@ class TestEvolution:
         cfg = EvolutionConfig(hbar=1.3, t0=0.0, t1=1.5, steps=7)
         assert schrodinger_residual(cfg, h, psi) <= 1e-5
 
+    def test_schrodinger_residual_of_zero_generator(self):
+        psi = random_ket(np.random.default_rng(168), 3)
+        zero = Operator(BicomplexMatrix(np.zeros((3, 3)), np.zeros((3, 3))))
+        cfg = EvolutionConfig(hbar=1.0, t0=0.0, t1=2.0, steps=5)
+        assert schrodinger_residual(cfg, zero, psi) == 0.0
+
+    def test_schrodinger_residual_scale_free(self):
+        # the residual is a ratio: scaling the state by a power of two leaves it
+        # unchanged, and H psi stays finite even where its entries would overflow
+        rng = np.random.default_rng(169)
+        h = random_self_adjoint(rng, 4)
+        psi = random_ket(rng, 4)
+        cfg = EvolutionConfig(hbar=0.9, t0=0.0, t1=1.0, steps=6)
+        base = schrodinger_residual(cfg, h, psi)
+        for k in (-900, -300, 300, 900):
+            assert schrodinger_residual(cfg, h, psi.scale(2.0**k)) == base
+        assert schrodinger_residual(cfg, h, psi, step=1e-5) <= 1e-5
+        big = h.scale(1e200)
+        assert schrodinger_residual(cfg, big, psi.scale(1e200)) <= 1e-9
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvolutionConfig(hbar=0.0, t0=0.0, t1=1.0, steps=2)
