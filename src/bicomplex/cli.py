@@ -334,7 +334,11 @@ def _run(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    text, code = _run(_build_parser().parse_args(argv))
+    args = _build_parser().parse_args(argv)
+    if sys.stdout is None:
+        # stdout was closed when the process started: no report can be written
+        return 1
+    text, code = _run(args)
     try:
         print(text)
     except OSError:

@@ -304,7 +304,8 @@ def coefficient_matrix(kets: Sequence[Ket]) -> BicomplexMatrix:
 
 def row_kets(matrix: BicomplexMatrix, basis_id: str = REFERENCE_BASIS) -> KetColumns:
     """Kets whose coefficient vectors are the matrix rows."""
-    # transpose copies, so the columns are laid out as a stacked ket list would be
+    # the kept transposed copy: its columns are laid out as a stacked ket list would
+    # be, and its determinants serve gram_schmidt's singularity test
     return KetColumns(matrix.transpose(), basis_id)
 
 

@@ -13,9 +13,15 @@ when at least one component determinant vanishes against the other
 Storage is the canonical (z1, z2) pair of complex arrays
 (``core.BicomplexArray``); determinant, inverse and condition numbers
 are each one batched LAPACK call on the ``(2, n, n)`` component stack.
-The product stays in (z1, z2) ring form, so the component law that
-``checks`` verifies compares two independent routes.  Matrices are
-immutable and all operations are pure.
+Each is computed once per matrix and kept, as is the transposed copy:
+the commands of one process share a loaded matrix (``bct.load``), so
+``det``, ``inv``, ``gram-schmidt`` and ``check`` on one document
+factorize A and its transpose once each.  Only results that do not
+depend on a ``Tolerance`` are kept; the null-cone tests run on every
+call.  The product stays in (z1, z2) ring form, so the component law
+that ``checks`` verifies compares two independent routes.  Matrices are
+immutable and all operations are pure; two threads that race on a
+first use compute the same value twice.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ class MatrixInverse(NamedTuple):
 class BicomplexMatrix(BicomplexArray):
     """An n-by-n array of bicomplex entries."""
 
-    __slots__ = ()
+    __slots__ = ("_dets", "_inverse", "_transpose")
     ndim = 2
 
     # -- constructors ----------------------------------------------------
@@ -104,7 +110,16 @@ class BicomplexMatrix(BicomplexArray):
         return Bicomplex(self.z1[i, j], self.z2[i, j])
 
     def transpose(self) -> BicomplexMatrix:
-        return BicomplexMatrix(self.z1.T.copy(), self.z2.T.copy())
+        """The transposed copy, made on first use and kept.
+
+        Its own transpose is a new copy, not this matrix, so ``det-transpose``
+        compares the LU factorizations of two separate matrices.
+        """
+        try:
+            return self._transpose
+        except AttributeError:
+            self._transpose = BicomplexMatrix(self.z1.T.copy(), self.z2.T.copy())
+            return self._transpose
 
     # -- ring operations ---------------------------------------------------
 
@@ -139,13 +154,21 @@ class BicomplexMatrix(BicomplexArray):
     # -- determinant and inverse --------------------------------------------
 
     def _component_dets(self) -> np.ndarray:
-        # an overflowing determinant is reported by the callers, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.linalg.det(self.components)
+        """The read-only pair (det A1, det A2), one batched LU on first use, then kept."""
+        try:
+            return self._dets
+        except AttributeError:
+            # an overflowing determinant is reported by the callers, not as a numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                dets = np.linalg.det(self.components)
+            dets.setflags(write=False)
+            self._dets = dets
+            return dets
 
     def det(self) -> Bicomplex:
         """Determinant via the component determinants (LU under the hood).
 
+        The component determinants are computed once per matrix and kept.
         Raises NonFinite, with both component moduli, when one overflows.
         """
         d1, d2 = self._component_dets()
@@ -184,12 +207,19 @@ class BicomplexMatrix(BicomplexArray):
         """Componentwise inverse, plus condition estimates for both components.
 
         The residual of A @ inv(A) scales with the reported conditions;
-        callers decide how much accuracy to expect.
+        callers decide how much accuracy to expect.  The singularity test
+        under ``tol`` runs on every call; the inverse and the conditions
+        are computed once per matrix and the same ``MatrixInverse`` is
+        returned after that.
         """
         require_nonsingular(self, tol)
-        cond1, cond2 = np.linalg.cond(self.components)
-        inverse = BicomplexMatrix.from_components(*np.linalg.inv(self.components))
-        return MatrixInverse(inverse, float(cond1), float(cond2))
+        try:
+            return self._inverse
+        except AttributeError:
+            cond1, cond2 = np.linalg.cond(self.components)
+            inverse = BicomplexMatrix.from_components(*np.linalg.inv(self.components))
+            self._inverse = MatrixInverse(inverse, float(cond1), float(cond2))
+            return self._inverse
 
 
 # largest entry component modulus whose square is finite

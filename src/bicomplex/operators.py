@@ -563,7 +563,12 @@ def _eigenbasis(
     if not is_self_adjoint(spec, h_eff, tol):
         raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
     values, vectors = _hermitian_eigh(spec, h_eff.matrix)
-    return _Eigenbasis(h_eff, values / cfg.hbar, vectors, vectors.conj().mT @ spec.grams)
+    # |lambda| / hbar beyond the double range is reported here, not as numpy warnings
+    with np.errstate(over="ignore"):
+        frequencies = values / cfg.hbar
+    if not np.isfinite(frequencies).all():
+        raise NonFinite("eigenfrequencies lambda / hbar overflow")
+    return _Eigenbasis(h_eff, frequencies, vectors, vectors.conj().mT @ spec.grams)
 
 
 def evolution_operator(

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import math
@@ -13,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from bicomplex import bct
 from bicomplex.cli import main
-from bicomplex.core import Bicomplex, E1, I1, J, ONE
+from bicomplex.core import Bicomplex, BicomplexError, E1, I1, J, ONE
 from bicomplex.hilbert import Ket, ScalarProductSpec
-from bicomplex.matrix import BicomplexMatrix
+from bicomplex.matrix import BicomplexMatrix, MatrixInverse
 from bicomplex.operators import Operator
 
 from helpers import (
@@ -398,12 +399,18 @@ class TestConsoleScript:
             (1, ["det", "BAD"]),
             (2, ["spectral", str(GOLDEN / "counter_nonselfadjoint_n2.bct")]),
             (3, ["check", str(GOLDEN / "counter_nonselfadjoint_n2.bct")]),
+            # |lambda| / hbar overflows: NonFinite, and no numpy warning on stderr
+            (2, ["evolve", "--hamiltonian", "HUGE", "--state", "PSI", "--hbar", "1e-300",
+                 "--t0", "0", "--t1", "1", "--samples", "5"]),
         ],
     )
     def test_same_output_as_main(self, capsys, tmp_path, expected, argv, unbuffered):
-        bad = tmp_path / "bad.bct"
-        bad.write_text("bct v1\nkind: matrix\ndim: 2\n(1 0 0\n")
-        argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+        rng = np.random.default_rng(8)
+        inputs = {"BAD": tmp_path / "bad.bct", "HUGE": tmp_path / "h.bct", "PSI": tmp_path / "psi.bct"}
+        inputs["BAD"].write_text("bct v1\nkind: matrix\ndim: 2\n(1 0 0\n")
+        bct.save(inputs["HUGE"], bct.document_for(random_self_adjoint(rng, 4).scale(1e300)))
+        bct.save(inputs["PSI"], bct.document_for(random_ket(rng, 4)))
+        argv = [str(inputs.get(arg, arg)) for arg in argv]
         code, out = run(capsys, *argv)
         assert code == expected
         proc = self.spawn(argv, unbuffered)
@@ -422,6 +429,14 @@ class TestConsoleScript:
         stderr = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(timeout=120), stderr) == (1, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_stdout_closed_from_the_start(self, unbuffered):
+        # fd 1 closed before the interpreter starts: sys.stdout is None
+        argv = ["det", str(GOLDEN / "matrix_random_n3.bct")]
+        proc = self.spawn(argv, unbuffered, preexec_fn=lambda: os.close(1))
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stdout, stderr) == (1, b"", b"")
 
 
 class TestDeterminism:
@@ -596,6 +611,87 @@ class TestLoadCache:
             run(capsys, "check", str(path), "--spec", spec)
             assert bct.load(path) is doc
             assert doc == bct.parse(path.read_text())
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.asarray(array).tobytes() for array in arrays]
+
+
+def _outcome(call):
+    """The bits of a det or inverse result, or the error it raised."""
+    try:
+        value = call()
+    except BicomplexError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, MatrixInverse):
+        return _bits(value.matrix.z1, value.matrix.z2, [value.cond1, value.cond2])
+    return _bits([value.z1, value.z2])
+
+
+SQUARE_INPUTS = sorted(
+    path.name for path in GOLDEN.glob("*.bct")
+    if path.name.startswith(("matrix_", "operator_", "counter_"))
+) + ["random_n8", "random_n32"]
+
+
+class TestKeptFactorizations:
+    """Every command of a process shares one loaded matrix and its kept factorizations."""
+
+    @pytest.mark.parametrize("name", SQUARE_INPUTS)
+    def test_same_bits_as_a_fresh_matrix(self, capsys, tmp_path, cold_cache, name):
+        path = GOLDEN / name
+        if name.startswith("random_n"):
+            n = int(name[len("random_n"):])
+            path = tmp_path / f"{name}.bct"
+            bct.save(path, bct.document_for(random_matrix(np.random.default_rng(n), n)))
+        doc = bct.load(path)
+        psi = tmp_path / "psi.bct"
+        bct.save(psi, bct.document_for(random_ket(np.random.default_rng(1), doc.dim)))
+        for sub in SUBCOMMANDS[:-2] + ("check",):
+            run(capsys, sub, str(path))
+        run(capsys, "evolve", "--hamiltonian", str(path), "--state", str(psi),
+            "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "5")
+        assert bct.load(path) is doc
+
+        kept = doc.value.matrix if doc.kind == "operator" else doc.value
+        fresh = BicomplexMatrix(kept.z1, kept.z2)
+        dets = kept._component_dets()
+        assert kept._component_dets() is dets and not dets.flags.writeable
+        assert _bits(dets) == _bits(fresh._component_dets())
+        assert _outcome(kept.det) == _outcome(fresh.det)
+        assert kept._classify_det() is fresh._classify_det()
+        assert _outcome(kept.inverse) == _outcome(fresh.inverse)
+        if not kept.is_singular():
+            assert kept.inverse() is kept.inverse()
+        transposed, fresh_transposed = kept.transpose(), fresh.transpose()
+        assert kept.transpose() is transposed
+        assert _bits(transposed.z1, transposed.z2, transposed._component_dets()) == _bits(
+            fresh_transposed.z1, fresh_transposed.z2, fresh_transposed._component_dets()
+        )
+
+    def test_factorizations_per_linalg_job(self, capsys, monkeypatch, tmp_path, cold_cache):
+        path = tmp_path / "m32.bct"
+        bct.save(path, bct.document_for(random_matrix(np.random.default_rng(32), 32)))
+        calls = collections.Counter()
+        for name in ("det", "cond", "inv"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        for sub in ("det", "inv", "gram-schmidt", "check"):
+            code, out = run(capsys, sub, str(path))
+            assert code == 0, out
+        # A and its transpose are each factorized once
+        assert calls == {"det": 2, "cond": 1, "inv": 1}
+
+        bct._parse_bytes.cache_clear()
+        calls.clear()
+        code, out = run(capsys, "check", str(path))
+        assert code == 0, out
+        assert calls == {"det": 2, "cond": 1, "inv": 1}
 
 
 # -- output layout of every subcommand on every golden file ----------------------------

@@ -7,6 +7,7 @@ from bicomplex import (
     Classification,
     DimensionMismatch,
     SingularMatrix,
+    Tolerance,
     approx_eq,
 )
 from bicomplex.core import E1, J, ONE
@@ -164,6 +165,38 @@ class TestInverse:
             direct = gauss_jordan_inverse(a)
             fast = a.inverse().matrix
             assert (direct - fast).max_norm() <= 1e-9
+
+
+class TestKeptResults:
+    """Determinants, inverse and transpose are computed once per matrix and kept."""
+
+    def test_repeated_calls_return_the_kept_objects(self):
+        a = random_well_conditioned(np.random.default_rng(53), 8)
+        dets, inverse, transposed = a._component_dets(), a.inverse(), a.transpose()
+        assert a._component_dets() is dets
+        assert a.inverse() is inverse
+        assert a.transpose() is transposed
+        for array in (dets, inverse.matrix.z1, inverse.matrix.z2, transposed.z1, transposed.z2):
+            assert not array.flags.writeable
+
+    def test_transpose_of_transpose_is_a_new_copy(self):
+        a = random_matrix(np.random.default_rng(59), 4)
+        back = a.transpose().transpose()
+        assert back is not a
+        assert back == a
+        assert not np.shares_memory(back.z1, a.z1)
+
+    def test_tolerance_applies_after_a_kept_inverse(self):
+        # det = 1e-8 e1 + 1 e2: invertible at eps_null 1e-12, null cone at 1e-6
+        a = BicomplexMatrix.diagonal([Bicomplex.from_idempotent(1e-8, 1.0), ONE])
+        kept = a.inverse()
+        coarse = Tolerance(eps_null=1e-6)
+        with pytest.raises(SingularMatrix) as info:
+            a.inverse(coarse)
+        assert info.value.components == (1,)
+        assert a.is_singular(coarse)
+        assert a._classify_det(coarse) is Classification.NULL_CONE_1
+        assert a.inverse() is kept
 
 
 class TestProductAndTranspose:
