@@ -180,9 +180,12 @@ class Bicomplex:
     __slots__ = ("z1", "z2")
 
     def __init__(self, z1: complex | float = 0.0, z2: complex | float = 0.0):
-        z1 = complex(z1)
-        z2 = complex(z2)
-        if not (cmath.isfinite(z1) and cmath.isfinite(z2)):
+        # exact type tests: subclasses such as numpy's complex128 are converted
+        if type(z1) is not complex:
+            z1 = complex(z1)
+        if type(z2) is not complex:
+            z2 = complex(z2)
+        if not (_isfinite(z1) and _isfinite(z2)):
             raise NonFinite(f"components must be finite, got ({z1!r}, {z2!r})")
         self.z1 = z1
         self.z2 = z2
@@ -211,17 +214,19 @@ class Bicomplex:
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Bicomplex):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return Bicomplex(self.z1 + other.z1, self.z2 + other.z2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Bicomplex):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return Bicomplex(self.z1 - other.z1, self.z2 - other.z2)
 
     def __rsub__(self, other):
@@ -231,9 +236,10 @@ class Bicomplex:
         return Bicomplex(other.z1 - self.z1, other.z2 - self.z2)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Bicomplex):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return Bicomplex(
             self.z1 * other.z1 - self.z2 * other.z2,
             self.z1 * other.z2 + self.z2 * other.z1,

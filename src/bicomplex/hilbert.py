@@ -16,7 +16,11 @@ stacks, matching the component stacks of kets and matrices, so each
 product, solve and factorization below is one batched numpy call over
 both components.  Gram-Schmidt is one batched QR factorization, checked
 against the ring-arithmetic recursion of ``reference.gram_schmidt_ring``,
-and its basis stays stacked as ``KetColumns``.
+and its basis stays stacked as ``KetColumns``.  The standard product
+(I, I) is one kept spec per order (``ScalarProductSpec.identity``);
+under it Gram-Schmidt skips the Cholesky route and reads the QR that the
+kets' coefficient matrix keeps along with its determinants, inverse and
+transpose (``BicomplexMatrix.qr``).
 
 Kets carry their basis label; mixing labels raises instead of silently
 coercing.  All values are immutable and operations pure.
@@ -24,6 +28,7 @@ coercing.  All values are immutable and operations pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -169,9 +174,10 @@ class ScalarProductSpec:
     defines a valid product; (I, I) is the standard one.  ``grams`` is
     the read-only stack (G1, G2) and ``chols`` the stack of their lower
     Cholesky factors, kept for the eigensolver reduction and Gram-Schmidt.
+    ``standard`` is true only for the kept specs of ``identity``.
     """
 
-    __slots__ = ("grams", "chols")
+    __slots__ = ("grams", "chols", "standard")
 
     def __init__(self, g1: np.ndarray, g2: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE):
         g1 = np.array(g1, dtype=complex)
@@ -193,11 +199,17 @@ class ScalarProductSpec:
         chols.setflags(write=False)
         self.grams = grams
         self.chols = chols
+        self.standard = False
 
     @classmethod
     def identity(cls, dim: int) -> ScalarProductSpec:
-        eye = np.eye(dim, dtype=complex)
-        return cls(eye, eye)
+        """The standard product (I, I) of order ``dim``: one kept spec per order.
+
+        The specs of the 8 most recently used orders are kept, read-only.
+        ``gram_schmidt`` under one skips the Cholesky route, whose product
+        and solve against L = I change nothing.
+        """
+        return _standard_spec(dim)
 
     @property
     def dim(self) -> int:
@@ -218,6 +230,14 @@ class ScalarProductSpec:
         g1, g2 = self.grams
         scale = max(float(np.abs(self.grams).max()), 1.0)
         return float(np.abs(g1 - g2).max()) <= tol.eps_eq * scale
+
+
+@functools.lru_cache(maxsize=8)
+def _standard_spec(dim: int) -> ScalarProductSpec:
+    eye = np.eye(dim, dtype=complex)
+    spec = ScalarProductSpec(eye, eye)
+    spec.standard = True
+    return spec
 
 
 class HyperbolicNorm(NamedTuple):
@@ -380,7 +400,10 @@ def gram_schmidt(
     component.  With G_k = L L^H and the input kets as the columns of
     X_k, run k is the QR factorization L^H X_k = Q_k R_k with diag(R_k)
     made positive real; the output is L^{-H} Q_k, one coefficient
-    matrix.  Before normalization ket i has self-product
+    matrix.  Under the kept standard spec L = I, so the product and the
+    solve are skipped and the QR is the one the coefficient matrix keeps
+    (``BicomplexMatrix.qr``); the pivot test and the phase fix-up below
+    still run on every call.  Before normalization ket i has self-product
     |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be invertible.  Its null-cone
     test runs on the pivot moduli divided by the power of two of the
     larger one before they are squared: the division is exact, so the
@@ -398,8 +421,11 @@ def gram_schmidt(
     if kets.matrix.is_singular(tol):
         raise NotABasis("input kets do not form a basis")
 
-    chol_h = spec.chols.conj().mT
-    q, r = np.linalg.qr(chol_h @ kets.matrix.components)
+    if spec.standard:
+        q, r = kets.matrix.qr()
+    else:
+        chol_h = spec.chols.conj().mT
+        q, r = np.linalg.qr(chol_h @ kets.matrix.components)
     pivots = np.diagonal(r, axis1=1, axis2=2)
     moduli = np.abs(pivots)
     # Bicomplex.from_idempotent(a, b).classify(tol) for every pivot self-product
@@ -416,7 +442,9 @@ def gram_schmidt(
             # an infinite or NaN pivot: the scalar path raises its own NonFinite
             Bicomplex.from_idempotent(*moduli[:, index] ** 2)
         raise NullConePivot(index)
-    columns = np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))[:, None])
+    columns = q * np.exp(1j * np.angle(pivots))[:, None]
+    if not spec.standard:
+        columns = np.linalg.solve(chol_h, columns)
     return KetColumns(BicomplexMatrix.from_components(*columns), kets.basis_id)
 
 

@@ -11,17 +11,18 @@ A matrix is singular when its determinant lies in the null cone, i.e.
 when at least one component determinant vanishes against the other
 (``_classify_det``, also where a determinant is not representable).
 Storage is the canonical (z1, z2) pair of complex arrays
-(``core.BicomplexArray``); determinant, inverse and condition numbers
-are each one batched LAPACK call on the ``(2, n, n)`` component stack.
-Each is computed once per matrix and kept, as is the transposed copy:
-the commands of one process share a loaded matrix (``bct.load``), so
-``det``, ``inv``, ``gram-schmidt`` and ``check`` on one document
-factorize A and its transpose once each.  Only results that do not
-depend on a ``Tolerance`` are kept; the null-cone tests run on every
-call.  The product stays in (z1, z2) ring form, so the component law
-that ``checks`` verifies compares two independent routes.  Matrices are
-immutable and all operations are pure; two threads that race on a
-first use compute the same value twice.
+(``core.BicomplexArray``); determinant, inverse, condition numbers and
+QR factorization are each one batched LAPACK call on the ``(2, n, n)``
+component stack.  Each is computed once per matrix and
+kept, as is the transposed copy: the commands of one process share a
+loaded matrix (``bct.load``), so ``det``, ``inv``, ``gram-schmidt`` and
+``check`` on one document factorize A and its transpose once each, and
+the rows' Gram-Schmidt under the standard product is the kept QR of the
+transpose.  Only results that do not depend on a ``Tolerance`` are kept;
+the null-cone tests run on every call.  The product stays in (z1, z2)
+ring form, so the component law that ``checks`` verifies compares two
+independent routes.  Matrices are immutable and all operations are
+pure; two threads that race on a first use compute the same value twice.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class MatrixInverse(NamedTuple):
 class BicomplexMatrix(BicomplexArray):
     """An n-by-n array of bicomplex entries."""
 
-    __slots__ = ("_dets", "_inverse", "_transpose")
+    __slots__ = ("_dets", "_inverse", "_qr", "_transpose")
     ndim = 2
 
     # -- constructors ----------------------------------------------------
@@ -220,6 +221,21 @@ class BicomplexMatrix(BicomplexArray):
             inverse = BicomplexMatrix.from_components(*np.linalg.inv(self.components))
             self._inverse = MatrixInverse(inverse, float(cond1), float(cond2))
             return self._inverse
+
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only component QR factorizations (Q, R), stacked as ``(2, n, n)``.
+
+        One batched LAPACK call on first use, then kept: ``gram_schmidt``
+        under the standard product reads its pivots and columns from it.
+        """
+        try:
+            return self._qr
+        except AttributeError:
+            q, r = np.linalg.qr(self.components)
+            q.setflags(write=False)
+            r.setflags(write=False)
+            self._qr = q, r
+            return self._qr
 
 
 # largest entry component modulus whose square is finite

@@ -240,7 +240,8 @@ def adjoint(spec: ScalarProductSpec, a: Operator) -> Operator:
 
 def is_self_adjoint(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     residual = (adjoint(spec, a).matrix - a.matrix).max_norm()
-    return residual <= tol.eps_eq * max(1.0, a.matrix.max_norm())
+    # relative to the operator's scale alone, so an exact rescaling keeps the answer
+    return residual <= tol.eps_eq * a.matrix.max_norm()
 
 
 def is_unitary(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

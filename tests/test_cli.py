@@ -672,8 +672,10 @@ class TestKeptFactorizations:
     def test_factorizations_per_linalg_job(self, capsys, monkeypatch, tmp_path, cold_cache):
         path = tmp_path / "m32.bct"
         bct.save(path, bct.document_for(random_matrix(np.random.default_rng(32), 32)))
+        # the order's kept standard spec exists; building it is its one Cholesky
+        ScalarProductSpec.identity(32)
         calls = collections.Counter()
-        for name in ("det", "cond", "inv"):
+        for name in ("det", "cond", "inv", "qr", "cholesky", "solve"):
             original = getattr(np.linalg, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -684,14 +686,15 @@ class TestKeptFactorizations:
         for sub in ("det", "inv", "gram-schmidt", "check"):
             code, out = run(capsys, sub, str(path))
             assert code == 0, out
-        # A and its transpose are each factorized once
-        assert calls == {"det": 2, "cond": 1, "inv": 1}
+        # A and its transpose are each factorized once; the rows' Gram-Schmidt under
+        # the standard product is the kept QR of the transpose, with no Cholesky route
+        assert calls == {"det": 2, "cond": 1, "inv": 1, "qr": 1}
 
         bct._parse_bytes.cache_clear()
         calls.clear()
         code, out = run(capsys, "check", str(path))
         assert code == 0, out
-        assert calls == {"det": 2, "cond": 1, "inv": 1}
+        assert calls == {"det": 2, "cond": 1, "inv": 1, "qr": 1}
 
 
 # -- output layout of every subcommand on every golden file ----------------------------

@@ -435,6 +435,90 @@ class TestStackedGramSchmidt:
             assert count["null-cone-outputs"] == per_ket
 
 
+def _gram_schmidt_outcome(spec, kets, tol=Tolerance()):
+    """The bits of the orthonormalized kets, or the error raised and its pivot index."""
+    try:
+        return _bits(gram_schmidt(spec, kets, tol)).tobytes()
+    except (NullConePivot, NotABasis) as exc:
+        return type(exc), getattr(exc, "index", None)
+
+
+class TestStandardSpec:
+    """One kept standard spec per order, and Gram-Schmidt under it on the kept QR."""
+
+    def test_one_kept_read_only_spec_per_order(self):
+        spec = ScalarProductSpec.identity(4)
+        assert ScalarProductSpec.identity(4) is spec and spec.standard
+        assert ScalarProductSpec.identity(5) is not spec
+        assert not spec.grams.flags.writeable and not spec.chols.flags.writeable
+        assert np.array_equal(spec.grams, np.stack([np.eye(4)] * 2))
+        assert not ScalarProductSpec(np.eye(4), np.eye(4)).standard
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_bit_identical_to_a_fresh_identity_spec(self, n):
+        matrix = random_matrix(np.random.default_rng(900 + n), n)
+        fresh = ScalarProductSpec(np.eye(n), np.eye(n))
+        kept = ScalarProductSpec.identity(n)
+        for kets in (row_kets(matrix, "r"), KetColumns(matrix, "c"), list(KetColumns(matrix, "c"))):
+            assert _gram_schmidt_outcome(kept, kets) == _gram_schmidt_outcome(fresh, kets)
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in GOLDEN.glob("*.bct")
+                       if not p.name.startswith(("scalar_", "ket_", "spec_")))
+    )
+    def test_golden_matrices_bit_identical_to_a_fresh_identity_spec(self, name):
+        doc = bct.load(GOLDEN / name)
+        matrix = doc.value.matrix if doc.kind == "operator" else doc.value
+        n = matrix.order
+        fresh = ScalarProductSpec(np.eye(n), np.eye(n))
+        for kets in (row_kets(matrix, "r"), KetColumns(matrix, "c")):
+            expected = _gram_schmidt_outcome(fresh, kets)
+            assert _gram_schmidt_outcome(ScalarProductSpec.identity(n), kets) == expected
+
+    def test_kept_qr_is_shared_and_read_only(self, monkeypatch):
+        matrix = random_matrix(np.random.default_rng(71), 5)
+        calls = []
+        original = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        spec = ScalarProductSpec.identity(5)
+        first = gram_schmidt(spec, row_kets(matrix, "r"))
+        second = gram_schmidt(spec, row_kets(matrix, "r"))
+        assert len(calls) == 1 and np.array_equal(_bits(first), _bits(second))
+        kept = matrix.transpose().qr()
+        assert matrix.transpose().qr() is kept
+        for factor, fresh in zip(kept, original(matrix.transpose().components)):
+            assert not factor.flags.writeable
+            assert np.array_equal(factor.view(np.uint64), fresh.view(np.uint64))
+        with pytest.raises(ValueError):
+            kept[1][0, 0, 0] = 0.0
+        # another spec keeps its own route: product by L^H, a fresh QR, a solve
+        gram_schmidt(random_spec(np.random.default_rng(73), 5), row_kets(matrix, "r"))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("fine_first", [True, False])
+    def test_pivot_test_follows_each_calls_tolerance(self, fine_first):
+        # pivot squares about 1e-14 against 1: regular under eps_null 1e-16, null cone under 1e-12
+        matrix = bct.load(GOLDEN / "counter_nullcone_pivot_n2.bct").value
+        rows = BicomplexMatrix(matrix.z1, matrix.z2)
+        spec = ScalarProductSpec.identity(2)
+        fine, coarse = Tolerance(eps_null=1e-16), Tolerance(eps_null=1e-12)
+        for tol in (fine, coarse) if fine_first else (coarse, fine):
+            if tol is fine:
+                assert gram_schmidt(spec, row_kets(rows, "r"), tol)[1].classify(tol) is (
+                    KetClassification.REGULAR
+                )
+            else:
+                with pytest.raises(NullConePivot) as info:
+                    gram_schmidt(spec, row_kets(rows, "r"), tol)
+                assert info.value.index == 1
+        assert rows.transpose().qr() is rows.transpose().qr()
+
+
 class TestMixedBases:
     def test_identity_permutation(self):
         rng = np.random.default_rng(31)

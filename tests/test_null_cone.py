@@ -270,15 +270,11 @@ def scaled_dir(tmp_path_factory):
     return root
 
 
-# scale 1 fails this check (exit 3); the absolute branch of eps_eq passes any
-# adjoint residual this small, so the verdict flips to pass (ROADMAP item 2)
-_VERDICT_FLIP = pytest.mark.xfail(
-    strict=True, reason="open defect: eps_eq's absolute branch flips the verdict"
-)
 _ENTRIES_OVERFLOW = (2, None)  # error: NonFinite
 # the calls whose outcome at 2**k is not the unscaled one, with the outcome they have:
 # exp(A) truly overflows from 2**300 on; so does the determinant of matrix_random_n3
-# at 2**500; and unitarity is not homogeneous, so a scaled unitary fails its check
+# at 2**500; and unitarity is not homogeneous, so a scaled unitary fails its check,
+# at every scale now that self-adjointness is tested relative to the operator's scale
 SCALED_EXEMPTIONS = {
     **{
         ("exp", name, k): _ENTRIES_OVERFLOW
@@ -287,14 +283,10 @@ SCALED_EXEMPTIONS = {
     ("info", "matrix_random_n3.bct", 500): _ENTRIES_OVERFLOW,
     ("det", "matrix_random_n3.bct", 500): _ENTRIES_OVERFLOW,
     ("check", "matrix_random_n3.bct", 500): (3, "verdict: fail"),
-    ("check", "operator_unitary_n2.bct", 300): (3, "verdict: fail"),
-    ("check", "operator_unitary_n2.bct", 500): (3, "verdict: fail"),
+    **{("check", "operator_unitary_n2.bct", k): (3, "verdict: fail") for k in SCALES},
 }
 SCALED_CALLS = [
-    pytest.param(
-        name, sub, k, id=f"{sub} {name} 2^{k}",
-        marks=_VERDICT_FLIP if name == "counter_nonselfadjoint_n2.bct" and k < 0 else (),
-    )
+    pytest.param(name, sub, k, id=f"{sub} {name} 2^{k}")
     for name, subs in bench_golden().items() for sub in subs for k in SCALES
 ]
 
