@@ -22,8 +22,20 @@ list that must repeat ``( field ... field )``; every field goes through
 ``float`` at once and the array is reshaped to (rows, atoms, arity),
 the (re, im) pairs viewed as complex.  Only a rejected payload is
 scanned again, atom by atom, to raise the first error with its line
-and column; that scan never builds a document.  Rendering fills one
-``%.17g`` template per row from the row's float fields.
+and column; that scan never builds a document.
+
+Rendering writes each row as ``template % tuple(row)`` would, byte for
+byte.  A block of at least ``BATCH_MIN_FIELDS`` (512) fields goes
+through the numpy kernel of :mod:`bicomplex.format17`, imported on first
+use: every field's 17 significant digits come from one double-double
+product with a per-exponent power of ten (tables filled lazily, with
+exact int arithmetic), its text is put together from 4-digit chunk
+tables, and the whole block is joined with the template's literal pieces
+in one pass.  Fields whose rounding is a tie or too close to call, that
+``%.17g`` prints in exponent notation, or that are not finite are
+printed by ``'%.17g' % x`` itself.  Smaller blocks (scalars, order <= 8
+matrices, eigenvalue lists) fill the template row by row: below about
+256 fields the kernel's fixed cost is more than it saves.
 
 ``load`` parses each distinct file content once per process: it reads
 the file on every call and looks its bytes up in a cache of the last 4
@@ -154,8 +166,27 @@ def atom_fields(*parts: np.ndarray) -> np.ndarray:
 
 
 def format_rows(template: str, fields: np.ndarray) -> list[str]:
-    """One line per row of ``fields`` (a vector is one row), filled into ``template``."""
-    return [template % tuple(row) for row in np.atleast_2d(fields).tolist()]
+    """One line per row of ``fields`` (a vector is one row), filled into ``template``.
+
+    Each line is ``template % tuple(row)``, byte for byte.  A float block
+    of at least ``BATCH_MIN_FIELDS`` fields, under a template of plain
+    ASCII text around its ``%.17g`` fields, is printed by the batch
+    kernel in :mod:`bicomplex.format17`; every other block row by row.
+    """
+    fields = np.atleast_2d(fields)
+    if fields.size >= BATCH_MIN_FIELDS and fields.dtype == np.float64 and fields.ndim == 2:
+        # imported here: compiling the kernel would cost every `bct` process
+        # about 2 ms, and those that print only small blocks never run it
+        from . import format17
+
+        lines = format17.format_rows(template, fields)
+        if lines is not None:
+            return lines
+    return [template % tuple(row) for row in fields.tolist()]
+
+
+# below about 256 fields the kernel's fixed cost is more than it saves
+BATCH_MIN_FIELDS = 512
 
 
 def render(doc: BctDocument) -> str:

@@ -7,15 +7,16 @@ is "pass" only when all residuals are within tolerance.  Exit codes:
 0 verdict pass, 1 unreadable or malformed input, or a stdout that
 closed or failed before the report was written (nothing is printed to
 stderr then), 2 violated precondition (singular matrix,
-non-self-adjoint Hamiltonian, a result that overflows, ...), 3
-completed run with verdict fail.  The ``bct`` console script
-(:func:`entry`) flushes stdout and stderr and ends the process with
-``os._exit``, skipping interpreter finalization, so ``atexit`` handlers
-that other code registers do not run in a ``bct`` process; in-process
-callers of :func:`main` return normally.  Output
-depends on the input bytes and flags; at order 128, info, det, inv,
-gram-schmidt, spectral and check print other last digits with one
-OpenBLAS thread than with two.  The golden corpus (order <= 3) does not.
+non-self-adjoint Hamiltonian, a result that overflows, a size that
+needs more memory than there is, ...), 3 completed run with verdict
+fail.  The ``bct`` console script (:func:`entry`) flushes stdout and
+stderr and ends the process with ``os._exit``, skipping interpreter
+finalization, so ``atexit`` handlers that other code registers do not
+run in a ``bct`` process; in-process callers of :func:`main` return
+normally.  Output depends on the input bytes and flags; at order 128,
+info, det, inv, gram-schmidt, spectral and check print other last
+digits with one OpenBLAS thread than with two.  The golden corpus
+(order <= 3) does not.
 """
 
 from __future__ import annotations
@@ -331,6 +332,9 @@ def _run(args) -> tuple[str, int]:
         return f"cannot read input: {exc}", 1
     except BicomplexError as exc:
         return f"error: {type(exc).__name__}: {exc}", 2
+    except MemoryError as exc:
+        # a size the machine cannot hold (``evolve --samples 100000000000``)
+        return f"error: MemoryError: {exc}", 2
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,9 @@ use is safe.
 
 ``entry_norms`` is the one Euclidean norm of array entries, behind every
 max norm and entrywise residual; it never squares, so it is finite for
-finite entries.  ``reference.py`` keeps its own arithmetic as the oracle.
+finite entries.  ``two_product`` is Dekker's error-free product, behind
+the exact digits of the .bct writer.  ``reference.py`` keeps its own
+arithmetic as the oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "component_index",
     "entry_norms",
     "null_cone_codes",
+    "two_product",
 ]
 
 
@@ -444,6 +447,31 @@ def parts_from_components(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 def entry_norms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Euclidean norms sqrt(|z1|^2 + |z2|^2) of the entries, as hypot(|z1|, |z2|): no squares."""
     return np.hypot(np.abs(z1), np.abs(z2))
+
+
+# Veltkamp's splitter 2^27 + 1: a double's high half keeps 26 bits, its low half the rest
+_SPLITTER = 134217729.0
+
+
+def two_product(a, b):
+    """(p, q) with p = fl(a*b) and p + q = a*b exactly, elementwise (Dekker's TwoProduct).
+
+    Both factors are cut into halves of at most 26 bits by Veltkamp's
+    split, so the four partial products are exact.  The identity holds
+    while neither the split (|a|, |b| below about 1e300) nor the partial
+    products over- or underflow.
+    """
+    p = a * b
+    a_hi, a_lo = _veltkamp_split(a)
+    b_hi, b_lo = _veltkamp_split(b)
+    q = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, q
+
+
+def _veltkamp_split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def component_index(k: int) -> int:

@@ -550,7 +550,12 @@ class _Eigenbasis(NamedTuple):
 
     def propagate(self, coeffs: np.ndarray, elapsed) -> np.ndarray:
         """V (exp(-i1 frequencies (t - t0)) * coeffs), one phase column per elapsed time."""
-        phases = np.exp(-1j * np.multiply.outer(self.frequencies, np.atleast_1d(elapsed)))
+        # a phase beyond the double range is reported here, not as numpy warnings
+        with np.errstate(over="ignore"):
+            angles = np.multiply.outer(self.frequencies, np.atleast_1d(elapsed))
+        if not np.isfinite(angles).all():
+            raise NonFinite("phases lambda (t - t0) / hbar overflow")
+        phases = np.exp(-1j * angles)
         return self.vectors @ (phases * coeffs)
 
 

@@ -1,3 +1,5 @@
+import functools
+import math
 import operator
 import pathlib
 import re
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bicomplex import Bicomplex, BicomplexMatrix, Ket, Operator, ScalarProductSpec
-from bicomplex import bct
+from bicomplex import bct, format17
 from bicomplex.core import E1, J, ONE, BicomplexArray
 
 from helpers import oracle_parse, oracle_render, random_matrix, random_spd
@@ -268,6 +270,119 @@ class TestRoundTripProperties:
         assert again == doc
         # %.17g tells every double apart, -0.0 included, so equal text is equal bits
         assert bct.render(again) == text
+
+
+@functools.cache
+def kernel_values() -> np.ndarray:
+    """Doubles that the batch %.17g kernel must print as '%.17g' % v does, in a fixed order."""
+    rng = np.random.default_rng(1971)
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    boundaries = np.array([1e-5, 9.9999999999999995e-05, 1e16, 1e17, 99999999999999999.0])
+    # the doubles around 10^p (1 - 5e-18), where 17 digits round up to 10^p
+    carries = np.array([float(f"99999999999999995e{p}") for p in range(-340, 292)])
+    small_ties = rng.integers(1, 2**12, 10000) * 2.0 ** rng.integers(-70, 60, 10000)
+    families = [
+        # random bit patterns: every binary exponent, subnormals, inf and nan
+        rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(30000) * 10.0 ** rng.uniform(-30, 30, 30000),
+        # m * 2^e with small m: many have 18 significant digits ending in 5
+        small_ties,
+        np.array([3 * 2.0**-24, 2.0**-24, 5 * 2.0**-60, 2.0**60, 3 * 2.0**56]),
+        powers,
+        np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf),
+        boundaries,
+        np.nextafter(boundaries, 0.0),
+        np.nextafter(boundaries, np.inf),
+        carries,
+        np.nextafter(carries, 0.0),
+        np.nextafter(carries, np.inf),
+        np.array([0.0, np.inf, np.nan, -np.nan, 5e-324, 2.2250738585072014e-308,
+                  np.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308]),
+    ]
+    values = np.concatenate(families)
+    return np.concatenate([values, -values])
+
+
+EVOLVE_ROW = "%.17g\t" + bct.atoms_template(16, sep="\t") + "\t%.17g\t%.17g"
+
+
+def _fixed_class(text: str) -> tuple[str, int, int] | None:
+    """(sign, decimal exponent, significant digits) of a %.17g field in fixed notation."""
+    sign, text = ("-", text[1:]) if text.startswith("-") else ("+", text)
+    if not text[0].isdigit() or "e" in text:
+        return None
+    whole, _, fraction = text.partition(".")
+    if whole != "0" or text == "0":
+        return sign, len(whole) - 1, max(len((whole + fraction).rstrip("0")), 1)
+    significant = fraction.lstrip("0")
+    return sign, len(significant) - len(fraction) - 1, len(significant.rstrip("0"))
+
+
+class TestBatchFormat:
+    """``format_rows``' batch kernel writes what ``template % tuple(row)`` writes."""
+
+    @pytest.mark.parametrize(
+        "template, count",
+        [(bct.atoms_template(8), 32), (bct.atoms_template(8, sep="\t"), 32), (EVOLVE_ROW, 67)],
+        ids=["space", "tab", "evolve"],
+    )
+    def test_same_text_as_percent(self, monkeypatch, template, count):
+        values = kernel_values()
+        values = np.resize(values, -(-values.size // count) * count)
+        block = values.reshape(-1, count)
+        small = block[: (bct.BATCH_MIN_FIELDS - 1) // count]
+        assert small.size < bct.BATCH_MIN_FIELDS <= block.size
+        kernel_calls = []
+        field_bytes = format17.field_bytes
+
+        def counted(x):
+            kernel_calls.append(x.size)
+            return field_bytes(x)
+
+        monkeypatch.setattr(format17, "field_bytes", counted)
+        for fields in (block, small, small[0]):
+            want = [template % tuple(row) for row in np.atleast_2d(fields).tolist()]
+            got = bct.format_rows(template, fields)
+            mismatches = [(w, g) for w, g in zip(want, got) if w != g]
+            assert (len(got), mismatches[:3]) == (len(want), [])
+        # the large block went through the kernel, in parts, and the small ones did not
+        assert len(kernel_calls) > 1 and sum(kernel_calls) == block.size
+
+    def test_every_field_class(self):
+        # each spelling of fixed notation, both signs: decimal exponent -4..16
+        # with 1..17 significant digits, found among values drawn per class
+        rng = np.random.default_rng(17)
+        values = []
+        for k in range(-4, 17):
+            for nd in range(1, 18):
+                draws = rng.integers(10 ** (nd - 1), 10**nd, 40) // 10 * 10 + rng.integers(1, 10, 40)
+                digits = np.arange(1, 10) if nd == 1 else draws
+                values += [float(f"{d}e{k - nd + 1}") for d in digits.tolist()]
+        values = np.array(values + [0.0])
+        block = np.concatenate([values, -values]).reshape(-1, 2)
+        want = ["%.17g %.17g" % tuple(row) for row in block.tolist()]
+        assert bct.format_rows("%.17g %.17g", block) == want
+        classes = {_fixed_class(text) for row in want for text in row.split()}
+        assert {(sign, k, nd) for sign in "+-" for k in range(-4, 17) for nd in range(1, 18)} <= classes
+
+    def test_carry_thresholds_are_exact(self):
+        # per binary exponent e, the least f in [0.5, 1] whose 17 digits round up to 10^17
+        format17._fill_scales(np.arange(format17._EXPONENTS))
+        for index in range(format17._EXPONENTS):
+            e, k = index + format17._E_MIN, int(format17._DECIMAL[2 * index])
+            twice_scale, den = format17._ratio(e + 1, 16 - k)  # 2 * 2^e * 10^(16 - k), over den
+            least = float(format17._CARRY_FROM[index])
+            for f, carries in ((least, True), (math.nextafter(least, 0.0), False)):
+                num, f_den = f.as_integer_ratio()
+                assert (num * twice_scale >= (2 * 10**17 - 1) * f_den * den) is carries
+
+    def test_templates_the_kernel_leaves_alone(self):
+        block = np.full((bct.BATCH_MIN_FIELDS, 1), 0.25)
+        for template in ("%.17g%%", "%.17g\u00e9", "a\n%.17g"):
+            assert bct.format_rows(template, block) == [template % (0.25,)] * len(block)
+        with pytest.raises(TypeError):
+            bct.format_rows("%.17g %.17g", block)
 
 
 # Replacements and insertions that a reader must reject, or accept exactly

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicomplex import bct
+from bicomplex import bct, cli
 from bicomplex.cli import main
 from bicomplex.core import Bicomplex, BicomplexError, E1, I1, J, ONE
 from bicomplex.hilbert import Ket, ScalarProductSpec
@@ -370,6 +370,24 @@ class TestErrorPaths:
         assert out.startswith("error: ")
         assert "steps must be at least 1" in out
 
+    def test_memory_error_exit_2(self, capsys, monkeypatch, workdir):
+        # what numpy raises for 1e11 samples, raised before anything is allocated
+        error = np._core._exceptions._ArrayMemoryError((100000000000,), np.dtype(float))
+
+        def no_room(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "_evolve", no_room)
+        code, out = run(
+            capsys,
+            "evolve",
+            "--hamiltonian", str(workdir / "h.bct"),
+            "--state", str(workdir / "psi.bct"),
+            "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "100000000000",
+        )
+        assert (code, out) == (2, f"error: MemoryError: {error}\n")
+        assert "Unable to allocate" in out
+
     def test_bad_tolerance_exit_2(self, capsys, workdir):
         code, out = run(capsys, "--eps-null", "0.5", "det", str(workdir / "diag.bct"))
         assert code == 2
@@ -402,6 +420,10 @@ class TestConsoleScript:
             # |lambda| / hbar overflows: NonFinite, and no numpy warning on stderr
             (2, ["evolve", "--hamiltonian", "HUGE", "--state", "PSI", "--hbar", "1e-300",
                  "--t0", "0", "--t1", "1", "--samples", "5"]),
+            # lambda (t - t0) / hbar overflows at the last sample: the same
+            (2, ["evolve", "--hamiltonian", str(GOLDEN / "operator_selfadjoint_n2.bct"),
+                 "--state", str(GOLDEN / "ket_nullcone_n2.bct"), "--hbar", "1",
+                 "--t0", "0", "--t1", "1e308"]),
         ],
     )
     def test_same_output_as_main(self, capsys, tmp_path, expected, argv, unbuffered):

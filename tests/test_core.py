@@ -1,7 +1,11 @@
 import cmath
 import importlib
 import math
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +26,9 @@ from bicomplex import (
     approx_eq,
 )
 from bicomplex.checks import _relative
-from bicomplex.core import E1, E2, I1, I2, J, ONE, ZERO, entry_norms, parts_from_components
+from bicomplex.core import (
+    E1, E2, I1, I2, J, ONE, ZERO, entry_norms, parts_from_components, two_product,
+)
 
 from helpers import random_bicomplex
 
@@ -283,6 +289,33 @@ def test_no_dataclasses():
     names = {c.__name__ for c in _package_classes()}
     assert {"Tolerance", "CheckResult", "BctDocument", "_Evolution"} <= names
     assert [c for c in _package_classes() if hasattr(c, "__dataclass_fields__")] == []
+
+
+def test_cli_import_leaves_out_the_render_kernel():
+    # the .bct render kernel is imported by the first large block it prints
+    # and fills its digit tables with ints: a `bct` start imports neither it
+    # nor fractions nor decimal
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    names = "{'bicomplex.format17', 'decimal', 'fractions'}"
+    code = f"import sys, bicomplex.cli; print(sorted({names} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_two_product_is_exact():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal(2000) * 10.0 ** rng.integers(-100, 100, 2000)
+    b = rng.standard_normal(2000) * 10.0 ** rng.integers(-100, 100, 2000)
+    p, q = two_product(a, b)
+    assert np.array_equal(p, a * b)
+    for x, y, hi, lo in zip(a.tolist(), b.tolist(), p.tolist(), q.tolist()):
+        (xn, xd), (yn, yd), (hn, hd), (ln, ld) = map(float.as_integer_ratio, (x, y, hi, lo))
+        # hi + lo == x * y, cross-multiplied over the four denominators
+        assert (hn * ld + ln * hd) * xd * yd == xn * yn * hd * ld
+    assert two_product(3.0, 1.0 / 3.0) == (1.0, -2.0**-54)
 
 
 class TestHyperbolic:
