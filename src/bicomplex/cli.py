@@ -1,22 +1,30 @@
 """Command-line interface around the .bct container.
 
-Every subcommand loads its input, computes, and hands the result to
-the verification layer in ``checks`` (the same checks ``bct check``
-runs), which re-derives its defining residuals; the final verdict line
-is "pass" only when all residuals are within tolerance.  Exit codes:
-0 verdict pass, 1 unreadable or malformed input, or a stdout that
-closed or failed before the report was written (nothing is printed to
-stderr then), 2 violated precondition (singular matrix,
-non-self-adjoint Hamiltonian, a result that overflows, a size that
-needs more memory than there is, ...), 3 completed run with verdict
-fail.  The ``bct`` console script (:func:`entry`) flushes stdout and
-stderr and ends the process with ``os._exit``, skipping interpreter
-finalization, so ``atexit`` handlers that other code registers do not
-run in a ``bct`` process; in-process callers of :func:`main` return
-normally.  Output depends on the input bytes and flags; at order 128,
-info, det, inv, gram-schmidt, spectral and check print other last
-digits with one OpenBLAS thread than with two.  The golden corpus
-(order <= 3) does not.
+One table, ``_COMMANDS``, gives each subcommand its handler, the input
+kinds it accepts and those that read ``--spec``, and builds the
+argparse subcommands in ``bct --help`` order.  One runner,
+``_dispatch``, loads the input, rejects a kind not accepted
+(``KindMismatch``), resolves the spec (the kept standard product
+without ``--spec``), calls the handler and renders its payload lines,
+checks and notes under the ``file:`` header; ``evolve``'s handler loads
+its two files itself.
+
+Handlers verify through ``checks`` (the same checks ``bct check``
+runs), which re-derives their defining residuals; the verdict line is
+"pass" only when all residuals are within tolerance.  Exit codes: 0
+verdict pass, 1 unreadable or malformed input, or a stdout that closed
+or failed before the report was written (nothing is printed to stderr
+then), 2 violated precondition (singular matrix, non-self-adjoint
+Hamiltonian, a result that overflows, a size that needs more memory
+than there is, ...), 3 completed run with verdict fail.  The ``bct``
+console script (:func:`entry`) flushes stdout and stderr and ends the
+process with ``os._exit``, skipping interpreter finalization, so
+``atexit`` handlers that other code registers do not run in a ``bct``
+process; in-process callers of :func:`main` return normally.  Output
+depends on the input bytes and flags; at order 128, info, det, inv,
+gram-schmidt, spectral and check print other last digits with one
+OpenBLAS thread than with two.  The golden corpus (order <= 3) does
+not.
 """
 
 from __future__ import annotations
@@ -103,16 +111,16 @@ def _as_matrix(doc: BctDocument) -> BicomplexMatrix:
     return doc.value.matrix if doc.kind == "operator" else doc.value
 
 
-def _result_block(value, basis: str | None = None) -> list[str]:
-    return ["result:"] + bct.render(bct.document_for(value, basis)).rstrip("\n").split("\n")
+def _result_block(value) -> list[str]:
+    return ["result:"] + bct.render(bct.document_for(value)).rstrip("\n").split("\n")
 
 
 # -- subcommands ---------------------------------------------------------------
+# handler(args, document, spec, tol) -> (payload lines, checks, notes)
 
 
-def _cmd_info(args, tol: Tolerance) -> int:
-    doc = bct.load(args.file)
-    lines = [f"file: {args.file}", f"kind: {doc.kind}", f"dim: {doc.dim}"]
+def _cmd_info(args, doc: BctDocument, spec, tol: Tolerance):
+    lines = [f"kind: {doc.kind}", f"dim: {doc.dim}"]
     if doc.basis is not None:
         lines.append(f"basis: {doc.basis}")
     if doc.kind == "scalar":
@@ -124,8 +132,7 @@ def _cmd_info(args, tol: Tolerance) -> int:
     elif doc.kind == "ket":
         psi: Ket = doc.value
         lines.append(f"classification: {psi.classify(tol).value}")
-        spec = ScalarProductSpec.identity(psi.dim)
-        product = scalar_product(spec, psi, psi)
+        product = scalar_product(ScalarProductSpec.identity(psi.dim), psi, psi)
         lines.append(f"self-product: {bct.format_bicomplex_atom(product)}")
     elif doc.kind in ("matrix", "operator"):
         matrix = _as_matrix(doc)
@@ -142,114 +149,82 @@ def _cmd_info(args, tol: Tolerance) -> int:
             closed = spec.is_closed_under_reference(tol)
             lines.append("valid: yes")
             lines.append(f"closed-under-reference: {'yes' if closed else 'no'}")
-    return _emit("info", lines, [], [])
+    return lines, [], []
 
 
-def _cmd_idempotent(args, tol: Tolerance) -> int:
-    doc = bct.load(args.file)
-    _require_kind(doc, ("scalar", "ket", "matrix", "operator"))
-    lines = [f"file: {args.file}"]
+def _cmd_idempotent(args, doc: BctDocument, spec, tol: Tolerance):
     if doc.kind == "scalar":
         c1, c2 = doc.value.to_idempotent()
-        lines.append(f"component 1: {bct.format_complex_atom(c1)}")
-        lines.append(f"component 2: {bct.format_complex_atom(c2)}")
-    else:
-        value = doc.value if doc.kind == "ket" else _as_matrix(doc)
-        template = bct.atoms_template(doc.dim, 2)
-        for k, component in enumerate(value.components, 1):
-            lines.append(f"component {k}:")
-            lines.extend(bct.format_rows(template, bct.atom_fields(component)))
-    return _emit("idempotent", lines, [], [])
+        return [f"component 1: {bct.format_complex_atom(c1)}",
+                f"component 2: {bct.format_complex_atom(c2)}"], [], []
+    value = doc.value if doc.kind == "ket" else _as_matrix(doc)
+    template = bct.atoms_template(doc.dim, 2)
+    lines = []
+    for k, component in enumerate(value.components, 1):
+        lines.append(f"component {k}:")
+        lines.extend(bct.format_rows(template, bct.atom_fields(component)))
+    return lines, [], []
 
 
-def _cmd_det(args, tol: Tolerance) -> int:
-    doc = bct.load(args.file)
-    _require_kind(doc, ("matrix", "operator"))
+def _cmd_det(args, doc: BctDocument, spec, tol: Tolerance):
     matrix = _as_matrix(doc)
     det = matrix.det()
-    lines = [f"file: {args.file}"]
-    lines += _result_block(det)
-    lines.append(f"classification: {det.classify(tol).value}")
-
+    lines = _result_block(det) + [f"classification: {det.classify(tol).value}"]
     notes = []
     if matrix.order > COFACTOR_MAX_ORDER:
         notes.append(f"det-idempotent-vs-direct: skipped (order > {COFACTOR_MAX_ORDER})")
-    return _emit("det", lines, verify_determinant(matrix, det), notes)
+    return lines, verify_determinant(matrix, det), notes
 
 
-def _cmd_inv(args, tol: Tolerance) -> int:
-    doc = bct.load(args.file)
-    _require_kind(doc, ("matrix", "operator"))
+def _cmd_inv(args, doc: BctDocument, spec, tol: Tolerance):
     matrix = _as_matrix(doc)
     inverse = matrix.inverse(tol)
-    result = (
-        Operator(inverse.matrix, doc.basis) if doc.kind == "operator" else inverse.matrix
-    )
-    lines = [f"file: {args.file}"]
-    lines += _result_block(result)
+    result = Operator(inverse.matrix, doc.basis) if doc.kind == "operator" else inverse.matrix
     notes = [f"condition-estimates: {inverse.cond1:.3e} {inverse.cond2:.3e}"]
-    return _emit("inv", lines, verify_inverse(matrix, inverse), notes)
+    return _result_block(result), verify_inverse(matrix, inverse), notes
 
 
-def _cmd_gram_schmidt(args, tol: Tolerance) -> int:
-    doc = bct.load(args.file)
-    _require_kind(doc, ("matrix",))
-    matrix: BicomplexMatrix = doc.value
-    spec = _load_spec(args.spec, matrix.order)
-    ortho = gram_schmidt(spec, row_kets(matrix, "input-rows"), tol)
-
-    lines = [f"file: {args.file}"]
-    lines += _result_block(coefficient_matrix(ortho).transpose())
-    return _emit("gram-schmidt", lines, verify_gram_schmidt(spec, ortho, tol), [])
+def _cmd_gram_schmidt(args, doc: BctDocument, spec, tol: Tolerance):
+    ortho = gram_schmidt(spec, row_kets(doc.value, "input-rows"), tol)
+    lines = _result_block(coefficient_matrix(ortho).transpose())
+    return lines, verify_gram_schmidt(spec, ortho, tol), []
 
 
-def _cmd_spectral(args, tol: Tolerance) -> int:
-    doc = bct.load(args.file)
-    _require_kind(doc, ("operator", "matrix"))
+def _cmd_spectral(args, doc: BctDocument, spec, tol: Tolerance):
     op = doc.value if doc.kind == "operator" else Operator(doc.value)
-    spec = _load_spec(args.spec, op.dim)
     system = eigendecompose_self_adjoint(spec, op, tol)
     value_rows = bct.format_rows(bct.atoms_template(1), bct.atom_fields(*system.values[..., None]))
     ket_rows = bct.format_rows(bct.atoms_template(op.dim), bct.atom_fields(*system.kets.mT))
-    lines = [f"file: {args.file}"]
-    lines += [f"eigenvalue {i}: {row}" for i, row in enumerate(value_rows)]
+    lines = [f"eigenvalue {i}: {row}" for i, row in enumerate(value_rows)]
     lines += [f"eigenket {i}: {row}" for i, row in enumerate(ket_rows)]
+    return lines, verify_self_adjoint_spectrum(spec, op, system), []
 
-    return _emit("spectral", lines, verify_self_adjoint_spectrum(spec, op, system), [])
 
-
-def _cmd_exp(args, tol: Tolerance) -> int:
-    doc = bct.load(args.file)
-    _require_kind(doc, ("matrix", "operator"))
-    matrix = _as_matrix(doc)
-    op = Operator(matrix, doc.basis or "canonical")
+def _cmd_exp(args, doc: BctDocument, spec, tol: Tolerance):
+    op = Operator(_as_matrix(doc), doc.basis or "canonical")
     result = op_exp(op)
     back = op_exp(op.scale(-1))
     value = result if doc.kind == "operator" else result.matrix
-    lines = [f"file: {args.file}"]
-    lines += _result_block(value)
-    return _emit("exp", lines, verify_exponential(result.matrix, back.matrix), [])
+    return _result_block(value), verify_exponential(result.matrix, back.matrix), []
 
 
-def _cmd_evolve(args, tol: Tolerance) -> int:
+def _cmd_evolve(args, doc, spec, tol: Tolerance):
     ham_doc = bct.load(args.hamiltonian)
     _require_kind(ham_doc, ("operator", "matrix"))
     op = ham_doc.value if ham_doc.kind == "operator" else Operator(ham_doc.value)
     state_doc = bct.load(args.state)
     _require_kind(state_doc, ("ket",))
-    state: Ket = state_doc.value
     spec = _load_spec(args.spec, op.dim)
 
     xi = None
     if args.xi is not None:
-        xi_doc = bct.parse(f"bct v1\nkind: scalar\ndim: 1\n{args.xi}\n")
-        xi = xi_doc.value
+        xi = bct.parse(f"bct v1\nkind: scalar\ndim: 1\n{args.xi}\n").value
     try:
         cfg = EvolutionConfig(hbar=args.hbar, t0=args.t0, t1=args.t1, steps=args.samples, xi=xi)
     except ValueError as exc:
         raise BicomplexError(f"invalid evolution settings: {exc}") from exc
 
-    evolution = _evolve(cfg, op, state, spec, tol)
+    evolution = _evolve(cfg, op, state_doc.value, spec, tol)
     times, z1, z2 = evolution.samples()
     lines = [
         f"hamiltonian: {args.hamiltonian}",
@@ -263,21 +238,30 @@ def _cmd_evolve(args, tol: Tolerance) -> int:
     norms = ket_norms(spec, z1, z2, tol)
     template = "%.17g\t" + bct.atoms_template(op.dim, sep="\t") + "\t%.17g\t%.17g"
     lines += bct.format_rows(template, np.column_stack([times, bct.atom_fields(z1, z2), *norms]))
+    return lines, verify_evolution(evolution, norms), []
 
-    return _emit("evolve", lines, verify_evolution(evolution, norms), [])
 
-
-def _cmd_check(args, tol: Tolerance) -> int:
-    doc = bct.load(args.file)
-    spec = None
-    if args.spec is not None and doc.kind in ("ket", "operator"):
-        spec = _load_spec(args.spec, doc.dim)
+def _cmd_check(args, doc: BctDocument, spec, tol: Tolerance):
     results, notes = run_checks(doc, spec, tol)
-    lines = [f"file: {args.file}", f"kind: {doc.kind}", f"dim: {doc.dim}"]
-    return _emit("check", lines, results, notes)
+    return [f"kind: {doc.kind}", f"dim: {doc.dim}"], results, notes
 
 
 # -- dispatch ------------------------------------------------------------------
+
+# name -> (handler, the input kinds it accepts, the input kinds that read
+# --spec), in ``bct --help`` order.  Accepted kinds None: the handler loads
+# its own inputs (evolve: --hamiltonian, whose kinds read --spec, and --state).
+_COMMANDS = {
+    "info": (_cmd_info, bct.KINDS, ()),
+    "idempotent": (_cmd_idempotent, ("scalar", "ket", "matrix", "operator"), ()),
+    "det": (_cmd_det, ("matrix", "operator"), ()),
+    "inv": (_cmd_inv, ("matrix", "operator"), ()),
+    "exp": (_cmd_exp, ("matrix", "operator"), ()),
+    "gram-schmidt": (_cmd_gram_schmidt, ("matrix",), ("matrix",)),
+    "spectral": (_cmd_spectral, ("operator", "matrix"), ("operator", "matrix")),
+    "evolve": (_cmd_evolve, None, ("operator", "matrix")),
+    "check": (_cmd_check, bct.KINDS, ("ket", "operator")),
+}
 
 
 @functools.cache
@@ -289,33 +273,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eps-null", type=float, default=1e-12, help="null-cone threshold")
     parser.add_argument("--eps-eq", type=float, default=1e-12, help="approximate-equality threshold")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    for name, handler in (
-        ("info", _cmd_info),
-        ("idempotent", _cmd_idempotent),
-        ("det", _cmd_det),
-        ("inv", _cmd_inv),
-        ("exp", _cmd_exp),
-        ("gram-schmidt", _cmd_gram_schmidt),
-        ("spectral", _cmd_spectral),
-        ("evolve", _cmd_evolve),
-        ("check", _cmd_check),
-    ):
+    for name, (_, kinds, spec_kinds) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
-        if name == "evolve":
-            p.add_argument("--hamiltonian", required=True)
-            p.add_argument("--state", required=True)
-            p.add_argument("--hbar", type=float, required=True)
-            p.add_argument("--t0", type=float, required=True)
-            p.add_argument("--t1", type=float, required=True)
+        if kinds is None:
+            for flag in ("--hamiltonian", "--state"):
+                p.add_argument(flag, required=True)
+            for flag in ("--hbar", "--t0", "--t1"):
+                p.add_argument(flag, type=float, required=True)
             p.add_argument("--samples", type=int, default=100)
             p.add_argument("--xi", default=None, help="left-hand constant as a bicomplex atom")
         else:
             p.add_argument("file")
-        if name in ("gram-schmidt", "spectral", "evolve", "check"):
+        if spec_kinds:
             p.add_argument("--spec", default=None, help="scalar-product spec file")
     return parser
+
+
+def _dispatch(args, tol: Tolerance) -> tuple[str, int]:
+    """Load the input, check its kind, resolve --spec, run the handler and render its report."""
+    handler, kinds, spec_kinds = _COMMANDS[args.subcommand]
+    header, doc, spec = [], None, None
+    if kinds is not None:
+        doc = bct.load(args.file)
+        _require_kind(doc, kinds)
+        if doc.kind in spec_kinds:
+            spec = _load_spec(args.spec, doc.dim)
+        header.append(f"file: {args.file}")
+    lines, checks, notes = handler(args, doc, spec, tol)
+    return _emit(args.subcommand, header + lines, checks, notes)
 
 
 def _run(args) -> tuple[str, int]:
@@ -325,7 +310,7 @@ def _run(args) -> tuple[str, int]:
     except ValueError as exc:
         return f"error: {exc}", 2
     try:
-        return args.handler(args, tol)
+        return _dispatch(args, tol)
     except ParseError as exc:
         return f"parse error: {exc}", 1
     except OSError as exc:

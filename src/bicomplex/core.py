@@ -65,6 +65,7 @@ __all__ = [
     "component_index",
     "entry_norms",
     "null_cone_codes",
+    "scaled_down",
     "two_product",
 ]
 
@@ -386,6 +387,19 @@ def null_cone_codes(moduli, eps_null: float) -> np.ndarray:
     mantissa, exponent = np.frexp(moduli.max(axis=0))
     vanishes = np.ldexp(moduli, -exponent) <= eps_null * mantissa
     return 3 - 2 * vanishes[0] - vanishes[1]
+
+
+def scaled_down(values, exponent: int | None = None) -> tuple[np.ndarray, int]:
+    """Complex values divided by 2**k, and k: by default the binary exponent of their largest part.
+
+    On the float view, so every part, signed zeros included, scales
+    exactly wherever the result is normal.  A zero, infinite or NaN
+    largest part gives k = 0.
+    """
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    if exponent is None:
+        exponent = int(np.frexp(np.abs(parts).max())[1])
+    return np.ldexp(parts, -exponent).view(complex), exponent
 
 
 def _principal_root(value: complex, n: int) -> complex:

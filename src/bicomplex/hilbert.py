@@ -49,6 +49,7 @@ from .core import (
     component_index,
     null_cone_codes,
     parts_from_components,
+    scaled_down,
     stack_components,
 )
 from .matrix import BicomplexMatrix, require_nonsingular
@@ -140,10 +141,8 @@ class Ket(BicomplexArray):
         return _KET_CLASSIFICATIONS[null_cone_codes(moduli, tol.eps_null)]
 
     def scaled_down(self) -> Ket:
-        """This ket divided by the power of two of its largest idempotent modulus (exact)."""
-        exponent = np.frexp(np.abs(self.components).max())[1]
-        # on the float view, so every part, signed zeros included, scales exactly
-        z1, z2 = np.ldexp(np.stack([self.z1, self.z2]).view(float), -exponent).view(complex)
+        """This ket divided exactly by the power of two of its largest part."""
+        (z1, z2), _ = scaled_down((self.z1, self.z2))
         return Ket(z1, z2, self.basis_id)
 
     # -- module structure -------------------------------------------------
@@ -424,7 +423,8 @@ def gram_schmidt(
     if spec.standard:
         q, r = kets.matrix.qr()
     else:
-        chol_h = spec.chols.conj().mT
+        # L / 2**k, exact: L^H X under- or overflows only where the output does
+        chol_h, exponent = scaled_down(spec.chols.conj().mT)
         q, r = np.linalg.qr(chol_h @ kets.matrix.components)
     pivots = np.diagonal(r, axis1=1, axis2=2)
     moduli = np.abs(pivots)
@@ -444,7 +444,7 @@ def gram_schmidt(
         raise NullConePivot(index)
     columns = q * np.exp(1j * np.angle(pivots))[:, None]
     if not spec.standard:
-        columns = np.linalg.solve(chol_h, columns)
+        columns, _ = scaled_down(np.linalg.solve(chol_h, columns), exponent)
     return KetColumns(BicomplexMatrix.from_components(*columns), kets.basis_id)
 
 

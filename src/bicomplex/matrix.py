@@ -44,6 +44,7 @@ from .core import (
     Tolerance,
     as_bicomplex,
     null_cone_codes,
+    scaled_down,
 )
 
 
@@ -180,8 +181,8 @@ class BicomplexMatrix(BicomplexArray):
     def _classify_det(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Classification:
         """``det().classify(tol)``, also when a component determinant is not normal.
 
-        Both determinants are divided by the power of two of the larger
-        modulus first, which is exact, so their recombination cannot
+        Both determinants are divided by the power of two of their largest
+        part first, which is exact, so their recombination cannot
         overflow.  When one overflows, or is zero or subnormal, the moduli
         come from the ``slogdet`` log-moduli as exp(l_k - max(l1, l2)): an
         exactly singular component has log-modulus -inf and still
@@ -192,8 +193,7 @@ class BicomplexMatrix(BicomplexArray):
         d1, d2 = self._component_dets()
         if np.isfinite(d1) and np.isfinite(d2):
             if min(abs(d1), abs(d2)) >= _TINY:
-                scale = np.ldexp(1.0, -np.frexp(max(abs(d1), abs(d2)))[1])
-                return Bicomplex.from_idempotent(d1 * scale, d2 * scale).classify(tol)
+                return Bicomplex.from_idempotent(*scaled_down((d1, d2))[0]).classify(tol)
         elif np.abs(self.components).max() > _ENTRY_LIMIT:
             raise _det_overflow(d1, d2)
         logs = np.linalg.slogdet(self.components).logabsdet

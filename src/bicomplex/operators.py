@@ -47,6 +47,7 @@ from .core import (
     entry_norms,
     null_cone_codes,
     parts_from_components,
+    scaled_down,
     stack_components,
 )
 from .hilbert import BasisMismatch, Ket, ScalarProductSpec
@@ -234,7 +235,9 @@ def adjoint(spec: ScalarProductSpec, a: Operator) -> Operator:
     """
     if spec.dim != a.dim:
         raise DimensionMismatch(f"spec dimension {spec.dim} != operator dimension {a.dim}")
-    parts = np.linalg.solve(spec.grams, a.matrix.components.conj().mT @ spec.grams)
+    # G / 2**k (exact) leaves inv(G) A^H G as it is and keeps A^H G in range
+    grams, _ = scaled_down(spec.grams)
+    parts = np.linalg.solve(grams, a.matrix.components.conj().mT @ grams)
     return Operator(BicomplexMatrix.from_components(*parts), a.basis_id)
 
 
@@ -271,9 +274,10 @@ def _cholesky_reduce(
     A_k is G_k-self-adjoint (G_k-unitary), and back-transformed
     orthonormal eigenvectors L^{-H} Y are G_k-orthonormal.
     """
-    chol_h = spec.chols.conj().mT
+    # L / 2**k (exact) leaves the reduced matrix as it is and keeps L^H A_k in range
+    chol_h, exponent = scaled_down(spec.chols.conj().mT)
     inv_chol_h = np.linalg.inv(chol_h)
-    return chol_h @ matrix.components @ inv_chol_h, inv_chol_h
+    return chol_h @ matrix.components @ inv_chol_h, scaled_down(inv_chol_h, exponent)[0]
 
 
 def _hermitian_eigh(
@@ -520,8 +524,8 @@ class EvolutionConfig(SlottedValue):
     ):
         if not (math.isfinite(hbar) and hbar > 0.0):
             raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise ValueError("t0 and t1 must be finite")
+        if not math.isfinite(t1 - t0):
+            raise ValueError("t0, t1 and t1 - t0 must be finite")
         if steps < 1:
             raise ValueError(f"steps must be at least 1, got {steps!r}")
         if xi is not None:
@@ -627,8 +631,8 @@ class _Evolution(NamedTuple):
             step = SCHRODINGER_PHASE / peak
         # the defect and H' psi are linear in psi and in H': dividing both exactly
         # by powers of two keeps their products finite and leaves each ratio as it is
-        states, _ = _scaled_down(self.components)
-        generator, exponent = _scaled_down(basis.generator.matrix.components)
+        states, _ = scaled_down(self.components)
+        generator, exponent = scaled_down(basis.generator.matrix.components)
         coeffs = basis.coefficients @ states
         ahead = basis.propagate(coeffs, step)
         behind = basis.propagate(coeffs, -step)
@@ -641,13 +645,6 @@ class _Evolution(NamedTuple):
         # the sup norm of each sample's ket, over its coefficients
         defect, rhs = (entry_norms(*parts_from_components(*c)).max(axis=0) for c in (defect, rhs))
         return float((defect / np.maximum(rhs, 1e-300)).max())
-
-
-def _scaled_down(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Complex values divided exactly by 2**k, k the binary exponent of their largest modulus; k."""
-    exponent = int(np.frexp(np.abs(values).max())[1])
-    # on the float view, so every part scales exactly
-    return np.ldexp(np.ascontiguousarray(values).view(float), -exponent).view(complex), exponent
 
 
 def _evolve(

@@ -12,12 +12,14 @@ per eigenvalue, and one rank-one operator per pair, added in order.
 stacked: one ``Ket`` per output column and one scalar null-cone test per
 pivot.  The ``old_*`` oracles are the five null-cone tests as they were
 before ``core.null_cone_codes`` replaced them, each with its own way of
-handling range.  ``bench_golden`` reads the golden calls of the
-benchmark's cli workload.
+handling range.  ``bench_workloads`` loads the benchmark's job
+generator, and ``bench_golden`` reads the golden calls of its cli
+workload.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import pathlib
@@ -226,15 +228,21 @@ def old_null_cone_count(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE)
     return int(((m1 <= tol.eps_null * scale) | (m2 <= tol.eps_null * scale)).sum())
 
 
-def bench_golden() -> dict[str, tuple[str, ...]]:
-    """The golden files and subcommands of the benchmark's cli workload."""
+@functools.cache
+def bench_workloads():
+    """``bench/workloads.py``, the benchmark's seeded job generator, loaded from its file."""
     path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     # its dataclass looks its module up by name
     sys.modules.setdefault(spec.name, module)
     spec.loader.exec_module(module)
-    return module.GOLDEN
+    return module
+
+
+def bench_golden() -> dict[str, tuple[str, ...]]:
+    """The golden files and subcommands of the benchmark's cli workload."""
+    return bench_workloads().GOLDEN
 
 
 # -- .bct oracles: the atom-by-atom reader and writer ---------------------------

@@ -424,6 +424,10 @@ class TestConsoleScript:
             (2, ["evolve", "--hamiltonian", str(GOLDEN / "operator_selfadjoint_n2.bct"),
                  "--state", str(GOLDEN / "ket_nullcone_n2.bct"), "--hbar", "1",
                  "--t0", "0", "--t1", "1e308"]),
+            # t1 - t0 overflows: invalid evolution settings, before any sample time
+            (2, ["evolve", "--hamiltonian", str(GOLDEN / "operator_selfadjoint_n2.bct"),
+                 "--state", str(GOLDEN / "ket_nullcone_n2.bct"), "--hbar", "1",
+                 "--t0=-1e308", "--t1", "1e308"]),
         ],
     )
     def test_same_output_as_main(self, capsys, tmp_path, expected, argv, unbuffered):
@@ -933,6 +937,132 @@ def test_determinant_skip_notes(capsys, tmp_path):
     assert code == 0
     assert "\nnote: det-idempotent-vs-direct: skipped (order 6 > 5)\n" in out
     assert "check det-idempotent-vs-direct" not in out
+
+
+# -- the input kinds, specs and options each subcommand takes ---------------------
+
+KIND_FILES = {
+    "scalar": "scalar_one.bct",
+    "ket": "ket_nullcone_n2.bct",
+    "matrix": "matrix_identity_n2.bct",
+    "operator": "operator_selfadjoint_n2.bct",
+    "spec": "spec_identity_n2.bct",
+}
+# the kinds each subcommand accepts, in the order its error names them;
+# info and check accept every kind
+ACCEPTED_KINDS = {
+    "idempotent": ("scalar", "ket", "matrix", "operator"),
+    "det": ("matrix", "operator"),
+    "inv": ("matrix", "operator"),
+    "exp": ("matrix", "operator"),
+    "gram-schmidt": ("matrix",),
+    "spectral": ("operator", "matrix"),
+    "evolve --hamiltonian": ("operator", "matrix"),
+    "evolve --state": ("ket",),
+}
+EVOLVE_SETTINGS = ("--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "3")
+NOT_POSITIVE_DEFINITE = (
+    "bct v1\nkind: spec\ndim: 2\n(1 0) (0 0)\n(0 0) (-1 0)\n(1 0) (0 0)\n(0 0) (1 0)\n"
+)
+
+
+def evolve_argv(hamiltonian="operator", state="ket", spec=None) -> list[str]:
+    argv = ["evolve", "--hamiltonian", str(GOLDEN / KIND_FILES[hamiltonian]),
+            "--state", str(GOLDEN / KIND_FILES[state]), *EVOLVE_SETTINGS]
+    return argv if spec is None else argv + ["--spec", spec]
+
+
+def kind_error(command: str, got: str) -> str:
+    expected = " or ".join(ACCEPTED_KINDS[command])
+    return f"error: KindMismatch: expected kind {expected}, got {got!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [(command, kind) for command, kinds in ACCEPTED_KINDS.items()
+     for kind in KIND_FILES if kind not in kinds],
+)
+def test_rejected_kind_error(capsys, command, kind):
+    if command.startswith("evolve"):
+        argv = evolve_argv(**{command.split("--")[1]: kind})
+    else:
+        argv = [command, str(GOLDEN / KIND_FILES[kind])]
+    assert run(capsys, *argv) == (2, kind_error(command, kind))
+
+
+@pytest.fixture
+def bad_specs(tmp_path):
+    """Spec files of the wrong kind, of the wrong order and not positive definite, and their errors.
+
+    The errors are those on an order-2 input.
+    """
+    path = tmp_path / "not_pd.bct"
+    path.write_text(NOT_POSITIVE_DEFINITE)
+    return [
+        (str(GOLDEN / "matrix_identity_n2.bct"),
+         "error: KindMismatch: expected kind spec, got 'matrix'\n"),
+        (str(GOLDEN / "spec_general_n3.bct"),
+         "error: BicomplexError: spec dimension 3 does not match input dimension 2\n"),
+        (str(path), "error: BicomplexError: invalid scalar-product spec: "
+                    "Gram matrices must be positive definite\n"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "sub, kind",
+    [("gram-schmidt", "matrix"), ("spectral", "operator"), ("spectral", "matrix"),
+     ("check", "operator"), ("check", "ket"), ("evolve", "operator")],
+)
+def test_bad_spec_error(capsys, bad_specs, sub, kind):
+    for spec, expected in bad_specs:
+        if sub == "evolve":
+            argv = evolve_argv(kind, spec=spec)
+        else:
+            argv = [sub, str(GOLDEN / KIND_FILES[kind]), "--spec", spec]
+        assert run(capsys, *argv) == (2, expected)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix", "spec"])
+def test_check_reads_spec_only_for_kets_and_operators(capsys, bad_specs, kind):
+    plain = run(capsys, "check", str(GOLDEN / KIND_FILES[kind]))
+    for spec, _ in bad_specs:
+        assert run(capsys, "check", str(GOLDEN / KIND_FILES[kind]), "--spec", spec) == plain
+
+
+def test_evolve_reports_hamiltonian_then_state_then_spec(capsys, bad_specs):
+    spec, spec_error = bad_specs[0]
+    assert run(capsys, *evolve_argv("scalar", "matrix", spec)) == (
+        2, kind_error("evolve --hamiltonian", "scalar")
+    )
+    assert run(capsys, *evolve_argv("operator", "matrix", spec)) == (
+        2, kind_error("evolve --state", "matrix")
+    )
+    assert run(capsys, *evolve_argv("operator", "ket", spec)) == (2, spec_error)
+
+
+def test_help_lists_subcommands_and_options(capsys, monkeypatch):
+    # wide enough that argparse prints each usage on one line
+    monkeypatch.setenv("COLUMNS", "400")
+    usages = []
+    for argv in ([], *([sub] for sub in SUBCOMMANDS)):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--help"])
+        assert exit_info.value.code == 0
+        usages.append(capsys.readouterr().out.splitlines()[0])
+    assert usages == [
+        "usage: bct [-h] [--eps-null EPS_NULL] [--eps-eq EPS_EQ] "
+        "{info,idempotent,det,inv,exp,gram-schmidt,spectral,evolve,check} ...",
+        "usage: bct info [-h] file",
+        "usage: bct idempotent [-h] file",
+        "usage: bct det [-h] file",
+        "usage: bct inv [-h] file",
+        "usage: bct exp [-h] file",
+        "usage: bct gram-schmidt [-h] [--spec SPEC] file",
+        "usage: bct spectral [-h] [--spec SPEC] file",
+        "usage: bct evolve [-h] --hamiltonian HAMILTONIAN --state STATE --hbar HBAR --t0 T0 "
+        "--t1 T1 [--samples SAMPLES] [--xi XI] [--spec SPEC]",
+        "usage: bct check [-h] [--spec SPEC] file",
+    ]
 
 
 # -- every input ends in a documented exit code ---------------------------------

@@ -8,7 +8,11 @@ of ``helpers``) wherever that formula's values are normal.
 Scale: dividing by a power of two is exact, so every golden call of the
 benchmark's cli workload keeps its exit code and verdict when its input
 is scaled by 2**k, for k down to -900 and up to 500, except the calls
-whose result truly overflows, and none writes to stderr.
+whose result truly overflows, and none writes to stderr.  The same holds
+for the benchmark's generated inputs (the cli workload's order-8 files
+and the first order-32 spectral job) when an operator and its spec are
+scaled together or one at a time, and the eigenvalues scale with the
+operator.
 """
 
 import contextlib
@@ -40,6 +44,7 @@ from bicomplex.hilbert import KetColumns
 
 from helpers import (
     bench_golden,
+    bench_workloads,
     old_classify,
     old_classify_det,
     old_code,
@@ -232,16 +237,26 @@ SCALES = (-900, -600, -300, 300, 500)
 _NUMBER = re.compile(r"[^\s()]+")
 
 
-def run_quietly(*argv) -> tuple[int, str | None, str]:
-    """Exit code, verdict and stderr (every warning included) of one in-process ``bct`` call."""
+def run_captured(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr (every warning included) of one in-process ``bct`` call."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
-    verdicts = [line for line in out.getvalue().splitlines() if line.startswith("verdict: ")]
     stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    return code, verdicts[-1] if verdicts else None, stderr
+    return code, out.getvalue(), stderr
+
+
+def verdict_line(out: str) -> str | None:
+    verdicts = [line for line in out.splitlines() if line.startswith("verdict: ")]
+    return verdicts[-1] if verdicts else None
+
+
+def run_quietly(*argv) -> tuple[int, str | None, str]:
+    """Exit code, verdict and stderr (every warning included) of one in-process ``bct`` call."""
+    code, out, stderr = run_captured(*argv)
+    return code, verdict_line(out), stderr
 
 
 def outcome(*argv) -> tuple[int, str | None]:
@@ -254,6 +269,17 @@ def unscaled_outcome(name: str, sub: str) -> tuple[int, str | None]:
     return outcome(sub, str(GOLDEN / name))
 
 
+def write_scaled(path: pathlib.Path, target: pathlib.Path, k: int) -> str:
+    """The .bct file at ``path`` with each payload number multiplied by 2**k (exact)."""
+    lines = [
+        _NUMBER.sub(lambda m: repr(math.ldexp(float(m.group()), k)), line)
+        if line.startswith("(") else line
+        for line in path.read_text().splitlines()
+    ]
+    target.write_text("\n".join(lines) + "\n")
+    return str(target)
+
+
 @pytest.fixture(scope="module")
 def scaled_dir(tmp_path_factory):
     """Every golden file with each payload number multiplied by 2**k (exact), per k."""
@@ -261,12 +287,7 @@ def scaled_dir(tmp_path_factory):
     for k in SCALES:
         (root / str(k)).mkdir()
         for path in GOLDEN.glob("*.bct"):
-            lines = [
-                _NUMBER.sub(lambda m: repr(math.ldexp(float(m.group()), k)), line)
-                if line.startswith("(") else line
-                for line in path.read_text().splitlines()
-            ]
-            (root / str(k) / path.name).write_text("\n".join(lines) + "\n")
+            write_scaled(path, root / str(k) / path.name, k)
     return root
 
 
@@ -304,6 +325,102 @@ def test_scaled_golden_call_keeps_exit_code_and_verdict(scaled_dir, name, sub, k
     assert stderr == ""
     expected = SCALED_EXEMPTIONS.get((sub, name, k)) or unscaled_outcome(name, sub)
     assert (code, verdict) == expected
+
+
+# -- generated inputs: an operator and its spec scaled together ---------------------------
+
+# operator files (with hbar for evolve) and spec files, scaled per side
+OPERATOR_FILES = ("m8", "h8", "h32")
+SPEC_FILES = ("g8", "g32")
+SIDES = ("joint", "operator", "spec")
+GENERATED_CALLS = {
+    "spectral 8": ("spectral", "{h8}", "--spec", "{g8}"),
+    "check 8": ("check", "{h8}", "--spec", "{g8}"),
+    "gram-schmidt 8": ("gram-schmidt", "{m8}", "--spec", "{g8}"),
+    "evolve 8": ("evolve", "--hamiltonian", "{h8}", "--state", "{psi8}", "--spec", "{g8}",
+                 "--hbar", "{hbar}", "--t0", "0", "--t1", "{t1}", "--samples", "10"),
+    "spectral 32": ("spectral", "{h32}", "--spec", "{g32}"),
+    "check 32": ("check", "{h32}", "--spec", "{g32}"),
+}
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """argv(call, side, k): a call on the benchmark's seed-5 inputs, ``side`` scaled by 2**k.
+
+    The inputs are the cli workload's order-8 matrix, operator, spec and
+    ket and the first spectral job's order-32 operator and spec; k = 0
+    gives the files as written.
+    """
+    workloads = bench_workloads()
+    root = tmp_path_factory.mktemp("generated")
+    for name in ("cli", "spectral"):
+        (root / name).mkdir()
+    jobs = workloads.make_jobs("cli", 5, str(root / "cli"), str(GOLDEN))
+    (evolve,) = [job.commands[0] for job in jobs if job.commands[0][0] == "evolve"]
+    spectral = workloads.make_jobs("spectral", 5, str(root / "spectral"), str(GOLDEN))
+    _, h32, _, g32 = spectral[0].commands[0]
+    sources = {name: str(root / "cli" / f"{name}.bct") for name in ("m8", "h8", "g8", "psi8")}
+    sources.update(h32=h32, g32=g32)
+    scaled = {}
+    for k in SCALES:
+        (root / str(k)).mkdir()
+        for name in OPERATOR_FILES + SPEC_FILES:
+            target = root / str(k) / f"{name}.bct"
+            scaled[name, k] = write_scaled(pathlib.Path(sources[name]), target, k)
+
+    def argv(call: str, side: str, k: int) -> list[str]:
+        paths = dict(sources, t1=evolve[evolve.index("--t1") + 1], hbar="1")
+        if k and side != "spec":
+            paths.update({name: scaled[name, k] for name in OPERATOR_FILES}, hbar=repr(2.0 ** k))
+        if k and side != "operator":
+            paths.update({name: scaled[name, k] for name in SPEC_FILES})
+        return [arg.format(**paths) for arg in GENERATED_CALLS[call]]
+
+    return argv
+
+
+def eigenvalue_fields(out: str) -> np.ndarray:
+    rows = [line.split(": ", 1)[1] for line in out.splitlines() if line.startswith("eigenvalue ")]
+    return np.array([[float(x) for x in row.strip("()").split()] for row in rows])
+
+
+@pytest.fixture(scope="module")
+def generated_unscaled(generated):
+    """Exit code, verdict and eigenvalue fields of every generated call on the files as written."""
+    outcomes = {}
+    for call in GENERATED_CALLS:
+        code, out, stderr = run_captured(*generated(call, "joint", 0))
+        assert stderr == ""
+        outcomes[call] = code, verdict_line(out), eigenvalue_fields(out)
+    return outcomes
+
+
+# the calls whose outcome at 2**k is not the unscaled one, with the outcome they have:
+# check's matrix suite takes the operator's determinant, which truly overflows from
+# 2**300 on (about 2**2400 at order 8, 2**9600 at order 32): finite-arithmetic fails
+GENERATED_EXEMPTIONS = {
+    (call, side, k): (3, "verdict: fail")
+    for call in ("check 8", "check 32") for side in ("joint", "operator") for k in (300, 500)
+}
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("call", GENERATED_CALLS)
+def test_scaled_generated_call_keeps_exit_code_and_verdict(
+    generated, generated_unscaled, call, side, k
+):
+    code, out, stderr = run_captured(*generated(call, side, k))
+    assert stderr == ""
+    expected_code, expected_verdict, eigenvalues = generated_unscaled[call]
+    expected = GENERATED_EXEMPTIONS.get((call, side, k), (expected_code, expected_verdict))
+    assert (code, verdict_line(out)) == expected
+    if eigenvalues.size and code == 0:
+        # H scaled by c has its eigenvalues scaled by c; a spec scaled alone leaves them
+        scale = 1.0 if side == "spec" else 2.0 ** k
+        got = eigenvalue_fields(out) / scale
+        assert np.abs(got - eigenvalues).max() <= 1e-12 * np.abs(eigenvalues).max()
 
 
 def test_spectral_of_a_self_adjoint_operator_near_1e200(tmp_path):
