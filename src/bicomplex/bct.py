@@ -29,13 +29,14 @@ byte.  A block of at least ``BATCH_MIN_FIELDS`` (512) fields goes
 through the numpy kernel of :mod:`bicomplex.format17`, imported on first
 use: every field's 17 significant digits come from one double-double
 product with a per-exponent power of ten (tables filled lazily, with
-exact int arithmetic), its text is put together from 4-digit chunk
-tables, and the whole block is joined with the template's literal pieces
-in one pass.  Fields whose rounding is a tie or too close to call, that
-``%.17g`` prints in exponent notation, or that are not finite are
-printed by ``'%.17g' % x`` itself.  Smaller blocks (scalars, order <= 8
-matrices, eigenvalue lists) fill the template row by row: below about
-256 fields the kernel's fixed cost is more than it saves.
+exact int arithmetic), its text is put together from digit chunk tables
+and joined with the template's literal pieces, all in scratch arrays
+that each thread keeps for its next block.  Fields whose rounding is a
+tie or too close to call, that ``%.17g`` prints in exponent notation, or
+that are not finite are printed by ``'%.17g' % x`` itself.  Smaller
+blocks (scalars, order <= 8 matrices, eigenvalue lists) fill the
+template row by row: below about 256 fields the kernel's fixed cost is
+more than it saves.
 
 ``load`` parses each distinct file content once per process: it reads
 the file on every call and looks its bytes up in a cache of the last 4

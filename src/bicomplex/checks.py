@@ -308,10 +308,11 @@ def verify_self_adjoint_spectrum(
 ) -> list[CheckResult]:
     """Reconstruction, real eigenvalues and an orthonormal, complete eigenbasis."""
     system = Eigensystem.of(pairs)
-    scale = max(1.0, op.matrix.max_norm())
+    # both residuals relative to H, so that H and 2^k H pass or fail together;
+    # the zero operator has no scale, and its residuals are absolute
+    scale = op.matrix.max_norm() or 1.0
     rebuilt = spectral_reconstruct(spec, system)
-    imag = np.abs(system.value_components.imag).max(axis=0)
-    imag = (imag / np.maximum(1.0, entry_norms(*system.values))).max()
+    imag = float(np.abs(system.value_components.imag).max()) / scale
     return [
         _result("spectral-reconstruction", (rebuilt.matrix - op.matrix).max_norm() / scale, 1e-9),
         _result("eigenvalue-imag-parts", imag, 1e-10),
@@ -350,8 +351,9 @@ def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarra
 def check_spec(g1: np.ndarray, g2: np.ndarray, tol: Tolerance):
     results, notes = [], []
     grams = np.stack([g1, g2])
-    scales = np.maximum(np.abs(grams).max(axis=(1, 2)), 1.0)
-    asymmetry = np.abs(grams - grams.conj().mT).max(axis=(1, 2)) / scales
+    # relative to max|G|, as ScalarProductSpec tests it; a zero G is symmetric
+    scales = np.abs(grams).max(axis=(1, 2))
+    asymmetry = np.abs(grams - grams.conj().mT).max(axis=(1, 2)) / np.where(scales > 0, scales, 1.0)
     for name, residual in zip(("hermitian-g1", "hermitian-g2"), asymmetry):
         results.append(_result(name, residual, tol.eps_eq))
     try:

@@ -2,22 +2,30 @@
 ``template % tuple(row)`` prints each row.
 
 :func:`format_rows` is the large-block path of ``bct.format_rows``,
-which imports this module on first use.  The digits come from error-free
-double-double arithmetic (``core.two_product``) with per-exponent
+which imports this module on first use.  The digits come from Dekker's
+error-free TwoProduct (as in ``core.two_product``) with per-exponent
 powers of ten, filled lazily with exact int arithmetic; the text is put
 together from byte tables with numpy.  A field that the kernel cannot
 settle exactly, or that ``%.17g`` prints in exponent notation, goes
 through ``'%.17g' % x`` itself, so the output is the same byte for byte.
+
+Once a thread has printed a block of a given size, its calls allocate
+no array: every intermediate, and the row buffer the text is put
+together in, is written with ``out=`` into that thread's scratch arrays.
+They grow to the largest block the thread has printed, at most one
+kernel block of ``_KERNEL_FIELDS`` fields, and are kept: about 280 bytes
+a field, near 2.3 MB in all.  A row longer than a kernel block is one
+block, whose arrays are freed after its call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from typing import NamedTuple
 
 import numpy as np
-
-from .core import two_product
 
 
 # A finite nonzero double |x| = f * 2^e (frexp, 0.5 <= f < 1) lies in
@@ -28,30 +36,80 @@ from .core import two_product
 # are kept as double-double pairs (hi, lo), exact to about 2^-106
 # relative, and y = p + q + f * lo with (p, q) = TwoProduct(f, hi): p >= 2^53
 # is an integer, and r = q + f * lo (|r| < 48) carries an error of about
-# 2^-46, so D = p + floor(r) + (frac(r) > 1/2) is the correctly rounded
-# digit string.  Fields whose frac(r) lies within 2^-30 of 1/2 (a tie,
-# or too close to call), that %.17g prints in exponent notation (k < -4
-# or k > 16) or that are not finite go through '%.17g' % x itself.
+# 2^-46, so D = p + round(r) is the correctly rounded digit string.
+# Fields whose r lies within 2^-30 of a half-integer (a tie, or too close
+# to call), that %.17g prints in exponent notation (k < -4 or k > 16) or
+# that are not finite go through '%.17g' % x itself.
 
-_KERNEL_FIELDS = 1 << 15
+# 2^13 fields keep a thread's scratch near 2.3 MB and still print a
+# 100-sample order-16 evolve (6,700 fields) in one block
+_KERNEL_FIELDS = 1 << 13
 _FIELD = "%.17g"
 _E_MIN = -1073  # frexp's least exponent of a nonzero double; 1024 is its largest
 _EXPONENTS = 1024 - _E_MIN + 1
 _TIE_MARGIN = 2.0**-30
-# Filled lazily per binary exponent e: the least double f that carries,
-# and at row 2 * (e - _E_MIN) + carry the decimal exponent k_e + carry,
-# whether %.17g prints it in fixed notation, and T_e / 10^carry as (hi, lo).
-_FILLED = np.zeros(_EXPONENTS, bool)
-_CARRY_FROM = np.zeros(_EXPONENTS)
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split into 26-bit halves
+_LARGEST = float(np.finfo(float).max)
+# Filled lazily per binary exponent e: the least double f that carries
+# (NaN until filled), and at row 2 * (e - _E_MIN) + carry the decimal
+# exponent k = k_e + carry, T_e / 10^carry as (hi, lo), the largest
+# |r - round(r)| the kernel spells (-1 where %.17g prints exponent
+# notation: every field falls back) and the first spelling class of k.
+_CARRY_FROM = np.full(_EXPONENTS, np.nan)
 _DECIMAL = np.zeros(2 * _EXPONENTS, np.int64)
-_FIXED = np.zeros(2 * _EXPONENTS, bool)
 _SCALE_HI = np.zeros(2 * _EXPONENTS)
 _SCALE_LO = np.zeros(2 * _EXPONENTS)
-# A field is spelled in 40 bytes, five uint64 words, whose NULs are then
-# dropped: the sign, "0." and up to three zeros (k < 0), then digit j at
-# byte 6 + 2j followed by the decimal point where j = k.
-_FIELD_WORDS = 5
-_CLASSES = 21 * 18  # (k + 4) * 18 + digits kept, for -4 <= k <= 16
+_SPELL_LIMIT = np.zeros(2 * _EXPONENTS)
+_CLASS_BASE = np.zeros(2 * _EXPONENTS, np.int64)
+
+# A field is spelled in a slot of 24 bytes, three uint64 words, the longest
+# %.17g text ("-0.000" and 17 digits in fixed notation, 24 bytes in
+# exponent notation); its NULs are dropped with the rest of the block's.
+# The 17 digits sit at bytes 6-22: the sign, "0." and up to three zeros
+# (k < 0) come before them, and for 0 <= k < 16 the digits after the
+# decimal point move up one byte to make room for it at byte 7 + k.
+_SLOT_WORDS = 3
+_FIRST_DIGIT = 6
+# (k + 4) * 36 + 2 * digits kept + sign, for -4 <= k <= 16; 0 digits kept is a zero
+_CLASSES = 21 * 36
+# bytes of the row buffer per bytes.translate call, in whole rows: each
+# bytes object stays far below glibc's mmap threshold (128 KB by default)
+# unless one row alone is longer (about 1,000 fields)
+_TEXT_BYTES = 1 << 15
+# scratch rows a field takes, 8 bytes each: 10 float64, 14 int64 and 6
+# uint64 rows, and one shared by two rows of flags and frexp's exponents
+_SCRATCH_ROWS = 31
+
+
+class _Scratch(threading.local):
+    """One thread's kernel arrays, grown to the largest block it has printed.
+
+    A block of more than ``_KERNEL_FIELDS`` fields (one long row) gets
+    arrays for that call only, so that what a thread keeps stays bounded.
+    """
+
+    def __init__(self):
+        self.rows = np.empty((_SCRATCH_ROWS, 0))
+        self.text = np.empty(0, np.uint64)
+
+    def arrays(self, n: int) -> np.ndarray:
+        """``_SCRATCH_ROWS`` contiguous float64 rows of ``n`` fields."""
+        if n > _KERNEL_FIELDS:
+            return np.empty((_SCRATCH_ROWS, n))
+        if self.rows.shape[1] < n:
+            self.rows = np.empty((_SCRATCH_ROWS, n))
+        return self.rows[:, :n]
+
+    def segments(self, n: int, width: int) -> np.ndarray:
+        """The row buffer: ``n`` contiguous segments of ``width`` uint64 words."""
+        if n > _KERNEL_FIELDS:
+            return np.empty((n, width), np.uint64)
+        if self.text.size < n * width:
+            self.text = np.empty(n * width, np.uint64)
+        return self.text[: n * width].reshape(n, width)
+
+
+_scratch = _Scratch()
 
 
 def format_rows(template: str, fields: np.ndarray) -> list[str] | None:
@@ -61,88 +119,169 @@ def format_rows(template: str, fields: np.ndarray) -> list[str] | None:
     column, and plain ASCII text around them.
     """
     layout = _template_layout(template)
-    if layout is None or len(layout) != fields.shape[1] + 1:
+    if layout is None or len(layout[1]) != fields.shape[1]:
         return None
+    first, literals = layout
+    width = _SLOT_WORDS + literals.shape[1]
+    row_bytes = 8 * width * fields.shape[1]
+    part_bytes = max(1, _TEXT_BYTES // row_bytes) * row_bytes
     lines = []
-    # the kernel's scratch arrays take some 250 bytes a field: in one block,
-    # 1.3 million fields took 318 MB and ran no faster than the template
     step = max(1, _KERNEL_FIELDS // fields.shape[1])
     for start in range(0, len(fields), step):
         block = fields[start : start + step]
-        text = field_bytes(block.ravel()).reshape(*block.shape, -1)
-        # each field follows its literal piece, both padded with NUL, which is then dropped
-        buf = np.zeros((len(block), len(layout), layout.shape[1] + text.shape[2]), np.uint8)
-        buf[:, :, : layout.shape[1]] = layout
-        buf[:, :-1, layout.shape[1] :] = text
-        lines += buf.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+        # one segment per field, its slot and then the literal text after it,
+        # so that each slot word is one 1-D strided view (numpy buffers, about
+        # 55 KB a call, a ufunc whose out is strided in two dimensions); a
+        # row's last segment ends it and starts the next, so each part's
+        # first line takes the first piece and its last line is dropped
+        segments = _scratch.segments(block.size, width)
+        segments.reshape(*block.shape, width)[:, :, _SLOT_WORDS:] = literals
+        field_bytes(block, segments[:, :_SLOT_WORDS])
+        text = memoryview(segments.reshape(-1).view(np.uint8))
+        for at in range(0, len(text), part_bytes):
+            part = text[at : at + part_bytes].tobytes().translate(None, b"\0")
+            part = part.decode("ascii").split("\n")
+            part[0] = first + part[0]
+            del part[-1]
+            lines += part
     return lines
 
 
 @functools.lru_cache(maxsize=16)
-def _template_layout(template: str) -> np.ndarray | None:
-    """The template's literal pieces around its %.17g fields, as NUL-padded uint8 rows.
+def _template_layout(template: str) -> tuple[str, np.ndarray] | None:
+    """The template's first literal piece, and the pieces after its fields as uint64 rows.
 
-    The last piece ends in the newline that separates rows.  None when a
-    piece holds anything but plain ASCII text: a ``%``, NUL or newline.
+    Each piece after a field is NUL-padded to whole words; the last one
+    is followed by the newline and the first piece of the next row.
+    None when the template has no field, or a piece holds anything but
+    plain ASCII text: a ``%``, NUL or newline.
     """
     pieces = template.split(_FIELD)
     literal = "".join(pieces)
-    if not literal.isascii() or any(c in literal for c in "%\0\n"):
+    if len(pieces) < 2 or not literal.isascii() or any(c in literal for c in "%\0\n"):
         return None
-    pieces[-1] += "\n"
-    width = max(map(len, pieces))
-    layout = np.zeros((len(pieces), width), np.uint8)
-    for row, piece in enumerate(pieces):
-        layout[row, : len(piece)] = np.frombuffer(piece.encode("ascii"), np.uint8)
-    layout.setflags(write=False)  # cached, so shared by every call
-    return layout
+    after = pieces[1:]
+    after[-1] += "\n" + pieces[0]
+    width = -(-max(map(len, after)) // 8) * 8
+    literals = np.zeros((len(after), width), np.uint8)
+    for row, piece in enumerate(after):
+        literals[row, : len(piece)] = np.frombuffer(piece.encode("ascii"), np.uint8)
+    literals = literals.view(np.uint64)
+    literals.setflags(write=False)  # cached, so shared by every call
+    return pieces[0], literals
 
 
-def field_bytes(x: np.ndarray) -> np.ndarray:
-    """'%.17g' % v for each double v of the vector x: rows of an (n, 40) NUL-padded uint8 array."""
-    digit_words, last_digit, masks, marks, minus = _spelling_tables()
-    magnitude = np.abs(x)
-    finite = np.isfinite(x)
-    regular = finite & (magnitude > 0.0)
-    f, e = np.frexp(magnitude)
-    # zeros, and the non-finite fields printed below, take f = 0 and k = 0
-    f = np.where(regular, f, 0.0)
-    e_index = np.where(regular, e, 1) - _E_MIN
-    if not _FILLED.take(e_index).all():
-        _fill_scales(e_index)
-    row = 2 * e_index + (f >= _CARRY_FROM.take(e_index))
-    p, q = two_product(f, _SCALE_HI.take(row))
-    r = q + f * _SCALE_LO.take(row)
-    whole = np.floor(r)
-    frac = r - whole
-    significand = p.astype(np.int64) + (whole + (frac > 0.5)).astype(np.int64)
-    spelled = _FIXED.take(row) & (np.abs(frac - 0.5) >= _TIE_MARGIN)
-    k = np.where(spelled, _DECIMAL.take(row), 0)
+def field_bytes(x: np.ndarray, slots: np.ndarray) -> None:
+    """Write '%.17g' % v for each double v of x, NUL-padded, into 24-byte slots.
 
-    # digit chunks: the leading digit (word 0), then four of four digits;
-    # the last nonzero digit, counted from 1, gives the digits kept
-    chunk = np.empty((x.size, _FIELD_WORDS), np.int64)
-    digits = np.ones(x.size, np.int8)
-    quotient = significand
-    for word in range(4, 0, -1):
-        rest = quotient // 10000
-        column = quotient - rest * 10000
-        chunk[:, word] = column
-        np.maximum(digits, last_digit[word - 1].take(column), out=digits)
-        quotient = rest
-    chunk[:, 0] = quotient + 10000
-    words = digit_words.take(chunk)
-    spelling = (k + 4) * 18 + digits
-    words &= masks.take(spelling, axis=0)
-    words |= marks.take(spelling, axis=0)
-    words[:, 0] |= np.where(np.signbit(x), minus, 0)
-    out = words.view(np.uint8)
-    fallback = np.flatnonzero(~(finite & spelled))
-    if fallback.size:
-        width = out.shape[1]
-        text = [("%.17g" % v).encode("ascii").ljust(width, b"\0") for v in x[fallback].tolist()]
-        out[fallback] = np.frombuffer(b"".join(text), np.uint8).reshape(-1, width)
-    return out
+    ``slots`` is an (x.size, 3) uint64 array whose rows take the fields
+    in x's C order; its rows may be strided.
+    """
+    n = x.size
+    tables = _spelling_tables()
+    scratch = _scratch.arrays(n)
+    v, m, f, t, p, q, ah, al, bh, bl = scratch[:10]
+    ints = scratch[10:24].view(np.int64)
+    sign, index, row, significand, quot, rest, a, b, b_hi, b_lo, c_hi, c_lo, last, cls = ints
+    w0, w1, w2, s1, s2, u = scratch[24:30].view(np.uint64)
+    flag, fallback = scratch[30].view(bool)[: 2 * n].reshape(2, n)
+    exponent = scratch[30].view(np.int32)[n : 2 * n]
+
+    # every take uses mode="clip": under mode="raise" numpy fills a copy of out
+    np.copyto(v.reshape(x.shape), x)
+    np.right_shift(v.view(np.int64), 63, out=sign)  # -1 where the sign bit is set
+    np.abs(v, out=m)
+    np.fmin(m, _LARGEST, out=m)  # inf and nan, printed by the fallback, as a finite double
+    np.frexp(m, out=(f, exponent))  # a zero takes f = 0 and spells "0" at any k
+    np.copyto(index, exponent)
+    np.subtract(index, _E_MIN, out=index)
+    _CARRY_FROM.take(index, out=t, mode="clip")
+    if math.isnan(t.min()):
+        _fill_scales(index)
+        _CARRY_FROM.take(index, out=t, mode="clip")
+    np.greater_equal(f, t, out=flag)
+    np.copyto(row, flag)
+    np.add(row, index, out=row)
+    np.add(row, index, out=row)
+
+    # (p, q) = TwoProduct(f, hi), as core.two_product computes it, and r = q + f * lo
+    hi = bl
+    _SCALE_HI.take(row, out=hi, mode="clip")
+    np.multiply(f, hi, out=p)
+    for whole, upper, lower in ((f, ah, al), (hi, bh, bl)):
+        np.multiply(whole, _SPLITTER, out=t)
+        np.subtract(t, whole, out=upper)
+        np.subtract(t, upper, out=upper)
+        np.subtract(whole, upper, out=lower)
+    np.multiply(ah, bh, out=q)
+    np.subtract(q, p, out=q)
+    for left, right in ((ah, bl), (al, bh), (al, bl)):
+        np.multiply(left, right, out=t)
+        np.add(q, t, out=q)
+    _SCALE_LO.take(row, out=t, mode="clip")
+    np.multiply(f, t, out=t)
+    r = np.add(q, t, out=q)
+    # D = p + round(r); |r - round(r)| near 1/2 is a tie or too close to call
+    rounded = np.add(r, 0.5, out=t)
+    np.floor(rounded, out=rounded)
+    np.subtract(r, rounded, out=r)
+    np.abs(r, out=r)
+    _SPELL_LIMIT.take(row, out=ah, mode="clip")
+    np.greater(r, ah, out=fallback)
+    np.copyto(significand, p, casting="unsafe")
+    np.copyto(rest, rounded, casting="unsafe")
+    np.add(significand, rest, out=significand)
+
+    # the 17 digits split as a (2 digits), b_hi and b_lo (4 each), c_hi (3)
+    # and c_lo (4): a fills bytes 6-7 of the slot, b bytes 8-15, c bytes 16-22
+    for number, base, high, low in (
+        (significand, 10**7, quot, c_lo),
+        (c_lo, 10**4, c_hi, c_lo),
+        (quot, 10**8, a, b),
+        (b, 10**4, b_hi, b_lo),
+    ):
+        # floor_divide by a scalar is about 3 times faster than divmod
+        np.floor_divide(number, base, out=high)
+        np.multiply(high, base, out=rest)
+        np.subtract(number, rest, out=low)
+    chunks = (a, b_hi, b_lo, c_hi, c_lo)
+    for chunk, table, word in zip(chunks, tables.digits, (w0, w1, s1, w2, s2)):
+        table.take(chunk, out=word, mode="clip")
+    np.bitwise_or(w1, s1, out=w1)
+    np.bitwise_or(w2, s2, out=w2)
+    # twice the number of the last nonzero digit, counted from 1 (0 for a zero)
+    tables.last[0].take(a, out=last, mode="clip")
+    for chunk, table in zip(chunks[1:], tables.last[1:]):
+        table.take(chunk, out=rest, mode="clip")
+        np.maximum(last, rest, out=last)
+    _CLASS_BASE.take(row, out=cls, mode="clip")
+    np.add(cls, last, out=cls)
+    np.subtract(cls, sign, out=cls)
+
+    # the digits after a decimal point: all 17 moved up one byte
+    np.left_shift(w1, 8, out=s1)
+    np.right_shift(w0, 56, out=u)
+    np.bitwise_or(s1, u, out=s1)
+    np.left_shift(w2, 8, out=s2)
+    np.right_shift(w1, 56, out=u)
+    np.bitwise_or(s2, u, out=s2)
+    # slot word = digits kept in place | digits kept moved up | sign, zeros and point
+    for word, spelled, moved, keep, move, marks in zip(
+        range(_SLOT_WORDS), (w0, w1, w2), (None, s1, s2), tables.keep, tables.move, tables.marks
+    ):
+        keep.take(cls, out=u, mode="clip")
+        np.bitwise_and(spelled, u, out=spelled)
+        if moved is not None:
+            move.take(cls, out=u, mode="clip")
+            np.bitwise_and(moved, u, out=moved)
+            np.bitwise_or(spelled, moved, out=spelled)
+        marks.take(cls, out=u, mode="clip")
+        np.bitwise_or(spelled, u, out=slots[:, word])
+
+    if fallback.any():
+        at = np.flatnonzero(fallback)
+        texts = [(_FIELD % y).encode("ascii").ljust(8 * _SLOT_WORDS, b"\0") for y in v[at].tolist()]
+        slots[at] = np.frombuffer(b"".join(texts), np.uint64).reshape(-1, _SLOT_WORDS)
 
 
 def _ratio(twos: int, tens: int) -> tuple[int, int]:
@@ -173,7 +312,7 @@ def _double_double(num: int, den: int) -> tuple[float, float]:
 
 def _fill_scales(e_index: np.ndarray) -> None:
     # a set, not np.unique: that imports numpy.ma, about 15 ms
-    for index in set(e_index[~_FILLED.take(e_index)].tolist()):
+    for index in set(e_index[np.isnan(_CARRY_FROM.take(e_index))].tolist()):
         e = index + _E_MIN
         # the largest k with 10^k <= 2^(e - 1), settled exactly
         k = math.floor((e - 1) * math.log10(2.0))
@@ -184,8 +323,10 @@ def _fill_scales(e_index: np.ndarray) -> None:
         for carry in (0, 1):
             row = 2 * index + carry
             _DECIMAL[row] = k + carry
-            _FIXED[row] = -4 <= k + carry <= 16
             _SCALE_HI[row], _SCALE_LO[row] = _double_double(*_ratio(e, 16 - carry - k))
+            fixed = -4 <= k + carry <= 16
+            _SPELL_LIMIT[row] = 0.5 - _TIE_MARGIN if fixed else -1.0
+            _CLASS_BASE[row] = (k + carry + 4) * 36 if fixed else 0
         # f * T_e >= 1e17 - 1/2 exactly when f >= (2 * 10^17 - 1) / (2 * T_e),
         # that is when f >= this quotient rounded up to a double
         num, den = _ratio(e + 1, 16 - k)
@@ -193,45 +334,64 @@ def _fill_scales(e_index: np.ndarray) -> None:
         least = num / den
         if not _at_least(*least.as_integer_ratio(), num, den):
             least = math.nextafter(least, math.inf)
-        _CARRY_FROM[index] = least
-        _FILLED[index] = True
+        _CARRY_FROM[index] = least  # last: the exponent is ready once this is a number
+
+
+class _Tables(NamedTuple):
+    """The read-only tables the kernel spells fields from.
+
+    ``digits`` spells the chunks a, b_hi, b_lo, c_hi and c_lo of the 17
+    digits (2, 4, 4, 3 and 4 of them) at their bytes of slot words 0, 1,
+    1, 2 and 2, and ``last`` gives twice the number of a chunk's last
+    nonzero digit among the 17 (0 when it has none).  Row w of ``keep``,
+    ``move`` and ``marks`` gives, per spelling class, word w's digit bytes
+    kept in place (those before a decimal point, or all), its digit bytes
+    kept after moving up one byte (none in word 0), and the sign, "0." and
+    zeros, or point, that it adds.
+    """
+
+    digits: tuple[np.ndarray, ...]
+    last: tuple[np.ndarray, ...]
+    keep: np.ndarray
+    move: np.ndarray
+    marks: np.ndarray
 
 
 @functools.cache
-def _spelling_tables() -> tuple[np.ndarray, ...]:
-    """The read-only tables the kernel spells fields from; the byte tables as uint64 words.
-
-    ``digit_words`` spells chunk 0000..9999 in one of words 1-4 (a digit
-    on every even byte) and, at 10000 + d, the leading digit d in word
-    0.  ``last_digit[w - 1]`` numbers the last nonzero digit of a chunk
-    in word w among the 17 (0 when there is none).  Per class, ``masks``
-    keeps the digits printed (up to the last nonzero one, and the integer
-    part's zeros) and ``marks`` adds "0.000" or the decimal point;
-    ``minus`` is the sign in word 0.
-    """
-    n = np.arange(10000)
-    spelled = np.zeros((10010, 8), np.uint8)
-    spelled[:10000, ::2] = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], 1) + ord("0")
-    spelled[10000:, 6] = np.arange(10) + ord("0")
-    kept = 4 - sum(n % 10**i == 0 for i in range(1, 5))
-    last_digit = np.stack([np.where(kept > 0, 4 * w - 3 + kept, 0) for w in range(1, 5)])
-    # class (k + 4) * 18 + nd
-    k, nd = np.divmod(np.arange(_CLASSES), 18)
-    k -= 4
-    masks = np.zeros((_CLASSES, 8 * _FIELD_WORDS), np.uint8)
-    masks[:, 6::2] = np.where(np.arange(17) < np.maximum(nd, k + 1)[:, None], 0xFF, 0)
-    marks = np.zeros_like(masks)
-    zeros = (np.arange(5) < 1 - k[:, None]) & (k[:, None] < 0)
-    marks[:, 1:6] = np.where(zeros, np.frombuffer(b"0.000", np.uint8), 0)
-    point = np.flatnonzero((k >= 0) & (nd > k + 1))
-    marks[point, 7 + 2 * k[point]] = ord(".")
-    minus = np.frombuffer(b"-".ljust(8, b"\0"), np.uint64)[0]
-    tables = (
-        spelled.view(np.uint64).ravel(),
-        last_digit.astype(np.int8),
-        masks.view(np.uint64),
-        marks.view(np.uint64),
-    )
-    for table in tables:
+def _spelling_tables() -> _Tables:
+    digits, last = [], []
+    first = 1
+    # each chunk's width, and its first byte in its slot word
+    for width, offset in ((2, _FIRST_DIGIT), (4, 0), (4, 4), (3, 0), (4, 3)):
+        n = np.arange(10**width)
+        spelled = np.zeros((n.size, 8), np.uint8)
+        for j in range(width):
+            spelled[:, offset + j] = n // 10 ** (width - 1 - j) % 10 + ord("0")
+        digits.append(spelled.view(np.uint64).ravel())
+        trailing = sum(n % 10**i == 0 for i in range(1, width))
+        last.append(np.where(n > 0, 2 * (first + width - 1 - trailing), 0))
+        first += width
+    keep, move, marks = np.zeros((3, _CLASSES, 8 * _SLOT_WORDS), np.uint8)
+    for cls in range(_CLASSES):
+        k, kept, negative = cls // 36 - 4, cls % 36 // 2, cls % 2
+        if kept == 0:  # a zero, at whatever k its exponent gives
+            k, kept = 0, 1
+        start = _FIRST_DIGIT
+        if k < 0:
+            keep[cls, start : start + kept] = 0xFF
+            prefix = b"0." + b"0" * (-k - 1)
+            marks[cls, start - len(prefix) : start] = np.frombuffer(prefix, np.uint8)
+            sign_at = start - len(prefix) - 1
+        else:
+            keep[cls, start : start + k + 1] = 0xFF
+            if kept > k + 1:
+                marks[cls, start + k + 1] = ord(".")
+                move[cls, start + k + 2 : start + kept + 1] = 0xFF
+            sign_at = start - 1
+        if negative:
+            marks[cls, sign_at] = ord("-")
+    # per word, one contiguous table over the classes
+    words = [np.ascontiguousarray(table.view(np.uint64).T) for table in (keep, move, marks)]
+    for table in digits + last + words:
         table.setflags(write=False)
-    return (*tables, minus)
+    return _Tables(tuple(digits), tuple(last), *words)

@@ -184,8 +184,8 @@ class ScalarProductSpec:
         for name, g in (("G1", g1), ("G2", g2)):
             if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
                 raise ValueError(f"{name} must be a nonempty square matrix, got {g.shape}")
-            scale = max(float(np.abs(g).max()), 1.0)
-            if float(np.abs(g - g.conj().T).max()) > tol.eps_eq * scale:
+            # relative to max|G| alone: G and 2^k G are Hermitian together
+            if float(np.abs(g - g.conj().T).max()) > tol.eps_eq * float(np.abs(g).max()):
                 raise ValueError(f"{name} is not Hermitian within tolerance")
         if g1.shape != g2.shape:
             raise ValueError(f"Gram matrix shapes differ: {g1.shape} vs {g2.shape}")
@@ -227,8 +227,7 @@ class ScalarProductSpec:
         tied to the reference basis.
         """
         g1, g2 = self.grams
-        scale = max(float(np.abs(self.grams).max()), 1.0)
-        return float(np.abs(g1 - g2).max()) <= tol.eps_eq * scale
+        return float(np.abs(g1 - g2).max()) <= tol.eps_eq * float(np.abs(self.grams).max())
 
 
 @functools.lru_cache(maxsize=8)

@@ -3,6 +3,9 @@ import math
 import operator
 import pathlib
 import re
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,9 +339,9 @@ class TestBatchFormat:
         kernel_calls = []
         field_bytes = format17.field_bytes
 
-        def counted(x):
+        def counted(x, slots):
             kernel_calls.append(x.size)
-            return field_bytes(x)
+            field_bytes(x, slots)
 
         monkeypatch.setattr(format17, "field_bytes", counted)
         for fields in (block, small, small[0]):
@@ -377,12 +380,71 @@ class TestBatchFormat:
                 num, f_den = f.as_integer_ratio()
                 assert (num * twice_scale >= (2 * 10**17 - 1) * f_den * den) is carries
 
+    def test_threads_render_their_own_blocks(self):
+        # each thread spells into scratch arrays of its own, sized to its own
+        # blocks; more threads than cores, switching as often as they can
+        rng = np.random.default_rng(29)
+        jobs = [
+            (EVOLVE_ROW, rng.standard_normal((100, 67)) * 10.0 ** rng.integers(-5, 18, (100, 67))),
+            (EVOLVE_ROW, rng.standard_normal((9, 67))),
+            (bct.atoms_template(32), rng.standard_normal((32, 128))),
+            (bct.atoms_template(8, 2), -rng.random((600, 16))),
+        ]
+        mismatches, done = [], []
+
+        def render(template, block):
+            want = [template % tuple(row) for row in block.tolist()]
+            for _ in range(200):
+                got = format17.format_rows(template, block)
+                if got != want:
+                    mismatches.append([(w, g) for w, g in zip(want, got) if w != g][:3])
+                    return
+            done.append(template)
+
+        threads = [threading.Thread(target=render, args=job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (mismatches, len(done)) == ([], len(jobs))
+
+    def test_no_scratch_allocated_after_warm_up(self):
+        # numpy reports its data buffers to tracemalloc: after one call on a
+        # block of this size, a call holds little more than the lines it returns
+        rng = np.random.default_rng(31)
+        block = rng.standard_normal((100, 67)) * 10.0 ** rng.integers(-5, 18, (100, 67))
+        format17.format_rows(EVOLVE_ROW, block)
+        tracemalloc.start()
+        try:
+            lines = format17.format_rows(EVOLVE_ROW, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lines == [EVOLVE_ROW % tuple(row) for row in block.tolist()]
+        text = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+        assert peak <= text + 128 * 1024
+
+    def test_a_row_longer_than_a_kernel_block_is_not_kept(self):
+        # a thread keeps scratch for at most one kernel block
+        row = np.random.default_rng(37).standard_normal((1, format17._KERNEL_FIELDS + 4))
+        template = " ".join(["%.17g"] * row.shape[1])
+        kept = format17._scratch.rows, format17._scratch.text
+        assert bct.format_rows(template, row) == [template % tuple(row[0].tolist())]
+        assert format17._scratch.rows is kept[0] and format17._scratch.text is kept[1]
+
     def test_templates_the_kernel_leaves_alone(self):
         block = np.full((bct.BATCH_MIN_FIELDS, 1), 0.25)
         for template in ("%.17g%%", "%.17g\u00e9", "a\n%.17g"):
             assert bct.format_rows(template, block) == [template % (0.25,)] * len(block)
-        with pytest.raises(TypeError):
-            bct.format_rows("%.17g %.17g", block)
+        for template in ("%.17g %.17g", "no field"):
+            with pytest.raises(TypeError):
+                bct.format_rows(template, block)
 
 
 # Replacements and insertions that a reader must reject, or accept exactly

@@ -12,7 +12,9 @@ whose result truly overflows, and none writes to stderr.  The same holds
 for the benchmark's generated inputs (the cli workload's order-8 files
 and the first order-32 spectral job) when an operator and its spec are
 scaled together or one at a time, and the eigenvalues scale with the
-operator.
+operator.  The tests that hold at one scale only when they are relative
+(a spec's Hermitian and closed-under-reference tests, a self-adjoint
+spectrum's checks) give the same answer at every scale.
 """
 
 import contextlib
@@ -37,10 +39,12 @@ from bicomplex import (
     normalize,
     scalar_product,
 )
-from bicomplex.checks import verify_gram_schmidt
+from bicomplex import bct
+from bicomplex.checks import verify_gram_schmidt, verify_self_adjoint_spectrum
 from bicomplex.cli import main
 from bicomplex.core import null_cone_codes
 from bicomplex.hilbert import KetColumns
+from bicomplex.operators import Eigensystem, Operator, eigendecompose_self_adjoint
 
 from helpers import (
     bench_golden,
@@ -487,3 +491,71 @@ def test_huge_entry_with_unit_determinant(tmp_path, sub, codes):
     code, verdict, stderr = run_quietly(sub, str(path))
     assert code in codes and stderr == ""
     assert verdict == ("verdict: pass" if code == 0 else "verdict: fail")
+
+
+# -- tests that are relative to the input's own scale -----------------------------------
+
+# G1 = [[1, 0.5], [0, 1]] is 0.5 away from Hermitian; G1 = I and G2 = diag(1, 1 + 1e-9)
+# differ by 1e-9: both far above eps_eq = 1e-12 relative to max|G|, at every scale
+NON_HERMITIAN_SPEC = "(1 0) (0.5 0)\n(0 0) (1 0)\n(1 0) (0 0)\n(0 0) (1 0)\n"
+NOT_CLOSED_SPEC = "(1 0) (0 0)\n(0 0) (1 0)\n(1 0) (0 0)\n(0 0) (1.000000001 0)\n"
+
+
+def scaled_spec(tmp_path: pathlib.Path, payload: str, k: int) -> str:
+    source = tmp_path / "spec.bct"
+    source.write_text("bct v1\nkind: spec\ndim: 2\n" + payload)
+    return write_scaled(source, tmp_path / f"spec_{k}.bct", k)
+
+
+@pytest.mark.parametrize("k", (0, *SCALES))
+def test_non_hermitian_gram_is_rejected_at_every_scale(tmp_path, k):
+    # with a floor of 1 under max|G|, the same G1 times 2^-600 passed as Hermitian
+    path = scaled_spec(tmp_path, NON_HERMITIAN_SPEC, k)
+    code, out, stderr = run_captured("info", path)
+    assert (code, stderr) == (0, "")
+    assert "\nvalid: no (G1 is not Hermitian within tolerance)\n" in out
+    code, out, stderr = run_captured("check", path)
+    assert (code, verdict_line(out), stderr) == (3, "verdict: fail", "")
+    assert "check hermitian-g1: residual 5.000e-01 tol 1e-12 fail\n" in out
+
+
+@pytest.mark.parametrize("k", (0, *SCALES))
+def test_gram_pair_closed_under_reference_at_every_scale(tmp_path, k):
+    path = scaled_spec(tmp_path, NOT_CLOSED_SPEC, k)
+    code, out, stderr = run_captured("info", path)
+    assert (code, stderr) == (0, "")
+    assert "\nvalid: yes\nclosed-under-reference: no\n" in out
+
+
+def spectrum_checks(op: Operator, system: Eigensystem) -> dict[str, bool]:
+    spec = ScalarProductSpec.identity(op.dim)
+    return {r.name: r.passed for r in verify_self_adjoint_spectrum(spec, op, system)}
+
+
+def test_zero_eigenvalues_fail_for_a_tiny_operator():
+    # H / 2^900 has eigenvalues near 2^-900; zeros in their place once passed
+    # every check, the residuals being compared with 1 instead of with H
+    path = GOLDEN / "operator_selfadjoint_n2.bct"
+    matrix = bct.load(path).value.matrix
+    op = Operator(BicomplexMatrix(matrix.z1 * 2.0**-900, matrix.z2 * 2.0**-900))
+    system = eigendecompose_self_adjoint(ScalarProductSpec.identity(op.dim), op)
+    assert all(spectrum_checks(op, system).values())
+    zeros = Eigensystem(np.zeros_like(system.values), system.kets, system.basis_id)
+    assert spectrum_checks(op, zeros)["spectral-reconstruction"] is False
+    # complex eigenvalues far below 1, but as large as H itself
+    imaginary = Eigensystem(system.values * (1 + 1j), system.kets, system.basis_id)
+    assert spectrum_checks(op, imaginary)["eigenvalue-imag-parts"] is False
+
+
+def test_zero_operator_spectrum():
+    # H = 0 has no scale to be relative to: its residuals are absolute
+    op = Operator(BicomplexMatrix(np.zeros((2, 2), complex), np.zeros((2, 2), complex)))
+    system = eigendecompose_self_adjoint(ScalarProductSpec.identity(2), op)
+    assert np.array_equal(system.values, np.zeros((2, 2)))
+    assert spectrum_checks(op, system) == dict.fromkeys(
+        ["spectral-reconstruction", "eigenvalue-imag-parts", "eigenket-orthonormal", "completeness"],
+        True,
+    )
+    ones = Eigensystem(np.full_like(system.values, 1j), system.kets, system.basis_id)
+    checks = spectrum_checks(op, ones)
+    assert not checks["spectral-reconstruction"] and not checks["eigenvalue-imag-parts"]
