@@ -350,13 +350,14 @@ def ket_norms(
     Row by row this is the arithmetic of
     ``Hyperbolic.from_bicomplex(scalar_product(spec, psi, psi), tol)``,
     so the coordinates agree with it bit for bit; the first row it would
-    reject raises the same error.
+    reject raises the same error.  Under the kept standard spec the
+    product by I is skipped.
     """
     if z1.shape[-1] != spec.dim:
         raise DimensionMismatch(f"ket dimension {z1.shape[-1]} != spec dimension {spec.dim}")
     # contiguous rows: a strided row is summed in a different order
     rows = np.ascontiguousarray(stack_components(z1, z2))
-    s1, s2 = np.vecdot(rows, np.matvec(spec.grams[:, None], rows))
+    s1, s2 = np.vecdot(rows, rows if spec.standard else np.matvec(spec.grams[:, None], rows))
     # Bicomplex.from_idempotent, then Bicomplex.to_idempotent
     w1, w2 = parts_from_components(s1, s2)
     c1, c2 = stack_components(w1, w2)

@@ -230,19 +230,26 @@ def conjugate_by_basis(
 def adjoint(spec: ScalarProductSpec, a: Operator) -> Operator:
     """The unique operator with (psi, A phi) = (adjoint(A) psi, phi).
 
-    Componentwise inv(G_k) @ A_k^H @ G_k; for identity Gram matrices
-    this is the conjugate transpose.
+    Componentwise inv(G_k) @ A_k^H @ G_k.  Under the kept standard spec
+    this is the conjugate transpose of the component stack, taken without
+    the product and the solve by I.
     """
     if spec.dim != a.dim:
         raise DimensionMismatch(f"spec dimension {spec.dim} != operator dimension {a.dim}")
-    # G / 2**k (exact) leaves inv(G) A^H G as it is and keeps A^H G in range
-    grams, _ = scaled_down(spec.grams)
-    parts = np.linalg.solve(grams, a.matrix.components.conj().mT @ grams)
+    if spec.standard:
+        parts = a.matrix.components.conj().mT
+    else:
+        # G / 2**k (exact) leaves inv(G) A^H G as it is and keeps A^H G in range
+        grams, _ = scaled_down(spec.grams)
+        parts = np.linalg.solve(grams, a.matrix.components.conj().mT @ grams)
     return Operator(BicomplexMatrix.from_components(*parts), a.basis_id)
 
 
 def is_self_adjoint(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    residual = (adjoint(spec, a).matrix - a.matrix).max_norm()
+    star, matrix = adjoint(spec, a).matrix, a.matrix
+    # a difference beyond the double range is an infinite residual, a failing test
+    with np.errstate(over="ignore"):
+        residual = float(entry_norms(star.z1 - matrix.z1, star.z2 - matrix.z2).max())
     # relative to the operator's scale alone, so an exact rescaling keeps the answer
     return residual <= tol.eps_eq * a.matrix.max_norm()
 
@@ -283,12 +290,20 @@ def _cholesky_reduce(
 def _hermitian_eigh(
     spec: ScalarProductSpec, matrix: BicomplexMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and G_k-orthonormal eigenvectors of both components, stacked."""
-    reduced, inv_chol_h = _cholesky_reduce(spec, matrix)
+    """Eigenvalues (ascending) and G_k-orthonormal eigenvectors of both components, stacked.
+
+    Under the kept standard spec the components go to ``eigh`` as they
+    are, without the Cholesky reduction and back-transform by L = I.
+    """
+    if spec.standard:
+        reduced = matrix.components
+    else:
+        reduced, inv_chol_h = _cholesky_reduce(spec, matrix)
     # eigh reads one triangle; averaging keeps both halves of a matrix
     # that is Hermitian only to rounding
     values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.conj().mT))
-    return values, inv_chol_h @ vectors
+    # + 0.0 turns -0.0 into +0.0, as the back-transform by I does
+    return values, vectors + 0.0 if spec.standard else inv_chol_h @ vectors
 
 
 def _coupled_clusters(transformed: np.ndarray, threshold: float) -> list[np.ndarray]:
@@ -566,7 +581,11 @@ class _Eigenbasis(NamedTuple):
 def _eigenbasis(
     cfg: EvolutionConfig, h: Operator, spec: ScalarProductSpec | None, tol: Tolerance
 ) -> _Eigenbasis:
-    """H' = inv(xi) * H, checked self-adjoint under spec (default: identity), and its eigenbasis."""
+    """H' = inv(xi) * H, checked self-adjoint under spec (default: identity), and its eigenbasis.
+
+    Under the kept standard spec the eigen-coefficients V^H G_k are V^H,
+    taken without the product by I.
+    """
     h_eff = h if cfg.xi is None else h.scale(cfg.xi.inverse())
     if spec is None:
         spec = ScalarProductSpec.identity(h.dim)
@@ -578,7 +597,13 @@ def _eigenbasis(
         frequencies = values / cfg.hbar
     if not np.isfinite(frequencies).all():
         raise NonFinite("eigenfrequencies lambda / hbar overflow")
-    return _Eigenbasis(h_eff, frequencies, vectors, vectors.conj().mT @ spec.grams)
+    if spec.standard:
+        # C-contiguous like the product V^H I: BLAS multiplies a transposed
+        # view with another kernel, which moves last digits of the states
+        coefficients = np.ascontiguousarray(vectors.conj().mT)
+    else:
+        coefficients = vectors.conj().mT @ spec.grams
+    return _Eigenbasis(h_eff, frequencies, vectors, coefficients)
 
 
 def evolution_operator(
@@ -642,8 +667,9 @@ class _Evolution(NamedTuple):
         with np.errstate(over="ignore", invalid="ignore"):
             factor = 1j * np.ldexp(self.cfg.hbar / (2.0 * step), -exponent)
             defect = (ahead - behind) * factor - rhs
-        # the sup norm of each sample's ket, over its coefficients
-        defect, rhs = (entry_norms(*parts_from_components(*c)).max(axis=0) for c in (defect, rhs))
+        # the sup norm of each sample's ket, over its coefficients: on the components
+        # entry_norms reads sqrt(2) times the parts' norm, a factor the ratio cancels
+        defect, rhs = (entry_norms(*c).max(axis=0) for c in (defect, rhs))
         return float((defect / np.maximum(rhs, 1e-300)).max())
 
 

@@ -520,6 +520,29 @@ class TestOverflow:
         elif code == 2:
             assert out.startswith("error: NonFinite: ")
 
+    @pytest.mark.parametrize("sub", ["spectral", "evolve", "check"])
+    def test_adjoint_residual_overflow(self, capsys, recwarn, tmp_path, sub):
+        # every entry is finite but A^H - A overflows: an infinite residual fails the test
+        path = tmp_path / "big.bct"
+        path.write_text(
+            "bct v1\nkind: operator\ndim: 2\n"
+            "(1 0 0 0) (1.5e308 0 0 0)\n(-1.5e308 0 0 0) (1 0 0 0)\n"
+        )
+        argv = [sub, str(path)]
+        if sub == "evolve":
+            state = str(GOLDEN / "ket_nullcone_n2.bct")
+            argv = [sub, "--hamiltonian", str(path), "--state", state,
+                    "--hbar", "1", "--t0", "0", "--t1", "1"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (err, list(recwarn)) == ("", [])
+        if sub == "check":
+            assert code == 3
+            assert "\ncheck finite-arithmetic: residual inf tol 0 fail\n" in out
+        else:
+            assert code == 2
+            assert out.startswith("error: NotSelfAdjoint: ")
+
 
 class TestDeterminantOverflow:
     """An order-8 Hermitian operator with entries near 1e150: det overflows, its inverse does not."""
@@ -695,13 +718,11 @@ class TestKeptFactorizations:
             fresh_transposed.z1, fresh_transposed.z2, fresh_transposed._component_dets()
         )
 
-    def test_factorizations_per_linalg_job(self, capsys, monkeypatch, tmp_path, cold_cache):
-        path = tmp_path / "m32.bct"
-        bct.save(path, bct.document_for(random_matrix(np.random.default_rng(32), 32)))
-        # the order's kept standard spec exists; building it is its one Cholesky
-        ScalarProductSpec.identity(32)
+    @staticmethod
+    def _counted_linalg(monkeypatch, *names) -> collections.Counter:
+        """Calls to each named ``np.linalg`` function from here on, counted by name."""
         calls = collections.Counter()
-        for name in ("det", "cond", "inv", "qr", "cholesky", "solve"):
+        for name in names:
             original = getattr(np.linalg, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -709,6 +730,14 @@ class TestKeptFactorizations:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_factorizations_per_linalg_job(self, capsys, monkeypatch, tmp_path, cold_cache):
+        path = tmp_path / "m32.bct"
+        bct.save(path, bct.document_for(random_matrix(np.random.default_rng(32), 32)))
+        # the order's kept standard spec exists; building it is its one Cholesky
+        ScalarProductSpec.identity(32)
+        calls = self._counted_linalg(monkeypatch, "det", "cond", "inv", "qr", "cholesky", "solve")
         for sub in ("det", "inv", "gram-schmidt", "check"):
             code, out = run(capsys, sub, str(path))
             assert code == 0, out
@@ -721,6 +750,40 @@ class TestKeptFactorizations:
         code, out = run(capsys, "check", str(path))
         assert code == 0, out
         assert calls == {"det": 2, "cond": 1, "inv": 1, "qr": 1}
+
+    def test_factorizations_per_evolve_job(self, capsys, monkeypatch, tmp_path, cold_cache):
+        rng = np.random.default_rng(16)
+        h, psi = tmp_path / "h16.bct", tmp_path / "psi16.bct"
+        bct.save(h, bct.document_for(random_self_adjoint(rng, 16)))
+        bct.save(psi, bct.document_for(random_ket(rng, 16)))
+        ScalarProductSpec.identity(16)
+        calls = self._counted_linalg(monkeypatch, "cholesky", "solve", "inv", "eigh")
+        code, out = run(capsys, "evolve", "--hamiltonian", str(h), "--state", str(psi),
+                        "--hbar", "1", "--t0", "0", "--t1", "10", "--samples", "100")
+        assert code == 0, out
+        # under the standard product the adjoint is the conjugate transpose and the
+        # components go to eigh as they are: nothing is solved against I or inverted
+        assert calls == {"eigh": 1}
+
+    def test_standard_product_prints_as_the_identity_spec(self, capsys, tmp_path, cold_cache):
+        """The kept standard spec's shortcuts print the bytes of the Cholesky route under I."""
+        rng = np.random.default_rng(17)
+        h, psi, spec = tmp_path / "h16.bct", tmp_path / "psi16.bct", tmp_path / "id16.bct"
+        bct.save(h, bct.document_for(random_self_adjoint(rng, 16)))
+        bct.save(psi, bct.document_for(random_ket(rng, 16)))
+        bct.save(spec, bct.document_for(ScalarProductSpec(np.eye(16), np.eye(16))))
+        evolve = ("evolve", "--hbar", "1", "--t0", "-0.5", "--t1", "100", "--samples", "100")
+        calls = [(*evolve, "--hamiltonian", str(h), "--state", str(psi), "--spec", str(spec))]
+        state = str(GOLDEN / "ket_nullcone_n2.bct")
+        identity = ("--spec", str(GOLDEN / "spec_identity_n2.bct"))
+        for name in ("matrix_identity_n2", "operator_selfadjoint_n2", "operator_unitary_n2",
+                     "counter_nonselfadjoint_n2", "counter_nullcone_pivot_n2"):
+            path = str(GOLDEN / f"{name}.bct")
+            calls += [("spectral", path, *identity), ("check", path, *identity),
+                      (*evolve, "--hamiltonian", path, "--state", state, *identity)]
+        for call in calls:
+            # the spec file builds a spec that is not the kept standard one
+            assert run(capsys, *call[:-2]) == run(capsys, *call), call
 
 
 # -- output layout of every subcommand on every golden file ----------------------------
