@@ -40,7 +40,9 @@ from .hilbert import (
     NullConePivot,
     ScalarProductSpec,
     coefficient_matrix,
+    gram_defects,
     gram_schmidt,
+    hermitian_defect,
     normalize,
     row_kets,
     scalar_product,
@@ -51,12 +53,11 @@ from .operators import (
     Eigensystem,
     Operator,
     _Evolution,
+    _self_adjoint,
+    _unitary_defect,
     adjoint,
-    compose,
     eigendecompose_self_adjoint,
     eigendecompose_unitary,
-    is_self_adjoint,
-    is_unitary,
     spectral_reconstruct,
 )
 from .reference import det_cofactor, scalar_product_direct
@@ -281,14 +282,15 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
             defining = max(defining, (left - right).euclid_norm() / max(1.0, left.euclid_norm()))
     results.append(_result("adjoint-defining-relation", defining, 1e-10))
 
-    if is_self_adjoint(spec, op, tol):
+    if _self_adjoint(star, op, tol):
         notes.append("spectral-class: self-adjoint")
         system = eigendecompose_self_adjoint(spec, op, tol)
         results.extend(verify_self_adjoint_spectrum(spec, op, system))
-    elif is_unitary(spec, op, tol):
+        return results, notes
+    defect, unitary = _unitary_defect(star, op, tol)
+    if unitary:
         notes.append("spectral-class: unitary")
         system = eigendecompose_unitary(spec, op, tol)
-        defect = (compose(star, op).matrix - BicomplexMatrix.identity(op.dim)).max_norm()
         results.append(_result("unitary-defect", defect, 1e-10))
         # lambda conj3(lambda) - 1 is (|c1|^2 - 1) e1 + (|c2|^2 - 1) e2
         defects = np.abs(system.value_components) ** 2 - 1.0
@@ -329,12 +331,11 @@ def _eigenbasis_results(spec: ScalarProductSpec, system: Eigensystem) -> list[Ch
 def orthonormal_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray) -> float:
     """Largest |(phi_i, phi_j) - delta_ij| over i <= j, Euclidean norm.
 
-    Computed from one Gram matrix V_k^H G_k V_k per component, V_k
-    holding the kets' component vectors as columns (or ``kets`` is V).
+    Read from ``hilbert.gram_defects``; ``kets`` may also be the (2, n, m)
+    stack V of their component vectors.
     """
     vectors = kets if isinstance(kets, np.ndarray) else coefficient_matrix(kets).components
-    defects = vectors.conj().mT @ spec.grams @ vectors - np.eye(vectors.shape[-1])
-    return float(np.triu(entry_norms(*parts_from_components(*defects))).max())
+    return float(np.triu(gram_defects(spec, vectors)).max())
 
 
 def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray) -> float:
@@ -350,10 +351,8 @@ def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarra
 
 def check_spec(g1: np.ndarray, g2: np.ndarray, tol: Tolerance):
     results, notes = [], []
-    grams = np.stack([g1, g2])
-    # relative to max|G|, as ScalarProductSpec tests it; a zero G is symmetric
-    scales = np.abs(grams).max(axis=(1, 2))
-    asymmetry = np.abs(grams - grams.conj().mT).max(axis=(1, 2)) / np.where(scales > 0, scales, 1.0)
+    # the residuals ScalarProductSpec tests
+    asymmetry = hermitian_defect(np.stack([g1, g2]))
     for name, residual in zip(("hermitian-g1", "hermitian-g2"), asymmetry):
         results.append(_result(name, residual, tol.eps_eq))
     try:

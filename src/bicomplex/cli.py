@@ -112,7 +112,8 @@ def _as_matrix(doc: BctDocument) -> BicomplexMatrix:
 
 
 def _result_block(value) -> list[str]:
-    return ["result:"] + bct.render(bct.document_for(value)).rstrip("\n").split("\n")
+    # the rendered document, as one piece without its final newline, which _emit's join restores
+    return ["result:", bct.render(bct.document_for(value))[:-1]]
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -47,6 +47,7 @@ from .core import (
     Tolerance,
     as_bicomplex,
     component_index,
+    entry_norms,
     null_cone_codes,
     parts_from_components,
     scaled_down,
@@ -184,8 +185,7 @@ class ScalarProductSpec:
         for name, g in (("G1", g1), ("G2", g2)):
             if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
                 raise ValueError(f"{name} must be a nonempty square matrix, got {g.shape}")
-            # relative to max|G| alone: G and 2^k G are Hermitian together
-            if float(np.abs(g - g.conj().T).max()) > tol.eps_eq * float(np.abs(g).max()):
+            if hermitian_defect(g) > tol.eps_eq:
                 raise ValueError(f"{name} is not Hermitian within tolerance")
         if g1.shape != g2.shape:
             raise ValueError(f"Gram matrix shapes differ: {g1.shape} vs {g2.shape}")
@@ -228,6 +228,15 @@ class ScalarProductSpec:
         """
         g1, g2 = self.grams
         return float(np.abs(g1 - g2).max()) <= tol.eps_eq * float(np.abs(self.grams).max())
+
+
+def hermitian_defect(grams: np.ndarray) -> np.ndarray:
+    """max|G - G^H| / max|G| of a Gram matrix, or of each in a stack; a zero G reads 0.
+
+    Relative to max|G| alone, so G and 2^k G are Hermitian together.
+    """
+    scales = np.abs(grams).max(axis=(-2, -1))
+    return np.abs(grams - grams.conj().mT).max(axis=(-2, -1)) / np.where(scales > 0, scales, 1.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -334,6 +343,21 @@ def scalar_product(spec: ScalarProductSpec, psi: Ket, phi: Ket) -> Bicomplex:
         raise DimensionMismatch(f"ket dimension {psi.dim} != spec dimension {spec.dim}")
     s1, s2 = np.vecdot(psi.components, np.matvec(spec.grams, phi.components))
     return Bicomplex.from_idempotent(s1, s2)
+
+
+def gram_defects(spec: ScalarProductSpec, vectors: np.ndarray) -> np.ndarray:
+    """Entry norms of the matrix (phi_i, phi_j) - delta_ij of m kets, Euclidean norm.
+
+    ``vectors`` stacks the kets' component vectors V_k as columns, (2, n, m),
+    and the matrix is one Gram product V_k^H G_k V_k - I per component:
+    every orthogonality test reads it from here.
+    """
+    if vectors.shape[1] != spec.dim:
+        raise DimensionMismatch(f"ket dimension {vectors.shape[1]} != spec dimension {spec.dim}")
+    # a product beyond the double range is an infinite or NaN residual, a failing test
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = vectors.conj().mT @ spec.grams @ vectors - np.eye(vectors.shape[-1])
+    return entry_norms(*parts_from_components(*defects))
 
 
 def ket_norm(spec: ScalarProductSpec, psi: Ket, tol: Tolerance = DEFAULT_TOLERANCE) -> HyperbolicNorm:
@@ -470,13 +494,13 @@ def mix_orthogonal_bases(
         Ket.from_components(kets[l].component(1), kets[permutation[l]].component(2), parent)
         for l in range(n)
     ]
+    # the cross products (phi_i, phi_j), i < j, of the mixed kets
+    vectors = np.stack([ket.components for ket in mixed], axis=-1)
+    residual = float(np.triu(gram_defects(spec, vectors), 1).max())
     scale = max(1.0, *(ket.max_norm() for ket in mixed))
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = scalar_product(spec, mixed[i], mixed[j]).euclid_norm()
-            # the bound times the squared scale, which overflows only past any finite residual
-            if residual > ORTHOGONALITY_TOL * scale * scale:
-                raise NotABasis("input kets were not orthogonal: mix is not orthogonal either")
+    # divided by the scale, whose square may overflow: inf or NaN never passes
+    if not residual / scale / scale <= ORTHOGONALITY_TOL:
+        raise NotABasis("input kets were not orthogonal: mix is not orthogonal either")
     if basis_id is None:
         basis_id = f"{parent}/mix-" + "-".join(str(i) for i in permutation)
     return Basis(basis_id, tuple(mixed), tol)

@@ -50,7 +50,7 @@ from .core import (
     scaled_down,
     stack_components,
 )
-from .hilbert import BasisMismatch, Ket, ScalarProductSpec
+from .hilbert import BasisMismatch, Ket, ScalarProductSpec, gram_defects
 from .matrix import BicomplexMatrix
 
 __all__ = [
@@ -245,21 +245,37 @@ def adjoint(spec: ScalarProductSpec, a: Operator) -> Operator:
     return Operator(BicomplexMatrix.from_components(*parts), a.basis_id)
 
 
-def is_self_adjoint(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    star, matrix = adjoint(spec, a).matrix, a.matrix
+def _self_adjoint(star: Operator, a: Operator, tol: Tolerance) -> bool:
+    """Whether A* = A within eps_eq * ||A||, given the adjoint ``star`` of ``a``."""
+    star, matrix = star.matrix, a.matrix
     # a difference beyond the double range is an infinite residual, a failing test
     with np.errstate(over="ignore"):
         residual = float(entry_norms(star.z1 - matrix.z1, star.z2 - matrix.z2).max())
     # relative to the operator's scale alone, so an exact rescaling keeps the answer
-    return residual <= tol.eps_eq * a.matrix.max_norm()
+    return residual <= tol.eps_eq * matrix.max_norm()
+
+
+def is_self_adjoint(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    return _self_adjoint(adjoint(spec, a), a, tol)
+
+
+def _unitary_defect(star: Operator, a: Operator, tol: Tolerance) -> tuple[float, bool]:
+    """The largest entry norm of A*A - I, and whether it is within eps_eq * max(1, ||A||)**2.
+
+    ``star`` is the adjoint of ``a``, already formed.  The product is
+    formed from the (z1, z2) parts, as ring multiplication does; where it
+    overflows, the residual is infinite or NaN and fails.
+    """
+    (s1, s2), (a1, a2) = (star.matrix.z1, star.matrix.z2), (a.matrix.z1, a.matrix.z2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(entry_norms(s1 @ a1 - s2 @ a2 - np.eye(a.dim), s1 @ a2 + s2 @ a1).max())
+    scale = max(1.0, a.matrix.max_norm())
+    # divided by the scale, whose square may overflow: inf or NaN never passes
+    return residual, residual / scale / scale <= tol.eps_eq
 
 
 def is_unitary(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    product = compose(adjoint(spec, a), a)
-    residual = (product.matrix - BicomplexMatrix.identity(a.dim)).max_norm()
-    scale = max(1.0, a.matrix.max_norm())
-    # the bound times the squared scale, which overflows only past any finite residual
-    return residual <= tol.eps_eq * scale * scale
+    return _unitary_defect(adjoint(spec, a), a, tol)[1]
 
 
 def outer_product(spec: ScalarProductSpec, phi: Ket, psi: Ket) -> Operator:
@@ -417,13 +433,10 @@ def eigenket_orthogonality_check(
 
     Pairs whose eigenvalue difference lies in the null cone carry no
     orthogonality constraint; they are reported but never asserted.  The
-    cross products (phi_i, phi_j) are the entries of one Gram stack V^H G_k V.
+    cross products (phi_i, phi_j), i < j, are read from ``hilbert.gram_defects``.
     """
     system = Eigensystem.of(pairs)
-    vectors = system.ket_components
-    if vectors.shape[1] != spec.dim:
-        raise DimensionMismatch(f"ket dimension {vectors.shape[1]} != spec dimension {spec.dim}")
-    residuals = entry_norms(*parts_from_components(*(vectors.conj().mT @ spec.grams @ vectors)))
+    residuals = gram_defects(spec, system.ket_components)
     values = system.value_components
     codes = null_cone_codes(np.abs(values[:, :, None] - values[:, None, :]), tol.eps_null)
     constrained, free = np.triu(codes == 3, 1), np.triu(codes != 3, 1)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicomplex import bct, cli
+from bicomplex import bct, checks, cli, operators
 from bicomplex.cli import main
 from bicomplex.core import Bicomplex, BicomplexError, E1, I1, J, ONE
 from bicomplex.hilbert import Ket, ScalarProductSpec
@@ -21,6 +21,7 @@ from bicomplex.operators import Operator
 
 from helpers import (
     bench_golden,
+    bench_workloads,
     random_hermitian,
     random_ket,
     random_matrix,
@@ -543,6 +544,26 @@ class TestOverflow:
             assert code == 2
             assert out.startswith("error: NotSelfAdjoint: ")
 
+    def test_unitary_residual_overflow(self, capsys, recwarn, tmp_path):
+        # finite and invertible, but A*A overflows: the infinite unitary residual
+        # fails the unitary test, and the rest of the suite still runs
+        path = tmp_path / "big.bct"
+        path.write_text(
+            "bct v1\nkind: operator\ndim: 2\n(1 0 0 0) (1e300 0 0 0)\n(0 0 0 0) (1 0 0 0)\n"
+        )
+        code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, err, list(recwarn)) == (3, "", [])
+        names = re.findall(r"^check ([\w-]+): ", out, re.M)
+        assert names == [
+            "det-idempotent-vs-direct", "det-transpose", "product-component-law",
+            "inverse-residual", "inverse-left-right", "orthogonalize-rows",
+            "adjoint-involution", "adjoint-defining-relation", "spectral-class",
+        ]
+        assert "\ncheck spectral-class: residual 1.000e+00 tol 0 fail\n" in out
+        assert "\nnote: spectral-class: neither self-adjoint nor unitary; " in out
+        assert "finite-arithmetic" not in out
+
 
 class TestDeterminantOverflow:
     """An order-8 Hermitian operator with entries near 1e150: det overflows, its inverse does not."""
@@ -764,6 +785,47 @@ class TestKeptFactorizations:
         # under the standard product the adjoint is the conjugate transpose and the
         # components go to eigh as they are: nothing is solved against I or inverted
         assert calls == {"eigh": 1}
+
+    @staticmethod
+    def _counted_adjoints(monkeypatch) -> list:
+        """Calls to ``operators.adjoint`` from here on, under each name that binds it."""
+        calls, original = [], operators.adjoint
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (operators, checks):
+            monkeypatch.setattr(module, "adjoint", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["operator_selfadjoint_n2.bct", "operator_unitary_n2.bct"])
+    def test_adjoints_per_operator_check(self, capsys, monkeypatch, cold_cache, name):
+        adjoints = self._counted_adjoints(monkeypatch)
+        code, out = run(capsys, "check", str(GOLDEN / name))
+        assert code == 0, out
+        # A*, A** for the involution and the eigendecomposition's own class test:
+        # the suite's class tests and its unitary-defect line reuse A*
+        assert len(adjoints) <= 3
+
+    def test_adjoints_per_spec_operator_job(self, capsys, monkeypatch, tmp_path, cold_cache):
+        # the cli workload's order-8 operator and spec at seed 5
+        (argv,) = [
+            job.commands[0]
+            for job in bench_workloads().make_jobs("cli", 5, str(tmp_path), str(GOLDEN))
+            if job.commands[0][:2] == ["check", str(tmp_path / "h8.bct")]
+        ]
+        adjoints = self._counted_adjoints(monkeypatch)
+        solves = self._counted_linalg(monkeypatch, "solve")
+        code, out = run(capsys, *argv)
+        assert code == 0, out
+        # one solve per adjoint under a general spec
+        assert solves["solve"] == len(adjoints) <= 3
+        adjoints.clear()
+        solves.clear()
+        code, out = run(capsys, "spectral", *argv[1:])
+        assert code == 0, out
+        assert (len(adjoints), solves) == (1, {"solve": 1})
 
     def test_standard_product_prints_as_the_identity_spec(self, capsys, tmp_path, cold_cache):
         """The kept standard spec's shortcuts print the bytes of the Cholesky route under I."""

@@ -557,6 +557,14 @@ class TestMixedBases:
         with pytest.raises(NotABasis):
             mix_orthogonal_bases(spec, kets, [1, 0])
 
+    def test_rejects_overflowing_cross_product(self, recwarn):
+        # (phi_0, phi_1) = 1e400 is infinite, and so is the bound 1e-10 * 1e200^2
+        spec = ScalarProductSpec.identity(2)
+        kets = [Ket.from_coeffs([1e200, 0]), Ket.from_coeffs([1e200, 1])]
+        with pytest.raises(NotABasis):
+            mix_orthogonal_bases(spec, kets, [0, 1])
+        assert list(recwarn) == []
+
     def test_rejects_bad_permutation(self):
         spec = ScalarProductSpec.identity(2)
         kets = [Ket.standard(2, 0), Ket.standard(2, 1)]

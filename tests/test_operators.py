@@ -260,6 +260,14 @@ class TestPredicates:
         )
         assert not is_unitary(spec, null_cone_op)
 
+    def test_overflowing_unitary_residual_is_not_unitary(self, recwarn):
+        # finite and invertible, but A*A has the entry 1e600: the residual is
+        # infinite, and so is the bound eps_eq * max(1, ||A||)^2 it must not pass
+        a = Operator(BicomplexMatrix.from_entries([[1, 1e300], [0, 1]]))
+        for spec in (ScalarProductSpec.identity(2), ScalarProductSpec(np.eye(2), np.eye(2))):
+            assert not is_unitary(spec, a)
+        assert list(recwarn) == []
+
     def test_unitary_preserves_scalar_products(self):
         rng = np.random.default_rng(53)
         spec = ScalarProductSpec.identity(3)
