@@ -24,10 +24,11 @@ immutable after construction and all operations are pure, so concurrent
 use is safe.
 
 ``entry_norms`` is the one Euclidean norm of array entries, behind every
-max norm and entrywise residual; it never squares, so it is finite for
-finite entries.  ``two_product`` is Dekker's error-free product, behind
-the exact digits of the .bct writer.  ``reference.py`` keeps its own
-arithmetic as the oracle.
+max norm and entrywise residual; it never squares.  ``within`` is the
+one pass rule of every residual check, on the quotient that ``ratio``
+forms without overflow.  ``two_product`` is Dekker's error-free product,
+behind the exact digits of the .bct writer.  ``reference.py`` keeps its
+own arithmetic as the oracle.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ __all__ = [
     "component_index",
     "entry_norms",
     "null_cone_codes",
+    "ratio",
     "scaled_down",
     "two_product",
+    "within",
 ]
 
 
@@ -334,8 +337,11 @@ class Bicomplex:
         raise ValueError(f"modulus kind must be 'i1', 'i2' or 'j', got {kind!r}")
 
     def euclid_norm(self) -> float:
-        """Euclidean norm of the four real components."""
-        return math.hypot(self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
+        """Euclidean norm of the four real components; NonFinite beyond the double range."""
+        norm = math.hypot(self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
+        if norm == math.inf:
+            raise NonFinite(f"euclidean norm of {self!r} overflows")
+        return norm
 
     __abs__ = euclid_norm
 
@@ -348,7 +354,13 @@ class Bicomplex:
         to the larger one (see ``null_cone_codes``).
         """
         c1, c2 = self.to_idempotent()
-        return _CLASSIFICATIONS[null_cone_codes((abs(c1), abs(c2)), tol.eps_null)]
+        try:
+            moduli = abs(c1), abs(c2)
+        except OverflowError:
+            # a modulus beyond the double range: the test is scale-invariant, so it
+            # runs on the components divided by the power of two of their largest part
+            moduli = np.abs(scaled_down((c1, c2))[0])
+        return _CLASSIFICATIONS[null_cone_codes(moduli, tol.eps_null)]
 
     def inverse(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Bicomplex:
         classification = self.classify(tol)
@@ -400,6 +412,46 @@ def scaled_down(values, exponent: int | None = None) -> tuple[np.ndarray, int]:
     if exponent is None:
         exponent = int(np.frexp(np.abs(parts).max())[1])
     return np.ldexp(parts, -exponent).view(complex), exponent
+
+
+def ratio(residual: float, *scale: float, floor: float = 0.0) -> float:
+    """residual / max(floor, product of the scale factors), the product never formed.
+
+    No factors mean a product of 1.  Each factor is split exactly into a
+    mantissa and a power of two (``math.frexp``): the mantissas are
+    multiplied and the exponents added, so the product neither over- nor
+    underflows, and the quotient has the bits of the plain one wherever
+    that one's values are normal.  A factor or floor that is not finite
+    gives NaN; a zero scale gives 0 for a zero residual and inf otherwise.
+    """
+    if not all(map(math.isfinite, (floor, *scale))):
+        return math.nan
+    mantissa, exponent = 0.5, 1
+    for factor in scale:
+        factor, shift = math.frexp(factor)
+        mantissa, normal = math.frexp(mantissa * factor)
+        exponent += shift + normal
+    if floor >= _ldexp(mantissa, exponent):
+        mantissa, exponent = math.frexp(floor)
+    if not mantissa:
+        return residual * math.inf if residual else 0.0
+    residual, shift = math.frexp(residual)
+    return _ldexp(residual / mantissa, shift - exponent)
+
+
+def within(residual: float, tol: float, *scale: float, floor: float = 0.0) -> bool:
+    """The pass rule of every residual check: residual <= tol * max(floor, product of the scale).
+
+    It holds only when the residual, the tolerance, the floor and every
+    factor are finite, and is decided on ``ratio`` so that no product
+    overflows: an infinite scale or bound never passes a residual.
+    """
+    return math.isfinite(tol) and ratio(residual, *scale, floor=floor) <= tol
+
+
+def _ldexp(mantissa: float, shift: int) -> float:
+    """mantissa * 2**shift, inf where that overflows (``math.ldexp`` raises there)."""
+    return math.ldexp(mantissa, shift) if math.frexp(mantissa)[1] + shift <= 1024 else math.inf
 
 
 def _principal_root(value: complex, n: int) -> complex:
@@ -530,11 +582,17 @@ class BicomplexArray:
 
     @property
     def components(self) -> np.ndarray:
-        """The read-only stack (c1, c2) = (z1 - i1*z2, z1 + i1*z2), kept after first use."""
+        """The read-only stack (c1, c2) = (z1 - i1*z2, z1 + i1*z2), kept after first use.
+
+        Raises NonFinite, as ``Bicomplex.to_idempotent`` does, where a component overflows.
+        """
         try:
             return self._components
         except AttributeError:
-            stack = stack_components(self.z1, self.z2)
+            with np.errstate(over="ignore"):
+                stack = stack_components(self.z1, self.z2)
+            if not np.isfinite(stack).all():
+                raise NonFinite(f"idempotent components of {type(self).__name__} entries overflow")
             stack.setflags(write=False)
             self._components = stack
             return stack
@@ -544,8 +602,13 @@ class BicomplexArray:
         return self.components[component_index(k)]
 
     def max_norm(self) -> float:
-        """Largest entrywise Euclidean norm."""
-        return float(entry_norms(self.z1, self.z2).max())
+        """Largest entrywise Euclidean norm, inf beyond the double range.
+
+        Taken on the parts divided by the power of two of the largest one
+        (``scaled_down``), whose norms cannot overflow, then scaled back.
+        """
+        (z1, z2), exponent = scaled_down((self.z1, self.z2))
+        return _ldexp(float(entry_norms(z1, z2).max()), exponent)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

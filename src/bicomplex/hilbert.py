@@ -52,6 +52,7 @@ from .core import (
     parts_from_components,
     scaled_down,
     stack_components,
+    within,
 )
 from .matrix import BicomplexMatrix, require_nonsingular
 
@@ -185,7 +186,7 @@ class ScalarProductSpec:
         for name, g in (("G1", g1), ("G2", g2)):
             if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
                 raise ValueError(f"{name} must be a nonempty square matrix, got {g.shape}")
-            if hermitian_defect(g) > tol.eps_eq:
+            if not within(hermitian_defect(g), tol.eps_eq):
                 raise ValueError(f"{name} is not Hermitian within tolerance")
         if g1.shape != g2.shape:
             raise ValueError(f"Gram matrix shapes differ: {g1.shape} vs {g2.shape}")
@@ -226,17 +227,22 @@ class ScalarProductSpec:
         Equivalent to the two Gram matrices coinciding; the property is
         tied to the reference basis.
         """
-        g1, g2 = self.grams
-        return float(np.abs(g1 - g2).max()) <= tol.eps_eq * float(np.abs(self.grams).max())
+        # on both divided by one power of two, so the difference cannot overflow
+        grams, _ = scaled_down(self.grams)
+        return within(np.abs(grams[0] - grams[1]).max(), tol.eps_eq, np.abs(grams).max())
 
 
 def hermitian_defect(grams: np.ndarray) -> np.ndarray:
     """max|G - G^H| / max|G| of a Gram matrix, or of each in a stack; a zero G reads 0.
 
-    Relative to max|G| alone, so G and 2^k G are Hermitian together.
+    Relative to max|G| alone, so G and 2^k G are Hermitian together; taken
+    on each G divided by the power of two of its largest part, which is
+    exact, so neither the difference nor its modulus overflows.
     """
-    scales = np.abs(grams).max(axis=(-2, -1))
-    return np.abs(grams - grams.conj().mT).max(axis=(-2, -1)) / np.where(scales > 0, scales, 1.0)
+    scaled = np.stack([scaled_down(g)[0] for g in grams.reshape(-1, *grams.shape[-2:])])
+    scales = np.abs(scaled).max(axis=(-2, -1))
+    defects = np.abs(scaled - scaled.conj().mT).max(axis=(-2, -1))
+    return (defects / np.where(scales > 0, scales, 1.0)).reshape(grams.shape[:-2])
 
 
 @functools.lru_cache(maxsize=8)
@@ -341,8 +347,18 @@ def scalar_product(spec: ScalarProductSpec, psi: Ket, phi: Ket) -> Bicomplex:
     psi._check_compatible(phi)
     if psi.dim != spec.dim:
         raise DimensionMismatch(f"ket dimension {psi.dim} != spec dimension {spec.dim}")
-    s1, s2 = np.vecdot(psi.components, np.matvec(spec.grams, phi.components))
+    s1, s2 = _gram_products(psi.components, spec.grams, phi.components)
     return Bicomplex.from_idempotent(s1, s2)
+
+
+def _gram_products(a: np.ndarray, grams: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """The products a^H G b (``np.vecdot``), G skipped when None.
+
+    Where one leaves the double range it is inf or NaN, which the callers
+    report as NonFinite, without numpy warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.vecdot(a, b if grams is None else np.matvec(grams, b))
 
 
 def gram_defects(spec: ScalarProductSpec, vectors: np.ndarray) -> np.ndarray:
@@ -381,7 +397,7 @@ def ket_norms(
         raise DimensionMismatch(f"ket dimension {z1.shape[-1]} != spec dimension {spec.dim}")
     # contiguous rows: a strided row is summed in a different order
     rows = np.ascontiguousarray(stack_components(z1, z2))
-    s1, s2 = np.vecdot(rows, rows if spec.standard else np.matvec(spec.grams[:, None], rows))
+    s1, s2 = _gram_products(rows, None if spec.standard else spec.grams[:, None], rows)
     # Bicomplex.from_idempotent, then Bicomplex.to_idempotent
     w1, w2 = parts_from_components(s1, s2)
     c1, c2 = stack_components(w1, w2)
@@ -454,10 +470,12 @@ def gram_schmidt(
     moduli = np.abs(pivots)
     # Bicomplex.from_idempotent(a, b).classify(tol) for every pivot self-product
     # a e1 + b e2 at once, on the moduli divided by a power of two per pivot
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         a, b = np.ldexp(moduli, -np.frexp(moduli.max(axis=0))[1]) ** 2
         round_trip = stack_components(*parts_from_components(a, b))
         codes = null_cone_codes(np.abs(round_trip), tol.eps_null)
+        # where the columns leave the double range, the constructor raises NonFinite
+        columns = q * np.exp(1j * np.angle(pivots))[:, None]
     finite = np.isfinite(moduli).all(axis=0)
     rejected = ~finite | (codes != 3)
     if rejected.any():
@@ -466,7 +484,6 @@ def gram_schmidt(
             # an infinite or NaN pivot: the scalar path raises its own NonFinite
             Bicomplex.from_idempotent(*moduli[:, index] ** 2)
         raise NullConePivot(index)
-    columns = q * np.exp(1j * np.angle(pivots))[:, None]
     if not spec.standard:
         columns, _ = scaled_down(np.linalg.solve(chol_h, columns), exponent)
     return KetColumns(BicomplexMatrix.from_components(*columns), kets.basis_id)
@@ -498,8 +515,7 @@ def mix_orthogonal_bases(
     vectors = np.stack([ket.components for ket in mixed], axis=-1)
     residual = float(np.triu(gram_defects(spec, vectors), 1).max())
     scale = max(1.0, *(ket.max_norm() for ket in mixed))
-    # divided by the scale, whose square may overflow: inf or NaN never passes
-    if not residual / scale / scale <= ORTHOGONALITY_TOL:
+    if not within(residual, ORTHOGONALITY_TOL, scale, scale):
         raise NotABasis("input kets were not orthogonal: mix is not orthogonal either")
     if basis_id is None:
         basis_id = f"{parent}/mix-" + "-".join(str(i) for i in permutation)

@@ -52,12 +52,14 @@ class SingularMatrix(BicomplexError):
     """Raised when a matrix with a null-cone (or zero) determinant is inverted.
 
     ``components`` lists the idempotent components whose determinant
-    vanished: (1,), (2,) or (1, 2).
+    vanished: (1,), (2,) or (1, 2).  A component whose reciprocal
+    condition number is below machine epsilon makes the matrix
+    numerically singular, as in LAPACK's xGESVX, with that ``reason``.
     """
 
-    def __init__(self, components: tuple[int, ...]):
+    def __init__(self, components: tuple[int, ...], reason: str = "determinant vanishes"):
         labels = " and ".join(str(k) for k in components)
-        super().__init__(f"matrix is singular: component {labels} determinant vanishes")
+        super().__init__(f"matrix is singular: component {labels} {reason}")
         self.components = components
 
 
@@ -129,17 +131,18 @@ class BicomplexMatrix(BicomplexArray):
         if not isinstance(other, BicomplexMatrix):
             return NotImplemented
         self._check_compatible(other)
-        # an overflowing product raises the constructor's NonFinite, not numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            z1 = self.z1 @ other.z1 - self.z2 @ other.z2
-            z2 = self.z1 @ other.z2 + self.z2 @ other.z1
-        return BicomplexMatrix(z1, z2)
+        return BicomplexMatrix(*self.matvec(other.z1, other.z2))
 
     def matvec(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply to a coefficient vector given as its (z1, z2) parts."""
-        if z1.shape != (self.order,):
+        """The (z1, z2) parts of the ring product with a vector or matrix given as its parts.
+
+        Where the product overflows its parts are infinite or NaN, without
+        numpy warnings: the constructors of kets and matrices raise NonFinite.
+        """
+        if z1.shape[0] != self.order:
             raise DimensionMismatch(f"vector length {z1.shape[0]} != order {self.order}")
-        return self.z1 @ z1 - self.z2 @ z2, self.z1 @ z2 + self.z2 @ z1
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.z1 @ z1 - self.z2 @ z2, self.z1 @ z2 + self.z2 @ z1
 
     def __eq__(self, other):
         if not isinstance(other, BicomplexMatrix):
@@ -208,18 +211,22 @@ class BicomplexMatrix(BicomplexArray):
         """Componentwise inverse, plus condition estimates for both components.
 
         The residual of A @ inv(A) scales with the reported conditions;
-        callers decide how much accuracy to expect.  The singularity test
-        under ``tol`` runs on every call; the inverse and the conditions
-        are computed once per matrix and the same ``MatrixInverse`` is
-        returned after that.
+        callers decide how much accuracy to expect.  A condition estimate
+        above 1/eps (or not finite) raises SingularMatrix: the matrix is
+        numerically singular.  The singularity test under ``tol`` runs on
+        every call; the inverse and the conditions are computed once per
+        matrix and the same ``MatrixInverse`` is returned after that.
         """
         require_nonsingular(self, tol)
         try:
             return self._inverse
         except AttributeError:
-            cond1, cond2 = np.linalg.cond(self.components)
+            conds = np.linalg.cond(self.components)
+            ill = tuple(k for k, cond in enumerate(conds, 1) if not cond <= _COND_LIMIT)
+            if ill:
+                raise SingularMatrix(ill, "reciprocal condition number is below machine epsilon")
             inverse = BicomplexMatrix.from_components(*np.linalg.inv(self.components))
-            self._inverse = MatrixInverse(inverse, float(cond1), float(cond2))
+            self._inverse = MatrixInverse(inverse, *map(float, conds))
             return self._inverse
 
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +249,8 @@ class BicomplexMatrix(BicomplexArray):
 _ENTRY_LIMIT = math.sqrt(np.finfo(float).max)
 # smallest normal modulus: below it a determinant has lost relative precision
 _TINY = np.finfo(float).tiny
+# largest condition estimate of an invertible component: 1/eps, as LAPACK's xGESVX
+_COND_LIMIT = 1.0 / np.finfo(float).eps
 
 
 def _det_overflow(d1: complex, d2: complex) -> NonFinite:

@@ -47,8 +47,10 @@ from .core import (
     entry_norms,
     null_cone_codes,
     parts_from_components,
+    ratio,
     scaled_down,
     stack_components,
+    within,
 )
 from .hilbert import BasisMismatch, Ket, ScalarProductSpec, gram_defects
 from .matrix import BicomplexMatrix
@@ -246,13 +248,14 @@ def adjoint(spec: ScalarProductSpec, a: Operator) -> Operator:
 
 
 def _self_adjoint(star: Operator, a: Operator, tol: Tolerance) -> bool:
-    """Whether A* = A within eps_eq * ||A||, given the adjoint ``star`` of ``a``."""
-    star, matrix = star.matrix, a.matrix
-    # a difference beyond the double range is an infinite residual, a failing test
-    with np.errstate(over="ignore"):
-        residual = float(entry_norms(star.z1 - matrix.z1, star.z2 - matrix.z2).max())
-    # relative to the operator's scale alone, so an exact rescaling keeps the answer
-    return residual <= tol.eps_eq * matrix.max_norm()
+    """Whether A* = A within eps_eq * ||A||, given the adjoint ``star`` of ``a``.
+
+    Relative to the operator's scale alone, and taken on both divided by
+    one power of two, which is exact: the difference and the norms stay in
+    range, and an exact rescaling of A keeps the answer.
+    """
+    (s1, s2, a1, a2), _ = scaled_down((star.matrix.z1, star.matrix.z2, a.matrix.z1, a.matrix.z2))
+    return within(entry_norms(s1 - a1, s2 - a2).max(), tol.eps_eq, entry_norms(a1, a2).max())
 
 
 def is_self_adjoint(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -266,12 +269,11 @@ def _unitary_defect(star: Operator, a: Operator, tol: Tolerance) -> tuple[float,
     formed from the (z1, z2) parts, as ring multiplication does; where it
     overflows, the residual is infinite or NaN and fails.
     """
-    (s1, s2), (a1, a2) = (star.matrix.z1, star.matrix.z2), (a.matrix.z1, a.matrix.z2)
+    z1, z2 = star.matrix.matvec(a.matrix.z1, a.matrix.z2)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(entry_norms(s1 @ a1 - s2 @ a2 - np.eye(a.dim), s1 @ a2 + s2 @ a1).max())
+        residual = float(entry_norms(z1 - np.eye(a.dim), z2).max())
     scale = max(1.0, a.matrix.max_norm())
-    # divided by the scale, whose square may overflow: inf or NaN never passes
-    return residual, residual / scale / scale <= tol.eps_eq
+    return residual, within(residual, tol.eps_eq, scale, scale)
 
 
 def is_unitary(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -317,7 +319,7 @@ def _hermitian_eigh(
         reduced, inv_chol_h = _cholesky_reduce(spec, matrix)
     # eigh reads one triangle; averaging keeps both halves of a matrix
     # that is Hermitian only to rounding
-    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.conj().mT))
+    values, vectors = np.linalg.eigh(0.5 * reduced + 0.5 * reduced.conj().mT)
     # + 0.0 turns -0.0 into +0.0, as the back-transform by I does
     return values, vectors + 0.0 if spec.standard else inv_chol_h @ vectors
 
@@ -334,7 +336,7 @@ def _coupled_clusters(transformed: np.ndarray, threshold: float) -> list[np.ndar
 
 
 def _component_unitary_eig(
-    reduced: np.ndarray, inv_chol_h: np.ndarray
+    reduced: np.ndarray, inv_chol_h: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (by phase angle) and G_k-orthonormal eigenvectors of one reduced component.
 
@@ -362,12 +364,14 @@ def _component_unitary_eig(
         transformed = vectors.conj().T @ reduced @ vectors
     values = np.diag(transformed).copy()
     residual = float(np.linalg.norm(transformed - np.diag(values), "fro"))
-    if residual > 1e-10 * scale:
+    if not within(residual, 1e-10, scale):
         raise NoConvergence(
             f"unitary component not diagonalized: off-diagonal residual {residual:.3e}"
         )
     order = np.argsort(np.angle(values), kind="stable")
-    return values[order], inv_chol_h @ vectors[:, order]
+    vectors = vectors[:, order]
+    # without a back-transform (L = I), + 0.0 turns -0.0 into +0.0 as the product by I does
+    return values[order], vectors + 0.0 if inv_chol_h is None else inv_chol_h @ vectors
 
 
 def eigendecompose_self_adjoint(
@@ -388,11 +392,15 @@ def eigendecompose_self_adjoint(
 def eigendecompose_unitary(
     spec: ScalarProductSpec, u: Operator, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Eigensystem:
-    """Orthonormal eigenkets of a unitary operator, sorted by phase angle."""
+    """Orthonormal eigenkets of a unitary operator, sorted by phase angle.
+
+    Under the kept standard spec the components are diagonalized as they
+    are, without the Cholesky reduction and back-transform by L = I.
+    """
     if not is_unitary(spec, u, tol):
         raise NotUnitary("operator is not unitary under the given scalar product")
-    reduced, inv_chol_h = _cholesky_reduce(spec, u.matrix)
-    values, vectors = zip(*map(_component_unitary_eig, reduced, inv_chol_h))
+    reduced = (u.matrix.components,) if spec.standard else _cholesky_reduce(spec, u.matrix)
+    values, vectors = zip(*map(_component_unitary_eig, *reduced))
     return Eigensystem(parts_from_components(*values), parts_from_components(*vectors), u.basis_id)
 
 
@@ -407,7 +415,9 @@ def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) ->
     vectors = system.ket_components
     if vectors.shape[1] != spec.dim:
         raise DimensionMismatch(f"ket dimension {vectors.shape[1]} != spec dimension {spec.dim}")
-    parts = (vectors * system.value_components[:, None, :]) @ (vectors.conj().mT @ spec.grams)
+    # an entry beyond the double range raises the constructor's NonFinite, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = (vectors * system.value_components[:, None, :]) @ (vectors.conj().mT @ spec.grams)
     return Operator(BicomplexMatrix.from_components(*parts), system.basis_id)
 
 
@@ -420,7 +430,7 @@ class OrthogonalityReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return self.max_constrained_residual <= self.tolerance
+        return within(self.max_constrained_residual, self.tolerance)
 
 
 def eigenket_orthogonality_check(
@@ -489,13 +499,13 @@ def op_function(
 def _expm(a: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring exponential with a truncated Taylor core."""
     n = a.shape[0]
-    norm = float(np.linalg.norm(a, 1))
-    if not math.isfinite(norm):
-        raise NonFinite("matrix exponential of a non-finite matrix")
-    # smallest s with norm / 2**s <= 0.5, for every finite norm (norm / 0.5
+    # the 1-norm of a / 2**k, which cannot overflow, and k
+    reduced, shift = scaled_down(a)
+    norm = float(np.linalg.norm(reduced, 1))
+    # smallest s with norm / 2**s <= 0.5, from the norm's binary exponent (norm / 0.5
     # and 2.0**s overflow from about 9e307 on)
     mantissa, exponent = math.frexp(norm)
-    squarings = 0 if norm <= 0.5 else exponent + (mantissa > 0.5)
+    squarings = max(0, exponent + shift + (mantissa > 0.5))
     scaled = a * math.ldexp(1.0, -squarings)
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
@@ -582,12 +592,11 @@ class _Eigenbasis(NamedTuple):
 
     def propagate(self, coeffs: np.ndarray, elapsed) -> np.ndarray:
         """V (exp(-i1 frequencies (t - t0)) * coeffs), one phase column per elapsed time."""
-        # a phase beyond the double range is reported here, not as numpy warnings
-        with np.errstate(over="ignore"):
-            angles = np.multiply.outer(self.frequencies, np.atleast_1d(elapsed))
-        if not np.isfinite(angles).all():
+        elapsed = np.atleast_1d(elapsed)
+        # the largest phase is the product of the largest factors (a float product does not warn)
+        if not math.isfinite(float(np.abs(self.frequencies).max()) * float(np.abs(elapsed).max())):
             raise NonFinite("phases lambda (t - t0) / hbar overflow")
-        phases = np.exp(-1j * angles)
+        phases = np.exp(-1j * np.multiply.outer(self.frequencies, elapsed))
         return self.vectors @ (phases * coeffs)
 
 
@@ -606,10 +615,9 @@ def _eigenbasis(
         raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
     values, vectors = _hermitian_eigh(spec, h_eff.matrix)
     # |lambda| / hbar beyond the double range is reported here, not as numpy warnings
-    with np.errstate(over="ignore"):
-        frequencies = values / cfg.hbar
-    if not np.isfinite(frequencies).all():
+    if not ratio(float(np.abs(values).max()), cfg.hbar) < math.inf:
         raise NonFinite("eigenfrequencies lambda / hbar overflow")
+    frequencies = values / cfg.hbar
     if spec.standard:
         # C-contiguous like the product V^H I: BLAS multiplies a transposed
         # view with another kernel, which moves last digits of the states
@@ -696,8 +704,12 @@ def _evolve(
     """
     basis = _eigenbasis(cfg, h, spec, tol)
     h._check_compatible(state)
-    coeffs = basis.coefficients @ state.components[..., None]
-    return _Evolution(cfg, basis, state, basis.propagate(coeffs, cfg.sample_times() - cfg.t0))
+    # a state beyond the double range gives inf or NaN samples, which ``samples``
+    # reports as NonFinite, without numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = basis.coefficients @ state.components[..., None]
+        components = basis.propagate(coeffs, cfg.sample_times() - cfg.t0)
+    return _Evolution(cfg, basis, state, components)
 
 
 def evolve_series(

@@ -490,9 +490,10 @@ class TestOverflow:
     INPUTS = {
         "scalar": "bct v1\nkind: scalar\ndim: 1\n(1e308 1e308 1e308 0)\n",
         "matrix": "bct v1\nkind: matrix\ndim: 2\n(1e308 0 0 0) (0 0 0 0)\n(0 0 0 0) (1e308 0 0 0)\n",
+        # finite parts whose idempotent moduli and euclidean norm exceed the double range
+        "modulus": "bct v1\nkind: scalar\ndim: 1\n(1.5e308 1.5e308 0 0)\n",
     }
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "kind, sub, expected",
         [
@@ -505,8 +506,11 @@ class TestOverflow:
             ("matrix", "inv", 2),
             ("matrix", "exp", 2),
             ("matrix", "gram-schmidt", 2),
-            ("matrix", "spectral", 2),
+            # halving before adding keeps 0.5 A + 0.5 A^H in range: eigenvalues 1e308
+            ("matrix", "spectral", 0),
             ("matrix", "check", 3),
+            ("modulus", "info", 2),
+            ("modulus", "check", 3),
         ],
     )
     def test_documented_exit_code(self, capsys, tmp_path, kind, sub, expected):
@@ -555,11 +559,13 @@ class TestOverflow:
         out, err = capsys.readouterr()
         assert (code, err, list(recwarn)) == (3, "", [])
         names = re.findall(r"^check ([\w-]+): ", out, re.M)
+        # the condition estimate overflows: numerically singular, so no inverse is checked
         assert names == [
             "det-idempotent-vs-direct", "det-transpose", "product-component-law",
-            "inverse-residual", "inverse-left-right", "orthogonalize-rows",
-            "adjoint-involution", "adjoint-defining-relation", "spectral-class",
+            "orthogonalize-rows", "adjoint-involution", "adjoint-defining-relation",
+            "spectral-class",
         ]
+        assert "\nnote: inverse: skipped (matrix is singular: component 1 and 2 reciprocal " in out
         assert "\ncheck spectral-class: residual 1.000e+00 tol 0 fail\n" in out
         assert "\nnote: spectral-class: neither self-adjoint nor unitary; " in out
         assert "finite-arithmetic" not in out
@@ -785,6 +791,15 @@ class TestKeptFactorizations:
         # under the standard product the adjoint is the conjugate transpose and the
         # components go to eigh as they are: nothing is solved against I or inverted
         assert calls == {"eigh": 1}
+
+    def test_one_inverse_per_unitary_check(self, capsys, monkeypatch, cold_cache):
+        calls = self._counted_linalg(monkeypatch, "inv")
+        code, out = run(capsys, "check", str(GOLDEN / "operator_unitary_n2.bct"))
+        assert code == 0, out
+        assert "\nnote: spectral-class: unitary\n" in out
+        # the check suite's inverse of A; under the standard product the unitary
+        # eigensolve skips the Cholesky reduction and inverts no L = I
+        assert calls == {"inv": 1}
 
     @staticmethod
     def _counted_adjoints(monkeypatch) -> list:

@@ -25,9 +25,8 @@ from bicomplex import (
     Tolerance,
     approx_eq,
 )
-from bicomplex.checks import _relative
 from bicomplex.core import (
-    E1, E2, I1, I2, J, ONE, ZERO, entry_norms, parts_from_components, two_product,
+    E1, E2, I1, I2, J, ONE, ZERO, entry_norms, parts_from_components, ratio, two_product, within,
 )
 
 from helpers import random_bicomplex
@@ -341,6 +340,13 @@ class TestNonFinite:
     def test_is_a_value_error(self):
         assert issubclass(NonFinite, ValueError)
 
+    def test_idempotent_modulus_beyond_the_double_range(self):
+        # classified on the exactly rescaled components; its norm is not a double
+        w = Bicomplex(complex(1.5e308, 1.5e308), 0.0)
+        assert w.classify() is Classification.INVERTIBLE
+        with pytest.raises(NonFinite):
+            w.euclid_norm()
+
     @pytest.mark.parametrize("z1, z2", [(math.inf, 0.0), (0.0, complex(0.0, math.nan))])
     def test_scalars(self, z1, z2):
         with pytest.raises(NonFinite):
@@ -395,6 +401,12 @@ class TestComponentStack:
     def test_stack_is_the_split_bit_for_bit(self, x):
         with np.errstate(over="ignore", invalid="ignore"):
             expected = np.stack([x.z1 - 1j * x.z2, x.z1 + 1j * x.z2])
+        if not np.isfinite(expected).all():
+            # a component beyond the double range is an error, as for a scalar
+            with pytest.raises(NonFinite):
+                x.components
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
             stack = x.components
             assert stack is x.components and not stack.flags.writeable
             assert stack.shape == expected.shape
@@ -424,7 +436,8 @@ class TestRecombination:
     @given(bicomplex_arrays())
     def test_plain_formula_wherever_it_is_finite(self, x):
         with np.errstate(over="ignore", invalid="ignore"):
-            c1, c2 = x.components
+            # the split, also where it overflows (x.components raises there)
+            c1, c2 = x.z1 - 1j * x.z2, x.z1 + 1j * x.z2
             plain = np.stack([0.5 * (c1 + c2), 0.5j * (c1 - c2)])
             halved = np.stack([0.5 * c1 + 0.5 * c2, 0.5j * c1 - 0.5j * c2])
         got = parts_from_components(c1, c2)
@@ -490,16 +503,46 @@ class TestEntryNorms:
         matrix = BicomplexMatrix(np.diag([3e300, 1.0]), np.diag([4e300, 0.0]))
         assert matrix.max_norm() == pytest.approx(5e300, rel=1e-15)
 
+    def test_max_norm_beyond_the_double_range(self, recwarn):
+        huge = 1.7976931348623157e308
+        matrix = BicomplexMatrix(np.zeros((2, 2)), np.array([[0.0, huge + huge * 1j], [0.0, 0.0]]))
+        assert matrix.max_norm() == math.inf and list(recwarn) == []
+
 
 class TestRelativeScale:
     def test_the_plain_quotient_while_the_product_is_finite(self):
-        assert _relative(6.0, 2.0, 3.0) == 1.0
-        assert _relative(6.0, 0.5, 0.5) == 6.0
-        assert _relative(6.0) == 6.0
-        assert _relative(0.3, 1e100, 1e100) == 0.3 / (1e100 * 1e100)
+        assert ratio(6.0, 2.0, 3.0, floor=1.0) == 1.0
+        assert ratio(6.0, 0.5, 0.5, floor=1.0) == 6.0
+        assert ratio(6.0, 0.5, 0.5) == 24.0
+        assert ratio(6.0) == 6.0
+        assert ratio(0.3, 1e100, 1e100, floor=1.0) == 0.3 / (1e100 * 1e100)
+        assert ratio(1.0, 3.0, floor=7.0) == 1.0 / 7.0
 
     def test_an_overflowing_product_is_divided_out(self):
-        assert _relative(1e300, 1e200, 1e200) == pytest.approx(1e-100, rel=1e-14)
-        assert _relative(1.0, *[1e120] * 3) == 0.0
-        assert _relative(1e300, *[1e120] * 3) == pytest.approx(1e-60, rel=1e-14)
-        assert math.isnan(_relative(math.nan, 1e200, 1e200))
+        assert ratio(1e300, 1e200, 1e200) == pytest.approx(1e-100, rel=1e-14)
+        assert ratio(1.0, *[1e120] * 3) == 0.0
+        assert ratio(1e300, *[1e120] * 3) == pytest.approx(1e-60, rel=1e-14)
+        assert ratio(1e300, 1e-300) == math.inf
+        assert math.isnan(ratio(math.nan, 1e200, 1e200))
+        assert ratio(math.inf, 2.0) == math.inf
+
+    def test_bits_of_the_plain_quotient(self):
+        rng = np.random.default_rng(41)
+        values = np.ldexp(rng.random((500, 4)), rng.integers(-300, 300, (500, 4)))
+        for residual, a, b, floor in values:
+            plain = residual / max(floor, a * b)
+            assert ratio(residual, a, b, floor=floor) == plain
+
+    def test_zero_scale(self):
+        assert ratio(0.0, 0.0) == 0.0 and within(0.0, 0.0, 0.0)
+        assert ratio(1e-300, 0.0) == math.inf and not within(1e-300, 1.0, 0.0)
+
+    def test_nothing_infinite_passes(self):
+        # the inf <= inf trap: an infinite scale or bound once passed any residual
+        assert not within(1.0, 1e-12, math.inf)
+        assert not within(math.inf, math.inf)
+        assert not within(0.0, math.inf)
+        assert not within(0.0, 1.0, 1.0, floor=math.nan)
+        assert not within(math.nan, 1.0)
+        assert within(1e300, 1e-12, 1e200, 1e200)
+        assert not within(1e300, 1e-12, 1e150, 1e150)
