@@ -6,8 +6,8 @@ evolved series) and the `check_*` suites re-derive everything a
 document's kind promises.  Both use independent routes where one exists
 (cofactor determinants, direct Gram-entry scalar products).  Results
 report a residual relative to its scale, a tolerance and whether the
-check passed, and a verdict passes only when every check does.  Probe
-vectors come from a fixed seed so runs are reproducible.
+check passed, and a verdict passes only when every check does.  The
+probe kets are a function of the dimension alone (``_probe_kets``).
 
 One rule decides every check, ``core.within``: a check passes when its
 residual is within the tolerance times its scale, and fails when the
@@ -69,7 +69,6 @@ from .operators import (
 )
 from .reference import det_cofactor, scalar_product_direct
 
-PROBE_SEED = 271828
 COFACTOR_MAX_ORDER = 5
 
 
@@ -90,16 +89,25 @@ def _result(name: str, residual: float, bound: float, *scale: float, floor: floa
     return CheckResult(name, ratio(float(residual), *scale, floor=floor), float(bound))
 
 
-def _probe_kets(dim: int, count: int, basis_id: str) -> list[Ket]:
-    rng = np.random.default_rng(PROBE_SEED)
-    # per ket, in draw order: re z1, im z1, re z2, im z2
-    draws = rng.standard_normal((count, 2, 2, dim))
-    return [Ket(*(re + 1j * im), basis_id) for re, im in draws.transpose(0, 2, 1, 3)]
+def _probe_kets(dim: int, basis_id: str) -> tuple[Ket, Ket]:
+    """A generic ket p and its mirror p' = (z1, -z2), from the dimension alone.
+
+    The real and imaginary parts of p's z1 and then of its z2, in turn,
+    are the terms k * 0x9E3779B97F4A7C15 mod 2**64, k = 1 .. 4 * dim, of a
+    64-bit Weyl sequence (the increment is 2**64 over the golden ratio),
+    each with its top 53 bits read exactly as a double in [-1, 1): integer
+    arithmetic, so no libm or platform rounding enters.  The pair maps to
+    itself under z2 -> -z2, so the probe checks commute with the e1 <-> e2
+    mirror.
+    """
+    terms = np.arange(1, 4 * dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z1, z2 = ((terms >> np.uint64(11)) * 2.0**-52 - 1.0).view(complex).reshape(2, dim)
+    return Ket(z1, z2, basis_id), Ket(z1, -z2, basis_id)
 
 
 def _probe_defect(dim: int, basis_id: str, fast, direct) -> float:
     """Largest |fast - direct| / max(1, |fast|) of two routes to one value over the probe pairs."""
-    probes = _probe_kets(dim, 2, basis_id)
+    probes = _probe_kets(dim, basis_id)
     pairs = [(fast(psi, phi), direct(psi, phi)) for psi in probes for phi in probes]
     return max(ratio((f - d).euclid_norm(), f.euclid_norm(), floor=1.0) for f, d in pairs)
 

@@ -2,6 +2,8 @@ import pytest
 
 from bicomplex import bct
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def cold_cache():

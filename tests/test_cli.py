@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bicomplex import bct, checks, cli, operators
 from bicomplex.cli import main
 from bicomplex.core import Bicomplex, BicomplexError, E1, I1, J, ONE
-from bicomplex.hilbert import Ket, ScalarProductSpec
+from bicomplex.hilbert import Ket, ScalarProductSpec, scalar_product
 from bicomplex.matrix import BicomplexMatrix, MatrixInverse
 from bicomplex.operators import Operator
 
@@ -861,6 +861,89 @@ class TestKeptFactorizations:
         for call in calls:
             # the spec file builds a spec that is not the kept standard one
             assert run(capsys, *call[:-2]) == run(capsys, *call), call
+
+
+def _swapped_adjoint(spec, a):
+    star = operators.adjoint(spec, a)
+    return Operator(BicomplexMatrix.from_components(*star.matrix.components[::-1]), a.basis_id)
+
+
+def _unconjugated_adjoint(spec, a):
+    """inv(G_k) A_k^H G_k, with A_2^T for A_2^H."""
+    parts = a.matrix.components.conj().mT
+    parts[1] = parts[1].conj()
+    parts = np.linalg.solve(spec.grams, parts @ spec.grams)
+    return Operator(BicomplexMatrix.from_components(*parts), a.basis_id)
+
+
+def _gramless_adjoint(spec, a):
+    return Operator(BicomplexMatrix.from_components(*a.matrix.components.conj().mT), a.basis_id)
+
+
+def _swapped_product(spec, psi, phi):
+    return scalar_product(ScalarProductSpec(*spec.grams[::-1]), psi, phi)
+
+
+def _gramless_product(spec, psi, phi):
+    return scalar_product(ScalarProductSpec.identity(spec.dim), psi, phi)
+
+
+def _check_line(out: str, name: str) -> str:
+    (line,) = [line for line in out.splitlines() if line.startswith(f"check {name}: ")]
+    return line
+
+
+class TestProbeChecks:
+    """The probe checks catch a wrong adjoint or scalar product, and need no numpy.random."""
+
+    @pytest.fixture
+    def spec_operator(self, tmp_path):
+        """``check`` argv for an order-4 operator under a general spec."""
+        rng = np.random.default_rng(4)
+        bct.save(tmp_path / "a.bct", bct.document_for(Operator(random_matrix(rng, 4))))
+        bct.save(tmp_path / "g.bct", bct.document_for(random_spec(rng, 4)))
+        return ["check", str(tmp_path / "a.bct"), "--spec", str(tmp_path / "g.bct")]
+
+    # each mutant on each input where it is not the adjoint: without a spec the
+    # standard product has no Gram weighting to drop
+    @pytest.mark.parametrize("mutant, operator", [
+        (_swapped_adjoint, "spec"),
+        (_unconjugated_adjoint, "spec"),
+        (_gramless_adjoint, "spec"),
+        (_swapped_adjoint, "operator_unitary_n2.bct"),
+        (_unconjugated_adjoint, "operator_unitary_n2.bct"),
+    ])
+    def test_wrong_adjoint_fails_the_defining_relation(
+        self, capsys, monkeypatch, spec_operator, mutant, operator
+    ):
+        argv = spec_operator if operator == "spec" else ["check", str(GOLDEN / operator)]
+        doc = bct.load(argv[1])
+        spec = cli._load_spec(argv[3] if len(argv) > 2 else None, doc.dim)
+        wrong = mutant(spec, doc.value).matrix - operators.adjoint(spec, doc.value).matrix
+        assert wrong.max_norm() > 0.1 * doc.value.matrix.max_norm()
+        assert _check_line(run(capsys, *argv)[1], "adjoint-defining-relation").endswith(" pass")
+        monkeypatch.setattr(checks, "adjoint", mutant)
+        assert _check_line(run(capsys, *argv)[1], "adjoint-defining-relation").endswith(" fail")
+
+    @pytest.mark.parametrize("mutant", [_swapped_product, _gramless_product])
+    def test_wrong_scalar_product_fails_decomposition_vs_direct(self, capsys, monkeypatch, mutant):
+        argv = ["check", str(GOLDEN / "spec_general_n3.bct")]
+        assert _check_line(run(capsys, *argv)[1], "decomposition-vs-direct").endswith(" pass")
+        monkeypatch.setattr(checks, "scalar_product", mutant)
+        assert _check_line(run(capsys, *argv)[1], "decomposition-vs-direct").endswith(" fail")
+
+    @pytest.mark.parametrize("name", ["operator_unitary_n2.bct", "spec_general_n3.bct"])
+    def test_no_numpy_random(self, name):
+        script = (
+            "import sys\nfrom bicomplex.cli import main\ncode = main(sys.argv[1:])\n"
+            "print('exit', code, 'numpy.random' in sys.modules)"
+        )
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script, "check", str(GOLDEN / name)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "exit 0 False"
 
 
 # -- output layout of every subcommand on every golden file ----------------------------
