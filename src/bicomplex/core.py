@@ -65,6 +65,7 @@ __all__ = [
     "as_bicomplex",
     "component_index",
     "entry_norms",
+    "null_cone_code",
     "null_cone_codes",
     "ratio",
     "scaled_down",
@@ -359,8 +360,13 @@ class Bicomplex:
         except OverflowError:
             # a modulus beyond the double range: the test is scale-invariant, so it
             # runs on the components divided by the power of two of their largest part
-            moduli = np.abs(scaled_down((c1, c2))[0])
-        return _CLASSIFICATIONS[null_cone_codes(moduli, tol.eps_null)]
+            parts = (c1.real, c1.imag, c2.real, c2.imag)
+            shift = -math.frexp(max(map(abs, parts)))[1]
+            moduli = (
+                abs(complex(math.ldexp(c1.real, shift), math.ldexp(c1.imag, shift))),
+                abs(complex(math.ldexp(c2.real, shift), math.ldexp(c2.imag, shift))),
+            )
+        return _CLASSIFICATIONS[null_cone_code(*moduli, tol.eps_null)]
 
     def inverse(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Bicomplex:
         classification = self.classify(tol)
@@ -399,6 +405,19 @@ def null_cone_codes(moduli, eps_null: float) -> np.ndarray:
     mantissa, exponent = np.frexp(moduli.max(axis=0))
     vanishes = np.ldexp(moduli, -exponent) <= eps_null * mantissa
     return 3 - 2 * vanishes[0] - vanishes[1]
+
+
+def null_cone_code(m1: float, m2: float, eps_null: float) -> int:
+    """``null_cone_codes`` of one pair of moduli, in float arithmetic without numpy.
+
+    The same steps on the same values: the larger modulus (NaN if either
+    is) split by frexp, both moduli scaled exactly by its power of two and
+    each tested against eps_null times its mantissa.
+    """
+    larger = max(m1, m2) if m1 == m1 and m2 == m2 else math.nan
+    mantissa, exponent = math.frexp(larger)
+    bound = eps_null * mantissa
+    return 3 - 2 * (math.ldexp(m1, -exponent) <= bound) - (math.ldexp(m2, -exponent) <= bound)
 
 
 def scaled_down(values, exponent: int | None = None) -> tuple[np.ndarray, int]:
@@ -555,7 +574,7 @@ class BicomplexArray:
     new parts in ``_new``.
     """
 
-    __slots__ = ("z1", "z2", "_components")
+    __slots__ = ("z1", "z2", "_components", "_max_norm")
 
     def __init__(self, z1: np.ndarray, z2: np.ndarray):
         z1 = np.array(z1, dtype=complex)
@@ -602,13 +621,17 @@ class BicomplexArray:
         return self.components[component_index(k)]
 
     def max_norm(self) -> float:
-        """Largest entrywise Euclidean norm, inf beyond the double range.
+        """Largest entrywise Euclidean norm, inf beyond the double range; kept after first use.
 
         Taken on the parts divided by the power of two of the largest one
         (``scaled_down``), whose norms cannot overflow, then scaled back.
         """
-        (z1, z2), exponent = scaled_down((self.z1, self.z2))
-        return _ldexp(float(entry_norms(z1, z2).max()), exponent)
+        try:
+            return self._max_norm
+        except AttributeError:
+            (z1, z2), exponent = scaled_down((self.z1, self.z2))
+            self._max_norm = _ldexp(float(entry_norms(z1, z2).max()), exponent)
+            return self._max_norm
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

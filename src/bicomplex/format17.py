@@ -1,21 +1,31 @@
-"""A batch ``%.17g``: every field of a float block printed at once, as
-``template % tuple(row)`` prints each row.
+"""A batch ``%.17g`` and its mirror: every field of a float block printed
+at once, as ``template % tuple(row)`` prints each row, and every field of
+a large ``.bct`` payload read at once, as ``float`` reads each one.
 
-:func:`format_rows` is the large-block path of ``bct.format_rows``,
-which imports this module on first use.  The digits come from Dekker's
+:func:`format_rows` is the large-block path of ``bct.format_rows``, and
+:func:`read_rows` the large-payload path of ``bct.parse``; both import
+this module on first use.  The writer's digits come from Dekker's
 error-free TwoProduct (as in ``core.two_product``) with per-exponent
 powers of ten, filled lazily with exact int arithmetic; the text is put
 together from byte tables with numpy.  A field that the kernel cannot
 settle exactly, or that ``%.17g`` prints in exponent notation, goes
 through ``'%.17g' % x`` itself, so the output is the same byte for byte.
+The reader checks the payload's layout on its bytes, turns each plain
+decimal field into an exact integer with word arithmetic and scales it
+by a double-double power of ten with the same TwoProduct; a field of any
+other form, or whose value it cannot round with certainty, is read by
+``float`` itself, so the bits are the same.
 
-Once a thread has printed a block of a given size, its calls allocate
-no array: every intermediate, and the row buffer the text is put
-together in, is written with ``out=`` into that thread's scratch arrays.
-They grow to the largest block the thread has printed, at most one
-kernel block of ``_KERNEL_FIELDS`` fields, and are kept: about 280 bytes
-a field, near 2.3 MB in all.  A row longer than a kernel block is one
-block, whose arrays are freed after its call.
+Once a thread has printed or read a block of a given size, its calls
+allocate no array: every intermediate, and the row buffer the text is
+put together in, is written with ``out=`` into that thread's scratch
+arrays.  They grow to the largest block the thread has handled, at most
+one kernel block of ``_KERNEL_FIELDS`` fields, and are kept: about 280
+bytes a field for printing, near 2.3 MB in all, and about 150 for
+reading, plus 4 bytes a payload byte for the reader's byte positions.
+A row longer than a kernel block is one block when printed, whose arrays
+are freed after its call; when read, it sends the payload to ``bct``'s
+``float`` pass.
 """
 
 from __future__ import annotations
@@ -82,23 +92,28 @@ _SCRATCH_ROWS = 31
 
 
 class _Scratch(threading.local):
-    """One thread's kernel arrays, grown to the largest block it has printed.
+    """One thread's kernel arrays, grown to the largest block it has printed or read.
 
-    A block of more than ``_KERNEL_FIELDS`` fields (one long row) gets
-    arrays for that call only, so that what a thread keeps stays bounded.
+    A block larger than one kernel block (one long row) gets arrays for
+    that call only, so that what a thread keeps stays bounded.
     """
 
     def __init__(self):
-        self.rows = np.empty((_SCRATCH_ROWS, 0))
+        self.rows = np.empty(0)
         self.text = np.empty(0, np.uint64)
+        self.positions = np.empty(0, np.int32)
+
+    def words(self, size: int) -> np.ndarray:
+        """``size`` contiguous float64 words, the writer's and the reader's intermediates."""
+        if size > _SCRATCH_ROWS * _KERNEL_FIELDS:
+            return np.empty(size)
+        if self.rows.size < size:
+            self.rows = np.empty(size)
+        return self.rows[:size]
 
     def arrays(self, n: int) -> np.ndarray:
         """``_SCRATCH_ROWS`` contiguous float64 rows of ``n`` fields."""
-        if n > _KERNEL_FIELDS:
-            return np.empty((_SCRATCH_ROWS, n))
-        if self.rows.shape[1] < n:
-            self.rows = np.empty((_SCRATCH_ROWS, n))
-        return self.rows[:, :n]
+        return self.words(_SCRATCH_ROWS * n).reshape(_SCRATCH_ROWS, n)
 
     def segments(self, n: int, width: int) -> np.ndarray:
         """The row buffer: ``n`` contiguous segments of ``width`` uint64 words."""
@@ -107,6 +122,12 @@ class _Scratch(threading.local):
         if self.text.size < n * width:
             self.text = np.empty(n * width, np.uint64)
         return self.text[: n * width].reshape(n, width)
+
+    def ramp(self, nbytes: int) -> np.ndarray:
+        """0, 1, ..., nbytes - 1, nbytes at most ``_KERNEL_BYTES``: the reader's byte positions."""
+        if self.positions.size < nbytes:
+            self.positions = np.arange(nbytes, dtype=np.int32)
+        return self.positions[:nbytes]
 
 
 _scratch = _Scratch()
@@ -395,3 +416,350 @@ def _spelling_tables() -> _Tables:
     for table in digits + last + words:
         table.setflags(write=False)
     return _Tables(tuple(digits), tuple(last), *words)
+
+
+# -- reading -------------------------------------------------------------------
+
+# The reader mirrors the writer.  The payload rows are joined into one
+# ASCII byte string between blank pads and read in blocks of whole rows.
+# A block's layout is checked without tokens: bytes from "+" up are token
+# bytes, and every other byte but a blank is an event, as is each token's
+# first byte.  The events must run "(", a token per field and ")" for each
+# atom, then "\n", row after row.  A field's last byte lies before the
+# event after it, past one blank at most, and the 24 bytes that end there
+# are read as three little-endian words.  Word masks drop the bytes before
+# the token (and a leading "-"), turn its "." into a zero and check that
+# every other byte is a digit; three multiply-shift steps then turn each
+# word's 8 digits into a number.  With the point read as a zero the digits
+# give D' = ip * 10^(f + 1) + fp, where ip and fp are the digits before
+# and after the point and f is the count of the latter, so
+# m = (D' - fp) / 10 + fp, exact in uint64 below 10^19.  The value
+# q = m * 10^-f takes m = m_h + m_l (m_h the double nearest m) and 10^-f
+# as a double-double (hi, lo): y = p + r with (p, e) = TwoProduct(m_h, hi)
+# and r = e + m_h * lo + m_l * hi, so that q - y = (p - y) + r to about
+# 2^-100 of y.  y is q correctly rounded unless |q - y| is within 2^-30 of
+# half the gap below y (the smaller gap at a power of two).  A value
+# m * 10^-f with m < 10^19 that is not a midpoint lies at least 2^-64 of
+# itself from every one, so only exact ties (which y may miss) and values
+# just above a power of two come that near.  float() reads the fields that
+# are no such token (an exponent, "+", "_", or anything else but digits),
+# that are longer than 24 bytes, that have 20 digits or more (leading
+# zeros and the point's zero included), that are that near a midpoint, or
+# that have two blanks or more after them.  A block whose events do not
+# match, a field that float() rejects or a value that is not finite
+# rejects the whole payload: the caller's reference path decides it.
+
+_PAD = " " * 24  # so that every 24-byte window ending in a token lies in the text
+_TOKEN = 0x2B  # "+", the least token byte
+_WINDOW = 24
+# bytes a block reads at most, 24 a field: its byte masks fit in its field rows
+_KERNEL_BYTES = _WINDOW * _KERNEL_FIELDS
+# scratch rows a field takes, 8 bytes each, after the block's event positions
+# and bytes: 16 int64, uint64 or float64 rows, one for the digit check, D'
+# and the sign bit in turn, and one shared by three rows of flags
+_READ_ROWS = 18
+_READ_MARGIN = 0.5 - _TIE_MARGIN
+
+
+def _bytes_word(byte: int) -> int:
+    """``byte`` in each of a uint64's 8 bytes."""
+    return int.from_bytes(bytes([byte]) * 8, "little")
+
+
+_ZEROS, _POINT, _LOW7, _HIGH, _PAST_NINE = map(_bytes_word, (0x30, 0x2E ^ 0x30, 0x7F, 0x80, 0x76))
+# each word's weight in the 24-byte window: the point's bit, 8 * byte + 7,
+# reads exactly as a double
+_WORD_WEIGHTS = np.array([[1.0], [2.0**64], [2.0**128]])
+_KEEP_ROWS = np.array([[0], [_WINDOW + 1], [2 * (_WINDOW + 1)]])
+
+
+class _ReadTables(NamedTuple):
+    """The read-only tables the reader takes its masks and scales from.
+
+    ``keep`` holds at index ``25 * w + L`` word w of the mask of the last
+    L bytes of a 24-byte window.  The others are indexed by the point's
+    place, ``p + 1`` for a point at byte p of the window and 0 for none:
+    ``divisor`` is 10^f for the f digits after the point (at most 10^19,
+    and 10^19 without a point, so that fp takes every digit), and the rows
+    of ``scale`` are 10^-f as a double-double (hi, lo) and hi split into
+    two 26-bit halves.
+    """
+
+    keep: np.ndarray
+    divisor: np.ndarray
+    scale: np.ndarray
+
+
+@functools.cache
+def _reading_tables() -> _ReadTables:
+    keep = np.zeros((_SLOT_WORDS, _WINDOW + 1), np.uint64)
+    for length in range(_WINDOW + 1):
+        mask = ((1 << 8 * length) - 1) << 8 * (_WINDOW - length)
+        for word in range(_SLOT_WORDS):
+            keep[word, length] = mask >> 64 * word & (1 << 64) - 1
+    after = [0] + [_WINDOW - place for place in range(1, _WINDOW + 1)]
+    divisor = np.array([10**19] + [10 ** min(f, 19) for f in after[1:]], np.uint64)
+    scale = np.zeros((4, _WINDOW + 1))
+    for place, f in enumerate(after):
+        hi, lo = _double_double(1, 10**f)
+        upper = hi * _SPLITTER - (hi * _SPLITTER - hi)
+        scale[:, place] = hi, lo, upper, hi - upper
+    tables = _ReadTables(keep.ravel(), divisor, scale)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=16)
+def _row_events(atoms: int, arity: int) -> np.ndarray:
+    """One row's events: "(", a token byte per field and ")" for each atom, then "\\n"."""
+    row = np.array(([ord("(")] + [_TOKEN] * arity + [ord(")")]) * atoms + [ord("\n")], np.uint8)
+    row.setflags(write=False)
+    return row
+
+
+def read_rows(lines: list[str], rows: int, atoms: int, arity: int) -> np.ndarray | None:
+    """The payload ``lines`` as a (rows, atoms, arity) array, each field as ``float`` reads it.
+
+    ``lines`` must hold ``rows`` lines that are not blank (blank ones are
+    skipped), each of ``atoms`` atoms ``(f1 ... f_arity)`` of finite
+    fields.  None when they do not, or when the reader cannot tell: a
+    byte that is not ASCII, a separator other than blanks and parens, or
+    a row of more than one kernel block of fields or bytes.
+    """
+    payload = [line for line in lines if line.strip()]
+    if len(payload) != rows:
+        return None
+    text = "\n".join([_PAD, *payload, _PAD]).replace("\t", " ")
+    # an atom takes 2 * arity + 1 bytes at least: a declared size that the
+    # text cannot hold allocates nothing
+    if not text.isascii() or len(text) < rows * atoms * (2 * arity + 1):
+        return None
+    sizes = [len(line) + 1 for line in payload]  # with its "\n"
+    if atoms * arity > _KERNEL_FIELDS or max(sizes) > _KERNEL_BYTES:
+        return None  # a row longer than one block
+    data = text.encode("ascii")
+    values = np.empty((rows, atoms * arity))
+    first, start = 0, len(_PAD) + 1
+    while first < rows:
+        # whole rows, at most one kernel block of fields and of bytes
+        last, end = first + 1, start + sizes[first]
+        while (
+            last < rows
+            and (last + 1 - first) * atoms * arity <= _KERNEL_FIELDS
+            and end + sizes[last] - start <= _KERNEL_BYTES
+        ):
+            end += sizes[last]
+            last += 1
+        if not _read_block(data, start, end, values[first:last], atoms, arity):
+            return None
+        first, start = last, end
+    return values.reshape(rows, atoms, arity)
+
+
+def _read_block(data: bytes, lo: int, hi: int, out: np.ndarray, atoms: int, arity: int) -> bool:
+    """Read the rows in ``data[lo:hi]`` into ``out`` (rows, atoms * arity); False rejects them."""
+    k, n = out.shape[0], out.size
+    per_row = atoms * (arity + 2) + 1
+    nb, events = hi - lo, k * per_row
+    position_words, event_words = -(-events // 2), -(-events // 8)
+    arena = _scratch.words(position_words + event_words + max(-(-3 * nb // 8), _READ_ROWS * n))
+    positions = arena[:position_words].view(np.int32)[:events]
+    event_bytes = arena[position_words : position_words + event_words].view(np.uint8)[:events]
+    shared = arena[position_words + event_words :]
+    block = np.frombuffer(data, np.uint8, nb, lo)
+
+    # the events: separators other than blanks, and token starts
+    low, event, start = shared.view(bool)[: 3 * nb].reshape(3, nb)
+    np.less(block, _TOKEN, out=low)
+    np.not_equal(block, ord(" "), out=event)
+    np.logical_and(event, low, out=event)
+    start[0] = not low[0]  # a row starts after "\n"
+    np.greater(low[:-1], low[1:], out=start[1:])
+    np.logical_or(event, start, out=event)
+    if np.count_nonzero(event) != events:
+        return False
+    np.compress(event, _scratch.ramp(nb), out=positions)
+    block.take(positions, out=event_bytes, mode="clip")
+
+    def at_fields(array: np.ndarray, after: int = 0) -> np.ndarray:
+        """The (rows, atoms, arity) view of a per-event array at each field's event, or after it."""
+        atom = array.reshape(k, per_row)[:, :-1].reshape(k, atoms, arity + 2)
+        return atom[:, :, 1 + after : 1 + after + arity]
+
+    rows = shared[: _READ_ROWS * n].reshape(_READ_ROWS, n)
+    flags = rows[17].view(bool)
+    negative, flag, aux = flags[:n], flags[n : 2 * n], flags[2 * n : 3 * n]
+    np.equal(at_fields(event_bytes), ord("-"), out=negative.reshape(k, atoms, arity))
+    np.minimum(event_bytes, _TOKEN, out=event_bytes)
+    mismatch = rows[:2].view(bool).ravel()[:events].reshape(k, per_row)
+    np.not_equal(event_bytes.reshape(k, per_row), _row_events(atoms, arity), out=mismatch)
+    if mismatch.any():
+        return False
+
+    # each field's last byte and its length without a sign; two blanks or
+    # more after it leave a blank there, and float() reads the field
+    last, length, word, shift, back, place = rows[:6].view(np.int64)
+    np.subtract(at_fields(positions, 1), 1, out=last.reshape(k, atoms, arity))
+    byte = aux.view(np.uint8)
+    for _ in range(2):
+        block.take(last, out=byte, mode="clip")
+        np.less(byte, _TOKEN, out=flag)
+        np.subtract(last, flag, out=last)
+    shape = (k, atoms, arity)
+    np.subtract(last.reshape(shape), at_fields(positions), out=length.reshape(shape))
+    np.add(length, 1, out=length)
+    np.subtract(length, negative, out=length)
+    np.greater(length, _WINDOW, out=aux)
+    np.logical_or(flag, aux, out=flag)
+
+    # the window of 24 bytes that ends at the last byte, from aligned words
+    np.add(last, lo - _WINDOW + 1, out=word)
+    np.bitwise_and(word, 7, out=shift)
+    np.left_shift(shift, 3, out=shift)
+    np.subtract(64, shift, out=back)
+    np.right_shift(word, 3, out=word)
+    aligned = np.frombuffer(data, np.uint64, len(data) // 8)
+    gathered = rows[6:10].view(np.uint64)
+    for row in gathered:
+        aligned.take(word, out=row, mode="clip")
+        np.add(word, 1, out=word)
+    x, t = rows[10:13].view(np.uint64), rows[13:16].view(np.uint64)
+    np.right_shift(gathered[:3], shift.view(np.uint64), out=x)
+    np.left_shift(gathered[1:], back.view(np.uint64), out=t)  # a shift by 64 gives 0
+    np.bitwise_or(x, t, out=x)
+
+    tables = _reading_tables()
+    # digit values in the token's bytes, zeros before it; the point is 0x1E
+    keep = gathered[:3]
+    np.add(length, _KEEP_ROWS, out=t.view(np.int64))
+    tables.keep.take(t.view(np.int64), out=keep, mode="clip")
+    np.bitwise_xor(x, _ZEROS, out=x)
+    np.bitwise_and(x, keep, out=x)
+    point = t
+    np.bitwise_xor(x, _POINT, out=point)
+    np.add(point, _LOW7, out=point)
+    np.bitwise_and(point, _HIGH, out=point)
+    np.bitwise_xor(point, _HIGH, out=point)  # the high bit of each "."
+    np.right_shift(point, 7, out=keep)
+    np.multiply(keep, 0x2E ^ 0x30, out=keep)
+    np.bitwise_xor(x, keep, out=x)  # the point as a zero
+    np.add(x, _PAST_NINE, out=keep)
+    np.bitwise_and(keep, _HIGH, out=keep)  # the high bit of each byte past 9
+    digits = rows[16].view(np.uint64)
+    np.bitwise_or(keep[0], keep[1], out=digits)
+    np.bitwise_or(digits, keep[2], out=digits)
+    np.not_equal(digits, 0, out=aux)
+    np.logical_or(flag, aux, out=flag)
+    # each word's 8 digits as a number, the first byte the most significant
+    for factor, bits, mask in ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF)):
+        np.multiply(x, factor << bits | 1, out=x)
+        np.right_shift(x, bits, out=x)
+        np.bitwise_and(x, mask, out=x)
+    np.multiply(x, 10000 << 32 | 1, out=x)
+    np.right_shift(x, 32, out=x)
+    np.greater_equal(x[0], 1000, out=aux)  # D' of 20 digits or more
+    np.logical_or(flag, aux, out=flag)
+    np.minimum(x[0], 999, out=x[0])  # so that D' < 2^64, and m_h converts back exactly
+    np.multiply(x[0], 10**16, out=digits)
+    np.multiply(x[1], 10**8, out=x[1])
+    np.add(digits, x[1], out=digits)
+    np.add(digits, x[2], out=digits)
+
+    # the point's place: one point at most, and a digit besides it
+    count = x.view(np.uint8)[:, :n]
+    np.bitwise_count(point, out=count)
+    np.add(count[0], count[1], out=count[0])
+    np.add(count[0], count[2], out=count[0])
+    np.greater(count[0], 1, out=aux)
+    np.logical_or(flag, aux, out=flag)
+    bit = gathered[:3].view(np.float64)
+    np.copyto(bit, point, casting="unsafe")
+    np.multiply(bit, _WORD_WEIGHTS, out=bit)
+    np.add(bit[0], bit[1], out=bit[0])
+    np.add(bit[0], bit[2], out=bit[0])
+    exponent = bit[1].view(np.int32)[:n]
+    np.frexp(bit[0], out=(bit[2], exponent))
+    np.right_shift(exponent, 3, out=place, casting="unsafe")
+    np.minimum(place, 1, out=word)
+    np.less_equal(length, word, out=aux)
+    np.logical_or(flag, aux, out=flag)
+
+    # m = (D' - fp) / 10 + fp, with fp = D' mod 10^f
+    fraction, m = x[1], x[2]
+    tables.divisor.take(place, out=fraction, mode="clip")
+    np.remainder(digits, fraction, out=fraction)
+    np.subtract(digits, fraction, out=m)
+    np.floor_divide(m, 10, out=m)
+    np.add(m, fraction, out=m)
+    y = _scale(m, place, rows[6:14], digits, tables.scale, flag, aux)
+
+    sign = digits
+    np.copyto(sign, negative)
+    np.left_shift(sign, 63, out=sign)
+    np.bitwise_or(y.view(np.uint64), sign, out=out.reshape(-1).view(np.uint64))
+    if flag.any():
+        starts = at_fields(positions).ravel()
+        values = out.reshape(-1)
+        for i in np.flatnonzero(flag).tolist():
+            value = _read_field(data[lo + starts[i] : lo + last[i] + 1])
+            if value is None:
+                return False
+            values[i] = value
+    return True
+
+
+def _scale(m, place, rows, rest, scale, flag, aux) -> np.ndarray:
+    """m * 10^-f, in one of ``rows``; flags the values too near a midpoint to call.
+
+    ``rows`` are eight float64 rows of scratch and ``rest`` one uint64 row.
+    """
+    high, low, y, p, e, a, b, c = rows
+    np.copyto(high, m, casting="unsafe")
+    np.copyto(rest, high, casting="unsafe")
+    np.subtract(m, rest, out=rest)
+    np.copyto(low, rest.view(np.int64), casting="unsafe")  # m - m_h, exactly
+    # (p, e) = TwoProduct(m_h, hi), as core.two_product computes it
+    scale[0].take(place, out=y, mode="clip")
+    np.multiply(high, y, out=p)
+    np.multiply(high, _SPLITTER, out=c)
+    np.subtract(c, high, out=a)
+    np.subtract(c, a, out=a)
+    np.subtract(high, a, out=c)
+    scale[2].take(place, out=b, mode="clip")
+    np.multiply(a, b, out=e)
+    np.subtract(e, p, out=e)
+    np.multiply(c, b, out=b)
+    np.add(e, b, out=e)
+    scale[3].take(place, out=b, mode="clip")
+    np.multiply(a, b, out=a)
+    np.add(e, a, out=e)
+    np.multiply(c, b, out=c)
+    np.add(e, c, out=e)
+    # r = e + m_h * lo + m_l * hi, y = p + r, and |q - y| = |(p - y) + r|
+    scale[1].take(place, out=b, mode="clip")
+    np.multiply(high, b, out=b)
+    np.add(e, b, out=e)
+    np.multiply(low, y, out=b)
+    np.add(e, b, out=e)
+    np.add(p, e, out=y)
+    np.subtract(p, y, out=p)
+    np.add(p, e, out=p)
+    np.abs(p, out=p)
+    below = b.view(np.uint64)
+    np.maximum(y.view(np.uint64), 1, out=below)
+    np.subtract(below, 1, out=below)
+    np.subtract(y, b, out=b)  # the gap below y, 0 below a zero
+    np.multiply(b, _READ_MARGIN, out=b)
+    np.greater(p, b, out=aux)
+    np.logical_or(flag, aux, out=flag)
+    return y
+
+
+def _read_field(token: bytes) -> float | None:
+    """``float(token)``; None where float() rejects it or reads inf or nan."""
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None

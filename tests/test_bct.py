@@ -1,11 +1,15 @@
+import decimal
 import functools
 import math
 import operator
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -659,3 +663,308 @@ class TestLoadCache:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array.flat[0] = 0
+
+
+# -- the payload reader ------------------------------------------------------------
+#
+# format17.read_rows reads large payloads for bct.parse.  Its fields must
+# have the bits float() gives them, and a payload it rejects goes to the
+# reference reader, so parse gives the same document or the same error.
+# The hypothesis tests here take their example count from the active
+# profile: CI runs them again under the "reader-oracle" profile.
+
+
+def _payload_rows(tokens: list[str], atoms: int = 8, arity: int = 4) -> list[str]:
+    """Rows of atoms holding ``tokens`` in order, padded with "0" to whole rows."""
+    per_row = atoms * arity
+    tokens = tokens + ["0"] * (-len(tokens) % per_row)
+    rows = []
+    for at in range(0, len(tokens), per_row):
+        row = tokens[at : at + per_row]
+        fields = (" ".join(row[a : a + arity]) for a in range(0, per_row, arity))
+        rows.append(" ".join(f"({atom})" for atom in fields))
+    return rows
+
+
+def reader_bits(tokens: list[str]) -> list[int] | None:
+    """The bits the reader gives ``tokens``, or None where it rejects them."""
+    rows = _payload_rows(tokens)
+    values = format17.read_rows(rows, len(rows), 8, 4)
+    return None if values is None else values.reshape(-1)[: len(tokens)].view(np.uint64).tolist()
+
+
+def float_bits(tokens: list[str]) -> list[int] | None:
+    """The bits float() gives ``tokens``, or None where it rejects one or reads it as inf or nan."""
+    try:
+        values = [float(token) for token in tokens]
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    return np.array(values).view(np.uint64).tolist()
+
+
+def _fixed(value: Fraction, digits: int) -> str:
+    """``value`` to ``digits`` significant digits, in fixed notation."""
+    with decimal.localcontext() as context:
+        context.prec = digits
+        number = +decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+    return format(number, "f")
+
+
+def _midpoints(y: float) -> list[Fraction]:
+    """The midpoints between positive double ``y`` and its neighbours."""
+    return [(Fraction(y) + Fraction(math.nextafter(y, to))) / 2 for to in (0.0, math.inf)]
+
+
+# fixed-notation magnitudes that %.17g prints, and a little beyond
+FIXED_FLOATS = st.floats(min_value=1e-7, max_value=1e18)
+SIGNS = st.sampled_from(["", "-"])
+
+
+@st.composite
+def double_tokens(draw):
+    """Doubles of every binary exponent as %.17g, %.16g and repr print them, and fixed forms."""
+    any_double = st.floats(allow_nan=False, allow_infinity=False)
+    x = draw(st.one_of(any_double, FIXED_FLOATS, FIXED_FLOATS))
+    form = draw(st.sampled_from(["%.17g", "%.16g", "repr", "%.20f", "%.3f"]))
+    return repr(x) if form == "repr" else form % x
+
+
+@st.composite
+def midpoint_tokens(draw):
+    """Decimals of 16 to 21 significant digits near a midpoint between two doubles.
+
+    Half of the doubles are powers of two, where the gap below is half the gap above.
+    """
+    e = draw(st.integers(-20, 62))
+    y = 2.0**e if draw(st.booleans()) else draw(st.floats(1.0, 2.0)) * 2.0**e
+    middle = draw(st.sampled_from(_midpoints(y)))
+    digits = draw(st.integers(16, 21))
+    unit = Fraction(10) ** (math.floor(math.log10(middle)) - digits + 1)
+    near = middle + draw(st.integers(-2, 2)) * unit
+    near += draw(st.sampled_from([0, unit / 3, -unit / 7]))
+    return draw(SIGNS) + _fixed(near, digits)
+
+
+class TestReaderTokens:
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(double_tokens(), min_size=1, max_size=64))
+    def test_doubles_read_as_float_reads_them(self, tokens):
+        assert reader_bits(tokens) == float_bits(tokens)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(midpoint_tokens(), min_size=1, max_size=64))
+    def test_decimals_near_midpoints(self, tokens):
+        assert reader_bits(tokens) == float_bits(tokens)
+
+    def test_midpoints_next_to_powers_of_two(self, monkeypatch):
+        # 2^k - 2^(k-54) lies halfway to the double below 2^k, 2^k + 2^(k-53)
+        # halfway to the one above, and both have 19 digits or fewer.  The
+        # reader decides the integers next to the lower one itself, with
+        # the gap below 2^k, half the gap above it
+        calls = []
+
+        def counted(token):
+            calls.append(token.decode())
+            return read_field(token)
+
+        read_field = format17._read_field
+        monkeypatch.setattr(format17, "_read_field", counted)
+        below, tokens = [], []
+        for k in range(54, 64):
+            lower, upper = (int(middle) for middle in _midpoints(2.0**k))
+            below += [str(lower + step) for step in (-1, 1)]
+            tokens += [str(lower), str(upper), str(upper - 1), str(upper + 1)]
+        for k in range(-8, 54):  # halfway points with digits after the point
+            tokens += [_fixed(middle, 60).rstrip("0") for middle in _midpoints(2.0**k)]
+        tokens += below
+        assert reader_bits(tokens) == float_bits(tokens)
+        assert set(calls) & set(below) == set()
+
+    def test_ties_between_doubles(self):
+        # halfway between neighbours in [2^49, 2^53): 17 to 20 digits, 1 to 4
+        # after the point.  A tie's double-double value may land on either
+        # side of it (about 1 in 1,500 here without the midpoint test), so
+        # float() must decide each one, ties to even
+        rng = np.random.default_rng(53)
+        e = rng.integers(49, 53, 8192)
+        lows = rng.integers(2**52, 2**53, 8192)
+        tokens = []
+        for low, exponent in zip(lows.tolist(), e.tolist()):
+            middle = (Fraction(low) + Fraction(1, 2)) * Fraction(2) ** (exponent - 52)
+            tokens.append(_fixed(middle, 30).rstrip("0"))
+        assert reader_bits(tokens) == float_bits(tokens)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["-0", "0", ".5", "5.", "-.5", "-5.", "007", "-007.50", "0000000000000000000000.5",
+         "0.00000000000000000000001", ".00000000000000000000001", "1234567890123456789",
+         "9999999999999999999", "12345678901234567890", "0.1234567890123456789012",
+         "12345678901234567890123456", "-0.000000000000000000000000000001", "1_0", "+1", "+.5",
+         "1e5", "1E-5", "0.5e+10", "-1.7976931348623157e308", "5e-324"],
+    )
+    def test_special_forms(self, token):
+        tokens = ["1.25", token, "-3"]
+        assert reader_bits(tokens) == float_bits(tokens)
+
+    @pytest.mark.parametrize(
+        "token", ["1-2", "1..2", "-", ".", "1e", "+-1", "--1", "-.", "1.2.3", "1/2", "1,2", "nan",
+                  "-inf", "1e400", "0x10"],
+    )
+    def test_forms_float_rejects_or_reads_as_non_finite(self, token):
+        assert reader_bits(["1.25", token, "-3"]) is None
+
+
+@pytest.fixture
+def reader_everywhere(monkeypatch):
+    """bct.parse with every payload, however small, offered to the reader first."""
+    monkeypatch.setattr(bct, "READ_MIN_FIELDS", 1)
+
+
+class TestReaderDocuments:
+    @settings(derandomize=True, deadline=None)
+    @given(TEXTS)
+    def test_same_document_or_same_error(self, text):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bct, "READ_MIN_FIELDS", 1)
+            assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize("text", STRUCTURE_EDGES.values(), ids=STRUCTURE_EDGES.keys())
+    def test_structure_edges(self, reader_everywhere, text):
+        assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.bct")))
+    def test_golden_files(self, reader_everywhere, name):
+        text = (GOLDEN / name).read_text()
+        assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
+
+    def test_layouts_the_reader_reads_itself(self, reader_everywhere, monkeypatch):
+        # tabs, blank lines, CRLF, wide blanks and a missing last newline
+        # never reach the reference reader
+        calls = []
+        monkeypatch.setattr(bct, "_read_payload", lambda *args: calls.append(args))
+        text = bct.render(bct.document_for(random_matrix(np.random.default_rng(3), 3)))
+        head, payload = text.split("\n", 3)[:3], text.split("\n", 3)[3]
+        variants = {
+            "tabs": payload.replace(" ", "\t"),
+            "blank lines": "\n  \n" + payload.replace("\n", "\n\n"),
+            "no last newline": payload.rstrip("\n"),
+            "wide blanks": payload.replace(" ", "   "),
+            "crlf": payload.replace("\n", "\r\n"),
+        }
+        for name, body in variants.items():
+            assert bct.parse("\n".join(head) + "\n" + body) == bct.parse(text), name
+        assert calls == []
+
+    @pytest.mark.parametrize("dim", [10**9, 10**12])
+    def test_declared_size_beyond_the_text(self, dim):
+        # far more fields declared than the text holds: the same error, and no allocation
+        text = f"bct v1\nkind: ket\ndim: {dim}\n" + "(1 2 3 4) " * 300 + "\n"
+        assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
+
+    def test_large_payload_goes_through_the_reader(self, monkeypatch):
+        calls = []
+        read_rows = format17.read_rows
+        monkeypatch.setattr(
+            format17, "read_rows", lambda *args: calls.append(args) or read_rows(*args)
+        )
+        small = bct.render(bct.document_for(random_matrix(np.random.default_rng(5), 15)))
+        large = bct.render(bct.document_for(random_matrix(np.random.default_rng(5), 16)))
+        assert 15 * 15 * 4 < bct.READ_MIN_FIELDS <= 16 * 16 * 4
+        assert bct.parse(small) == oracle_parse(small) and calls == []
+        assert bct.parse(large) == oracle_parse(large) and len(calls) == 1
+
+
+def _operator_text(order: int, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    return bct.render(bct.document_for(Operator(random_matrix(rng, order), "canonical")))
+
+
+class TestReaderScratch:
+    def test_warm_parse_allocates_little(self):
+        # numpy reports its buffers to tracemalloc: after one parse of this
+        # size, a parse holds the text's lines, the joined rows and their
+        # bytes, and its result, but no scratch array (about 620 KB here)
+        text = _operator_text(32, 41)
+        doc = bct.parse(text)
+        tracemalloc.start()
+        try:
+            bct.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = doc.value.matrix.z1.nbytes + doc.value.matrix.z2.nbytes
+        assert peak <= 4 * len(text) + 3 * payload + 64 * 1024
+
+    def test_threads_read_their_own_documents(self):
+        # more threads than cores, switching as often as they can, each
+        # reading with scratch arrays of its own
+        texts = [_operator_text(order, seed) for seed, order in enumerate((16, 32, 24, 40))]
+        grams = tuple(random_spd(np.random.default_rng(seed), 24) for seed in (5, 6))
+        texts.append(bct.render(bct.BctDocument("spec", 24, grams)))
+        wants = [oracle_parse(text) for text in texts]
+        mismatches, done = [], []
+
+        def read(text, want):
+            for _ in range(30):
+                if bct.parse(text) != want:
+                    mismatches.append(text[:40])
+                    return
+            done.append(text)
+
+        threads = [threading.Thread(target=read, args=job) for job in zip(texts, wants)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (mismatches, len(done)) == ([], len(texts))
+
+    def test_order_128_keeps_bounded_scratch(self):
+        # 65,536 fields, read in blocks of at most one kernel block: a fresh
+        # thread keeps scratch for one block, not for the payload
+        text = _operator_text(128, 43)
+        kept = []
+
+        def read():
+            doc = bct.parse(text)
+            kept.append((doc, format17._scratch.rows.size, format17._scratch.positions.size))
+
+        thread = threading.Thread(target=read)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        doc, words, positions = kept[0]
+        assert doc == oracle_parse(text)
+        assert 0 < words <= format17._SCRATCH_ROWS * format17._KERNEL_FIELDS
+        assert 0 < positions <= format17._KERNEL_BYTES < len(text) // 4
+
+    def test_a_row_longer_than_a_block_goes_to_the_reference(self):
+        atoms = format17._KERNEL_FIELDS // 4 + 1
+        rng = np.random.default_rng(47)
+        z1, z2 = rng.standard_normal((2, atoms)) + 1j * rng.standard_normal((2, atoms))
+        text = bct.render(bct.document_for(Ket(z1, z2)))
+        assert format17.read_rows(text.splitlines()[4:], 1, atoms, 4) is None
+        assert bct.parse(text) == oracle_parse(text)
+
+    @pytest.mark.parametrize("command", ["info", "det"])
+    def test_fresh_small_commands_never_import_the_reader(self, command):
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        path = GOLDEN / "matrix_random_n3.bct"
+        code = (
+            "import sys; from bicomplex import cli; "
+            f"code = cli.main([{command!r}, {str(path)!r}]); "
+            "print(code, 'bicomplex.format17' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"

@@ -25,6 +25,7 @@ from bicomplex import (
     Tolerance,
     approx_eq,
 )
+from bicomplex import core
 from bicomplex.core import (
     E1, E2, I1, I2, J, ONE, ZERO, entry_norms, parts_from_components, ratio, two_product, within,
 )
@@ -546,3 +547,85 @@ class TestRelativeScale:
         assert not within(math.nan, 1.0)
         assert within(1e300, 1e-12, 1e200, 1e200)
         assert not within(1e300, 1e-12, 1e150, 1e150)
+
+
+# -- the max norm kept, and the scalar null-cone test -----------------------------
+
+DEFAULT = Tolerance()
+
+
+def _old_max_norm(array) -> float:
+    """BicomplexArray.max_norm as it was before it was kept."""
+    (z1, z2), exponent = core.scaled_down((array.z1, array.z2))
+    return core._ldexp(float(entry_norms(z1, z2).max()), exponent)
+
+
+def _old_classify(w: Bicomplex, tol: Tolerance) -> Classification:
+    """Bicomplex.classify as it was before it decided the pair without numpy."""
+    c1, c2 = w.to_idempotent()
+    try:
+        moduli = abs(c1), abs(c2)
+    except OverflowError:
+        moduli = np.abs(core.scaled_down((c1, c2))[0])
+    return tuple(Classification)[core.null_cone_codes(moduli, tol.eps_null)]
+
+
+class TestKeptMaxNorm:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(bicomplex_arrays())
+    def test_same_value_as_before(self, array):
+        assert array.max_norm() == _old_max_norm(array)
+        assert array.max_norm() == _old_max_norm(array)
+
+    def test_parts_scaled_once_per_array(self, monkeypatch):
+        calls = []
+        scaled_down = core.scaled_down
+        monkeypatch.setattr(
+            core, "scaled_down", lambda *args: calls.append(1) or scaled_down(*args)
+        )
+        matrix = BicomplexMatrix(np.eye(3) * 2.0, np.ones((3, 3)) * 1j)
+        assert [matrix.max_norm() for _ in range(3)] == [math.sqrt(5.0)] * 3
+        assert calls == [1]
+
+
+MODULI = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-12, 1e-12 * (1 + 2**-52),
+          0.5, 1.0, 3.0, 1e200, 8.98846567431158e307, 1.7976931348623157e308, math.inf, math.nan]
+
+
+class TestScalarNullCone:
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6, 5e-324 * 2**60])
+    def test_every_pair_of_edge_moduli(self, eps):
+        for m1 in MODULI:
+            for m2 in MODULI:
+                assert core.null_cone_code(m1, m2, eps) == int(core.null_cone_codes([m1, m2], eps))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0), st.floats(min_value=0.0), st.sampled_from([1e-12, 1e-9, 1e-6]))
+    def test_random_moduli(self, m1, m2, eps):
+        with np.errstate(over="ignore"):
+            assert core.null_cone_code(m1, m2, eps) == int(core.null_cone_codes([m1, m2], eps))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(edge_parts, edge_parts, edge_parts, edge_parts)
+    def test_classify_as_before(self, a, b, c, d):
+        try:
+            w = Bicomplex(complex(a, b), complex(c, d))
+            w.to_idempotent()
+        except NonFinite:
+            return
+        for tol in (DEFAULT, Tolerance(eps_null=1e-6)):
+            with np.errstate(over="ignore"):
+                assert w.classify(tol) is _old_classify(w, tol)
+
+    def test_overflowing_moduli_as_before(self):
+        # |c1| beyond the double range takes the rescaled route in both
+        huge = 1.5e308
+        values = [
+            Bicomplex(complex(huge, huge), 0.0),
+            Bicomplex(complex(huge, huge), complex(0, 1e-300)),
+            Bicomplex.from_idempotent(complex(huge, huge), complex(huge * 1e-12, 0.0)),
+        ]
+        for w in values:
+            with pytest.raises(OverflowError):
+                abs(w.to_idempotent().c1)
+            assert w.classify() is _old_classify(w, DEFAULT)
