@@ -22,16 +22,14 @@ reader of :mod:`bicomplex.format17`, imported on first use: it checks
 the layout on the payload's bytes, reads plain ``[-]digits[.digits]``
 fields of up to 19 digits with word arithmetic and one double-double
 product each, and leaves every other field, and any value too near a
-rounding midpoint, to ``float`` itself.  A payload it does not accept
-whole, and every smaller one, is read in one pass: each row must hold
-exactly as many ``(`` and ``)`` as atoms, then the joined rows are
-split into one token list that must repeat ``( field ... field )``;
-every field goes through ``float`` at once and the array is reshaped to
-(rows, atoms, arity), the (re, im) pairs viewed as complex.  Only a
-payload that pass rejects is scanned again, atom by atom, to raise the
-first error with its line and column; that scan never builds a
-document.  Below about 500 fields the reader's fixed cost is more than
-it saves.
+rounding midpoint, to ``float`` itself.  Every smaller payload, and one
+the reader does not accept whole, is read by one reference scan: row by
+row, atom by atom, each field converted by ``float`` as it is checked,
+so that the first error it meets is the one raised, with its line and
+column, and no array is built before the whole payload is read.  The
+reader overtakes the scan near 256 fields, but importing it costs a
+fresh process about 10 ms, more than it saves on one payload below
+1,024 fields: the commands that read only small files never load it.
 
 Rendering writes each row as ``template % tuple(row)`` would, byte for
 byte.  A block of at least ``BATCH_MIN_FIELDS`` (512) fields goes
@@ -62,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -222,91 +220,57 @@ def render(doc: BctDocument) -> str:
 _ATOM = re.compile(r"\(([^()]*)\)")
 
 # payloads of at least this many fields go to the reader in format17 first:
-# on a 2-core VM it breaks even near 500 fields and reads 1,024 in 2/3 of
-# the time of the float() pass (0.29 against 0.44 ms for an order-16 operator)
+# on a 2-core VM it breaks even with the reference scan near 256 fields and
+# reads 1,024 in under 2/5 of its time (0.32 against 0.84 ms for an order-16
+# matrix); below 1,024 its import costs a fresh process more than it saves
 READ_MIN_FIELDS = 1024
 
 
 def _read_payload(
-    lines: list[str], start: int, arity: int, atoms_needed: int, rows_needed: int
-) -> np.ndarray | None:
-    """Every payload number as a (rows, atoms, arity) array, in one conversion.
-
-    Returns None when the payload has any error; :func:`_locate_error`
-    then finds and raises the first one.  With both parens counted per
-    row, tokens that run "(", ``arity`` fields, ")" over and over leave no
-    atom across two rows and no other text: what the atom scan accepts.
-    """
-    rows = []
-    for line in lines[start:]:
-        if line.count("(") == atoms_needed and line.count(")") == atoms_needed:
-            rows.append(line)
-        elif line.strip():
-            return None
-    if len(rows) != rows_needed:
-        return None
-    tokens = " ".join(rows).replace("(", " ( ").replace(")", " ) ").split()
-    unit = arity + 2
-    opens = ["("] * (rows_needed * atoms_needed)
-    if tokens[::unit] != opens or tokens[unit - 1 :: unit] != [")"] * len(opens):
-        return None
-    del tokens[::unit]  # the "(" tokens, then the ")" ones: the fields remain
-    del tokens[arity :: arity + 1]
-    try:
-        values = np.fromiter(map(float, tokens), float, count=len(tokens))
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values.reshape(rows_needed, atoms_needed, arity)
-
-
-def _scan_atoms(line: str, line_no: int, arity: int) -> int:
-    """Check one row atom by atom, raising its first error; returns the atom count."""
-    count = 0
-    cursor = 0
-    for match in _ATOM.finditer(line):
-        gap = line[cursor : match.start()]
-        if gap.strip():
-            raise ParseError(f"unexpected text {gap.strip()!r}", line_no, cursor + 1)
-        fields = match.group(1).split()
-        if len(fields) != arity:
-            raise ParseError(
-                f"atom needs {arity} numbers, got {len(fields)}", line_no, match.start() + 1
-            )
-        for field in fields:
-            try:
-                value = float(field)
-            except ValueError:
-                raise ParseError(f"bad number {field!r}", line_no, match.start() + 1) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite number {field!r}", line_no, match.start() + 1)
-        count += 1
-        cursor = match.end()
-    if line[cursor:].strip():
-        raise ParseError(f"unexpected text {line[cursor:].strip()!r}", line_no, cursor + 1)
-    return count
-
-
-def _locate_error(
     lines: list[str], start: int, kind: str, arity: int, atoms_needed: int, rows_needed: int
-) -> NoReturn:
-    """Raise the first error of a payload that :func:`_read_payload` rejected.
+) -> np.ndarray:
+    """Every payload number as a (rows, atoms, arity) array; raises the payload's first error.
 
-    Rows are checked in order, atom by atom; the row count is checked last.
+    The reference reader: the non-blank rows are read in order, atom by
+    atom, each field converted by ``float`` as it is checked, and the row
+    count is checked last.  No array is built unless the whole payload is
+    valid.
     """
+    values = []
     rows = 0
-    for line_no in range(start, len(lines)):
-        line = lines[line_no]
+    for line_no, line in enumerate(lines[start:], start + 1):
         if not line.strip():
             continue
-        atoms = _scan_atoms(line, line_no + 1, arity)
+        atoms = cursor = 0
+        for match in _ATOM.finditer(line):
+            gap = line[cursor : match.start()].strip()
+            if gap:
+                raise ParseError(f"unexpected text {gap!r}", line_no, cursor + 1)
+            fields = match.group(1).split()
+            if len(fields) != arity:
+                raise ParseError(
+                    f"atom needs {arity} numbers, got {len(fields)}", line_no, match.start() + 1
+                )
+            for field in fields:
+                try:
+                    value = float(field)
+                except ValueError:
+                    raise ParseError(f"bad number {field!r}", line_no, match.start() + 1) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite number {field!r}", line_no, match.start() + 1)
+                values.append(value)
+            atoms += 1
+            cursor = match.end()
+        if line[cursor:].strip():
+            raise ParseError(f"unexpected text {line[cursor:].strip()!r}", line_no, cursor + 1)
         if atoms != atoms_needed:
-            raise DimMismatch(f"expected {atoms_needed} atoms per row, got {atoms}", line_no + 1)
+            raise DimMismatch(f"expected {atoms_needed} atoms per row, got {atoms}", line_no)
         rows += 1
-    raise DimMismatch(
-        f"expected {rows_needed} payload rows for kind {kind!r}, got {rows}", len(lines)
-    )
+    if rows != rows_needed:
+        raise DimMismatch(
+            f"expected {rows_needed} payload rows for kind {kind!r}, got {rows}", len(lines)
+        )
+    return np.array(values).reshape(rows, atoms_needed, arity)
 
 
 def parse(text: str) -> BctDocument:
@@ -358,9 +322,7 @@ def parse(text: str) -> BctDocument:
 
         values = format17.read_rows(lines[payload_start:], rows_needed, atoms_needed, arity)
     if values is None:
-        values = _read_payload(lines, payload_start, arity, atoms_needed, rows_needed)
-    if values is None:
-        _locate_error(lines, payload_start, kind, arity, atoms_needed, rows_needed)
+        values = _read_payload(lines, payload_start, kind, arity, atoms_needed, rows_needed)
     # a loaded document is shared by every later load of the same bytes,
     # so the payload, and the spec's Gram views of it, stay read-only
     values.setflags(write=False)

@@ -26,9 +26,10 @@ use is safe.
 ``entry_norms`` is the one Euclidean norm of array entries, behind every
 max norm and entrywise residual; it never squares.  ``within`` is the
 one pass rule of every residual check, on the quotient that ``ratio``
-forms without overflow.  ``two_product`` is Dekker's error-free product,
-behind the exact digits of the .bct writer.  ``reference.py`` keeps its
-own arithmetic as the oracle.
+forms without overflow.  ``two_product`` is Dekker's error-free product;
+the .bct writer and reader in ``format17`` inline the same product into
+their scratch arrays.  ``reference.py`` keeps its own arithmetic as the
+oracle.
 """
 
 from __future__ import annotations
@@ -469,8 +470,13 @@ def within(residual: float, tol: float, *scale: float, floor: float = 0.0) -> bo
 
 
 def _ldexp(mantissa: float, shift: int) -> float:
-    """mantissa * 2**shift, inf where that overflows (``math.ldexp`` raises there)."""
-    return math.ldexp(mantissa, shift) if math.frexp(mantissa)[1] + shift <= 1024 else math.inf
+    """mantissa * 2**shift, inf where that overflows (``math.ldexp`` raises there).
+
+    A zero mantissa stays a signed zero at any shift.
+    """
+    if not mantissa or math.frexp(mantissa)[1] + shift <= 1024:
+        return math.ldexp(mantissa, shift)
+    return math.inf
 
 
 def _principal_root(value: complex, n: int) -> complex:

@@ -25,7 +25,7 @@ bytes a field for printing, near 2.3 MB in all, and about 150 for
 reading, plus 4 bytes a payload byte for the reader's byte positions.
 A row longer than a kernel block is one block when printed, whose arrays
 are freed after its call; when read, it sends the payload to ``bct``'s
-``float`` pass.
+reference scan.
 """
 
 from __future__ import annotations

@@ -537,8 +537,8 @@ class TestParseOracle:
 
 
 # Rows whose "(" count per line is what the kind needs but whose atom
-# structure is wrong: the one-pass payload read must reject each, and the
-# atom-by-atom scan must report it exactly as the oracle does.
+# structure is wrong: the reference scan must report each exactly as the
+# oracle does.
 KET2 = "bct v1\nkind: ket\ndim: 2\n"
 MATRIX2 = "bct v1\nkind: matrix\ndim: 2\n"
 STRUCTURE_EDGES = {
@@ -968,3 +968,71 @@ class TestReaderScratch:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 False"
+
+
+# -- the reference reader ----------------------------------------------------------
+#
+# Payloads below READ_MIN_FIELDS, and those the vectorized reader declines,
+# are read by bct._read_payload, the scan that also locates the first error.
+# Raising the threshold past every payload sends sizes to it that the
+# default route never does.
+
+
+@functools.cache
+def _large_texts() -> dict[str, tuple[str, str]]:
+    """Order-32 payloads by name, each with the outcome it must have: "document" or "error"."""
+    operator_text = _operator_text(32, 53)
+    grams = tuple(random_spd(np.random.default_rng(seed), 32) for seed in (7, 8))
+    spec_text = bct.render(bct.BctDocument("spec", 32, grams))
+    rows = operator_text.splitlines(keepends=True)
+    head, last = "".join(rows[:-1]), rows[-1]
+    return {
+        "operator": ("document", operator_text),
+        "spec": ("document", spec_text),
+        "non-finite last field": ("error", head + last.rsplit(" ", 1)[0] + " 1e400)\n"),
+        "a row short": ("error", head),
+        "an atom short": ("error", head + last.rsplit(" (", 1)[0]),
+        "glued text": ("error", spec_text.replace(") (", ")x (", 1)),
+    }
+
+
+@pytest.fixture
+def reference_everywhere(monkeypatch):
+    """bct.parse with every payload, however large, read by the reference scan only."""
+    calls = []
+    monkeypatch.setattr(bct, "READ_MIN_FIELDS", math.inf)
+    monkeypatch.setattr(format17, "read_rows", lambda *args: calls.append(args))
+    yield
+    assert calls == []
+
+
+class TestReferenceReader:
+    @pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.bct")))
+    def test_golden_files(self, reference_everywhere, name):
+        text = (GOLDEN / name).read_text()
+        assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize("name", list(_large_texts()))
+    def test_order_32_payloads(self, reference_everywhere, name):
+        want, text = _large_texts()[name]
+        outcome = _outcome(bct.parse, text)
+        assert outcome[0] == want
+        assert outcome == _outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize("text", STRUCTURE_EDGES.values(), ids=STRUCTURE_EDGES.keys())
+    def test_structure_edges(self, reference_everywhere, text):
+        assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
+
+    def test_a_row_longer_than_a_block_is_read_by_the_scan(self, monkeypatch):
+        atoms = format17._KERNEL_FIELDS // 4 + 1
+        rng = np.random.default_rng(59)
+        z1, z2 = rng.standard_normal((2, atoms)) + 1j * rng.standard_normal((2, atoms))
+        text = bct.render(bct.document_for(Ket(z1, z2)))
+        calls = []
+        read_payload = bct._read_payload
+        monkeypatch.setattr(
+            bct, "_read_payload", lambda *args: calls.append(args) or read_payload(*args)
+        )
+        outcome = _outcome(bct.parse, text)
+        assert len(calls) == 1 and outcome[:3] == ("document", "ket", 2049)
+        assert outcome == _outcome(oracle_parse, text)

@@ -115,6 +115,26 @@ class TestSpectral:
             "check completeness",
         ]
 
+    @pytest.mark.parametrize(
+        "name",
+        ["matrix_identity_n2", "matrix_diag_e1_1", "operator_selfadjoint_n2", "diag(1e-310, 2e-310)"],
+    )
+    def test_zero_residuals_below_the_double_range(self, capsys, tmp_path, name):
+        # exact residuals of 0 under a scale whose product lies below 2^-1024
+        # once read as infinite; the golden inputs are scaled exactly by 2^-1040
+        if name.startswith("diag("):
+            doc = bct.document_for(Operator(BicomplexMatrix.diagonal([1e-310, 2e-310])))
+        else:
+            doc = bct.load(GOLDEN / f"{name}.bct")
+            value = doc.value.matrix if doc.kind == "operator" else doc.value
+            tiny = value.scale(2.0**-1040)
+            doc = bct.document_for(Operator(tiny, doc.basis) if doc.kind == "operator" else tiny)
+        bct.save(tmp_path / "tiny.bct", doc)
+        code, out = run(capsys, "spectral", str(tmp_path / "tiny.bct"))
+        assert code == 0, out
+        checks = [line for line in out.splitlines() if line.startswith("check ")]
+        assert len(checks) == 4 and all(line.endswith(" pass") for line in checks), out
+
     def test_non_self_adjoint_exit_2(self, capsys):
         code, out = run(capsys, "spectral", str(GOLDEN / "counter_nonselfadjoint_n2.bct"))
         assert code == 2

@@ -538,6 +538,14 @@ class TestRelativeScale:
         assert ratio(0.0, 0.0) == 0.0 and within(0.0, 0.0, 0.0)
         assert ratio(1e-300, 0.0) == math.inf and not within(1e-300, 1.0, 0.0)
 
+    def test_a_zero_residual_under_a_scale_below_the_range(self):
+        # the product of the scale lies below 2^-1024: zero over it is zero, not inf
+        assert ratio(0.0, 2e-310) == 0.0
+        assert ratio(0.0, 1e-200, 1e-200) == 0.0
+        assert math.copysign(1.0, ratio(-0.0, 2e-310)) == -1.0
+        assert within(0.0, 1e-9, 2e-310) and within(0.0, 0.0, 1e-200, 1e-200)
+        assert core._ldexp(0.0, 2000) == 0.0 and core._ldexp(1.0, 2000) == math.inf
+
     def test_nothing_infinite_passes(self):
         # the inf <= inf trap: an infinite scale or bound once passed any residual
         assert not within(1.0, 1e-12, math.inf)
