@@ -64,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Bicomplex, BicomplexError, SlottedValue
+from .core import DEFAULT_TOLERANCE, Bicomplex, BicomplexError, SlottedValue, Tolerance
 from .hilbert import Ket, ScalarProductSpec
 from .matrix import BicomplexMatrix
 from .operators import Operator
@@ -122,10 +122,10 @@ class BctDocument(SlottedValue):
             )
         return self.value == other.value
 
-    def to_spec(self) -> ScalarProductSpec:
+    def to_spec(self, tol: Tolerance = DEFAULT_TOLERANCE) -> ScalarProductSpec:
         if self.kind != "spec":
             raise KindMismatch(("spec",), self.kind)
-        return ScalarProductSpec(self.value[0], self.value[1])
+        return ScalarProductSpec(self.value[0], self.value[1], tol)
 
 
 def document_for(value, basis: str | None = None) -> BctDocument:

@@ -49,7 +49,7 @@ from .checks import (
     verify_inverse,
     verify_self_adjoint_spectrum,
 )
-from .core import Bicomplex, BicomplexError, Tolerance
+from .core import DEFAULT_TOLERANCE, Bicomplex, BicomplexError, Tolerance
 from .hilbert import (
     Ket,
     ScalarProductSpec,
@@ -89,12 +89,14 @@ def _emit(
     return "\n".join(out), 0 if passed else 3
 
 
-def _load_spec(path: str | None, dim: int) -> ScalarProductSpec:
+def _load_spec(
+    path: str | None, dim: int, tol: Tolerance = DEFAULT_TOLERANCE
+) -> ScalarProductSpec:
     if path is None:
         return ScalarProductSpec.identity(dim)
     doc = bct.load(path)
     try:
-        spec = doc.to_spec()
+        spec = doc.to_spec(tol)
     except ValueError as exc:
         raise BicomplexError(f"invalid scalar-product spec: {exc}") from exc
     if spec.dim != dim:
@@ -143,7 +145,7 @@ def _cmd_info(args, doc: BctDocument, spec, tol: Tolerance):
         lines.append(f"singular: {'yes' if matrix.is_singular(tol) else 'no'}")
     else:
         try:
-            spec = doc.to_spec()
+            spec = doc.to_spec(tol)
         except ValueError as exc:
             lines.append(f"valid: no ({exc})")
         else:
@@ -215,13 +217,13 @@ def _cmd_evolve(args, doc, spec, tol: Tolerance):
     op = ham_doc.value if ham_doc.kind == "operator" else Operator(ham_doc.value)
     state_doc = bct.load(args.state)
     _require_kind(state_doc, ("ket",))
-    spec = _load_spec(args.spec, op.dim)
+    spec = _load_spec(args.spec, op.dim, tol)
 
     xi = None
     if args.xi is not None:
         xi = bct.parse(f"bct v1\nkind: scalar\ndim: 1\n{args.xi}\n").value
     try:
-        cfg = EvolutionConfig(hbar=args.hbar, t0=args.t0, t1=args.t1, steps=args.samples, xi=xi)
+        cfg = EvolutionConfig(args.hbar, args.t0, args.t1, args.samples, xi, tol)
     except ValueError as exc:
         raise BicomplexError(f"invalid evolution settings: {exc}") from exc
 
@@ -298,7 +300,7 @@ def _dispatch(args, tol: Tolerance) -> tuple[str, int]:
         doc = bct.load(args.file)
         _require_kind(doc, kinds)
         if doc.kind in spec_kinds:
-            spec = _load_spec(args.spec, doc.dim)
+            spec = _load_spec(args.spec, doc.dim, tol)
         header.append(f"file: {args.file}")
     lines, checks, notes = handler(args, doc, spec, tol)
     return _emit(args.subcommand, header + lines, checks, notes)

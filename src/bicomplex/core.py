@@ -26,10 +26,11 @@ use is safe.
 ``entry_norms`` is the one Euclidean norm of array entries, behind every
 max norm and entrywise residual; it never squares.  ``within`` is the
 one pass rule of every residual check, on the quotient that ``ratio``
-forms without overflow.  ``two_product`` is Dekker's error-free product;
-the .bct writer and reader in ``format17`` inline the same product into
-their scratch arrays.  ``reference.py`` keeps its own arithmetic as the
-oracle.
+forms without overflow.  ``scaled_down`` is the one exact power-of-two
+rescale.  ``two_product`` is Dekker's error-free product, written into
+arrays its caller passes; the .bct writer and reader in ``format17``
+call it on their scratch arrays.  ``reference.py`` keeps its own
+arithmetic as the oracle.
 """
 
 from __future__ import annotations
@@ -361,12 +362,7 @@ class Bicomplex:
         except OverflowError:
             # a modulus beyond the double range: the test is scale-invariant, so it
             # runs on the components divided by the power of two of their largest part
-            parts = (c1.real, c1.imag, c2.real, c2.imag)
-            shift = -math.frexp(max(map(abs, parts)))[1]
-            moduli = (
-                abs(complex(math.ldexp(c1.real, shift), math.ldexp(c1.imag, shift))),
-                abs(complex(math.ldexp(c2.real, shift), math.ldexp(c2.imag, shift))),
-            )
+            moduli = map(abs, scaled_down((c1, c2))[0].tolist())
         return _CLASSIFICATIONS[null_cone_code(*moduli, tol.eps_null)]
 
     def inverse(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Bicomplex:
@@ -544,25 +540,31 @@ def entry_norms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 _SPLITTER = 134217729.0
 
 
-def two_product(a, b):
-    """(p, q) with p = fl(a*b) and p + q = a*b exactly, elementwise (Dekker's TwoProduct).
+def two_product(a, b, p, e, a_hi, a_lo, b_hi, b_lo) -> None:
+    """p = fl(a*b) and e with p + e = a*b exactly, elementwise (Dekker's TwoProduct).
 
-    Both factors are cut into halves of at most 26 bits by Veltkamp's
-    split, so the four partial products are exact.  The identity holds
-    while neither the split (|a|, |b| below about 1e300) nor the partial
-    products over- or underflow.
+    Every argument is a float64 array of one shape, and the routine
+    allocates none: it writes p, e and the halves of a and b that
+    Veltkamp's split cuts them into, each of at most 26 bits, so that
+    the four partial products are exact.  The halves are scratch, left
+    holding partial products.  b may share its array with b_lo, as it is
+    read before b_lo is written; no other two arguments may share one.
+    The identity holds while neither the split (|a|, |b| below about
+    1e300) nor the partial products over- or underflow.
     """
-    p = a * b
-    a_hi, a_lo = _veltkamp_split(a)
-    b_hi, b_lo = _veltkamp_split(b)
-    q = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, q
-
-
-def _veltkamp_split(a):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+    np.multiply(a, b, out=p)
+    for whole, upper, lower in ((a, a_hi, a_lo), (b, b_hi, b_lo)):
+        np.multiply(whole, _SPLITTER, out=e)
+        np.subtract(e, whole, out=upper)
+        np.subtract(e, upper, out=upper)
+        np.subtract(whole, upper, out=lower)
+    # e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo, each
+    # partial product written over a half that is no longer needed
+    np.multiply(a_hi, b_hi, out=e)
+    np.subtract(e, p, out=e)
+    for left, right, product in ((a_hi, b_lo, a_hi), (a_lo, b_hi, b_hi), (a_lo, b_lo, a_lo)):
+        np.multiply(left, right, out=product)
+        np.add(e, product, out=e)
 
 
 def component_index(k: int) -> int:

@@ -5,7 +5,7 @@ a large ``.bct`` payload read at once, as ``float`` reads each one.
 :func:`format_rows` is the large-block path of ``bct.format_rows``, and
 :func:`read_rows` the large-payload path of ``bct.parse``; both import
 this module on first use.  The writer's digits come from Dekker's
-error-free TwoProduct (as in ``core.two_product``) with per-exponent
+error-free TwoProduct (``core.two_product``) with per-exponent
 powers of ten, filled lazily with exact int arithmetic; the text is put
 together from byte tables with numpy.  A field that the kernel cannot
 settle exactly, or that ``%.17g`` prints in exponent notation, goes
@@ -37,6 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import two_product
+
 
 # A finite nonzero double |x| = f * 2^e (frexp, 0.5 <= f < 1) lies in
 # [10^k_e, 2 * 10^(k_e + 1)) for k_e, the largest k with 10^k <= 2^(e - 1).
@@ -58,7 +60,6 @@ _FIELD = "%.17g"
 _E_MIN = -1073  # frexp's least exponent of a nonzero double; 1024 is its largest
 _EXPONENTS = 1024 - _E_MIN + 1
 _TIE_MARGIN = 2.0**-30
-_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split into 26-bit halves
 _LARGEST = float(np.finfo(float).max)
 # Filled lazily per binary exponent e: the least double f that carries
 # (NaN until filled), and at row 2 * (e - _E_MIN) + carry the decimal
@@ -225,20 +226,9 @@ def field_bytes(x: np.ndarray, slots: np.ndarray) -> None:
     np.add(row, index, out=row)
     np.add(row, index, out=row)
 
-    # (p, q) = TwoProduct(f, hi), as core.two_product computes it, and r = q + f * lo
-    hi = bl
-    _SCALE_HI.take(row, out=hi, mode="clip")
-    np.multiply(f, hi, out=p)
-    for whole, upper, lower in ((f, ah, al), (hi, bh, bl)):
-        np.multiply(whole, _SPLITTER, out=t)
-        np.subtract(t, whole, out=upper)
-        np.subtract(t, upper, out=upper)
-        np.subtract(whole, upper, out=lower)
-    np.multiply(ah, bh, out=q)
-    np.subtract(q, p, out=q)
-    for left, right in ((ah, bl), (al, bh), (al, bl)):
-        np.multiply(left, right, out=t)
-        np.add(q, t, out=q)
+    # (p, q) = TwoProduct(f, hi), with hi in the row of its low half, and r = q + f * lo
+    _SCALE_HI.take(row, out=bl, mode="clip")
+    two_product(f, bl, p, q, ah, al, bh, bl)
     _SCALE_LO.take(row, out=t, mode="clip")
     np.multiply(f, t, out=t)
     r = np.add(q, t, out=q)
@@ -481,8 +471,7 @@ class _ReadTables(NamedTuple):
     place, ``p + 1`` for a point at byte p of the window and 0 for none:
     ``divisor`` is 10^f for the f digits after the point (at most 10^19,
     and 10^19 without a point, so that fp takes every digit), and the rows
-    of ``scale`` are 10^-f as a double-double (hi, lo) and hi split into
-    two 26-bit halves.
+    of ``scale`` are 10^-f as a double-double (hi, lo).
     """
 
     keep: np.ndarray
@@ -499,11 +488,7 @@ def _reading_tables() -> _ReadTables:
             keep[word, length] = mask >> 64 * word & (1 << 64) - 1
     after = [0] + [_WINDOW - place for place in range(1, _WINDOW + 1)]
     divisor = np.array([10**19] + [10 ** min(f, 19) for f in after[1:]], np.uint64)
-    scale = np.zeros((4, _WINDOW + 1))
-    for place, f in enumerate(after):
-        hi, lo = _double_double(1, 10**f)
-        upper = hi * _SPLITTER - (hi * _SPLITTER - hi)
-        scale[:, place] = hi, lo, upper, hi - upper
+    scale = np.array([_double_double(1, 10**f) for f in after]).T.copy()
     tables = _ReadTables(keep.ravel(), divisor, scale)
     for table in tables:
         table.setflags(write=False)
@@ -692,7 +677,8 @@ def _read_block(data: bytes, lo: int, hi: int, out: np.ndarray, atoms: int, arit
     np.subtract(digits, fraction, out=m)
     np.floor_divide(m, 10, out=m)
     np.add(m, fraction, out=m)
-    y = _scale(m, place, rows[6:14], digits, tables.scale, flag, aux)
+    # word is free by now: with rows 6-13 it makes _scale's nine rows
+    y = _scale(m, place, (*rows[6:14], rows[2]), digits, tables.scale, flag, aux)
 
     sign = digits
     np.copyto(sign, negative)
@@ -712,30 +698,16 @@ def _read_block(data: bytes, lo: int, hi: int, out: np.ndarray, atoms: int, arit
 def _scale(m, place, rows, rest, scale, flag, aux) -> np.ndarray:
     """m * 10^-f, in one of ``rows``; flags the values too near a midpoint to call.
 
-    ``rows`` are eight float64 rows of scratch and ``rest`` one uint64 row.
+    ``rows`` are nine float64 rows of scratch and ``rest`` one uint64 row.
     """
-    high, low, y, p, e, a, b, c = rows
+    high, low, y, p, e, a_hi, a_lo, b_hi, b = rows
     np.copyto(high, m, casting="unsafe")
     np.copyto(rest, high, casting="unsafe")
     np.subtract(m, rest, out=rest)
     np.copyto(low, rest.view(np.int64), casting="unsafe")  # m - m_h, exactly
-    # (p, e) = TwoProduct(m_h, hi), as core.two_product computes it
+    # (p, e) = TwoProduct(m_h, hi), with hi kept in y
     scale[0].take(place, out=y, mode="clip")
-    np.multiply(high, y, out=p)
-    np.multiply(high, _SPLITTER, out=c)
-    np.subtract(c, high, out=a)
-    np.subtract(c, a, out=a)
-    np.subtract(high, a, out=c)
-    scale[2].take(place, out=b, mode="clip")
-    np.multiply(a, b, out=e)
-    np.subtract(e, p, out=e)
-    np.multiply(c, b, out=b)
-    np.add(e, b, out=e)
-    scale[3].take(place, out=b, mode="clip")
-    np.multiply(a, b, out=a)
-    np.add(e, a, out=e)
-    np.multiply(c, b, out=c)
-    np.add(e, c, out=e)
+    two_product(high, y, p, e, a_hi, a_lo, b_hi, b)
     # r = e + m_h * lo + m_l * hi, y = p + r, and |q - y| = |(p - y) + r|
     scale[1].take(place, out=b, mode="clip")
     np.multiply(high, b, out=b)

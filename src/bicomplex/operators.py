@@ -318,8 +318,17 @@ def _hermitian_eigh(
     else:
         reduced, inv_chol_h = _cholesky_reduce(spec, matrix)
     # eigh reads one triangle; averaging keeps both halves of a matrix
-    # that is Hermitian only to rounding
-    values, vectors = np.linalg.eigh(0.5 * reduced + 0.5 * reduced.conj().mT)
+    # that is Hermitian only to rounding.  Halving would lose the last bit
+    # of a subnormal entry, so a stack whose largest part is below 1/2 is
+    # first scaled up, exactly, by that part's power of two, and its
+    # eigenvalues are scaled back.  A larger stack goes to eigh as it is:
+    # scaled back from unit scale, an eigenvalue within an ulp of the
+    # largest double could round past it
+    scaled, exponent = scaled_down(reduced)
+    if exponent > 0:
+        scaled, exponent = reduced, 0
+    values, vectors = np.linalg.eigh(0.5 * scaled + 0.5 * scaled.conj().mT)
+    values = np.ldexp(values, exponent)
     # + 0.0 turns -0.0 into +0.0, as the back-transform by I does
     return values, vectors + 0.0 if spec.standard else inv_chol_h @ vectors
 
@@ -552,13 +561,19 @@ class EvolutionConfig(SlottedValue):
     the emitted time series and the finite-difference consistency check.
     ``xi``, when set, multiplies the time derivative and is folded into
     the generator; it must equal its kind-3 conjugate (both idempotent
-    components real) and be invertible.
+    components real) and be invertible, both tested under ``tol``.
     """
 
     __slots__ = ("hbar", "t0", "t1", "steps", "xi")
 
     def __init__(
-        self, hbar: float, t0: float, t1: float, steps: int = 100, xi: Bicomplex | None = None
+        self,
+        hbar: float,
+        t0: float,
+        t1: float,
+        steps: int = 100,
+        xi: Bicomplex | None = None,
+        tol: Tolerance = DEFAULT_TOLERANCE,
     ):
         if not (math.isfinite(hbar) and hbar > 0.0):
             raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
@@ -567,9 +582,9 @@ class EvolutionConfig(SlottedValue):
         if steps < 1:
             raise ValueError(f"steps must be at least 1, got {steps!r}")
         if xi is not None:
-            if not approx_eq(xi.conjugate(3), xi):
+            if not approx_eq(xi.conjugate(3), xi, tol):
                 raise InvalidXi("xi must equal its kind-3 conjugate (real idempotent components)")
-            if xi.classify() is not Classification.INVERTIBLE:
+            if xi.classify(tol) is not Classification.INVERTIBLE:
                 raise InvalidXi("xi must be invertible")
         self.hbar = hbar
         self.t0 = t0
@@ -608,7 +623,7 @@ def _eigenbasis(
     Under the kept standard spec the eigen-coefficients V^H G_k are V^H,
     taken without the product by I.
     """
-    h_eff = h if cfg.xi is None else h.scale(cfg.xi.inverse())
+    h_eff = h if cfg.xi is None else h.scale(cfg.xi.inverse(tol))
     if spec is None:
         spec = ScalarProductSpec.identity(h.dim)
     if not is_self_adjoint(spec, h_eff, tol):

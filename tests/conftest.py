@@ -3,10 +3,10 @@ from hypothesis import settings
 
 from bicomplex import bct
 
-# The reader oracles leave their example count to the active profile: 100,
-# hypothesis's default, in tier-1, and ten times that in CI's reader-oracle
-# job (pytest --hypothesis-profile=reader-oracle).
-settings.register_profile("reader-oracle", max_examples=10 * settings.default.max_examples)
+# The .bct reader and writer oracles leave their example count to the active
+# profile: 100, hypothesis's default, in tier-1, and ten times that in CI's
+# text-oracle job (pytest --hypothesis-profile=text-oracle).
+settings.register_profile("text-oracle", max_examples=10 * settings.default.max_examples)
 
 pytest_plugins = ["pytester"]
 

@@ -326,8 +326,69 @@ def _fixed_class(text: str) -> tuple[str, int, int] | None:
     return sign, len(significant) - len(fraction) - 1, len(significant.rstrip("0"))
 
 
+def _double(bits: int) -> float:
+    """The double whose IEEE 754 bit pattern is ``bits``."""
+    return float(np.uint64(bits).view(np.float64))
+
+
+@st.composite
+def fixed_notation_fields(draw):
+    """Random bit patterns of binary exponents -17 to 56, about where %.17g prints fixed notation."""
+    sign = draw(st.sampled_from([0, 1 << 63]))
+    exponent = draw(st.integers(1023 - 17, 1023 + 56))
+    return _double(sign | exponent << 52 | draw(st.integers(0, 2**52 - 1)))
+
+
+@st.composite
+def tie_fields(draw):
+    """(D + 1/2) * 10^-s for a 17-digit D: exactly the double j * 2^-(s + 1), j * 5^s = 2D + 1."""
+    s = draw(st.integers(2, 24))
+    low = -(-(2 * 10**16 + 1) // 5**s)
+    high = min((2 * 10**17 - 1) // 5**s, 2**53 - 1)
+    j = 2 * draw(st.integers(low // 2, (high - 1) // 2)) + 1
+    return draw(st.sampled_from([1.0, -1.0])) * math.ldexp(j, -s - 1)
+
+
+@st.composite
+def power_of_two_fields(draw):
+    """2^e and its neighbours, of either sign."""
+    power = math.ldexp(1.0, draw(st.integers(-1074, 1023)))
+    value = draw(st.sampled_from([power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]))
+    return draw(st.sampled_from([1.0, -1.0])) * value
+
+
+WRITER_FIELDS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double),  # every exponent, subnormals, inf and nan
+    fixed_notation_fields(),
+    tie_fields(),
+    power_of_two_fields(),
+    # subnormals of either sign
+    st.builds(operator.or_, st.integers(1, 2**52 - 1), st.sampled_from([0, 1 << 63])).map(_double),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+WRITER_TEMPLATES = [
+    bct.atoms_template(8), bct.atoms_template(8, sep="\t"), bct.atoms_template(8, 2), EVOLVE_ROW
+]
+
+
 class TestBatchFormat:
     """``format_rows``' batch kernel writes what ``template % tuple(row)`` writes."""
+
+    # the writer's oracle: its example count comes from the active profile,
+    # as the reader's do, and CI runs it again under "text-oracle"
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.sampled_from(WRITER_TEMPLATES),
+        st.lists(WRITER_FIELDS, min_size=1, max_size=100),
+        st.integers(0, 2),
+    )
+    def test_any_doubles_print_as_percent(self, template, values, extra_rows):
+        count = template.count("%.17g")
+        rows = -(-bct.BATCH_MIN_FIELDS // count) + extra_rows
+        block = np.resize(np.array(values), (rows, count))
+        want = [template % tuple(row) for row in block.tolist()]
+        got = bct.format_rows(template, block)
+        assert [(w, g) for w, g in zip(want, got) if w != g][:3] == [] and len(got) == len(want)
 
     @pytest.mark.parametrize(
         "template, count",
@@ -671,7 +732,7 @@ class TestLoadCache:
 # have the bits float() gives them, and a payload it rejects goes to the
 # reference reader, so parse gives the same document or the same error.
 # The hypothesis tests here take their example count from the active
-# profile: CI runs them again under the "reader-oracle" profile.
+# profile: CI runs them again under the "text-oracle" profile.
 
 
 def _payload_rows(tokens: list[str], atoms: int = 8, arity: int = 4) -> list[str]:

@@ -135,6 +135,15 @@ class TestSpectral:
         checks = [line for line in out.splitlines() if line.startswith("check ")]
         assert len(checks) == 4 and all(line.endswith(" pass") for line in checks), out
 
+    def test_subnormal_eigenvalues(self, capsys, tmp_path):
+        # half of 5e-324 rounds to 0: the eigensolve runs at unit scale
+        doc = bct.document_for(Operator(BicomplexMatrix.diagonal([5e-324, 5e-324])))
+        bct.save(tmp_path / "tiny.bct", doc)
+        code, out = run(capsys, "spectral", str(tmp_path / "tiny.bct"))
+        assert code == 0, out
+        assert out.count(": (4.9406564584124654e-324 0 0 0)\n") == 2
+        assert "check spectral-reconstruction: residual 0.000e+00 tol 1e-09 pass\n" in out
+
     def test_non_self_adjoint_exit_2(self, capsys):
         code, out = run(capsys, "spectral", str(GOLDEN / "counter_nonselfadjoint_n2.bct"))
         assert code == 2
@@ -330,6 +339,60 @@ class TestEvolve:
         )
         assert code == 2
         assert "InvalidXi" in out
+
+
+class TestToleranceFlags:
+    """--eps-null and --eps-eq reach the scalar-product spec and --xi as well."""
+
+    @pytest.fixture
+    def skew(self, tmp_path):
+        # G1's off-diagonal entries differ by 1e-10 i1: Hermitian within 1e-8, not 1e-12
+        (tmp_path / "g.bct").write_text(
+            "bct v1\nkind: spec\ndim: 2\n"
+            "(1 0) (0.5 1e-10)\n(0.5 0) (1 0)\n(1 0) (0 0)\n(0 0) (1 0)\n"
+        )
+        bct.save(tmp_path / "h.bct", bct.document_for(Operator(BicomplexMatrix.identity(2))))
+        return str(tmp_path / "g.bct"), str(tmp_path / "h.bct")
+
+    def test_eps_eq_reaches_spec_validation(self, capsys, skew):
+        spec, h = skew
+        assert "valid: no (G1 is not Hermitian within tolerance)\n" in run(capsys, "info", spec)[1]
+        assert "valid: yes\n" in run(capsys, "--eps-eq", "1e-8", "info", spec)[1]
+        for argv in (
+            ["spectral", h, "--spec", spec],
+            ["check", h, "--spec", spec],
+            ["evolve", "--hamiltonian", h, "--state", str(GOLDEN / "ket_nullcone_n2.bct"),
+             "--spec", spec, "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "3"],
+        ):
+            code, out = run(capsys, *argv)
+            assert (code, out) == (2, "error: BicomplexError: invalid scalar-product spec: "
+                                      "G1 is not Hermitian within tolerance\n")
+            code, out = run(capsys, "--eps-eq", "1e-8", *argv)
+            assert (code, out.splitlines()[-1]) == (0, "verdict: pass"), out
+
+    XI_ARGV = [
+        "evolve",
+        "--hamiltonian", str(GOLDEN / "operator_selfadjoint_n2.bct"),
+        "--state", str(GOLDEN / "ket_nullcone_n2.bct"),
+        "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "3",
+    ]
+
+    def test_eps_null_reaches_xi(self, capsys):
+        # components 1.9999999 and 1e-7: null_cone_2 under eps_null = 1e-6
+        argv = [*self.XI_ARGV, "--xi", "(1 0 0 0.9999999)"]
+        assert run(capsys, *argv)[0] != 2
+        code, out = run(capsys, "--eps-null", "1e-6", *argv)
+        assert (code, out) == (2, "error: InvalidXi: xi must be invertible\n")
+
+    def test_eps_eq_reaches_xi(self, capsys):
+        # z1 = 1 + 1e-10 i1 equals its kind-3 conjugate within 1e-8, not 1e-12
+        argv = [*self.XI_ARGV, "--xi", "(1 1e-10 0 0)"]
+        code, out = run(capsys, *argv)
+        assert (code, out) == (
+            2, "error: InvalidXi: xi must equal its kind-3 conjugate (real idempotent components)\n"
+        )
+        code, out = run(capsys, "--eps-eq", "1e-8", *argv)
+        assert (code, out.splitlines()[-1]) == (0, "verdict: pass"), out
 
 
 class TestInfoAndIdempotent:

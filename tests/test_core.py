@@ -305,17 +305,35 @@ def test_cli_import_leaves_out_the_render_kernel():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """two_product of two float64 arrays into arrays of its own: (p, e)."""
+    p, e, *halves = np.empty((6, *np.shape(a)))
+    two_product(np.asarray(a, dtype=float), np.asarray(b, dtype=float), p, e, *halves)
+    return p, e
+
+
 def test_two_product_is_exact():
     rng = np.random.default_rng(31)
     a = rng.standard_normal(2000) * 10.0 ** rng.integers(-100, 100, 2000)
     b = rng.standard_normal(2000) * 10.0 ** rng.integers(-100, 100, 2000)
-    p, q = two_product(a, b)
+    p, q = _two_product(a, b)
     assert np.array_equal(p, a * b)
     for x, y, hi, lo in zip(a.tolist(), b.tolist(), p.tolist(), q.tolist()):
         (xn, xd), (yn, yd), (hn, hd), (ln, ld) = map(float.as_integer_ratio, (x, y, hi, lo))
         # hi + lo == x * y, cross-multiplied over the four denominators
         assert (hn * ld + ln * hd) * xd * yd == xn * yn * hd * ld
-    assert two_product(3.0, 1.0 / 3.0) == (1.0, -2.0**-54)
+    p, q = _two_product([3.0], [1.0 / 3.0])
+    assert (p.tolist(), q.tolist()) == ([1.0], [-2.0**-54])
+
+
+def test_two_product_reads_b_before_its_low_half():
+    # the .bct writer passes b in the row of b's low half
+    rng = np.random.default_rng(37)
+    a, b = rng.standard_normal((2, 500)) * 10.0 ** rng.integers(-100, 100, (2, 500))
+    p, q, a_hi, a_lo, b_hi, b_lo = np.empty((6, 500))
+    b_lo[:] = b
+    two_product(a, b_lo, p, q, a_hi, a_lo, b_hi, b_lo)
+    assert all(map(np.array_equal, (p, q), _two_product(a, b)))
 
 
 class TestHyperbolic:
