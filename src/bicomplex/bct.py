@@ -16,18 +16,20 @@ one row of dim atoms, a matrix or operator dim rows of dim atoms
 complex atoms ``(re im)``, G1 first.  Numbers are printed with 17
 significant digits, so parse and render round-trip bit-exactly.
 
-Every field is read with the bits ``float`` gives it.  A payload of at
-least ``READ_MIN_FIELDS`` (1,024) fields goes first to the vectorized
-reader of :mod:`bicomplex.format17`, imported on first use: it checks
-the layout on the payload's bytes, reads plain ``[-]digits[.digits]``
-fields of up to 19 digits with word arithmetic and one double-double
-product each, and leaves every other field, and any value too near a
-rounding midpoint, to ``float`` itself.  Every smaller payload, and one
-the reader does not accept whole, is read by one reference scan: row by
-row, atom by atom, each field converted by ``float`` as it is checked,
-so that the first error it meets is the one raised, with its line and
-column, and no array is built before the whole payload is read.  The
-reader overtakes the scan near 256 fields, but importing it costs a
+Every field is read with the bits ``float`` gives it.  ``parse`` splits
+off only the header lines, where each ends in "\n" alone, and a payload
+of at least ``READ_MIN_FIELDS`` (1,024) fields goes first, as one text,
+to the vectorized reader of :mod:`bicomplex.format17`, imported on first
+use: it checks the layout on the payload's bytes, reads plain
+``[-]digits[.digits]`` fields of up to 19 digits with word arithmetic
+and one double-double product each, and leaves every other field, and
+any value too near a rounding midpoint, to ``float`` itself.  Every
+smaller payload, and one the reader does not accept whole, is read by
+one reference scan over the text's ``splitlines()``: row by row, atom by
+atom, each field converted by ``float`` as it is checked, so that the
+first error it meets is the one raised, with its line and column, and
+no array is built before the whole payload is read.  Within a process
+the reader overtakes the scan near 240 fields, but importing it costs a
 fresh process about 10 ms, more than it saves on one payload below
 1,024 fields: the commands that read only small files never load it.
 
@@ -220,9 +222,10 @@ def render(doc: BctDocument) -> str:
 _ATOM = re.compile(r"\(([^()]*)\)")
 
 # payloads of at least this many fields go to the reader in format17 first:
-# on a 2-core VM it breaks even with the reference scan near 256 fields and
-# reads 1,024 in under 2/5 of its time (0.32 against 0.84 ms for an order-16
-# matrix); below 1,024 its import costs a fresh process more than it saves
+# on a 2-core VM, parsing in a warm process, it breaks even with the
+# reference scan near 240 fields and reads 1,024 in about 1/3 of its time
+# (0.25 against 0.74 ms for an order-16 matrix); below 1,024 its import
+# costs a fresh process more than it saves
 READ_MIN_FIELDS = 1024
 
 
@@ -274,7 +277,11 @@ def _read_payload(
 
 
 def parse(text: str) -> BctDocument:
-    lines = text.splitlines()
+    # the four lines that may be headers, split off alone where each ends in
+    # "\n" alone; else every line, as the reference scan reads them
+    head = text.split("\n", 4)
+    whole = len(head) < 5 or any(line.splitlines() != [line] for line in head[:4])
+    lines = text.splitlines() if whole else head[:4]
     if not lines or lines[0].strip() != "bct v1":
         raise ParseError("expected header 'bct v1'", 1)
     if len(lines) < 3:
@@ -320,8 +327,12 @@ def parse(text: str) -> BctDocument:
         # imported here, as format_rows imports it: small payloads never need it
         from . import format17
 
-        values = format17.read_rows(lines[payload_start:], rows_needed, atoms_needed, arity)
+        # the payload as one text, or as its lines where the header was not split off alone
+        payload = lines[payload_start:] if whole else "\n".join(head[payload_start:])
+        values = format17.read_rows(payload, rows_needed, atoms_needed, arity)
     if values is None:
+        if not whole:
+            lines = text.splitlines()
         values = _read_payload(lines, payload_start, kind, arity, atoms_needed, rows_needed)
     # a loaded document is shared by every later load of the same bytes,
     # so the payload, and the spec's Gram views of it, stay read-only

@@ -67,6 +67,7 @@ __all__ = [
     "as_bicomplex",
     "component_index",
     "entry_norms",
+    "max_entry_norm",
     "null_cone_code",
     "null_cone_codes",
     "ratio",
@@ -536,6 +537,16 @@ def entry_norms(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.hypot(np.abs(z1), np.abs(z2))
 
 
+def max_entry_norm(z1: np.ndarray, z2: np.ndarray) -> float:
+    """The largest entry norm of the parts (z1, z2), inf beyond the double range.
+
+    Taken on the parts divided by the power of two of the largest one
+    (``scaled_down``), whose norms cannot overflow, then scaled back.
+    """
+    (z1, z2), exponent = scaled_down((z1, z2))
+    return _ldexp(float(entry_norms(z1, z2).max()), exponent)
+
+
 # Veltkamp's splitter 2^27 + 1: a double's high half keeps 26 bits, its low half the rest
 _SPLITTER = 134217729.0
 
@@ -629,16 +640,11 @@ class BicomplexArray:
         return self.components[component_index(k)]
 
     def max_norm(self) -> float:
-        """Largest entrywise Euclidean norm, inf beyond the double range; kept after first use.
-
-        Taken on the parts divided by the power of two of the largest one
-        (``scaled_down``), whose norms cannot overflow, then scaled back.
-        """
+        """Largest entrywise Euclidean norm (``max_entry_norm``), kept after first use."""
         try:
             return self._max_norm
         except AttributeError:
-            (z1, z2), exponent = scaled_down((self.z1, self.z2))
-            self._max_norm = _ldexp(float(entry_norms(z1, z2).max()), exponent)
+            self._max_norm = max_entry_norm(self.z1, self.z2)
             return self._max_norm
 
     def __add__(self, other):

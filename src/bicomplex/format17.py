@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -410,8 +410,8 @@ def _spelling_tables() -> _Tables:
 
 # -- reading -------------------------------------------------------------------
 
-# The reader mirrors the writer.  The payload rows are joined into one
-# ASCII byte string between blank pads and read in blocks of whole rows.
+# The reader mirrors the writer.  The payload text is read as one ASCII
+# byte string between blank pads, in blocks of whole rows.
 # A block's layout is checked without tokens: bytes from "+" up are token
 # bytes, and every other byte but a blank is an event, as is each token's
 # first byte.  The events must run "(", a token per field and ")" for each
@@ -503,27 +503,52 @@ def _row_events(atoms: int, arity: int) -> np.ndarray:
     return row
 
 
-def read_rows(lines: list[str], rows: int, atoms: int, arity: int) -> np.ndarray | None:
-    """The payload ``lines`` as a (rows, atoms, arity) array, each field as ``float`` reads it.
+def read_rows(
+    payload: str | Sequence[str], rows: int, atoms: int, arity: int
+) -> np.ndarray | None:
+    """The payload as a (rows, atoms, arity) array, each field as ``float`` reads it.
 
-    ``lines`` must hold ``rows`` lines that are not blank (blank ones are
-    skipped), each of ``atoms`` atoms ``(f1 ... f_arity)`` of finite
-    fields.  None when they do not, or when the reader cannot tell: a
-    byte that is not ASCII, a separator other than blanks and parens, or
+    ``payload`` is the text after a document's header lines, or a list of
+    its lines.  It must hold ``rows`` lines that are not blank (blank ones
+    are skipped), each of ``atoms`` atoms ``(f1 ... f_arity)`` of finite
+    fields.  A text whose lines all end in "\n" is read as it is; where
+    that fails, its non-blank lines as ``str.splitlines`` finds them (CRLF
+    and the other line breaks) are read rejoined, if they differ from it.
+    None when they do not hold such rows, or when the reader cannot tell:
+    a byte that is not ASCII, a separator other than blanks and parens, or
     a row of more than one kernel block of fields or bytes.
     """
-    payload = [line for line in lines if line.strip()]
-    if len(payload) != rows:
-        return None
-    text = "\n".join([_PAD, *payload, _PAD]).replace("\t", " ")
+    text = payload if isinstance(payload, str) else "\n".join(payload)
+    values = _read_text(text, rows, atoms, arity)
+    if values is None:
+        lines = [line for line in text.splitlines() if line.strip()]
+        joined = "\n".join(lines)
+        if len(lines) == rows and text not in (joined, joined + "\n"):
+            values = _read_text(joined, rows, atoms, arity)
+    return values
+
+
+def _read_text(text: str, rows: int, atoms: int, arity: int) -> np.ndarray | None:
+    """``read_rows`` on a text of ``rows`` lines, each ended by "\n" or by the text's end."""
+    text = text.replace("\t", " ")
     # an atom takes 2 * arity + 1 bytes at least: a declared size that the
     # text cannot hold allocates nothing
     if not text.isascii() or len(text) < rows * atoms * (2 * arity + 1):
         return None
-    sizes = [len(line) + 1 for line in payload]  # with its "\n"
+    if not text.endswith("\n"):
+        text += "\n"
+    ends, end = [-1], -1
+    while len(ends) <= rows + 1:  # a line more than declared is enough to reject
+        end = text.find("\n", end + 1)
+        if end < 0:
+            break
+        ends.append(end)
+    if len(ends) != rows + 1:
+        return None
+    sizes = [b - a for a, b in zip(ends, ends[1:])]  # each row with its "\n"
     if atoms * arity > _KERNEL_FIELDS or max(sizes) > _KERNEL_BYTES:
         return None  # a row longer than one block
-    data = text.encode("ascii")
+    data = "".join((_PAD, "\n", text, _PAD)).encode("ascii")
     values = np.empty((rows, atoms * arity))
     first, start = 0, len(_PAD) + 1
     while first < rows:

@@ -181,16 +181,17 @@ class ScalarProductSpec:
     __slots__ = ("grams", "chols", "standard")
 
     def __init__(self, g1: np.ndarray, g2: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE):
-        g1 = np.array(g1, dtype=complex)
-        g2 = np.array(g2, dtype=complex)
+        g1 = np.asarray(g1, dtype=complex)
+        g2 = np.asarray(g2, dtype=complex)
         for name, g in (("G1", g1), ("G2", g2)):
             if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
                 raise ValueError(f"{name} must be a nonempty square matrix, got {g.shape}")
-            if not within(hermitian_defect(g), tol.eps_eq):
-                raise ValueError(f"{name} is not Hermitian within tolerance")
         if g1.shape != g2.shape:
             raise ValueError(f"Gram matrix shapes differ: {g1.shape} vs {g2.shape}")
         grams = np.stack([g1, g2])
+        for name, defect in zip(("G1", "G2"), hermitian_defect(grams)):
+            if not within(defect, tol.eps_eq):
+                raise ValueError(f"{name} is not Hermitian within tolerance")
         try:
             chols = np.linalg.cholesky(grams)
         except np.linalg.LinAlgError as exc:
@@ -239,10 +240,13 @@ def hermitian_defect(grams: np.ndarray) -> np.ndarray:
     on each G divided by the power of two of its largest part, which is
     exact, so neither the difference nor its modulus overflows.
     """
-    scaled = np.stack([scaled_down(g)[0] for g in grams.reshape(-1, *grams.shape[-2:])])
+    parts = np.ascontiguousarray(grams, dtype=complex).view(float)
+    # scaled_down of each G: a zero, infinite or NaN largest part gives 2**0
+    exponents = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+    scaled = np.ldexp(parts, -exponents[..., None, None]).view(complex)
     scales = np.abs(scaled).max(axis=(-2, -1))
     defects = np.abs(scaled - scaled.conj().mT).max(axis=(-2, -1))
-    return (defects / np.where(scales > 0, scales, 1.0)).reshape(grams.shape[:-2])
+    return defects / np.where(scales > 0, scales, 1.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -474,8 +478,9 @@ def gram_schmidt(
         a, b = np.ldexp(moduli, -np.frexp(moduli.max(axis=0))[1]) ** 2
         round_trip = stack_components(*parts_from_components(a, b))
         codes = null_cone_codes(np.abs(round_trip), tol.eps_null)
-        # where the columns leave the double range, the constructor raises NonFinite
-        columns = q * np.exp(1j * np.angle(pivots))[:, None]
+        # the phase of each pivot, exactly -1 for a negative real one; where the
+        # columns leave the double range, the constructor raises NonFinite
+        columns = q * (pivots / moduli)[:, None]
     finite = np.isfinite(moduli).all(axis=0)
     rejected = ~finite | (codes != 3)
     if rejected.any():

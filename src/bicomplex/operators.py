@@ -20,8 +20,10 @@ unitary to rounding however long the window.  ``op_exp`` (scaling and
 squaring) is kept as the independent route that tests compare it with.
 
 Component eigenproblems are reduced through the Cholesky factors of the
-Gram matrices and handed to LAPACK ``eigh``; both decompositions return
-a stacked ``Eigensystem``, in the order their docstrings give.
+Gram matrices and handed to LAPACK ``eigh``; the self-adjoint reduction
+also decides self-adjointness, so no adjoint is formed for it.  Both
+decompositions return a stacked ``Eigensystem``, in the order their
+docstrings give.
 """
 
 from __future__ import annotations
@@ -183,6 +185,11 @@ class Eigensystem(Sequence):
         self.ket_components = stack_components(*kets)
 
     @classmethod
+    def from_components(cls, values: np.ndarray, kets: np.ndarray, basis_id: str) -> Eigensystem:
+        """The eigensystem of the (2, m) value and (2, n, m) ket component stacks."""
+        return cls(parts_from_components(*values), parts_from_components(*kets), basis_id)
+
+    @classmethod
     def of(cls, pairs: Sequence[EigenPair]) -> Eigensystem:
         """Nonempty eigenpairs as one eigensystem; an eigensystem is returned as it is."""
         if isinstance(pairs, cls):
@@ -247,19 +254,8 @@ def adjoint(spec: ScalarProductSpec, a: Operator) -> Operator:
     return Operator(BicomplexMatrix.from_components(*parts), a.basis_id)
 
 
-def _self_adjoint(star: Operator, a: Operator, tol: Tolerance) -> bool:
-    """Whether A* = A within eps_eq * ||A||, given the adjoint ``star`` of ``a``.
-
-    Relative to the operator's scale alone, and taken on both divided by
-    one power of two, which is exact: the difference and the norms stay in
-    range, and an exact rescaling of A keeps the answer.
-    """
-    (s1, s2, a1, a2), _ = scaled_down((star.matrix.z1, star.matrix.z2, a.matrix.z1, a.matrix.z2))
-    return within(entry_norms(s1 - a1, s2 - a2).max(), tol.eps_eq, entry_norms(a1, a2).max())
-
-
 def is_self_adjoint(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    return _self_adjoint(adjoint(spec, a), a, tol)
+    return _reduce_self_adjoint(spec, a.matrix, tol).self_adjoint
 
 
 def _unitary_defect(star: Operator, a: Operator, tol: Tolerance) -> tuple[float, bool]:
@@ -290,6 +286,17 @@ def outer_product(spec: ScalarProductSpec, phi: Ket, psi: Ket) -> Operator:
     return Operator(BicomplexMatrix.from_components(*parts), phi.basis_id)
 
 
+def _cholesky_factors(spec: ScalarProductSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacks C = L^H / 2**k, C^{-1} and L^{-H}, with G_k = L L^H.
+
+    C A_k C^{-1} = L^H A_k L^{-H}: dividing L by a power of two (exact)
+    leaves the reduced matrix as it is and keeps C A_k in range.
+    """
+    chol_h, exponent = scaled_down(spec.chols.conj().mT)
+    inv_chol_h = np.linalg.inv(chol_h)
+    return chol_h, inv_chol_h, scaled_down(inv_chol_h, exponent)[0]
+
+
 def _cholesky_reduce(
     spec: ScalarProductSpec, matrix: BicomplexMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,38 +306,78 @@ def _cholesky_reduce(
     A_k is G_k-self-adjoint (G_k-unitary), and back-transformed
     orthonormal eigenvectors L^{-H} Y are G_k-orthonormal.
     """
-    # L / 2**k (exact) leaves the reduced matrix as it is and keeps L^H A_k in range
-    chol_h, exponent = scaled_down(spec.chols.conj().mT)
-    inv_chol_h = np.linalg.inv(chol_h)
-    return chol_h @ matrix.components @ inv_chol_h, scaled_down(inv_chol_h, exponent)[0]
+    chol_h, inv_chol_h, back = _cholesky_factors(spec)
+    return chol_h @ matrix.components @ inv_chol_h, back
 
 
-def _hermitian_eigh(
-    spec: ScalarProductSpec, matrix: BicomplexMatrix
-) -> tuple[np.ndarray, np.ndarray]:
+class _Reduction(NamedTuple):
+    """A's components as standard problems, and whether A is self-adjoint.
+
+    ``scaled`` stacks R_k = C A_k C^{-1} / 2**``exponent`` (see
+    ``_reduce_self_adjoint``), Hermitian exactly when A_k is
+    G_k-self-adjoint; ``back`` is L^{-H}, which takes orthonormal
+    eigenvectors of R_k to G_k-orthonormal ones, None where L = I.
+    """
+
+    scaled: np.ndarray
+    exponent: int
+    back: np.ndarray | None
+    self_adjoint: bool
+
+
+def _reduce_self_adjoint(
+    spec: ScalarProductSpec, matrix: BicomplexMatrix, tol: Tolerance
+) -> _Reduction:
+    """The Cholesky reduction of A, and whether A* = A within eps_eq * ||A||.
+
+    With C = L^H / 2**k and R_k = C A_k C^{-1}, A_k* - A_k = C^{-1} (R_k^H
+    - R_k) C: the reduction that the eigensolve reads decides
+    self-adjointness, and no adjoint is formed.  Under the kept standard
+    spec C = I.  Both A* - A and A are taken divided by one power of two,
+    that of A's largest component part, which is exact: neither R nor the
+    difference overflows, and an exact rescaling of A keeps the answer.
+    The largest entry norms of both read hypot(|c1|, |c2|), sqrt(2) times
+    that of the (z1, z2) parts, a factor their ratio cancels.
+    """
+    if spec.dim != matrix.order:
+        raise DimensionMismatch(f"spec dimension {spec.dim} != operator dimension {matrix.order}")
+    components, exponent = scaled_down(matrix.components)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.standard:
+            reduced, back = components, None
+            defect = reduced.conj().mT - reduced
+        else:
+            chol_h, inv_chol_h, back = _cholesky_factors(spec)
+            reduced = chol_h @ components @ inv_chol_h
+            defect = inv_chol_h @ ((reduced.conj().mT - reduced) @ chol_h)
+        residual = float(entry_norms(*defect).max())
+    scale = float(entry_norms(*components).max())
+    return _Reduction(reduced, exponent, back, within(residual, tol.eps_eq, scale))
+
+
+def _hermitian_eigh(reduction: _Reduction) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and G_k-orthonormal eigenvectors of both components, stacked.
 
     Under the kept standard spec the components go to ``eigh`` as they
-    are, without the Cholesky reduction and back-transform by L = I.
+    are, without the back-transform by L = I.
     """
-    if spec.standard:
-        reduced = matrix.components
-    else:
-        reduced, inv_chol_h = _cholesky_reduce(spec, matrix)
     # eigh reads one triangle; averaging keeps both halves of a matrix
     # that is Hermitian only to rounding.  Halving would lose the last bit
-    # of a subnormal entry, so a stack whose largest part is below 1/2 is
+    # of a subnormal entry, so a stack R whose largest part is below 1/2 is
     # first scaled up, exactly, by that part's power of two, and its
-    # eigenvalues are scaled back.  A larger stack goes to eigh as it is:
+    # eigenvalues are scaled back.  A larger R goes to eigh as it is:
     # scaled back from unit scale, an eigenvalue within an ulp of the
-    # largest double could round past it
-    scaled, exponent = scaled_down(reduced)
-    if exponent > 0:
-        scaled, exponent = reduced, 0
+    # largest double could round past it.  An R beyond the double range
+    # goes at unit scale, and its eigenvalues overflow
+    scaled, exponent = scaled_down(reduction.scaled)
+    exponent += reduction.exponent
+    if 0 < exponent <= 1024:
+        scaled, exponent = scaled_down(reduction.scaled, -reduction.exponent)[0], 0
     values, vectors = np.linalg.eigh(0.5 * scaled + 0.5 * scaled.conj().mT)
-    values = np.ldexp(values, exponent)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, exponent)
     # + 0.0 turns -0.0 into +0.0, as the back-transform by I does
-    return values, vectors + 0.0 if spec.standard else inv_chol_h @ vectors
+    return values, vectors + 0.0 if reduction.back is None else reduction.back @ vectors
 
 
 def _coupled_clusters(transformed: np.ndarray, threshold: float) -> list[np.ndarray]:
@@ -392,10 +439,10 @@ def eigendecompose_self_adjoint(
     index to index; the other pairings are equally valid and reachable
     through basis mixing.
     """
-    if not is_self_adjoint(spec, h, tol):
+    reduction = _reduce_self_adjoint(spec, h.matrix, tol)
+    if not reduction.self_adjoint:
         raise NotSelfAdjoint("operator is not self-adjoint under the given scalar product")
-    values, vectors = _hermitian_eigh(spec, h.matrix)
-    return Eigensystem(parts_from_components(*values), parts_from_components(*vectors), h.basis_id)
+    return Eigensystem.from_components(*_hermitian_eigh(reduction), h.basis_id)
 
 
 def eigendecompose_unitary(
@@ -410,7 +457,7 @@ def eigendecompose_unitary(
         raise NotUnitary("operator is not unitary under the given scalar product")
     reduced = (u.matrix.components,) if spec.standard else _cholesky_reduce(spec, u.matrix)
     values, vectors = zip(*map(_component_unitary_eig, *reduced))
-    return Eigensystem(parts_from_components(*values), parts_from_components(*vectors), u.basis_id)
+    return Eigensystem.from_components(values, vectors, u.basis_id)
 
 
 def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) -> Operator:
@@ -421,13 +468,21 @@ def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) ->
     if not pairs:
         raise ValueError("need at least one eigenpair")
     system = Eigensystem.of(pairs)
+    # an entry beyond the double range raises the constructor's NonFinite
+    matrix = BicomplexMatrix.from_components(*_reconstructed_components(spec, system))
+    return Operator(matrix, system.basis_id)
+
+
+def _reconstructed_components(spec: ScalarProductSpec, system: Eigensystem) -> np.ndarray:
+    """The component stack of sum_l lambda_l |phi_l><phi_l|: V diag(lambda) V^H G_k.
+
+    An entry beyond the double range is infinite or NaN, without numpy warnings.
+    """
     vectors = system.ket_components
     if vectors.shape[1] != spec.dim:
         raise DimensionMismatch(f"ket dimension {vectors.shape[1]} != spec dimension {spec.dim}")
-    # an entry beyond the double range raises the constructor's NonFinite, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = (vectors * system.value_components[:, None, :]) @ (vectors.conj().mT @ spec.grams)
-    return Operator(BicomplexMatrix.from_components(*parts), system.basis_id)
+        return (vectors * system.value_components[:, None, :]) @ (vectors.conj().mT @ spec.grams)
 
 
 class OrthogonalityReport(NamedTuple):
@@ -626,9 +681,10 @@ def _eigenbasis(
     h_eff = h if cfg.xi is None else h.scale(cfg.xi.inverse(tol))
     if spec is None:
         spec = ScalarProductSpec.identity(h.dim)
-    if not is_self_adjoint(spec, h_eff, tol):
+    reduction = _reduce_self_adjoint(spec, h_eff.matrix, tol)
+    if not reduction.self_adjoint:
         raise NotSelfAdjoint("effective Hamiltonian is not self-adjoint")
-    values, vectors = _hermitian_eigh(spec, h_eff.matrix)
+    values, vectors = _hermitian_eigh(reduction)
     # |lambda| / hbar beyond the double range is reported here, not as numpy warnings
     if not ratio(float(np.abs(values).max()), cfg.hbar) < math.inf:
         raise NonFinite("eigenfrequencies lambda / hbar overflow")

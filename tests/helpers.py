@@ -155,7 +155,7 @@ def oracle_gram_schmidt(
     for index, (a, b) in enumerate(zip(*np.abs(pivots) ** 2)):
         if Bicomplex.from_idempotent(a, b).classify(tol) is not Classification.INVERTIBLE:
             raise NullConePivot(index)
-    columns = np.linalg.solve(chol_h, q * np.exp(1j * np.angle(pivots))[:, None])
+    columns = np.linalg.solve(chol_h, q * (pivots / np.abs(pivots))[:, None])
     return [Ket.from_components(*columns[..., i], kets[0].basis_id) for i in range(len(kets))]
 
 

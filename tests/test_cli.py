@@ -162,6 +162,19 @@ class TestGramSchmidt:
         assert code == 0
         assert "check orthonormal-defect" in out
 
+    def test_real_rows_give_real_rows(self, capsys, tmp_path):
+        # a negative real pivot has the phase -1 exactly, so the Gram-Schmidt
+        # basis of real rows has no imaginary (im1) and no z2 part at all
+        matrix = BicomplexMatrix.from_entries([[-2, 1, 0], [1, 3, 1], [0, 1, -4]])
+        bct.save(tmp_path / "m.bct", bct.document_for(matrix))
+        code, out = run(capsys, "gram-schmidt", str(tmp_path / "m.bct"))
+        assert code == 0, out
+        atoms = re.findall(r"\(([^()]*)\)", out.split("\nresult:\n", 1)[1])
+        assert len(atoms) == 9
+        for atom in atoms:
+            _, im1, re2, im2 = map(float, atom.split())
+            assert (im1, re2, im2) == (0.0, 0.0, 0.0), atom
+
     def test_null_cone_pivot_exit_2(self, capsys):
         code, out = run(capsys, "gram-schmidt", str(GOLDEN / "counter_nullcone_pivot_n2.bct"))
         assert code == 2
@@ -875,6 +888,16 @@ class TestKeptFactorizations:
         # components go to eigh as they are: nothing is solved against I or inverted
         assert calls == {"eigh": 1}
 
+    def test_factorizations_per_spectral_job(self, capsys, monkeypatch, tmp_path, cold_cache):
+        # the spectral workload's first job at seed 1, order 32
+        (job, *_) = bench_workloads().make_jobs("spectral", 1, str(tmp_path), str(GOLDEN))
+        calls = self._counted_linalg(monkeypatch, "cholesky", "solve", "inv", "eigh")
+        code, out = run(capsys, *job.commands[0])
+        assert code == 0, out
+        # the spec's Cholesky factors, the inverse of L^H and one batched eigh:
+        # self-adjointness is read from the reduction, with no adjoint solve
+        assert calls == {"cholesky": 1, "inv": 1, "eigh": 1}
+
     def test_one_inverse_per_unitary_check(self, capsys, monkeypatch, cold_cache):
         calls = self._counted_linalg(monkeypatch, "inv")
         code, out = run(capsys, "check", str(GOLDEN / "operator_unitary_n2.bct"))
@@ -923,7 +946,7 @@ class TestKeptFactorizations:
         solves.clear()
         code, out = run(capsys, "spectral", *argv[1:])
         assert code == 0, out
-        assert (len(adjoints), solves) == (1, {"solve": 1})
+        assert (len(adjoints), solves) == (0, {})
 
     def test_standard_product_prints_as_the_identity_spec(self, capsys, tmp_path, cold_cache):
         """The kept standard spec's shortcuts print the bytes of the Cholesky route under I."""

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicomplex import (
     BasisMismatch,
@@ -43,12 +44,25 @@ from bicomplex import (
     spectral_reconstruct,
 )
 from bicomplex.checks import check_operator, orthonormal_defect
-from bicomplex.core import DEFAULT_TOLERANCE, E1, I1, I2, J, ONE, ZERO, NonFinite
+from bicomplex.core import (
+    DEFAULT_TOLERANCE,
+    E1,
+    I1,
+    I2,
+    J,
+    ONE,
+    ZERO,
+    NonFinite,
+    entry_norms,
+    ratio,
+    scaled_down,
+)
 from bicomplex.operators import (
     NORMAL_MIX,
     _cholesky_reduce,
     _component_unitary_eig,
     _hermitian_eigh,
+    _reduce_self_adjoint,
 )
 
 from helpers import (
@@ -58,6 +72,7 @@ from helpers import (
     random_ket,
     random_matrix,
     random_self_adjoint,
+    random_spd,
     random_spec,
     random_well_conditioned,
 )
@@ -279,7 +294,70 @@ class TestPredicates:
             assert (lhs - rhs).euclid_norm() <= 1e-10 * max(1.0, rhs.euclid_norm())
 
 
+def _adjoint_defect(spec, a) -> float:
+    """max ||adjoint(spec, A) - A|| / max ||A||, on the parts divided by one power of two."""
+    star = adjoint(spec, a).matrix
+    (s1, s2, a1, a2), _ = scaled_down((star.z1, star.z2, a.matrix.z1, a.matrix.z2))
+    return ratio(float(entry_norms(s1 - a1, s2 - a2).max()), float(entry_norms(a1, a2).max()))
+
+
+# a Gram pair as drawn, the same pair times 2^900 or 2^-900, or the kept standard spec
+SPEC_SCALES = {"random": 1.0, "random * 2^900": 2.0**900, "random * 2^-900": 2.0**-900,
+               "standard": None}
+
+
+class TestSelfAdjointDecision:
+    """is_self_adjoint reads A* - A = C^{-1} (R^H - R) C from the Cholesky reduction R."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        spec_kind=st.sampled_from(list(SPEC_SCALES)),
+        delta=st.one_of(st.just(0.0), st.floats(-15.0, -6.0).map(lambda e: 10.0**e)),
+    )
+    def test_agrees_with_the_adjoint(self, seed, n, spec_kind, delta):
+        rng = np.random.default_rng(seed)
+        scale = SPEC_SCALES[spec_kind]
+        if scale is None:
+            spec = ScalarProductSpec.identity(n)
+            a = random_self_adjoint(rng, n)
+        else:
+            grams = random_spd(rng, n), random_spd(rng, n)
+            # G^{-1} H, self-adjoint under (G1, G2) and under every multiple of it
+            a = spec_self_adjoint(rng, ScalarProductSpec(*grams))
+            spec = ScalarProductSpec(*(g * scale for g in grams))
+        if delta:
+            e = random_matrix(rng, n)
+            a = Operator(a.matrix + e.scale(delta * a.matrix.max_norm() / e.max_norm()))
+        # the two routes round differently: within 1% of the tolerance either answer holds
+        relative = _adjoint_defect(spec, a) / DEFAULT_TOLERANCE.eps_eq
+        if abs(relative - 1.0) > 0.01:
+            assert is_self_adjoint(spec, a) == (relative <= 1.0), relative
+
+    def test_defect_is_measured_on_the_operator(self):
+        # under G = diag(1, 1e4), A = [[0, 1e4 (1 + eps)], [1, 0]] has A* - A of
+        # largest entry 1e4 eps, and the reduction L^H A L^{-H} a defect 100 times smaller
+        spec = ScalarProductSpec(np.diag([1.0, 1e4]), np.diag([1.0, 1e4]))
+        decided = []
+        for eps in (1e-13, 1e-11):
+            a = Operator(BicomplexMatrix.from_entries([[0, 1e4 * (1 + eps)], [1, 0]]))
+            assert _adjoint_defect(spec, a) == pytest.approx(eps, rel=1e-3)
+            decided.append(is_self_adjoint(spec, a))
+        assert decided == [True, False]
+
+
 class TestEigendecomposeSelfAdjoint:
+    def test_reduction_beyond_the_double_range(self):
+        # L^H A L^{-H} reaches about 3e308 where A's entries are 1.5e308, and the
+        # eigenvalue 3e308 overflows: NonFinite, without a numpy warning on the way
+        gram = np.array([[1.0, 0.99], [0.99, 1.0]])
+        spec = ScalarProductSpec(gram, gram)
+        a = Operator(BicomplexMatrix.from_entries([[1.5e308, 1.5e308], [1.5e308, 1.5e308]]))
+        assert is_self_adjoint(spec, a)
+        with pytest.raises(NonFinite):
+            eigendecompose_self_adjoint(spec, a)
+
     def test_real_diagonal(self):
         spec = ScalarProductSpec.identity(3)
         h = Operator(BicomplexMatrix.diagonal([Bicomplex(-1.0), Bicomplex(0.5), Bicomplex(2.0)]))
@@ -392,7 +470,8 @@ def _spectrum(kind, spec_kind, n=5, seed=181):
     spec = ScalarProductSpec.identity(n) if spec_kind == "identity" else random_spec(rng, n)
     if kind == "self-adjoint":
         h = spec_self_adjoint(rng, spec)
-        return spec, eigendecompose_self_adjoint(spec, h), _hermitian_eigh(spec, h.matrix)
+        reduction = _reduce_self_adjoint(spec, h.matrix, DEFAULT_TOLERANCE)
+        return spec, eigendecompose_self_adjoint(spec, h), _hermitian_eigh(reduction)
     phases = [np.exp(1j * rng.uniform(-3.0, 3.0, n)) for _ in range(2)]
     u = spec_operator_with_spectrum(rng, spec, *phases)
     stacks = zip(*map(_component_unitary_eig, *_cholesky_reduce(spec, u.matrix)))

@@ -1,0 +1,194 @@
+"""Digests of `bct` output over a fixed call list, and the calls where two trees differ.
+
+Usage, from the repository root:
+
+    python tools/parity.py                 # one line per call
+    python tools/parity.py --against REV   # the calls whose output differs at REV
+
+The calls run in process through ``bicomplex.cli.main`` under
+``OPENBLAS_NUM_THREADS=1``:
+
+- every call of ``bench/workloads.GOLDEN`` on ``tests/golden``;
+- the ``--spec`` variants of its ``gram-schmidt``, ``spectral`` and
+  ``check`` calls, with each golden spec;
+- every job of every workload at seed 1, on inputs that
+  ``bench/workloads`` writes into a temporary directory.
+
+Each line reads the exit code, the sha256 of stdout and of stderr, and
+the call, with the input directories written as ``<golden>`` and
+``<work>`` in the call and in its output, so that the digests do not
+depend on where the files are.  An exception that escapes ``main``
+reads exit code ``-``, its type and message standing in for stderr.
+
+``--against REV`` exports REV with ``git archive`` and runs the same
+calls, on the same input files, under its ``src``; it prints each call
+whose exit code, stdout or stderr differs, with the first differing
+line, then the count.  The exit status is 0 either way: the tool reports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
+SPECS = ("spec_identity_n2.bct", "spec_general_n3.bct")
+SPEC_SUBCOMMANDS = ("gram-schmidt", "spectral", "check")
+SEED = 1
+
+
+def calls(workdir: str) -> list[list[str]]:
+    """The call list, each call once, with the workload inputs written under ``workdir``."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import workloads
+
+    found = []
+    for name, subs in workloads.GOLDEN.items():
+        path = os.path.join(GOLDEN_DIR, name)
+        found += [[sub, path] for sub in subs]
+        for sub in SPEC_SUBCOMMANDS:
+            if sub in subs:
+                found += [[sub, path, "--spec", os.path.join(GOLDEN_DIR, s)] for s in SPECS]
+    for workload in workloads.WORKLOADS:
+        directory = os.path.join(workdir, workload)
+        os.makedirs(directory)
+        for job in workloads.make_jobs(workload, SEED, directory, GOLDEN_DIR):
+            found += job.commands
+    unique = {json.dumps(argv): argv for argv in found}
+    return list(unique.values())
+
+
+def run_calls(argvs: list[list[str]]) -> list[list]:
+    """[exit code, stdout, stderr] of each call through ``bicomplex.cli.main``."""
+    from bicomplex import cli
+
+    results = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        # a fresh filter list per call shows each warning as a new process would
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("default")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else 1
+            except Exception as exc:  # reported as a result, not raised
+                code = "-"
+                err.write(f"{type(exc).__name__}: {exc}\n")
+        results.append([code, out.getvalue(), err.getvalue()])
+    return results
+
+
+def _worker(src: str, calls_file: str, out_file: str) -> None:
+    sys.path.insert(0, src)
+    import bicomplex
+
+    if not os.path.abspath(bicomplex.__file__).startswith(os.path.abspath(src) + os.sep):
+        sys.exit(f"imported bicomplex from {bicomplex.__file__}, not from {src}")
+    with open(calls_file) as handle:
+        argvs = json.load(handle)
+    with open(out_file, "w") as handle:
+        json.dump(run_calls(argvs), handle)
+
+
+def _results(src: str, argvs: list[list[str]], scratch: str) -> list[list]:
+    """The calls' results under the tree whose sources are ``src``, in a fresh interpreter."""
+    calls_file = os.path.join(scratch, "calls.json")
+    out_file = os.path.join(scratch, "results.json")
+    with open(calls_file, "w") as handle:
+        json.dump(argvs, handle)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", src, calls_file, out_file],
+        env=env, check=True,
+    )
+    with open(out_file) as handle:
+        return json.load(handle)
+
+
+def _normalize(text: str, workdir: str) -> str:
+    return text.replace(workdir, "<work>").replace(GOLDEN_DIR, "<golden>")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _first_difference(ours: str, theirs: str, width: int = 40) -> str:
+    """Where two texts first differ: line, column and ``width`` characters of each from there."""
+    a, b = ours.splitlines(), theirs.splitlines()
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    x, y = (lines[at] if at < len(lines) else None for lines in (a, b))
+    if x is None or y is None:
+        return f"line {at + 1}: {x!r} against {y!r}"[: 3 * width]
+    column = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+    start = max(0, column - width // 4)
+    x, y = x[start : start + width], y[start : start + width]
+    return f"line {at + 1}, column {column + 1}: {x!r} against {y!r}"
+
+
+def _export(rev: str, directory: str) -> str:
+    """The sources of ``rev``, exported with ``git archive`` under ``directory``."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", rev], capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter exists from Python 3.12 and in the later patch releases before it
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(directory, filter="data")
+        else:
+            tar.extractall(directory)
+    return os.path.join(directory, "src")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="list the calls that differ at REV")
+    parser.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        _worker(*args.worker)
+        return 0
+
+    with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
+        workdir = os.path.join(scratch, "work")
+        argvs = calls(workdir)
+        labels = [_normalize(" ".join(argv), workdir) for argv in argvs]
+        normalized = lambda results: [
+            [code, _normalize(out, workdir), _normalize(err, workdir)] for code, out, err in results
+        ]
+        ours = normalized(_results(os.path.join(ROOT, "src"), argvs, scratch))
+        if args.against is None:
+            for label, (code, out, err) in zip(labels, ours):
+                print(f"{code} {_digest(out)} {_digest(err)} {label}")
+            return 0
+        tree = _export(args.against, os.path.join(scratch, "tree"))
+        theirs = normalized(_results(tree, argvs, scratch))
+        differing = 0
+        for label, mine, other in zip(labels, ours, theirs):
+            if mine == other:
+                continue
+            differing += 1
+            print(f"differs: {label}")
+            if mine[0] != other[0]:
+                print(f"  exit {mine[0]} against {other[0]}")
+            for stream, index in (("stdout", 1), ("stderr", 2)):
+                if mine[index] != other[index]:
+                    print(f"  {stream} {_first_difference(mine[index], other[index])}")
+        print(f"{differing} of {len(argvs)} calls differ from {args.against}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
