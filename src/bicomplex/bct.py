@@ -24,11 +24,13 @@ use: it checks the layout on the payload's bytes, reads plain
 ``[-]digits[.digits]`` fields of up to 19 digits with word arithmetic
 and one double-double product each, and leaves every other field, and
 any value too near a rounding midpoint, to ``float`` itself.  Every
-smaller payload, and one the reader does not accept whole, is read by
-one reference scan over the text's ``splitlines()``: row by row, atom by
-atom, each field converted by ``float`` as it is checked, so that the
-first error it meets is the one raised, with its line and column, and
-no array is built before the whole payload is read.  Within a process
+smaller payload, every other layout (a header line that does not end
+in "\n" alone, a blank line or CRLF in the payload) and every payload
+the reader does not accept whole is read by one reference scan over the
+text's ``splitlines()``: row by row, atom by atom, each field converted
+by ``float`` as it is checked, so that the first error it meets is the
+one raised, with its line and column, and no array is built before the
+whole payload is read.  Within a process
 the reader overtakes the scan near 240 fields, but importing it costs a
 fresh process about 10 ms, more than it saves on one payload below
 1,024 fields: the commands that read only small files never load it.
@@ -323,13 +325,13 @@ def parse(text: str) -> BctDocument:
     arity = 2 if kind == "spec" else 4
 
     values = None
-    if rows_needed * atoms_needed * arity >= READ_MIN_FIELDS:
+    # the payload after headers that were split off alone, as one text;
+    # any other layout goes to the reference scan
+    if not whole and rows_needed * atoms_needed * arity >= READ_MIN_FIELDS:
         # imported here, as format_rows imports it: small payloads never need it
         from . import format17
 
-        # the payload as one text, or as its lines where the header was not split off alone
-        payload = lines[payload_start:] if whole else "\n".join(head[payload_start:])
-        values = format17.read_rows(payload, rows_needed, atoms_needed, arity)
+        values = format17.read_rows("\n".join(head[payload_start:]), rows_needed, atoms_needed, arity)
     if values is None:
         if not whole:
             lines = text.splitlines()

@@ -65,8 +65,8 @@ from .operators import (
     _reconstructed_components,
     _reduce_self_adjoint,
     _unitary_defect,
+    _unitary_eig,
     adjoint,
-    eigendecompose_unitary,
 )
 from .reference import det_cofactor, scalar_product_direct
 
@@ -294,7 +294,7 @@ def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance)
     defect, unitary = _unitary_defect(star, op, tol)
     if unitary:
         notes.append("spectral-class: unitary")
-        system = eigendecompose_unitary(spec, op, tol)
+        system = Eigensystem.from_components(*_unitary_eig(reduction), op.basis_id)
         results.append(_result("unitary-defect", defect, 1e-10))
         # lambda conj3(lambda) - 1 is (|c1|^2 - 1) e1 + (|c2|^2 - 1) e2
         defects = np.abs(system.value_components) ** 2 - 1.0
@@ -318,7 +318,8 @@ def verify_self_adjoint_spectrum(
     # the zero operator has no scale, and its residuals are absolute
     scale = op.matrix.max_norm() or 1.0
     # spectral_reconstruct(spec, system).matrix - op.matrix, on the parts alone
-    z1, z2 = parts_from_components(*_reconstructed_components(spec, system))
+    parts = _reconstructed_components(spec, system.value_components, system.ket_components)
+    z1, z2 = parts_from_components(*parts)
     with np.errstate(over="ignore", invalid="ignore"):
         z1, z2 = z1 - op.matrix.z1, z2 - op.matrix.z2
     if not (np.isfinite(z1).all() and np.isfinite(z2).all()):

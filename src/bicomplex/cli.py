@@ -62,6 +62,7 @@ from .hilbert import (
 from .matrix import BicomplexMatrix
 from .operators import (
     EvolutionConfig,
+    InvalidXi,
     Operator,
     _evolve,
     eigendecompose_self_adjoint,
@@ -219,9 +220,7 @@ def _cmd_evolve(args, doc, spec, tol: Tolerance):
     _require_kind(state_doc, ("ket",))
     spec = _load_spec(args.spec, op.dim, tol)
 
-    xi = None
-    if args.xi is not None:
-        xi = bct.parse(f"bct v1\nkind: scalar\ndim: 1\n{args.xi}\n").value
+    xi = None if args.xi is None else _parse_xi(args.xi)
     try:
         cfg = EvolutionConfig(args.hbar, args.t0, args.t1, args.samples, xi, tol)
     except ValueError as exc:
@@ -242,6 +241,16 @@ def _cmd_evolve(args, doc, spec, tol: Tolerance):
     template = "%.17g\t" + bct.atoms_template(op.dim, sep="\t") + "\t%.17g\t%.17g"
     lines += bct.format_rows(template, np.column_stack([times, bct.atom_fields(z1, z2), *norms]))
     return lines, verify_evolution(evolution, norms), []
+
+
+def _parse_xi(text: str) -> Bicomplex:
+    """``--xi`` as one atom of four finite numbers; InvalidXi gives the reason it is not."""
+    try:
+        values = bct._read_payload([text], 0, "scalar", 4, 1, 1)
+    except ParseError as exc:
+        # the reason alone: a line and column would point into no file
+        raise InvalidXi(f"--xi {text!r}: {str(exc).partition(': ')[2]}") from None
+    return Bicomplex(*values.view(complex).ravel().tolist())
 
 
 def _cmd_check(args, doc: BctDocument, spec, tol: Tolerance):

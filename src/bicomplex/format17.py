@@ -10,11 +10,13 @@ powers of ten, filled lazily with exact int arithmetic; the text is put
 together from byte tables with numpy.  A field that the kernel cannot
 settle exactly, or that ``%.17g`` prints in exponent notation, goes
 through ``'%.17g' % x`` itself, so the output is the same byte for byte.
-The reader checks the payload's layout on its bytes, turns each plain
-decimal field into an exact integer with word arithmetic and scales it
-by a double-double power of ten with the same TwoProduct; a field of any
-other form, or whose value it cannot round with certainty, is read by
-``float`` itself, so the bits are the same.
+The reader takes the payload as one text of rows ended by "\n", checks
+its layout on its bytes, turns each plain decimal field into an exact
+integer with word arithmetic and scales it by a double-double power of
+ten with the same TwoProduct; a field of any other form, or whose value
+it cannot round with certainty, is read by ``float`` itself, so the bits
+are the same.  A payload of any other layout (a blank line, CRLF) is
+left whole to ``bct``'s reference scan.
 
 Once a thread has printed or read a block of a given size, its calls
 allocate no array: every intermediate, and the row buffer the text is
@@ -33,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,12 +64,11 @@ _EXPONENTS = 1024 - _E_MIN + 1
 _TIE_MARGIN = 2.0**-30
 _LARGEST = float(np.finfo(float).max)
 # Filled lazily per binary exponent e: the least double f that carries
-# (NaN until filled), and at row 2 * (e - _E_MIN) + carry the decimal
+# (NaN until filled), and at row 2 * (e - _E_MIN) + carry, for the decimal
 # exponent k = k_e + carry, T_e / 10^carry as (hi, lo), the largest
 # |r - round(r)| the kernel spells (-1 where %.17g prints exponent
 # notation: every field falls back) and the first spelling class of k.
 _CARRY_FROM = np.full(_EXPONENTS, np.nan)
-_DECIMAL = np.zeros(2 * _EXPONENTS, np.int64)
 _SCALE_HI = np.zeros(2 * _EXPONENTS)
 _SCALE_LO = np.zeros(2 * _EXPONENTS)
 _SPELL_LIMIT = np.zeros(2 * _EXPONENTS)
@@ -333,7 +334,6 @@ def _fill_scales(e_index: np.ndarray) -> None:
             k += 1
         for carry in (0, 1):
             row = 2 * index + carry
-            _DECIMAL[row] = k + carry
             _SCALE_HI[row], _SCALE_LO[row] = _double_double(*_ratio(e, 16 - carry - k))
             fixed = -4 <= k + carry <= 16
             _SPELL_LIMIT[row] = 0.5 - _TIE_MARGIN if fixed else -1.0
@@ -503,33 +503,17 @@ def _row_events(atoms: int, arity: int) -> np.ndarray:
     return row
 
 
-def read_rows(
-    payload: str | Sequence[str], rows: int, atoms: int, arity: int
-) -> np.ndarray | None:
-    """The payload as a (rows, atoms, arity) array, each field as ``float`` reads it.
+def read_rows(text: str, rows: int, atoms: int, arity: int) -> np.ndarray | None:
+    """The payload text as a (rows, atoms, arity) array, each field as ``float`` reads it.
 
-    ``payload`` is the text after a document's header lines, or a list of
-    its lines.  It must hold ``rows`` lines that are not blank (blank ones
-    are skipped), each of ``atoms`` atoms ``(f1 ... f_arity)`` of finite
-    fields.  A text whose lines all end in "\n" is read as it is; where
-    that fails, its non-blank lines as ``str.splitlines`` finds them (CRLF
-    and the other line breaks) are read rejoined, if they differ from it.
-    None when they do not hold such rows, or when the reader cannot tell:
-    a byte that is not ASCII, a separator other than blanks and parens, or
+    ``text`` is what follows a document's header lines.  It must hold
+    ``rows`` lines, each ended by "\n" or by the text's end and each of
+    ``atoms`` atoms ``(f1 ... f_arity)`` of finite fields between blanks
+    or tabs.  None when it does not hold such rows, or when the reader
+    cannot tell: a byte that is not ASCII, a blank line, a line break
+    other than "\n" (CRLF), a separator other than blanks and parens, or
     a row of more than one kernel block of fields or bytes.
     """
-    text = payload if isinstance(payload, str) else "\n".join(payload)
-    values = _read_text(text, rows, atoms, arity)
-    if values is None:
-        lines = [line for line in text.splitlines() if line.strip()]
-        joined = "\n".join(lines)
-        if len(lines) == rows and text not in (joined, joined + "\n"):
-            values = _read_text(joined, rows, atoms, arity)
-    return values
-
-
-def _read_text(text: str, rows: int, atoms: int, arity: int) -> np.ndarray | None:
-    """``read_rows`` on a text of ``rows`` lines, each ended by "\n" or by the text's end."""
     text = text.replace("\t", " ")
     # an atom takes 2 * arity + 1 bytes at least: a declared size that the
     # text cannot hold allocates nothing
@@ -537,11 +521,9 @@ def _read_text(text: str, rows: int, atoms: int, arity: int) -> np.ndarray | Non
         return None
     if not text.endswith("\n"):
         text += "\n"
-    ends, end = [-1], -1
-    while len(ends) <= rows + 1:  # a line more than declared is enough to reject
-        end = text.find("\n", end + 1)
-        if end < 0:
-            break
+    ends = [-1]
+    # a line more than declared is enough to reject
+    while len(ends) <= rows + 1 and (end := text.find("\n", ends[-1] + 1)) >= 0:
         ends.append(end)
     if len(ends) != rows + 1:
         return None

@@ -19,11 +19,13 @@ and every sample time costs one phase vector, so the propagator is
 unitary to rounding however long the window.  ``op_exp`` (scaling and
 squaring) is kept as the independent route that tests compare it with.
 
-Component eigenproblems are reduced through the Cholesky factors of the
-Gram matrices and handed to LAPACK ``eigh``; the self-adjoint reduction
-also decides self-adjointness, so no adjoint is formed for it.  Both
-decompositions return a stacked ``Eigensystem``, in the order their
-docstrings give.
+Component eigenproblems are reduced once, through the Cholesky factors
+of the Gram matrices, for both spectral classes: the one reduction
+decides self-adjointness, so no adjoint is formed for it, and feeds
+either LAPACK ``eigh`` (self-adjoint) or the per-component unitary
+solve, whose eigenvectors one back-transform takes to G_k-orthonormal
+ones.  Both decompositions return a stacked ``Eigensystem``, in the
+order their docstrings give.
 """
 
 from __future__ import annotations
@@ -187,6 +189,7 @@ class Eigensystem(Sequence):
     @classmethod
     def from_components(cls, values: np.ndarray, kets: np.ndarray, basis_id: str) -> Eigensystem:
         """The eigensystem of the (2, m) value and (2, n, m) ket component stacks."""
+        # kept round trip: every eigen-check reads the components of the pairs `bct` prints
         return cls(parts_from_components(*values), parts_from_components(*kets), basis_id)
 
     @classmethod
@@ -286,37 +289,14 @@ def outer_product(spec: ScalarProductSpec, phi: Ket, psi: Ket) -> Operator:
     return Operator(BicomplexMatrix.from_components(*parts), phi.basis_id)
 
 
-def _cholesky_factors(spec: ScalarProductSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stacks C = L^H / 2**k, C^{-1} and L^{-H}, with G_k = L L^H.
-
-    C A_k C^{-1} = L^H A_k L^{-H}: dividing L by a power of two (exact)
-    leaves the reduced matrix as it is and keeps C A_k in range.
-    """
-    chol_h, exponent = scaled_down(spec.chols.conj().mT)
-    inv_chol_h = np.linalg.inv(chol_h)
-    return chol_h, inv_chol_h, scaled_down(inv_chol_h, exponent)[0]
-
-
-def _cholesky_reduce(
-    spec: ScalarProductSpec, matrix: BicomplexMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both components as standard problems: the stacks (L^H A_k L^{-H}, L^{-H}).
-
-    With G_k = L L^H, the reduced matrix is Hermitian (unitary) whenever
-    A_k is G_k-self-adjoint (G_k-unitary), and back-transformed
-    orthonormal eigenvectors L^{-H} Y are G_k-orthonormal.
-    """
-    chol_h, inv_chol_h, back = _cholesky_factors(spec)
-    return chol_h @ matrix.components @ inv_chol_h, back
-
-
 class _Reduction(NamedTuple):
     """A's components as standard problems, and whether A is self-adjoint.
 
     ``scaled`` stacks R_k = C A_k C^{-1} / 2**``exponent`` (see
-    ``_reduce_self_adjoint``), Hermitian exactly when A_k is
-    G_k-self-adjoint; ``back`` is L^{-H}, which takes orthonormal
-    eigenvectors of R_k to G_k-orthonormal ones, None where L = I.
+    ``_reduce_self_adjoint``), Hermitian (unitary) exactly when A_k is
+    G_k-self-adjoint (G_k-unitary); ``back`` is L^{-H}, which takes
+    orthonormal eigenvectors of R_k to G_k-orthonormal ones, None where
+    L = I.
     """
 
     scaled: np.ndarray
@@ -324,18 +304,25 @@ class _Reduction(NamedTuple):
     back: np.ndarray | None
     self_adjoint: bool
 
+    def back_transform(self, vectors: np.ndarray) -> np.ndarray:
+        """The stack L^{-H} Y of G_k-orthonormal eigenvectors, from orthonormal ones Y of R_k."""
+        # + 0.0 turns -0.0 into +0.0, as the back-transform by L = I does
+        return vectors + 0.0 if self.back is None else self.back @ vectors
+
 
 def _reduce_self_adjoint(
     spec: ScalarProductSpec, matrix: BicomplexMatrix, tol: Tolerance
 ) -> _Reduction:
     """The Cholesky reduction of A, and whether A* = A within eps_eq * ||A||.
 
-    With C = L^H / 2**k and R_k = C A_k C^{-1}, A_k* - A_k = C^{-1} (R_k^H
-    - R_k) C: the reduction that the eigensolve reads decides
-    self-adjointness, and no adjoint is formed.  Under the kept standard
-    spec C = I.  Both A* - A and A are taken divided by one power of two,
-    that of A's largest component part, which is exact: neither R nor the
-    difference overflows, and an exact rescaling of A keeps the answer.
+    With G_k = L L^H, C = L^H / 2**k and R_k = C A_k C^{-1} = L^H A_k
+    L^{-H}: dividing L by a power of two (exact) leaves R_k as it is and
+    keeps C A_k in range.  A_k* - A_k = C^{-1} (R_k^H - R_k) C, so the
+    reduction that both eigensolves read decides self-adjointness, and no
+    adjoint is formed.  Under the kept standard spec C = I.  Both A* - A
+    and A are taken divided by one power of two, that of A's largest
+    component part, which is exact: neither R nor the difference
+    overflows, and an exact rescaling of A keeps the answer.
     The largest entry norms of both read hypot(|c1|, |c2|), sqrt(2) times
     that of the (z1, z2) parts, a factor their ratio cancels.
     """
@@ -347,7 +334,9 @@ def _reduce_self_adjoint(
             reduced, back = components, None
             defect = reduced.conj().mT - reduced
         else:
-            chol_h, inv_chol_h, back = _cholesky_factors(spec)
+            chol_h, k = scaled_down(spec.chols.conj().mT)
+            inv_chol_h = np.linalg.inv(chol_h)
+            back = scaled_down(inv_chol_h, k)[0]
             reduced = chol_h @ components @ inv_chol_h
             defect = inv_chol_h @ ((reduced.conj().mT - reduced) @ chol_h)
         residual = float(entry_norms(*defect).max())
@@ -376,8 +365,18 @@ def _hermitian_eigh(reduction: _Reduction) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = np.linalg.eigh(0.5 * scaled + 0.5 * scaled.conj().mT)
     with np.errstate(over="ignore"):
         values = np.ldexp(values, exponent)
-    # + 0.0 turns -0.0 into +0.0, as the back-transform by I does
-    return values, vectors + 0.0 if reduction.back is None else reduction.back @ vectors
+    return values, reduction.back_transform(vectors)
+
+
+def _unitary_eig(reduction: _Reduction) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (by phase angle) and G_k-orthonormal eigenvectors of both components, stacked.
+
+    Each component is solved at A's own scale: R_k is the reduction
+    scaled back by its power of two, which is exact.
+    """
+    reduced = scaled_down(reduction.scaled, -reduction.exponent)[0]
+    values, vectors = map(np.stack, zip(*map(_component_unitary_eig, reduced)))
+    return values, reduction.back_transform(vectors)
 
 
 def _coupled_clusters(transformed: np.ndarray, threshold: float) -> list[np.ndarray]:
@@ -391,10 +390,8 @@ def _coupled_clusters(transformed: np.ndarray, threshold: float) -> list[np.ndar
     return [cluster for cluster in np.split(np.arange(n), ends) if len(cluster) > 1]
 
 
-def _component_unitary_eig(
-    reduced: np.ndarray, inv_chol_h: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (by phase angle) and G_k-orthonormal eigenvectors of one reduced component.
+def _component_unitary_eig(reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (by phase angle) and orthonormal eigenvectors of one reduced component.
 
     The Hermitian and skew parts of a normal matrix commute, so the
     eigenvectors of herm + NORMAL_MIX * skew diagonalize both (Bunse-
@@ -425,9 +422,7 @@ def _component_unitary_eig(
             f"unitary component not diagonalized: off-diagonal residual {residual:.3e}"
         )
     order = np.argsort(np.angle(values), kind="stable")
-    vectors = vectors[:, order]
-    # without a back-transform (L = I), + 0.0 turns -0.0 into +0.0 as the product by I does
-    return values[order], vectors + 0.0 if inv_chol_h is None else inv_chol_h @ vectors
+    return values[order], vectors[:, order]
 
 
 def eigendecompose_self_adjoint(
@@ -450,14 +445,13 @@ def eigendecompose_unitary(
 ) -> Eigensystem:
     """Orthonormal eigenkets of a unitary operator, sorted by phase angle.
 
-    Under the kept standard spec the components are diagonalized as they
-    are, without the Cholesky reduction and back-transform by L = I.
+    The components are reduced as for a self-adjoint operator; under the
+    kept standard spec they are diagonalized as they are.
     """
     if not is_unitary(spec, u, tol):
         raise NotUnitary("operator is not unitary under the given scalar product")
-    reduced = (u.matrix.components,) if spec.standard else _cholesky_reduce(spec, u.matrix)
-    values, vectors = zip(*map(_component_unitary_eig, *reduced))
-    return Eigensystem.from_components(values, vectors, u.basis_id)
+    reduction = _reduce_self_adjoint(spec, u.matrix, tol)
+    return Eigensystem.from_components(*_unitary_eig(reduction), u.basis_id)
 
 
 def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) -> Operator:
@@ -468,21 +462,24 @@ def spectral_reconstruct(spec: ScalarProductSpec, pairs: Sequence[EigenPair]) ->
     if not pairs:
         raise ValueError("need at least one eigenpair")
     system = Eigensystem.of(pairs)
+    parts = _reconstructed_components(spec, system.value_components, system.ket_components)
     # an entry beyond the double range raises the constructor's NonFinite
-    matrix = BicomplexMatrix.from_components(*_reconstructed_components(spec, system))
-    return Operator(matrix, system.basis_id)
+    return Operator(BicomplexMatrix.from_components(*parts), system.basis_id)
 
 
-def _reconstructed_components(spec: ScalarProductSpec, system: Eigensystem) -> np.ndarray:
+def _reconstructed_components(
+    spec: ScalarProductSpec, values: np.ndarray, vectors: np.ndarray
+) -> np.ndarray:
     """The component stack of sum_l lambda_l |phi_l><phi_l|: V diag(lambda) V^H G_k.
 
-    An entry beyond the double range is infinite or NaN, without numpy warnings.
+    ``values`` and ``vectors`` are the (2, m) and (2, n, m) component
+    stacks of the eigenvalues and eigenkets.  An entry beyond the double
+    range is infinite or NaN, without numpy warnings.
     """
-    vectors = system.ket_components
     if vectors.shape[1] != spec.dim:
         raise DimensionMismatch(f"ket dimension {vectors.shape[1]} != spec dimension {spec.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return (vectors * system.value_components[:, None, :]) @ (vectors.conj().mT @ spec.grams)
+        return (vectors * values[:, None, :]) @ (vectors.conj().mT @ spec.grams)
 
 
 class OrthogonalityReport(NamedTuple):
@@ -602,8 +599,9 @@ def op_exp_spectral(
     """
     system = eigendecompose_self_adjoint(spec, h, tol)
     exponents = np.array(prefactor.to_idempotent())[:, None] * system.value_components
-    values = parts_from_components(*np.exp(exponents))
-    return spectral_reconstruct(spec, Eigensystem(values, system.kets, h.basis_id))
+    parts = _reconstructed_components(spec, np.exp(exponents), system.ket_components)
+    # an entry beyond the double range raises the constructor's NonFinite
+    return Operator(BicomplexMatrix.from_components(*parts), h.basis_id)
 
 
 # -- evolution ------------------------------------------------------------------

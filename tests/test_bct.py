@@ -438,7 +438,10 @@ class TestBatchFormat:
         # per binary exponent e, the least f in [0.5, 1] whose 17 digits round up to 10^17
         format17._fill_scales(np.arange(format17._EXPONENTS))
         for index in range(format17._EXPONENTS):
-            e, k = index + format17._E_MIN, int(format17._DECIMAL[2 * index])
+            e = index + format17._E_MIN
+            # the largest k with 10^k <= 2^(e - 1), from the digits of the exact
+            # integer 2^|e - 1| (a power of two above 1 is no power of ten)
+            k = len(str(2 ** (e - 1))) - 1 if e >= 1 else -len(str(2 ** (1 - e)))
             twice_scale, den = format17._ratio(e + 1, 16 - k)  # 2 * 2^e * 10^(16 - k), over den
             least = float(format17._CARRY_FROM[index])
             for f, carries in ((least, True), (math.nextafter(least, 0.0), False)):
@@ -750,7 +753,7 @@ def _payload_rows(tokens: list[str], atoms: int = 8, arity: int = 4) -> list[str
 def reader_bits(tokens: list[str]) -> list[int] | None:
     """The bits the reader gives ``tokens``, or None where it rejects them."""
     rows = _payload_rows(tokens)
-    values = format17.read_rows(rows, len(rows), 8, 4)
+    values = format17.read_rows("\n".join(rows), len(rows), 8, 4)
     return None if values is None else values.reshape(-1)[: len(tokens)].view(np.uint64).tolist()
 
 
@@ -901,22 +904,41 @@ class TestReaderDocuments:
         assert _outcome(bct.parse, text) == _outcome(oracle_parse, text)
 
     def test_layouts_the_reader_reads_itself(self, reader_everywhere, monkeypatch):
-        # tabs, blank lines, CRLF, wide blanks and a missing last newline
-        # never reach the reference reader
+        # tabs, wide blanks and a missing last newline never reach the
+        # reference reader
         calls = []
         monkeypatch.setattr(bct, "_read_payload", lambda *args: calls.append(args))
         text = bct.render(bct.document_for(random_matrix(np.random.default_rng(3), 3)))
         head, payload = text.split("\n", 3)[:3], text.split("\n", 3)[3]
         variants = {
             "tabs": payload.replace(" ", "\t"),
-            "blank lines": "\n  \n" + payload.replace("\n", "\n\n"),
             "no last newline": payload.rstrip("\n"),
             "wide blanks": payload.replace(" ", "   "),
-            "crlf": payload.replace("\n", "\r\n"),
         }
         for name, body in variants.items():
             assert bct.parse("\n".join(head) + "\n" + body) == bct.parse(text), name
         assert calls == []
+
+    @pytest.mark.parametrize("layout", ["crlf", "crlf in the payload", "blank lines"])
+    def test_odd_layouts_go_whole_to_the_reference(self, monkeypatch, layout):
+        # CRLF and blank lines are read once, by the reference scan alone,
+        # to the document of the "\n" text
+        text = _operator_text(16, 61)
+        assert 16 * 16 * 4 >= bct.READ_MIN_FIELDS
+        want = bct.parse(text)
+        head, payload = text.split("\n", 4)[:4], text.split("\n", 4)[4]
+        odd = {
+            "crlf": text.replace("\n", "\r\n"),
+            "crlf in the payload": "\n".join(head) + "\n" + payload.replace("\n", "\r\n"),
+            "blank lines": "\n".join(head) + "\n" + payload.replace("\n", "\n\n"),
+        }[layout]
+        calls = []
+        read_payload = bct._read_payload
+        monkeypatch.setattr(
+            bct, "_read_payload", lambda *args: calls.append(args) or read_payload(*args)
+        )
+        assert bct.parse(odd) == want
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("dim", [10**9, 10**12])
     def test_declared_size_beyond_the_text(self, dim):
@@ -1011,7 +1033,7 @@ class TestReaderScratch:
         rng = np.random.default_rng(47)
         z1, z2 = rng.standard_normal((2, atoms)) + 1j * rng.standard_normal((2, atoms))
         text = bct.render(bct.document_for(Ket(z1, z2)))
-        assert format17.read_rows(text.splitlines()[4:], 1, atoms, 4) is None
+        assert format17.read_rows(text.split("\n", 4)[4], 1, atoms, 4) is None
         assert bct.parse(text) == oracle_parse(text)
 
     @pytest.mark.parametrize("command", ["info", "det"])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicomplex import bct, checks, cli, operators
+from bicomplex import bct, checks, cli, hilbert, operators
 from bicomplex.cli import main
 from bicomplex.core import Bicomplex, BicomplexError, E1, I1, J, ONE
 from bicomplex.hilbert import Ket, ScalarProductSpec, scalar_product
@@ -352,6 +352,27 @@ class TestEvolve:
         )
         assert code == 2
         assert "InvalidXi" in out
+
+    @pytest.mark.parametrize(
+        "xi, reason",
+        [
+            ("(1 0 0)", "atom needs 4 numbers, got 3"),
+            ("(nan 0 0 0)", "non-finite number 'nan'"),
+            ("(1 0 0 0) (1 0 0 0)", "expected 1 atoms per row, got 2"),
+            ("", "expected 1 payload rows for kind 'scalar', got 0"),
+        ],
+    )
+    def test_xi_that_is_not_one_finite_atom_exit_2(self, capsys, workdir, xi, reason):
+        # a usage error, with the reason and no line or column in a document
+        code, out = run(
+            capsys,
+            "evolve",
+            "--hamiltonian", str(workdir / "h.bct"),
+            "--state", str(workdir / "psi.bct"),
+            "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "2",
+            "--xi", xi,
+        )
+        assert (code, out) == (2, f"error: InvalidXi: --xi {xi!r}: {reason}\n")
 
 
 class TestToleranceFlags:
@@ -898,14 +919,33 @@ class TestKeptFactorizations:
         # self-adjointness is read from the reduction, with no adjoint solve
         assert calls == {"cholesky": 1, "inv": 1, "eigh": 1}
 
+    LINALG = ("det", "cond", "inv", "qr", "cholesky", "solve", "eigh")
+
     def test_one_inverse_per_unitary_check(self, capsys, monkeypatch, cold_cache):
-        calls = self._counted_linalg(monkeypatch, "inv")
+        hilbert._standard_spec.cache_clear()
+        calls = self._counted_linalg(monkeypatch, *self.LINALG)
         code, out = run(capsys, "check", str(GOLDEN / "operator_unitary_n2.bct"))
         assert code == 0, out
         assert "\nnote: spectral-class: unitary\n" in out
         # the check suite's inverse of A; under the standard product the unitary
-        # eigensolve skips the Cholesky reduction and inverts no L = I
-        assert calls == {"inv": 1}
+        # eigensolve skips the Cholesky reduction and inverts no L = I.  The
+        # Cholesky factor is the kept standard spec's, built by the rows' check
+        assert calls == {"cholesky": 1, "cond": 1, "det": 2, "eigh": 2, "inv": 1, "qr": 1}
+
+    def test_one_reduction_per_unitary_check_under_a_spec(self, capsys, monkeypatch, cold_cache):
+        # the unitary eigensolve reads the reduction that decided self-adjointness
+        # and the adjoint that decided unitarity: neither is formed again.  The
+        # inverses are A's and that of L^H, the solves those of the two adjoints
+        # (check's adjoint and its adjoint, for the involution)
+        hilbert._standard_spec.cache_clear()
+        calls = self._counted_linalg(monkeypatch, *self.LINALG)
+        code, out = run(capsys, "check", str(GOLDEN / "operator_unitary_n2.bct"),
+                        "--spec", str(GOLDEN / "spec_identity_n2.bct"))
+        assert code == 0, out
+        assert "\nnote: spectral-class: unitary\n" in out
+        assert calls == {
+            "cholesky": 2, "cond": 1, "det": 2, "eigh": 2, "inv": 2, "qr": 1, "solve": 2
+        }
 
     @staticmethod
     def _counted_adjoints(monkeypatch) -> list:

@@ -59,10 +59,9 @@ from bicomplex.core import (
 )
 from bicomplex.operators import (
     NORMAL_MIX,
-    _cholesky_reduce,
-    _component_unitary_eig,
     _hermitian_eigh,
     _reduce_self_adjoint,
+    _unitary_eig,
 )
 
 from helpers import (
@@ -474,8 +473,8 @@ def _spectrum(kind, spec_kind, n=5, seed=181):
         return spec, eigendecompose_self_adjoint(spec, h), _hermitian_eigh(reduction)
     phases = [np.exp(1j * rng.uniform(-3.0, 3.0, n)) for _ in range(2)]
     u = spec_operator_with_spectrum(rng, spec, *phases)
-    stacks = zip(*map(_component_unitary_eig, *_cholesky_reduce(spec, u.matrix)))
-    return spec, eigendecompose_unitary(spec, u), tuple(map(np.stack, stacks))
+    reduction = _reduce_self_adjoint(spec, u.matrix, DEFAULT_TOLERANCE)
+    return spec, eigendecompose_unitary(spec, u), _unitary_eig(reduction)
 
 
 def _bits(pair: EigenPair) -> tuple:

@@ -12,7 +12,11 @@ The calls run in process through ``bicomplex.cli.main`` under
 - the ``--spec`` variants of its ``gram-schmidt``, ``spectral`` and
   ``check`` calls, with each golden spec;
 - every job of every workload at seed 1, on inputs that
-  ``bench/workloads`` writes into a temporary directory.
+  ``bench/workloads`` writes into a temporary directory;
+- the commands of the first ``spectral`` and the first ``linalg`` job
+  again, on copies of their inputs in each odd layout of ``LAYOUTS``:
+  CRLF everywhere, CRLF in the payload only, a blank line between rows,
+  and tabs for blanks.
 
 Each line reads the exit code, the sha256 of stdout and of stderr, and
 the call, with the input directories written as ``<golden>`` and
@@ -45,6 +49,14 @@ GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 SPECS = ("spec_identity_n2.bct", "spec_general_n3.bct")
 SPEC_SUBCOMMANDS = ("gram-schmidt", "spectral", "check")
 SEED = 1
+# a document's text from its header lines (each ended by "\n") and its payload
+LAYOUTS = {
+    "crlf": lambda head, payload: (head + payload).replace("\n", "\r\n"),
+    "crlf-payload": lambda head, payload: head + payload.replace("\n", "\r\n"),
+    "blank-rows": lambda head, payload: head + payload.rstrip("\n").replace("\n", "\n\n") + "\n",
+    "tabs": lambda head, payload: head + payload.replace(" ", "\t"),
+}
+LAYOUT_WORKLOADS = ("spectral", "linalg")
 
 
 def calls(workdir: str) -> list[list[str]]:
@@ -62,10 +74,34 @@ def calls(workdir: str) -> list[list[str]]:
     for workload in workloads.WORKLOADS:
         directory = os.path.join(workdir, workload)
         os.makedirs(directory)
-        for job in workloads.make_jobs(workload, SEED, directory, GOLDEN_DIR):
+        jobs = workloads.make_jobs(workload, SEED, directory, GOLDEN_DIR)
+        for job in jobs:
             found += job.commands
+        if workload in LAYOUT_WORKLOADS:
+            found += _layout_calls(jobs[0].commands, os.path.join(directory, "layouts"))
     unique = {json.dumps(argv): argv for argv in found}
     return list(unique.values())
+
+
+def _layout_calls(commands: list[list[str]], directory: str) -> list[list[str]]:
+    """``commands`` in each layout, on copies of their .bct inputs written under ``directory``."""
+    found = []
+    for layout, rewrite in LAYOUTS.items():
+        os.makedirs(os.path.join(directory, layout))
+        for argv in commands:
+            copy = list(argv)
+            for at, arg in enumerate(argv):
+                if not arg.endswith(".bct"):
+                    continue
+                with open(arg, "rb") as handle:
+                    lines = handle.read().decode("ascii").splitlines(keepends=True)
+                headers = 4 if lines[3].startswith("basis:") else 3
+                copy[at] = os.path.join(directory, layout, os.path.basename(arg))
+                with open(copy[at], "wb") as handle:
+                    text = rewrite("".join(lines[:headers]), "".join(lines[headers:]))
+                    handle.write(text.encode("ascii"))
+            found.append(copy)
+    return found
 
 
 def run_calls(argvs: list[list[str]]) -> list[list]:
