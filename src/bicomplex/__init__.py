@@ -33,7 +33,6 @@ from .core import (
 from .hilbert import (
     Basis,
     BasisMismatch,
-    HyperbolicNorm,
     Ket,
     KetColumns,
     NonPositiveNorm,
@@ -41,12 +40,9 @@ from .hilbert import (
     NullConeKet,
     NullConePivot,
     ScalarProductSpec,
-    change_basis,
     gram_schmidt,
-    ket_norm,
     mix_orthogonal_bases,
     normalize,
-    project_basis,
     riesz_representation,
     scalar_product,
 )
@@ -60,10 +56,8 @@ from .operators import (
     NotUnitary,
     Operator,
     OrthogonalityReport,
-    SeriesDivergence,
     adjoint,
     compose,
-    conjugate_by_basis,
     eigendecompose_self_adjoint,
     eigendecompose_unitary,
     eigenket_orthogonality_check,
@@ -73,8 +67,6 @@ from .operators import (
     is_unitary,
     op_exp,
     op_exp_spectral,
-    op_function,
-    outer_product,
     schrodinger_residual,
     spectral_reconstruct,
 )

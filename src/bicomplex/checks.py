@@ -146,8 +146,8 @@ def check_ket(psi: Ket, spec: ScalarProductSpec | None, tol: Tolerance):
     if spec is None:
         spec = ScalarProductSpec.identity(psi.dim)
     rebuilt = Ket.from_components(*psi.components, psi.basis_id)
-    scale = max(1.0, psi.sup_norm())
-    results.append(_result("component-round-trip", (rebuilt - psi).sup_norm(), tol.eps_eq, scale))
+    scale = max(1.0, psi.max_norm())
+    results.append(_result("component-round-trip", (rebuilt - psi).max_norm(), tol.eps_eq, scale))
 
     ket_class = psi.classify(tol)
     self_product = scalar_product(spec, psi, psi)

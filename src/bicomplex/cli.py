@@ -244,12 +244,19 @@ def _cmd_evolve(args, doc, spec, tol: Tolerance):
 
 
 def _parse_xi(text: str) -> Bicomplex:
-    """``--xi`` as one atom of four finite numbers; InvalidXi gives the reason it is not."""
+    """``--xi`` as one atom of four finite numbers; InvalidXi gives the reason it is not.
+
+    Its bytes must be ASCII, as a document's are: ``float`` would read any
+    Unicode decimal digit.
+    """
     try:
+        os.fsencode(text).decode("ascii")
         values = bct._read_payload([text], 0, "scalar", 4, 1, 1)
+    except UnicodeDecodeError as exc:
+        raise InvalidXi(f"--xi {text!a}: non-ASCII byte 0x{exc.object[exc.start]:02x}") from None
     except ParseError as exc:
         # the reason alone: a line and column would point into no file
-        raise InvalidXi(f"--xi {text!r}: {str(exc).partition(': ')[2]}") from None
+        raise InvalidXi(f"--xi {text!a}: {str(exc).partition(': ')[2]}") from None
     return Bicomplex(*values.view(complex).ravel().tolist())
 
 

@@ -698,12 +698,6 @@ class Hyperbolic(SlottedValue):
             raise NotHyperbolic(f"{value!r} is not hyperbolic within tolerance")
         return cls(c1.real, c2.real)
 
-    def to_bicomplex(self) -> Bicomplex:
-        return Bicomplex.from_idempotent(self.x1, self.x2)
-
-    def is_positive(self, slack: float = 0.0) -> bool:
-        return self.x1 >= -slack and self.x2 >= -slack
-
 
 ZERO = Bicomplex(0.0, 0.0)
 ONE = Bicomplex(1.0, 0.0)

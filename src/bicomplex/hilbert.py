@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .core import (
     SlottedValue,
     Tolerance,
     as_bicomplex,
-    component_index,
     entry_norms,
     null_cone_codes,
     parts_from_components,
@@ -54,7 +53,7 @@ from .core import (
     stack_components,
     within,
 )
-from .matrix import BicomplexMatrix, require_nonsingular
+from .matrix import BicomplexMatrix
 
 REFERENCE_BASIS = "canonical"
 
@@ -135,8 +134,6 @@ class Ket(BicomplexArray):
     def coeff(self, index: int) -> Bicomplex:
         return Bicomplex(self.z1[index], self.z2[index])
 
-    sup_norm = BicomplexArray.max_norm
-
     def classify(self, tol: Tolerance = DEFAULT_TOLERANCE) -> KetClassification:
         """Null-cone test: component k must vanish in every coefficient."""
         moduli = np.abs(self.components).max(axis=1)
@@ -216,12 +213,6 @@ class ScalarProductSpec:
     def dim(self) -> int:
         return self.grams.shape[-1]
 
-    def gram(self, k: int) -> np.ndarray:
-        return self.grams[component_index(k)]
-
-    def cholesky(self, k: int) -> np.ndarray:
-        return self.chols[component_index(k)]
-
     def is_closed_under_reference(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """True when complex-coefficient kets always get complex products.
 
@@ -255,17 +246,6 @@ def _standard_spec(dim: int) -> ScalarProductSpec:
     spec = ScalarProductSpec(eye, eye)
     spec.standard = True
     return spec
-
-
-class HyperbolicNorm(NamedTuple):
-    """Self-product of a ket as a hyperbolic value, plus the flat norm.
-
-    ``flat`` is sqrt((x1 + x2)/2), the norm of the underlying complex
-    vector space of doubled dimension.
-    """
-
-    value: Hyperbolic
-    flat: float
 
 
 class Basis(SlottedValue):
@@ -303,10 +283,6 @@ class Basis(SlottedValue):
     @property
     def dim(self) -> int:
         return self.vectors[0].dim
-
-    @property
-    def parent_id(self) -> str:
-        return self.vectors[0].basis_id
 
 
 class KetColumns(Sequence):
@@ -378,12 +354,6 @@ def gram_defects(spec: ScalarProductSpec, vectors: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         defects = vectors.conj().mT @ spec.grams @ vectors - np.eye(vectors.shape[-1])
     return entry_norms(*parts_from_components(*defects))
-
-
-def ket_norm(spec: ScalarProductSpec, psi: Ket, tol: Tolerance = DEFAULT_TOLERANCE) -> HyperbolicNorm:
-    value = Hyperbolic.from_bicomplex(scalar_product(spec, psi, psi), tol)
-    flat = math.sqrt(max((value.x1 + value.x2) / 2.0, 0.0))
-    return HyperbolicNorm(value, flat)
 
 
 def ket_norms(
@@ -541,32 +511,3 @@ def riesz_representation(
     functional = Ket.from_coeffs(coeffs)
     parts = np.linalg.solve(spec.grams.mT, functional.components[..., None])[..., 0]
     return Ket.from_components(*np.conj(parts), basis_id)
-
-
-def change_basis(
-    psi: Ket,
-    transform: BicomplexMatrix,
-    new_basis_id: str | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Ket:
-    """Re-express a ket in the basis whose members are the transform columns.
-
-    Column l of the transform holds the new basis ket l written in the
-    current basis, so coefficients change by the inverse action, solved
-    per component.
-    """
-    if new_basis_id is None:
-        new_basis_id = psi.basis_id + "'"
-    if transform.order != psi.dim:
-        raise DimensionMismatch(f"transform order {transform.order} != ket dimension {psi.dim}")
-    require_nonsingular(transform, tol)
-    parts = np.linalg.solve(transform.components, psi.components[..., None])[..., 0]
-    return Ket.from_components(*parts, new_basis_id)
-
-
-def project_basis(basis: Basis, k: int) -> list[np.ndarray]:
-    """Complex component vectors of the basis kets; checked to have full rank."""
-    vectors = [ket.component(k) for ket in basis.vectors]
-    if np.linalg.matrix_rank(np.column_stack(vectors)) != basis.dim:
-        raise NotABasis(f"component {k} projections are linearly dependent")
-    return vectors

@@ -31,7 +31,7 @@ order their docstrings give.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .core import (
     ONE,
     SlottedValue,
     Tolerance,
-    as_bicomplex,
     approx_eq,
     entry_norms,
     null_cone_codes,
@@ -69,10 +68,8 @@ __all__ = [
     "NotUnitary",
     "Operator",
     "OrthogonalityReport",
-    "SeriesDivergence",
     "adjoint",
     "compose",
-    "conjugate_by_basis",
     "eigendecompose_self_adjoint",
     "eigendecompose_unitary",
     "eigenket_orthogonality_check",
@@ -82,8 +79,6 @@ __all__ = [
     "is_unitary",
     "op_exp",
     "op_exp_spectral",
-    "op_function",
-    "outer_product",
     "schrodinger_residual",
     "spectral_reconstruct",
 ]
@@ -118,10 +113,6 @@ class NoConvergence(BicomplexError):
     This happens when the input is not normal enough for a common
     eigenbasis.
     """
-
-
-class SeriesDivergence(BicomplexError):
-    """Raised when operator series terms fail to decay within the step cap."""
 
 
 class Operator(SlottedValue):
@@ -219,26 +210,6 @@ def compose(a: Operator, b: Operator) -> Operator:
     return Operator(a.matrix @ b.matrix, a.basis_id)
 
 
-def conjugate_by_basis(
-    a: Operator,
-    transform: BicomplexMatrix,
-    new_basis_id: str | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Operator:
-    """Representation of the same operator in the transform's column basis.
-
-    Column l of the transform expresses new basis ket l in the current
-    basis; the matrix becomes inv(L) @ A @ L, leaving the spectrum
-    untouched.
-    """
-    if transform.order != a.dim:
-        raise DimensionMismatch(f"transform order {transform.order} != operator dimension {a.dim}")
-    inverse = transform.inverse(tol).matrix
-    if new_basis_id is None:
-        new_basis_id = a.basis_id + "'"
-    return Operator(inverse @ a.matrix @ transform, new_basis_id)
-
-
 def adjoint(spec: ScalarProductSpec, a: Operator) -> Operator:
     """The unique operator with (psi, A phi) = (adjoint(A) psi, phi).
 
@@ -277,16 +248,6 @@ def _unitary_defect(star: Operator, a: Operator, tol: Tolerance) -> tuple[float,
 
 def is_unitary(spec: ScalarProductSpec, a: Operator, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return _unitary_defect(adjoint(spec, a), a, tol)[1]
-
-
-def outer_product(spec: ScalarProductSpec, phi: Ket, psi: Ket) -> Operator:
-    """The rank-one operator sending chi to (psi, chi) * phi."""
-    phi._check_compatible(psi)
-    if phi.dim != spec.dim:
-        raise DimensionMismatch(f"ket dimension {phi.dim} != spec dimension {spec.dim}")
-    right = np.conj(np.matvec(spec.grams, psi.components))
-    parts = phi.components[:, :, None] * right[:, None, :]
-    return Operator(BicomplexMatrix.from_components(*parts), phi.basis_id)
 
 
 class _Reduction(NamedTuple):
@@ -518,43 +479,7 @@ def eigenket_orthogonality_check(
     )
 
 
-# -- operator series and exponential ------------------------------------------
-
-
-def op_function(
-    a: Operator,
-    coeffs: Iterable,
-    truncation: float = 1e-14,
-    max_terms: int = 1000,
-) -> Operator:
-    """Power series sum_n c_n A^n, summed componentwise.
-
-    The series is truncated once two consecutive terms fall below
-    ``truncation`` relative to the running sums in both components (a
-    finite coefficient sequence is summed in full).  Terms that fail to
-    decay within ``max_terms`` raise SeriesDivergence.
-    """
-    components = a.matrix.components
-    powers = np.broadcast_to(np.eye(a.dim, dtype=complex), components.shape)
-    totals = np.zeros(components.shape, dtype=complex)
-    streak = 0
-    for index, coeff in enumerate(coeffs):
-        if index >= max_terms:
-            raise SeriesDivergence(f"series terms did not decay within {max_terms} terms")
-        factors = np.array(as_bicomplex(coeff).to_idempotent())
-        if index > 0:
-            powers = powers @ components
-        terms = factors[:, None, None] * powers
-        totals += terms
-        term_size = max(np.linalg.norm(terms, 1, axis=(1, 2)))
-        sum_size = max(*np.linalg.norm(totals, 1, axis=(1, 2)), 1e-300)
-        if term_size <= truncation * sum_size:
-            streak += 1
-            if streak >= 2 and index >= 1:
-                break
-        else:
-            streak = 0
-    return Operator(BicomplexMatrix.from_components(*totals), a.basis_id)
+# -- operator exponential -------------------------------------------------------
 
 
 def _expm(a: np.ndarray) -> np.ndarray:

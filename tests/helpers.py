@@ -7,7 +7,8 @@ arrays: one regex match and one ``float`` per atom field, one f-string
 per printed atom.  The tests hold ``bct.parse`` and ``bct.render`` to
 them.  ``oracle_pairs`` and ``oracle_reconstruct`` are the spectral
 route as it was before eigensystems stayed stacked: one ``EigenPair``
-per eigenvalue, and one rank-one operator per pair, added in order.
+per eigenvalue, and one rank-one operator per pair (``outer_product``),
+added in order.
 ``oracle_gram_schmidt`` is the QR route as it was before the basis stayed
 stacked: one ``Ket`` per output column and one scalar null-cone test per
 pivot.  The ``old_*`` oracles are the five null-cone tests as they were
@@ -39,7 +40,6 @@ from bicomplex import (
     NullConePivot,
     Operator,
     ScalarProductSpec,
-    outer_product,
 )
 from bicomplex.core import (
     DEFAULT_TOLERANCE,
@@ -124,6 +124,13 @@ def oracle_pairs(values: np.ndarray, vectors: np.ndarray, basis_id: str) -> list
         )
         for i in range(values.shape[1])
     ]
+
+
+def outer_product(spec: ScalarProductSpec, phi: Ket, psi: Ket) -> Operator:
+    """The rank-one operator sending chi to (psi, chi) * phi: phi_k (G_k psi_k)^H per component."""
+    right = np.conj(np.matvec(spec.grams, psi.components))
+    parts = phi.components[:, :, None] * right[:, None, :]
+    return Operator(BicomplexMatrix.from_components(*parts), phi.basis_id)
 
 
 def oracle_reconstruct(spec: ScalarProductSpec, pairs) -> Operator:

@@ -118,7 +118,7 @@ class TestSpecKind:
         doc = bct.parse(text)
         spec = doc.to_spec()
         assert spec.dim == 2
-        assert spec.gram(1)[0, 1] == 0.5j
+        assert spec.grams[0, 0, 1] == 0.5j
 
     def test_to_spec_validates(self):
         text = (

@@ -94,7 +94,7 @@ class TestSpectral:
         rng = np.random.default_rng(n)
         spec = random_spec(rng, n)
         # inv(G_k) @ S_k with S_k Hermitian is self-adjoint under the spec
-        parts = [np.linalg.solve(spec.gram(k), random_hermitian(rng, n)) for k in (1, 2)]
+        parts = [np.linalg.solve(spec.grams[k - 1], random_hermitian(rng, n)) for k in (1, 2)]
         h = Operator(BicomplexMatrix.from_components(*parts))
         bct.save(tmp_path / "h.bct", bct.document_for(h))
         bct.save(tmp_path / "g.bct", bct.document_for(spec))
@@ -360,6 +360,9 @@ class TestEvolve:
             ("(nan 0 0 0)", "non-finite number 'nan'"),
             ("(1 0 0 0) (1 0 0 0)", "expected 1 atoms per row, got 2"),
             ("", "expected 1 payload rows for kind 'scalar', got 0"),
+            # U+FF11 and U+0660, which float reads as 1 and 0
+            ("(\uff11 0 0 0)", "non-ASCII byte 0xef"),
+            ("(1 0 0 \u0660)", "non-ASCII byte 0xd9"),
         ],
     )
     def test_xi_that_is_not_one_finite_atom_exit_2(self, capsys, workdir, xi, reason):
@@ -372,7 +375,7 @@ class TestEvolve:
             "--hbar", "1", "--t0", "0", "--t1", "1", "--samples", "2",
             "--xi", xi,
         )
-        assert (code, out) == (2, f"error: InvalidXi: --xi {xi!r}: {reason}\n")
+        assert (code, out) == (2, f"error: InvalidXi: --xi {xi!a}: {reason}\n")
 
 
 class TestToleranceFlags:

@@ -21,7 +21,6 @@ from bicomplex import (
     NotHyperbolic,
     NotInvertible,
     Ket,
-    ScalarProductSpec,
     Tolerance,
     approx_eq,
 )
@@ -132,7 +131,8 @@ class TestModuli:
         for _ in range(300):
             w = random_bicomplex(rng, scale=10.0)
             squared = Hyperbolic.from_bicomplex(w.modulus_squared("j"))
-            assert squared.is_positive(slack=1e-12 * w.euclid_norm() ** 2)
+            slack = 1e-12 * w.euclid_norm() ** 2
+            assert squared.x1 >= -slack and squared.x2 >= -slack
 
     def test_multiplicative(self):
         rng = np.random.default_rng(17)
@@ -283,6 +283,12 @@ def _package_classes():
                 yield value
 
 
+def test_exports_resolve():
+    # a stale entry fails here, not in a user's `from bicomplex.operators import *`
+    for module in (core, importlib.import_module("bicomplex.operators")):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
 def test_no_dataclasses():
     # records are NamedTuples and value types slotted classes: building a
     # dataclass costs about 1 ms of every `bct` start
@@ -337,11 +343,6 @@ def test_two_product_reads_b_before_its_low_half():
 
 
 class TestHyperbolic:
-    def test_positive_quadrant(self):
-        assert Hyperbolic(0.0, 2.0).is_positive()
-        assert not Hyperbolic(-1e-9, 2.0).is_positive()
-        assert Hyperbolic(-1e-9, 2.0).is_positive(slack=1e-8)
-
     def test_from_bicomplex_rejects_non_hyperbolic(self):
         with pytest.raises(ValueError):
             Hyperbolic.from_bicomplex(I1)
@@ -351,7 +352,7 @@ class TestHyperbolic:
 
     def test_round_trip(self):
         value = Hyperbolic(1.5, -0.25)
-        again = Hyperbolic.from_bicomplex(value.to_bicomplex())
+        again = Hyperbolic.from_bicomplex(Bicomplex.from_idempotent(value.x1, value.x2))
         assert again == value
 
 
@@ -441,11 +442,9 @@ class TestComponentStack:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("k", [0, 3, -1])
-    @pytest.mark.parametrize("accessor", ["component", "gram", "cholesky"])
-    def test_accessors_reject_bad_component_index(self, accessor, k):
-        owner = Ket.from_coeffs([1, I1]) if accessor == "component" else ScalarProductSpec.identity(2)
+    def test_component_rejects_bad_index(self, k):
         with pytest.raises(ValueError, match="component index must be 1 or 2"):
-            getattr(owner, accessor)(k)
+            Ket.from_coeffs([1, I1]).component(k)
 
 
 class TestRecombination:
@@ -518,7 +517,6 @@ class TestEntryNorms:
     def test_max_norm_of_kets_and_matrices(self):
         psi = Ket(np.array([3e300, 0.0]), np.array([4e300j, 1.0]))
         assert psi.max_norm() == pytest.approx(5e300, rel=1e-15)
-        assert psi.sup_norm() == psi.max_norm()
         matrix = BicomplexMatrix(np.diag([3e300, 1.0]), np.diag([4e300, 0.0]))
         assert matrix.max_norm() == pytest.approx(5e300, rel=1e-15)
 

@@ -31,6 +31,8 @@ import pytest
 
 from bicomplex import cli
 
+import exact
+
 HUGE = 1.7976931348623157e308
 PALETTE = (0.0, -0.0, 5e-324, 1e-300, 1e150, 1e300, HUGE, -HUGE)
 EXPONENTS = (-300, -150, 0, 150, 300)
@@ -98,49 +100,6 @@ def _spec(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
 # -- exact oracles ------------------------------------------------------------------
 
 
-def _exact(z: complex) -> tuple[Fraction, Fraction]:
-    return Fraction(z.real), Fraction(z.imag)
-
-
-def _exact_components(z1: np.ndarray, z2: np.ndarray) -> list[list[list[tuple]]]:
-    """c1 = z1 - i1 z2 and c2 = z1 + i1 z2 of square parts, exactly."""
-    stacks = []
-    for sign in (-1, 1):
-        rows = []
-        for r1, r2 in zip(z1, z2):
-            row = []
-            for a, b in zip(r1, r2):
-                (ar, ai), (br, bi) = _exact(a), _exact(b)
-                # i1 (br + bi i1) = -bi + br i1
-                row.append((ar - sign * bi, ai + sign * br))
-            rows.append(row)
-        stacks.append(rows)
-    return stacks
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _matmul(a: list, b: list) -> list:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            re_, im_ = Fraction(0), Fraction(0)
-            for k in range(n):
-                p = _mul(a[i][k], b[k][j])
-                re_, im_ = re_ + p[0], im_ + p[1]
-            row.append((re_, im_))
-        out.append(row)
-    return out
-
-
-def _abs2(c: tuple) -> Fraction:
-    return c[0] * c[0] + c[1] * c[1]
-
-
 def _largest_exponent(*arrays: np.ndarray) -> int:
     parts = np.concatenate([np.asarray(a, dtype=complex).ravel().view(float) for a in arrays])
     return int(np.frexp(np.abs(parts).max())[1])
@@ -152,19 +111,19 @@ def _asymmetry(z1, z2, grams) -> float:
     z1, z2 = np.ldexp(z1.view(float), -k).view(complex), np.ldexp(z2.view(float), -k).view(complex)
     g = _largest_exponent(*grams)
     grams = [np.ldexp(np.asarray(x, dtype=complex).view(float), -g).view(complex) for x in grams]
-    components = _exact_components(z1, z2)
-    largest = max(_abs2(c) for comp in components for row in comp for c in row)
+    components = exact.components(z1, z2)
+    largest = max(exact.abs2(c) for comp in components for row in comp for c in row)
     if largest == 0:
         return 0.0
-    gram_largest = max(_abs2(_exact(x)) for gram in grams for x in gram.ravel())
+    gram_largest = max(exact.abs2(exact.pair(x)) for gram in grams for x in gram.ravel())
     worst = Fraction(0)
     for comp, gram in zip(components, grams):
-        product = _matmul([[_exact(x) for x in row] for row in gram], comp)
+        product = exact.matmul([[exact.pair(x) for x in row] for row in gram], comp)
         n = len(product)
         for i in range(n):
             for j in range(n):
                 a, b = product[i][j], product[j][i]
-                worst = max(worst, _abs2((a[0] - b[0], a[1] + b[1])))
+                worst = max(worst, exact.abs2((a[0] - b[0], a[1] + b[1])))
     return math.sqrt(worst / (largest * gram_largest))
 
 
@@ -176,12 +135,12 @@ def _inverse_residual(z1, z2, output: str) -> Fraction:
     x1 = np.array([complex(a, b) for a, b, _, _ in fields]).reshape(n, n)
     x2 = np.array([complex(c, d) for _, _, c, d in fields]).reshape(n, n)
     worst = Fraction(0)
-    for a, x in zip(_exact_components(z1, z2), _exact_components(x1, x2)):
-        product = _matmul(a, x)
+    for a, x in zip(exact.components(z1, z2), exact.components(x1, x2)):
+        product = exact.matmul(a, x)
         for i in range(n):
             for j in range(n):
                 re_, im_ = product[i][j]
-                worst = max(worst, _abs2((re_ - (i == j), im_)))
+                worst = max(worst, exact.abs2((re_ - (i == j), im_)))
     return worst
 
 

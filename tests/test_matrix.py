@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,21 @@ from bicomplex import (
 from bicomplex.core import E1, J, ONE
 from bicomplex.reference import det_cofactor, gauss_jordan_inverse, matmul_entrywise
 
+import exact
 from helpers import random_matrix, random_well_conditioned
+
+# c of the forward-error bound c*n*u*kappa_2(A_k) on each idempotent component
+# of det(), u the unit roundoff.  The computed determinant is det(A + dA) times
+# the rounding of the product of the pivots, dA the backward error of LU with
+# partial pivoting (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., SIAM 2002, ch. 9, and the determinant from LU, ch. 14); d det A =
+# det A * tr(A^-1 dA) moves det(A) by at most n*kappa_2(A)*|dA|_2/|A|_2 relative.
+# Higham observes that backward error to be a small multiple of u when the growth
+# factor is small, as partial pivoting gives on Gaussian matrices; c = 4 is that
+# multiple plus the rounding of the pivots' product and of the recombination
+# into (z1, z2) parts.
+DET_FORWARD_C = 4.0
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class TestComponentView:
@@ -61,6 +77,18 @@ class TestDet:
             assert (a.transpose().det() - det).euclid_norm() <= 1e-10 * max(
                 1.0, det.euclid_norm()
             )
+
+    @pytest.mark.parametrize("order", [4, 8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_forward_error_against_exact(self, seed, order):
+        matrix = random_matrix(np.random.default_rng(seed), order)
+        det = matrix.det()
+        computed = exact.components(np.array([[det.z1]]), np.array([[det.z2]]))
+        for k, (a_k, ((got,),)) in enumerate(zip(exact.components(matrix.z1, matrix.z2), computed), 1):
+            want = exact.det(a_k)
+            error = math.sqrt(exact.abs2((got[0] - want[0], got[1] - want[1])) / exact.abs2(want))
+            bound = DET_FORWARD_C * order * UNIT_ROUNDOFF * np.linalg.cond(matrix.component(k))
+            assert error <= bound, (k, error / bound)
 
     def test_cofactor_oracle(self):
         rng = np.random.default_rng(19)

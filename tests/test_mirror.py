@@ -264,7 +264,7 @@ def large_inputs(request, tmp_path_factory):
     root = tmp_path_factory.mktemp(f"order{n}")
     rng = np.random.default_rng(n)
     spec = ScalarProductSpec(random_spd(rng, n), random_spd(rng, n))
-    parts = [np.linalg.solve(spec.gram(k), random_hermitian(rng, n)) for k in (1, 2)]
+    parts = [np.linalg.solve(spec.grams[k - 1], random_hermitian(rng, n)) for k in (1, 2)]
     docs = {
         "m": random_matrix(rng, n),
         "h": Operator(BicomplexMatrix.from_components(*parts)),

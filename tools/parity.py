@@ -4,6 +4,7 @@ Usage, from the repository root:
 
     python tools/parity.py                 # one line per call
     python tools/parity.py --against REV   # the calls whose output differs at REV
+    python tools/parity.py --reach         # the src functions that no call enters
 
 The calls run in process through ``bicomplex.cli.main`` under
 ``OPENBLAS_NUM_THREADS=1``:
@@ -27,12 +28,21 @@ reads exit code ``-``, its type and message standing in for stderr.
 ``--against REV`` exports REV with ``git archive`` and runs the same
 calls, on the same input files, under its ``src``; it prints each call
 whose exit code, stdout or stderr differs, with the first differing
-line, then the count.  The exit status is 0 either way: the tool reports.
+line, then the count.
+
+``--reach`` runs the same calls in the worker process under
+``sys.setprofile``, from before ``bicomplex`` is imported, and prints
+each function defined in ``src/bicomplex`` (found with ``ast``, methods
+and nested functions included) that no call entered, as
+``module:line qualname``, then the count.
+
+The exit status is 0 in every mode: the tool reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -126,7 +136,16 @@ def run_calls(argvs: list[list[str]]) -> list[list]:
     return results
 
 
-def _worker(src: str, calls_file: str, out_file: str) -> None:
+def _worker(src: str, calls_file: str, out_file: str, reach: bool) -> None:
+    """Write the calls' results, or with ``reach`` the [file, first line] of each code entered."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    if reach:
+        sys.setprofile(profile)
     sys.path.insert(0, src)
     import bicomplex
 
@@ -134,23 +153,71 @@ def _worker(src: str, calls_file: str, out_file: str) -> None:
         sys.exit(f"imported bicomplex from {bicomplex.__file__}, not from {src}")
     with open(calls_file) as handle:
         argvs = json.load(handle)
+    results = run_calls(argvs)
+    sys.setprofile(None)
+    if reach:
+        results = sorted({(code.co_filename, code.co_firstlineno) for code in entered})
     with open(out_file, "w") as handle:
-        json.dump(run_calls(argvs), handle)
+        json.dump(results, handle)
 
 
-def _results(src: str, argvs: list[list[str]], scratch: str) -> list[list]:
-    """The calls' results under the tree whose sources are ``src``, in a fresh interpreter."""
+def _results(src: str, argvs: list[list[str]], scratch: str, *flags: str) -> list[list]:
+    """The worker's output for the calls under the tree whose sources are ``src``.
+
+    The worker is a fresh interpreter; ``flags`` are passed on to it.
+    """
     calls_file = os.path.join(scratch, "calls.json")
     out_file = os.path.join(scratch, "results.json")
     with open(calls_file, "w") as handle:
         json.dump(argvs, handle)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker", src, calls_file, out_file],
+        [sys.executable, os.path.abspath(__file__), "--worker", src, calls_file, out_file, *flags],
         env=env, check=True,
     )
     with open(out_file) as handle:
         return json.load(handle)
+
+
+def functions(package: str) -> list[tuple[tuple[str, int], str]]:
+    """Each function defined in ``package``'s modules: its code's (file, first line) and its label.
+
+    The first line is that of the first decorator, as ``co_firstlineno``
+    reads it; the label is ``module:line qualname`` with the ``def`` line.
+    """
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.realpath(os.path.join(package, name))
+        module = f"{os.path.basename(package)}.{name[:-3]}"
+        with open(path) as handle:
+            pending = [(ast.parse(handle.read(), path), "")]
+        while pending:
+            node, prefix = pending.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found.append(((path, first), f"{module}:{child.lineno} {prefix}{child.name}"))
+                    pending.append((child, f"{prefix}{child.name}.<locals>."))
+                elif isinstance(child, ast.ClassDef):
+                    pending.append((child, f"{prefix}{child.name}."))
+                else:
+                    pending.append((child, prefix))
+    return sorted(found, key=lambda item: (item[0][0], item[0][1]))
+
+
+def _reach(argvs: list[list[str]], scratch: str) -> None:
+    """Print the functions of ``src/bicomplex`` that none of the calls enters, then the count."""
+    src = os.path.join(ROOT, "src")
+    traced = _results(src, argvs, scratch, "--reach")
+    entered = {(os.path.realpath(path), line) for path, line in traced}
+    defined = functions(os.path.join(src, "bicomplex"))
+    unreached = [label for key, label in defined if key not in entered]
+    for label in unreached:
+        print(label)
+    print(f"{len(unreached)} of {len(defined)} functions in src/bicomplex entered by none of "
+          f"{len(argvs)} calls")
 
 
 def _normalize(text: str, workdir: str) -> str:
@@ -190,16 +257,21 @@ def _export(rev: str, directory: str) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="REV", help="list the calls that differ at REV")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--against", metavar="REV", help="list the calls that differ at REV")
+    mode.add_argument("--reach", action="store_true", help="list the src functions no call enters")
     parser.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        _worker(*args.worker)
+        _worker(*args.worker, args.reach)
         return 0
 
     with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
         workdir = os.path.join(scratch, "work")
         argvs = calls(workdir)
+        if args.reach:
+            _reach(argvs, scratch)
+            return 0
         labels = [_normalize(" ".join(argv), workdir) for argv in argvs]
         normalized = lambda results: [
             [code, _normalize(out, workdir), _normalize(err, workdir)] for code, out, err in results
