@@ -1,15 +1,18 @@
 """Command-line interface around the .bct container.
 
-One table, ``_COMMANDS``, gives each subcommand its handler, the input
-kinds it accepts and those that read ``--spec``, and builds the
-argparse subcommands in ``bct --help`` order.  One runner,
-``_dispatch``, loads the input, rejects a kind not accepted
-(``KindMismatch``), resolves the spec (the kept standard product
-without ``--spec``), calls the handler and renders its payload lines,
-checks and notes under the ``file:`` header; ``evolve``'s handler loads
-its two files itself.
+One table, ``_COMMANDS``, gives each subcommand its inputs (each
+argument with the document kinds it accepts, in load order), the kinds
+of the first input that read ``--spec``, and three stages: compute,
+verify and render.  It builds the argparse subcommands in ``bct --help``
+order.  One runner, ``_dispatch``, loads the inputs in order, rejecting
+a kind not accepted (``KindMismatch``) before it loads the next, and
+writes one ``argument: path`` header line per input (``file:``, or
+``evolve``'s ``hamiltonian:`` and ``state:``).  It then resolves the
+spec against the first input (the kept standard product without
+``--spec``), computes the command's value, verifies it and renders its
+payload lines, which it prints with the checks and notes.
 
-Handlers verify through ``checks`` (the same checks ``bct check``
+Verify stages check through ``checks`` (the same checks ``bct check``
 runs), which re-derives their defining residuals; the verdict line is
 "pass" only when all residuals are within tolerance.  Exit codes: 0
 verdict pass, 1 unreadable or malformed input, or a stdout that closed
@@ -105,25 +108,32 @@ def _load_spec(
     return spec
 
 
-def _require_kind(doc: BctDocument, kinds: tuple[str, ...]):
-    if doc.kind not in kinds:
-        raise KindMismatch(kinds, doc.kind)
-
-
 def _as_matrix(doc: BctDocument) -> BicomplexMatrix:
     return doc.value.matrix if doc.kind == "operator" else doc.value
 
 
-def _result_block(value) -> list[str]:
-    # the rendered document, as one piece without its final newline, which _emit's join restores
-    return ["result:", bct.render(bct.document_for(value))[:-1]]
+def _as_operator(doc: BctDocument) -> Operator:
+    return doc.value if doc.kind == "operator" else Operator(doc.value)
+
+
+def _render_result(value) -> list[str]:
+    # the computed value's last item as a document, in one piece without its final
+    # newline, which _emit's join restores
+    return ["result:", bct.render(bct.document_for(value[-1]))[:-1]]
 
 
 # -- subcommands ---------------------------------------------------------------
-# handler(args, document, spec, tol) -> (payload lines, checks, notes)
+# Each command is three stages, which _dispatch runs in this order:
+# compute(docs, spec, tol, args) -> value, with docs the inputs in load order;
+# verify(value, spec, tol) -> (checks, notes); render(value) -> payload lines.
 
 
-def _cmd_info(args, doc: BctDocument, spec, tol: Tolerance):
+def _no_checks(value, spec, tol: Tolerance):
+    return [], []
+
+
+def _info(docs, spec, tol: Tolerance, args) -> list[str]:
+    doc = docs[0]
     lines = [f"kind: {doc.kind}", f"dim: {doc.dim}"]
     if doc.basis is not None:
         lines.append(f"basis: {doc.basis}")
@@ -153,94 +163,95 @@ def _cmd_info(args, doc: BctDocument, spec, tol: Tolerance):
             closed = spec.is_closed_under_reference(tol)
             lines.append("valid: yes")
             lines.append(f"closed-under-reference: {'yes' if closed else 'no'}")
-    return lines, [], []
+    return lines
 
 
-def _cmd_idempotent(args, doc: BctDocument, spec, tol: Tolerance):
+def _idempotent(docs, spec, tol: Tolerance, args) -> list[str]:
+    doc = docs[0]
     if doc.kind == "scalar":
         c1, c2 = doc.value.to_idempotent()
         return [f"component 1: {bct.format_complex_atom(c1)}",
-                f"component 2: {bct.format_complex_atom(c2)}"], [], []
+                f"component 2: {bct.format_complex_atom(c2)}"]
     value = doc.value if doc.kind == "ket" else _as_matrix(doc)
     template = bct.atoms_template(doc.dim, 2)
     lines = []
     for k, component in enumerate(value.components, 1):
-        lines.append(f"component {k}:")
-        lines.extend(bct.format_rows(template, bct.atom_fields(component)))
-    return lines, [], []
+        lines += [f"component {k}:", *bct.format_rows(template, bct.atom_fields(component))]
+    return lines
 
 
-def _cmd_det(args, doc: BctDocument, spec, tol: Tolerance):
-    matrix = _as_matrix(doc)
+def _det(docs, spec, tol: Tolerance, args):
+    matrix = _as_matrix(docs[0])
     det = matrix.det()
-    lines = _result_block(det) + [f"classification: {det.classify(tol).value}"]
-    notes = []
-    if matrix.order > COFACTOR_MAX_ORDER:
-        notes.append(f"det-idempotent-vs-direct: skipped (order > {COFACTOR_MAX_ORDER})")
-    return lines, verify_determinant(matrix, det), notes
+    return matrix, det.classify(tol), det
 
 
-def _cmd_inv(args, doc: BctDocument, spec, tol: Tolerance):
-    matrix = _as_matrix(doc)
+def _verify_det(value, spec, tol: Tolerance):
+    matrix, _, det = value
+    skipped = f"det-idempotent-vs-direct: skipped (order > {COFACTOR_MAX_ORDER})"
+    return verify_determinant(matrix, det), [skipped] if matrix.order > COFACTOR_MAX_ORDER else []
+
+
+def _inv(docs, spec, tol: Tolerance, args):
+    matrix = _as_matrix(docs[0])
     inverse = matrix.inverse(tol)
-    result = Operator(inverse.matrix, doc.basis) if doc.kind == "operator" else inverse.matrix
+    result = Operator(inverse.matrix, docs[0].basis) if docs[0].kind == "operator" else inverse.matrix
+    return matrix, inverse, result
+
+
+def _verify_inv(value, spec, tol: Tolerance):
+    matrix, inverse, _ = value
     notes = [f"condition-estimates: {inverse.cond1:.3e} {inverse.cond2:.3e}"]
-    return _result_block(result), verify_inverse(matrix, inverse), notes
+    return verify_inverse(matrix, inverse), notes
 
 
-def _cmd_gram_schmidt(args, doc: BctDocument, spec, tol: Tolerance):
-    ortho = gram_schmidt(spec, row_kets(doc.value, "input-rows"), tol)
-    lines = _result_block(coefficient_matrix(ortho).transpose())
-    return lines, verify_gram_schmidt(spec, ortho, tol), []
+def _orthonormalize(docs, spec, tol: Tolerance, args):
+    ortho = gram_schmidt(spec, row_kets(docs[0].value, "input-rows"), tol)
+    return ortho, coefficient_matrix(ortho).transpose()
 
 
-def _cmd_spectral(args, doc: BctDocument, spec, tol: Tolerance):
-    op = doc.value if doc.kind == "operator" else Operator(doc.value)
-    system = eigendecompose_self_adjoint(spec, op, tol)
+def _spectral(docs, spec, tol: Tolerance, args):
+    op = _as_operator(docs[0])
+    return op, eigendecompose_self_adjoint(spec, op, tol)
+
+
+def _render_spectral(value) -> list[str]:
+    op, system = value
     value_rows = bct.format_rows(bct.atoms_template(1), bct.atom_fields(*system.values[..., None]))
     ket_rows = bct.format_rows(bct.atoms_template(op.dim), bct.atom_fields(*system.kets.mT))
     lines = [f"eigenvalue {i}: {row}" for i, row in enumerate(value_rows)]
-    lines += [f"eigenket {i}: {row}" for i, row in enumerate(ket_rows)]
-    return lines, verify_self_adjoint_spectrum(spec, op, system), []
+    return lines + [f"eigenket {i}: {row}" for i, row in enumerate(ket_rows)]
 
 
-def _cmd_exp(args, doc: BctDocument, spec, tol: Tolerance):
-    op = Operator(_as_matrix(doc), doc.basis or "canonical")
+def _exp(docs, spec, tol: Tolerance, args):
+    op = Operator(_as_matrix(docs[0]), docs[0].basis or "canonical")
     result = op_exp(op)
-    back = op_exp(op.scale(-1))
-    value = result if doc.kind == "operator" else result.matrix
-    return _result_block(value), verify_exponential(result.matrix, back.matrix), []
+    return op, result, result if docs[0].kind == "operator" else result.matrix
 
 
-def _cmd_evolve(args, doc, spec, tol: Tolerance):
-    ham_doc = bct.load(args.hamiltonian)
-    _require_kind(ham_doc, ("operator", "matrix"))
-    op = ham_doc.value if ham_doc.kind == "operator" else Operator(ham_doc.value)
-    state_doc = bct.load(args.state)
-    _require_kind(state_doc, ("ket",))
-    spec = _load_spec(args.spec, op.dim, tol)
+def _verify_exp(value, spec, tol: Tolerance):
+    op, result, _ = value
+    return verify_exponential(result.matrix, op_exp(op.scale(-1)).matrix), []
 
+
+def _evolve_samples(docs, spec, tol: Tolerance, args):
     xi = None if args.xi is None else _parse_xi(args.xi)
     try:
         cfg = EvolutionConfig(args.hbar, args.t0, args.t1, args.samples, xi, tol)
     except ValueError as exc:
         raise BicomplexError(f"invalid evolution settings: {exc}") from exc
-
-    evolution = _evolve(cfg, op, state_doc.value, spec, tol)
+    evolution = _evolve(cfg, _as_operator(docs[0]), docs[1].value, spec, tol)
     times, z1, z2 = evolution.samples()
-    lines = [
-        f"hamiltonian: {args.hamiltonian}",
-        f"state: {args.state}",
-        f"hbar: {args.hbar:.17g}",
-        f"t0: {args.t0:.17g}",
-        f"t1: {args.t1:.17g}",
-        f"samples: {args.samples}",
-        "columns: t\tket-atoms\tnorm-e1\tnorm-e2",
-    ]
-    norms = ket_norms(spec, z1, z2, tol)
-    template = "%.17g\t" + bct.atoms_template(op.dim, sep="\t") + "\t%.17g\t%.17g"
-    lines += bct.format_rows(template, np.column_stack([times, bct.atom_fields(z1, z2), *norms]))
-    return lines, verify_evolution(evolution, norms), []
+    return evolution, times, z1, z2, ket_norms(spec, z1, z2, tol)
+
+
+def _render_evolution(value) -> list[str]:
+    evolution, times, z1, z2, norms = value
+    cfg = evolution.cfg
+    lines = [f"hbar: {cfg.hbar:.17g}", f"t0: {cfg.t0:.17g}", f"t1: {cfg.t1:.17g}",
+             f"samples: {cfg.steps}", "columns: t\tket-atoms\tnorm-e1\tnorm-e2"]
+    template = "%.17g\t" + bct.atoms_template(z1.shape[1], sep="\t") + "\t%.17g\t%.17g"
+    return lines + bct.format_rows(template, np.column_stack([times, bct.atom_fields(z1, z2), *norms]))
 
 
 def _parse_xi(text: str) -> Bicomplex:
@@ -260,27 +271,49 @@ def _parse_xi(text: str) -> Bicomplex:
     return Bicomplex(*values.view(complex).ravel().tolist())
 
 
-def _cmd_check(args, doc: BctDocument, spec, tol: Tolerance):
-    results, notes = run_checks(doc, spec, tol)
-    return [f"kind: {doc.kind}", f"dim: {doc.dim}"], results, notes
-
-
 # -- dispatch ------------------------------------------------------------------
 
-# name -> (handler, the input kinds it accepts, the input kinds that read
-# --spec), in ``bct --help`` order.  Accepted kinds None: the handler loads
-# its own inputs (evolve: --hamiltonian, whose kinds read --spec, and --state).
+# name -> (inputs, each argument with the kinds it accepts, in load order; the
+# kinds of the first input that read --spec; compute; verify; render), in
+# ``bct --help`` order.  The stages look up the names they call when they run,
+# so a name replaced in this module (``_evolve``, a traced function) is called.
 _COMMANDS = {
-    "info": (_cmd_info, bct.KINDS, ()),
-    "idempotent": (_cmd_idempotent, ("scalar", "ket", "matrix", "operator"), ()),
-    "det": (_cmd_det, ("matrix", "operator"), ()),
-    "inv": (_cmd_inv, ("matrix", "operator"), ()),
-    "exp": (_cmd_exp, ("matrix", "operator"), ()),
-    "gram-schmidt": (_cmd_gram_schmidt, ("matrix",), ("matrix",)),
-    "spectral": (_cmd_spectral, ("operator", "matrix"), ("operator", "matrix")),
-    "evolve": (_cmd_evolve, None, ("operator", "matrix")),
-    "check": (_cmd_check, bct.KINDS, ("ket", "operator")),
+    "info": ({"file": bct.KINDS}, (), _info, _no_checks, list),
+    "idempotent": ({"file": ("scalar", "ket", "matrix", "operator")}, (), _idempotent,
+                   _no_checks, list),
+    "det": ({"file": ("matrix", "operator")}, (), _det, _verify_det,
+            lambda value: _render_result(value) + [f"classification: {value[1].value}"]),
+    "inv": ({"file": ("matrix", "operator")}, (), _inv, _verify_inv, _render_result),
+    "exp": ({"file": ("matrix", "operator")}, (), _exp, _verify_exp, _render_result),
+    "gram-schmidt": ({"file": ("matrix",)}, ("matrix",), _orthonormalize,
+                     lambda value, spec, tol: (verify_gram_schmidt(spec, value[0], tol), []),
+                     _render_result),
+    "spectral": ({"file": ("operator", "matrix")}, ("operator", "matrix"), _spectral,
+                 lambda value, spec, tol: (verify_self_adjoint_spectrum(spec, *value), []),
+                 _render_spectral),
+    "evolve": ({"hamiltonian": ("operator", "matrix"), "state": ("ket",)}, ("operator", "matrix"),
+               _evolve_samples, lambda value, spec, tol: (verify_evolution(value[0], value[-1]), []),
+               _render_evolution),
+    "check": ({"file": bct.KINDS}, ("ket", "operator"), lambda docs, spec, tol, args: docs[0],
+              lambda doc, spec, tol: run_checks(doc, spec, tol),
+              lambda doc: [f"kind: {doc.kind}", f"dim: {doc.dim}"]),
 }
+
+
+def _ascii(convert):
+    """``convert`` as an argparse type that refuses non-ASCII text.
+
+    ``float`` and ``int`` read any Unicode decimal digit, where ``--xi``
+    and a document's fields must be ASCII.  The name stays ``convert``'s,
+    which argparse's usage error prints ("invalid float value: ...").
+    """
+
+    def parse(text: str):
+        text.encode("ascii")  # any other text raises UnicodeEncodeError, a ValueError
+        return convert(text)
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 @functools.cache
@@ -289,37 +322,41 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bct",
         description="Bicomplex linear algebra on .bct container files.",
     )
-    parser.add_argument("--eps-null", type=float, default=1e-12, help="null-cone threshold")
-    parser.add_argument("--eps-eq", type=float, default=1e-12, help="approximate-equality threshold")
+    number, count = _ascii(float), _ascii(int)
+    parser.add_argument("--eps-null", type=number, default=1e-12, help="null-cone threshold")
+    parser.add_argument("--eps-eq", type=number, default=1e-12, help="approximate-equality threshold")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, kinds, spec_kinds) in _COMMANDS.items():
+    for name, (inputs, spec_kinds, *_) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if kinds is None:
-            for flag in ("--hamiltonian", "--state"):
-                p.add_argument(flag, required=True)
+        for argument in inputs:
+            if argument == "file":
+                p.add_argument("file")
+            else:
+                p.add_argument(f"--{argument}", required=True)
+        if name == "evolve":
             for flag in ("--hbar", "--t0", "--t1"):
-                p.add_argument(flag, type=float, required=True)
-            p.add_argument("--samples", type=int, default=100)
+                p.add_argument(flag, type=number, required=True)
+            p.add_argument("--samples", type=count, default=100)
             p.add_argument("--xi", default=None, help="left-hand constant as a bicomplex atom")
-        else:
-            p.add_argument("file")
         if spec_kinds:
             p.add_argument("--spec", default=None, help="scalar-product spec file")
     return parser
 
 
 def _dispatch(args, tol: Tolerance) -> tuple[str, int]:
-    """Load the input, check its kind, resolve --spec, run the handler and render its report."""
-    handler, kinds, spec_kinds = _COMMANDS[args.subcommand]
-    header, doc, spec = [], None, None
-    if kinds is not None:
-        doc = bct.load(args.file)
-        _require_kind(doc, kinds)
-        if doc.kind in spec_kinds:
-            spec = _load_spec(args.spec, doc.dim, tol)
-        header.append(f"file: {args.file}")
-    lines, checks, notes = handler(args, doc, spec, tol)
-    return _emit(args.subcommand, header + lines, checks, notes)
+    """Load the inputs in order, resolve --spec, then compute, verify and render the report."""
+    inputs, spec_kinds, compute, verify, render = _COMMANDS[args.subcommand]
+    docs = []
+    for argument, kinds in inputs.items():
+        doc = bct.load(getattr(args, argument))
+        if doc.kind not in kinds:
+            raise KindMismatch(kinds, doc.kind)
+        docs.append(doc)
+    header = [f"{argument}: {getattr(args, argument)}" for argument in inputs]
+    spec = _load_spec(args.spec, docs[0].dim, tol) if docs[0].kind in spec_kinds else None
+    value = compute(docs, spec, tol, args)
+    checks, notes = verify(value, spec, tol)
+    return _emit(args.subcommand, header + render(value), checks, notes)
 
 
 def _run(args) -> tuple[str, int]:

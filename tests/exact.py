@@ -4,9 +4,10 @@ Every double is a rational number, so a complex double is exactly a pair
 ``(re, im)`` of ``Fraction`` (``pair``); sums, products and determinants
 of such pairs carry no rounding.  ``components`` splits bicomplex parts
 into their idempotent components exactly, ``matmul`` multiplies matrices
-of pairs, ``abs2`` is the squared modulus, and ``det`` is the
-determinant by fraction-free (Bareiss) elimination.  Matrices are lists
-of rows of pairs.
+of pairs, ``abs2`` is the squared modulus, ``det`` is the
+determinant by fraction-free (Bareiss) elimination, and ``inverse`` the
+inverse by Gauss-Jordan elimination.  Matrices are lists of rows of
+pairs; ``to_complex`` rounds one to complex doubles.
 """
 
 from __future__ import annotations
@@ -92,3 +93,36 @@ def det(a: list) -> tuple[Fraction, Fraction]:
     re_, im_ = m[n - 1][n - 1]
     denominator = Fraction(scale) ** n
     return sign * re_ / denominator, sign * im_ / denominator
+
+
+def inverse(a: list) -> list:
+    """The inverse of a square matrix of pairs, by Gauss-Jordan elimination over Gaussian rationals.
+
+    Any nonzero pivot is exact, so the first one in each column is taken; a
+    singular matrix raises ZeroDivisionError.
+    """
+    n = len(a)
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    m = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(a)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != zero), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        m[k], m[pivot] = m[pivot], m[k]
+        # 1 / p = conj(p) / |p|^2
+        norm = abs2(m[k][k])
+        reciprocal = (m[k][k][0] / norm, -m[k][k][1] / norm)
+        m[k] = [mul(entry, reciprocal) for entry in m[k]]
+        for i in range(n):
+            factor = m[i][k]
+            if i == k or factor == zero:
+                continue
+            for j in range(2 * n):
+                p = mul(factor, m[k][j])
+                m[i][j] = (m[i][j][0] - p[0], m[i][j][1] - p[1])
+    return [row[n:] for row in m]
+
+
+def to_complex(a: list) -> np.ndarray:
+    """A matrix of pairs as complex doubles, each part correctly rounded."""
+    return np.array([[complex(float(re_), float(im_)) for re_, im_ in row] for row in a])

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import errno
 import io
 import math
 import os
@@ -1411,6 +1412,65 @@ def test_evolve_reports_hamiltonian_then_state_then_spec(capsys, bad_specs):
     )
     assert run(capsys, *evolve_argv("operator", "ket", spec)) == (2, spec_error)
 
+
+
+MISSING = str(GOLDEN / "missing.bct")
+XI_OF_THREE = "(1 0 0)"
+
+
+def golden_of(kind: str) -> str:
+    return str(GOLDEN / KIND_FILES[kind])
+
+
+@pytest.mark.parametrize(
+    "faults, expected",
+    [
+        ({"--hamiltonian": golden_of("ket"), "--state": golden_of("matrix")},
+         (2, kind_error("evolve --hamiltonian", "ket"))),
+        ({"--hamiltonian": golden_of("ket"), "--state": MISSING},
+         (2, kind_error("evolve --hamiltonian", "ket"))),
+        ({"--state": golden_of("matrix"), "--xi": XI_OF_THREE},
+         (2, kind_error("evolve --state", "matrix"))),
+        ({"--spec": str(GOLDEN / "spec_general_n3.bct"), "--xi": XI_OF_THREE},
+         (2, "error: BicomplexError: spec dimension 3 does not match input dimension 2\n")),
+        ({"--spec": MISSING, "--xi": XI_OF_THREE},
+         (1, f"cannot read input: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {MISSING!r}\n")),
+        ({"--xi": XI_OF_THREE, "--hbar": "-1"},
+         (2, f"error: InvalidXi: --xi {XI_OF_THREE!a}: atom needs 4 numbers, got 3\n")),
+    ],
+    ids=["hamiltonian-kind, state-kind", "hamiltonian-kind, state-missing", "state-kind, xi",
+         "spec-order, xi", "spec-missing, xi", "xi, hbar"],
+)
+def test_evolve_reports_the_first_of_two_faults(capsys, faults, expected):
+    # the runner loads --hamiltonian and checks its kind, then --state, then
+    # resolves --spec against --hamiltonian; only then are --xi and the
+    # evolution settings read
+    argv = evolve_argv()
+    flags = {**dict(zip(argv[1::2], argv[2::2])), **faults}
+    assert run(capsys, "evolve", *[word for pair in flags.items() for word in pair]) == expected
+
+
+NON_ASCII_DIGITS = ["\uff11", "\u0660"]  # FULLWIDTH DIGIT ONE, ARABIC-INDIC DIGIT ZERO
+
+
+@pytest.mark.parametrize("digit", NON_ASCII_DIGITS, ids=["U+FF11", "U+0660"])
+@pytest.mark.parametrize("flag", ["--eps-null", "--eps-eq", "--hbar", "--t0", "--t1", "--samples"])
+def test_numeric_flags_refuse_non_ascii_digits(capsys, flag, digit):
+    # float() and int() read any Unicode decimal digit; the flags take ASCII
+    # text only, as --xi and a document's fields do, and end as argparse's
+    # usage error for a value that is no number
+    def usage_error(value):
+        argv = evolve_argv()
+        argv = [flag, value, *argv] if flag.startswith("--eps") else argv + [flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        return exit_info.value.code, captured.out, captured.err
+
+    code, out, err = usage_error(digit)
+    assert (code, out) == (2, "")
+    assert err == usage_error("abc")[2].replace("'abc'", repr(digit))
+    assert f"argument {flag}: invalid " in err
 
 def test_help_lists_subcommands_and_options(capsys, monkeypatch):
     # wide enough that argparse prints each usage on one line

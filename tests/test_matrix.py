@@ -29,6 +29,14 @@ from helpers import random_matrix, random_well_conditioned
 # multiple plus the rounding of the pivots' product and of the recombination
 # into (z1, z2) parts.
 DET_FORWARD_C = 4.0
+# c of the bound c*n*u*kappa_2(A_k) on the relative 2-norm forward error of each
+# idempotent component of inverse().  Each column of the computed inverse solves
+# (A + dA_j) x_j = e_j, dA_j the backward error of LU with partial pivoting, so
+# |x_j - A^-1 e_j| / |A^-1 e_j| is at most kappa_2(A) |dA_j|_2 / |A|_2 to first order
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+# ch. 14, inversion by solving AX = I); c = 4 takes that backward error as a small
+# multiple of n*u, as for det(), plus the rounding into (z1, z2) parts.
+INV_FORWARD_C = 4.0
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -185,6 +193,22 @@ class TestInverse:
             inv = a.inverse()
             assert (a @ inv.matrix - identity).max_norm() <= 1e-10
             assert (inv.matrix @ a - a @ inv.matrix).max_norm() <= 1e-10
+
+    @pytest.mark.parametrize("order", [4, 8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_forward_error_against_exact(self, seed, order):
+        matrix = random_matrix(np.random.default_rng(seed), order)
+        inverse = matrix.inverse().matrix
+        pairs = zip(exact.components(matrix.z1, matrix.z2), exact.components(inverse.z1, inverse.z2))
+        for k, (a_k, got) in enumerate(pairs, 1):
+            want = exact.inverse(a_k)
+            # the difference is exact; rounding it to doubles moves its norm by O(u)
+            error = [[(g[0] - w[0], g[1] - w[1]) for g, w in zip(*rows)] for rows in zip(got, want)]
+            relative = np.linalg.norm(exact.to_complex(error), 2) / np.linalg.norm(
+                exact.to_complex(want), 2
+            )
+            bound = INV_FORWARD_C * order * UNIT_ROUNDOFF * np.linalg.cond(matrix.component(k))
+            assert relative <= bound, (k, relative / bound)
 
     def test_gauss_jordan_oracle(self):
         rng = np.random.default_rng(37)

@@ -201,7 +201,7 @@ def test_mirror_of_an_output():
 
 
 def _reads_spec(sub: str, name: str) -> bool:
-    _, _, spec_kinds = cli._COMMANDS[sub]
+    _, spec_kinds, *_ = cli._COMMANDS[sub]
     kind = bct.load(GOLDEN / name).kind
     return kind in spec_kinds
 
