@@ -132,7 +132,7 @@ class BctDocument(SlottedValue):
         return ScalarProductSpec(self.value[0], self.value[1], tol)
 
 
-def document_for(value, basis: str | None = None) -> BctDocument:
+def document_for(value) -> BctDocument:
     """Wrap a domain object in a document, inferring the kind."""
     if isinstance(value, Bicomplex):
         return BctDocument("scalar", 1, value)

@@ -141,10 +141,8 @@ def check_scalar(w: Bicomplex, tol: Tolerance) -> tuple[list[CheckResult], list[
     return results, notes
 
 
-def check_ket(psi: Ket, spec: ScalarProductSpec | None, tol: Tolerance):
+def check_ket(psi: Ket, spec: ScalarProductSpec, tol: Tolerance):
     results, notes = [], []
-    if spec is None:
-        spec = ScalarProductSpec.identity(psi.dim)
     rebuilt = Ket.from_components(*psi.components, psi.basis_id)
     scale = max(1.0, psi.max_norm())
     results.append(_result("component-round-trip", (rebuilt - psi).max_norm(), tol.eps_eq, scale))
@@ -201,7 +199,8 @@ def check_matrix(matrix: BicomplexMatrix, tol: Tolerance):
             results.append(_result("orthogonalize-rows", math.inf, 1e-10))
             notes.append(f"orthogonalize-rows: {type(exc).__name__}: {exc}")
         else:
-            results.append(_result("orthogonalize-rows", orthonormal_defect(spec, ortho), 1e-10))
+            defect = orthonormal_defect(spec, ortho.matrix.components)
+            results.append(_result("orthogonalize-rows", defect, 1e-10))
     else:
         notes.append(f"inverse: skipped (singular, det {classification.value})")
         notes.append("orthogonalize-rows: skipped (singular)")
@@ -271,10 +270,8 @@ def verify_evolution(
     ]
 
 
-def check_operator(op: Operator, spec: ScalarProductSpec | None, tol: Tolerance):
+def check_operator(op: Operator, spec: ScalarProductSpec, tol: Tolerance):
     results, notes = check_matrix(op.matrix, tol)
-    if spec is None:
-        spec = ScalarProductSpec.identity(op.dim)
 
     star = adjoint(spec, op)
     twice = (adjoint(spec, star).matrix - op.matrix).max_norm()
@@ -338,25 +335,23 @@ def _eigenbasis_results(spec: ScalarProductSpec, system: Eigensystem) -> list[Ch
     ]
 
 
-def orthonormal_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray) -> float:
+def orthonormal_defect(spec: ScalarProductSpec, vectors: np.ndarray) -> float:
     """Largest |(phi_i, phi_j) - delta_ij| over i <= j, Euclidean norm.
 
-    Read from ``hilbert.gram_defects``; ``kets`` may also be the (2, n, m)
-    stack V of their component vectors.
+    ``vectors`` is the (2, n, m) stack V of the kets' component vectors;
+    the products are read from ``hilbert.gram_defects``.
     """
-    vectors = kets if isinstance(kets, np.ndarray) else coefficient_matrix(kets).components
     return float(np.triu(gram_defects(spec, vectors)).max())
 
 
-def completeness_defect(spec: ScalarProductSpec, kets: Sequence[Ket] | np.ndarray) -> float:
+def completeness_defect(spec: ScalarProductSpec, vectors: np.ndarray) -> float:
     """Largest entry of sum_l |phi_l><phi_l| - I, Euclidean norm.
 
-    Per component the sum is V_k V_k^H G_k, V_k holding the kets'
-    component vectors as columns (or ``kets`` is V).
+    ``vectors`` is the (2, n, m) stack V of the kets' component vectors;
+    the sum is the spectral reconstruction with every eigenvalue 1.
     """
-    vectors = kets if isinstance(kets, np.ndarray) else coefficient_matrix(kets).components
-    defects = vectors @ (vectors.conj().mT @ spec.grams) - np.eye(vectors.shape[1])
-    return float(entry_norms(*parts_from_components(*defects)).max())
+    sums = _reconstructed_components(spec, np.ones(vectors.shape[::2]), vectors)
+    return float(entry_norms(*parts_from_components(*(sums - np.eye(vectors.shape[1])))).max())
 
 
 def check_spec(g1: np.ndarray, g2: np.ndarray, tol: Tolerance):
@@ -395,6 +390,8 @@ def run_checks(doc, spec: ScalarProductSpec | None, tol: Tolerance = DEFAULT_TOL
 
 
 def _run_suite(doc, spec: ScalarProductSpec | None, tol: Tolerance):
+    if doc.kind in ("ket", "operator") and spec is None:
+        spec = ScalarProductSpec.identity(doc.value.dim)
     if doc.kind == "scalar":
         return check_scalar(doc.value, tol)
     if doc.kind == "ket":

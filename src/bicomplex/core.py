@@ -23,14 +23,15 @@ work on both components is one batched numpy call.  All values are
 immutable after construction and all operations are pure, so concurrent
 use is safe.
 
-``entry_norms`` is the one Euclidean norm of array entries, behind every
-max norm and entrywise residual; it never squares.  ``within`` is the
-one pass rule of every residual check, on the quotient that ``ratio``
-forms without overflow.  ``scaled_down`` is the one exact power-of-two
-rescale.  ``two_product`` is Dekker's error-free product, written into
-arrays its caller passes; the .bct writer and reader in ``format17``
-call it on their scratch arrays.  ``reference.py`` keeps its own
-arithmetic as the oracle.
+``null_cone_codes`` is the one null-cone test, of scalars, kets,
+determinants and pivots alike.  ``entry_norms`` is the one Euclidean
+norm of array entries, behind every max norm and entrywise residual; it
+never squares.  ``within`` is the one pass rule of every residual check,
+on the quotient that ``ratio`` forms without overflow.  ``scaled_down``
+is the one exact power-of-two rescale.  ``two_product`` is Dekker's
+error-free product, written into arrays its caller passes; the .bct
+writer and reader in ``format17`` call it on their scratch arrays.
+``reference.py`` keeps its own arithmetic as the oracle.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ __all__ = [
     "component_index",
     "entry_norms",
     "max_entry_norm",
-    "null_cone_code",
     "null_cone_codes",
     "ratio",
     "scaled_down",
@@ -357,14 +357,10 @@ class Bicomplex:
         null_cone_k means the k-th idempotent component vanishes relative
         to the larger one (see ``null_cone_codes``).
         """
-        c1, c2 = self.to_idempotent()
-        try:
-            moduli = abs(c1), abs(c2)
-        except OverflowError:
-            # a modulus beyond the double range: the test is scale-invariant, so it
-            # runs on the components divided by the power of two of their largest part
-            moduli = map(abs, scaled_down((c1, c2))[0].tolist())
-        return _CLASSIFICATIONS[null_cone_code(*moduli, tol.eps_null)]
+        # on the components divided by the power of two of their largest part,
+        # whose moduli cannot overflow
+        moduli = np.abs(scaled_down(self.to_idempotent())[0])
+        return _CLASSIFICATIONS[null_cone_codes(moduli, tol.eps_null)]
 
     def inverse(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Bicomplex:
         classification = self.classify(tol)
@@ -403,19 +399,6 @@ def null_cone_codes(moduli, eps_null: float) -> np.ndarray:
     mantissa, exponent = np.frexp(moduli.max(axis=0))
     vanishes = np.ldexp(moduli, -exponent) <= eps_null * mantissa
     return 3 - 2 * vanishes[0] - vanishes[1]
-
-
-def null_cone_code(m1: float, m2: float, eps_null: float) -> int:
-    """``null_cone_codes`` of one pair of moduli, in float arithmetic without numpy.
-
-    The same steps on the same values: the larger modulus (NaN if either
-    is) split by frexp, both moduli scaled exactly by its power of two and
-    each tested against eps_null times its mantissa.
-    """
-    larger = max(m1, m2) if m1 == m1 and m2 == m2 else math.nan
-    mantissa, exponent = math.frexp(larger)
-    bound = eps_null * mantissa
-    return 3 - 2 * (math.ldexp(m1, -exponent) <= bound) - (math.ldexp(m2, -exponent) <= bound)
 
 
 def scaled_down(values, exponent: int | None = None) -> tuple[np.ndarray, int]:

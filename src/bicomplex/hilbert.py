@@ -225,16 +225,14 @@ class ScalarProductSpec:
 
 
 def hermitian_defect(grams: np.ndarray) -> np.ndarray:
-    """max|G - G^H| / max|G| of a Gram matrix, or of each in a stack; a zero G reads 0.
+    """max|G - G^H| / max|G| of each Gram matrix of a stack; a zero G reads 0.
 
     Relative to max|G| alone, so G and 2^k G are Hermitian together; taken
-    on each G divided by the power of two of its largest part, which is
-    exact, so neither the difference nor its modulus overflows.
+    on each G divided by the power of two of its largest part
+    (``scaled_down``), which is exact, so neither the difference nor its
+    modulus overflows.
     """
-    parts = np.ascontiguousarray(grams, dtype=complex).view(float)
-    # scaled_down of each G: a zero, infinite or NaN largest part gives 2**0
-    exponents = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
-    scaled = np.ldexp(parts, -exponents[..., None, None]).view(complex)
+    scaled = np.stack([scaled_down(gram)[0] for gram in grams])
     scales = np.abs(scaled).max(axis=(-2, -1))
     defects = np.abs(scaled - scaled.conj().mT).max(axis=(-2, -1))
     return defects / np.where(scales > 0, scales, 1.0)
@@ -448,9 +446,14 @@ def gram_schmidt(
         a, b = np.ldexp(moduli, -np.frexp(moduli.max(axis=0))[1]) ** 2
         round_trip = stack_components(*parts_from_components(a, b))
         codes = null_cone_codes(np.abs(round_trip), tol.eps_null)
-        # the phase of each pivot, exactly -1 for a negative real one; where the
-        # columns leave the double range, the constructor raises NonFinite
-        columns = q * (pivots / moduli)[:, None]
+        # the phase of each pivot, exactly -1 for a negative real one, with pivot
+        # and modulus first divided exactly by the modulus's power of two: the
+        # complex division forms 1/modulus, which overflows where that is
+        # subnormal; where the columns leave the double range, the constructor
+        # raises NonFinite
+        shifts = -np.frexp(moduli)[1]
+        parts = np.ldexp(np.ascontiguousarray(pivots).view(float), np.repeat(shifts, 2, axis=-1))
+        columns = q * (parts.view(complex) / np.ldexp(moduli, shifts))[:, None]
     finite = np.isfinite(moduli).all(axis=0)
     rejected = ~finite | (codes != 3)
     if rejected.any():

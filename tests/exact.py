@@ -5,9 +5,11 @@ Every double is a rational number, so a complex double is exactly a pair
 of such pairs carry no rounding.  ``components`` splits bicomplex parts
 into their idempotent components exactly, ``matmul`` multiplies matrices
 of pairs, ``abs2`` is the squared modulus, ``det`` is the
-determinant by fraction-free (Bareiss) elimination, and ``inverse`` the
-inverse by Gauss-Jordan elimination.  Matrices are lists of rows of
-pairs; ``to_complex`` rounds one to complex doubles.
+determinant by fraction-free (Bareiss) elimination, ``inverse`` the
+inverse by Gauss-Jordan elimination, and ``adjoint`` the adjoint
+G^-1 A^H G under a Gram matrix G.  Matrices are lists of rows of pairs;
+``matrix`` reads one from complex doubles and ``to_complex`` rounds one
+to complex doubles.
 """
 
 from __future__ import annotations
@@ -121,6 +123,17 @@ def inverse(a: list) -> list:
                 p = mul(factor, m[k][j])
                 m[i][j] = (m[i][j][0] - p[0], m[i][j][1] - p[1])
     return [row[n:] for row in m]
+
+
+def adjoint(a: list, gram: list) -> list:
+    """G^-1 A^H G of square matrices of pairs, from ``inverse`` and ``matmul``."""
+    conj_transpose = [[(re_, -im_) for re_, im_ in column] for column in zip(*a)]
+    return matmul(inverse(gram), matmul(conj_transpose, gram))
+
+
+def matrix(a: np.ndarray) -> list:
+    """A matrix of complex doubles as pairs, exactly."""
+    return [[pair(z) for z in row] for row in a.tolist()]
 
 
 def to_complex(a: list) -> np.ndarray:

@@ -176,6 +176,27 @@ class TestGramSchmidt:
             _, im1, re2, im2 = map(float, atom.split())
             assert (im1, re2, im2) == (0.0, 0.0, 0.0), atom
 
+    @pytest.mark.parametrize(
+        "case", ["diag(1e-310, 1)", "diag(1e-310, 1) --spec", "order 3 scaled by 2^-1040"]
+    )
+    def test_subnormal_pivots(self, capsys, tmp_path, case):
+        # a pivot's phase is formed on pivot and modulus scaled to unit size: the
+        # complex division forms 1/modulus, which overflows below about 5.6e-309
+        if case.startswith("diag"):
+            matrix = BicomplexMatrix.diagonal([1e-310, 1.0])
+        else:
+            matrix = random_matrix(np.random.default_rng(3), 3).scale(2.0**-1040)
+        bct.save(tmp_path / "m.bct", bct.document_for(matrix))
+        spec = ["--spec", str(GOLDEN / "spec_identity_n2.bct")] if case.endswith("--spec") else []
+        code, out = run(capsys, "gram-schmidt", str(tmp_path / "m.bct"), *spec)
+        assert code == 0, out
+        assert out.endswith("verdict: pass\n"), out
+        if case == "diag(1e-310, 1)":
+            assert "\n(1 0 0 0) (0 0 0 0)\n(0 0 0 0) (1 0 0 0)\n" in out
+            code, out = run(capsys, "check", str(tmp_path / "m.bct"))
+            assert code == 0, out
+            assert "check orthogonalize-rows: residual 0.000e+00 tol 1e-10 pass\n" in out
+
     def test_null_cone_pivot_exit_2(self, capsys):
         code, out = run(capsys, "gram-schmidt", str(GOLDEN / "counter_nullcone_pivot_n2.bct"))
         assert code == 2

@@ -585,7 +585,7 @@ def _old_max_norm(array) -> float:
 
 
 def _old_classify(w: Bicomplex, tol: Tolerance) -> Classification:
-    """Bicomplex.classify as it was before it decided the pair without numpy."""
+    """Bicomplex.classify as it was while it took the plain moduli where they do not overflow."""
     c1, c2 = w.to_idempotent()
     try:
         moduli = abs(c1), abs(c2)
@@ -612,23 +612,7 @@ class TestKeptMaxNorm:
         assert calls == [1]
 
 
-MODULI = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-12, 1e-12 * (1 + 2**-52),
-          0.5, 1.0, 3.0, 1e200, 8.98846567431158e307, 1.7976931348623157e308, math.inf, math.nan]
-
-
 class TestScalarNullCone:
-    @pytest.mark.parametrize("eps", [1e-12, 1e-6, 5e-324 * 2**60])
-    def test_every_pair_of_edge_moduli(self, eps):
-        for m1 in MODULI:
-            for m2 in MODULI:
-                assert core.null_cone_code(m1, m2, eps) == int(core.null_cone_codes([m1, m2], eps))
-
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.floats(min_value=0.0), st.floats(min_value=0.0), st.sampled_from([1e-12, 1e-9, 1e-6]))
-    def test_random_moduli(self, m1, m2, eps):
-        with np.errstate(over="ignore"):
-            assert core.null_cone_code(m1, m2, eps) == int(core.null_cone_codes([m1, m2], eps))
-
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(edge_parts, edge_parts, edge_parts, edge_parts)
     def test_classify_as_before(self, a, b, c, d):
@@ -642,7 +626,7 @@ class TestScalarNullCone:
                 assert w.classify(tol) is _old_classify(w, tol)
 
     def test_overflowing_moduli_as_before(self):
-        # |c1| beyond the double range takes the rescaled route in both
+        # |c1| beyond the double range: the rescaled route in both
         huge = 1.5e308
         values = [
             Bicomplex(complex(huge, huge), 0.0),

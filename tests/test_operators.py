@@ -60,6 +60,7 @@ from bicomplex.operators import (
     _unitary_eig,
 )
 
+import exact
 from helpers import (
     oracle_pairs,
     oracle_reconstruct,
@@ -71,6 +72,20 @@ from helpers import (
     random_spd,
     random_spec,
 )
+
+
+# c of the bound c*n*u*kappa_2(G_k)*(1 + ||A_k||_2/||X_k||_2) on the relative 2-norm
+# forward error of each idempotent component X_k = G_k^-1 A_k^H G_k of adjoint().
+# The product B = A^H G carries an error of at most gamma_n |A^H| |G| entrywise
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+# ch. 3, matrix products), so of norm at most about n*u*||A|| ||G||; G^-1 carries
+# it into X as at most n*u*kappa_2(G)*||A||, the second term.  The solve G X = B by
+# LU with partial pivoting is backward stable per column, with a backward error a
+# small multiple of n*u*||G|| (ch. 9), so its forward error is at most about
+# n*u*kappa_2(G)*||X|| (ch. 14, AX = B solved column by column), the first term.
+# c = 4 is that multiple plus the rounding into (z1, z2) parts.
+ADJOINT_FORWARD_C = 4.0
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def random_operator(rng, n, basis_id="canonical"):
@@ -170,6 +185,27 @@ class TestAdjoint:
         lhs = adjoint(spec, a.scale(s) + b.scale(t))
         rhs = adjoint(spec, a).scale(s.conjugate(3)) + adjoint(spec, b).scale(t.conjugate(3))
         assert (lhs.matrix - rhs.matrix).max_norm() <= 1e-10 * max(1.0, lhs.matrix.max_norm())
+
+    @pytest.mark.parametrize("order", [4, 8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_forward_error_against_exact(self, seed, order):
+        # worst measured: 0.11 of n*u*kappa_2(G_k)*(1 + ||A_k||/||X_k||), so 0.027
+        # of the bound; adjoint() scaled by (1 + 1e-9) fails every case
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, order)
+        a = random_operator(rng, order)
+        star = adjoint(spec, a).matrix
+        pairs = zip(exact.components(a.matrix.z1, a.matrix.z2), exact.components(star.z1, star.z2))
+        for k, (a_k, got) in enumerate(pairs, 1):
+            want = exact.adjoint(a_k, exact.matrix(spec.grams[k - 1]))
+            # the difference is exact; rounding it to doubles moves its norm by O(u)
+            error = [[(g[0] - w[0], g[1] - w[1]) for g, w in zip(*rows)] for rows in zip(got, want)]
+            norm = np.linalg.norm(exact.to_complex(want), 2)
+            relative = np.linalg.norm(exact.to_complex(error), 2) / norm
+            growth = 1.0 + np.linalg.norm(a.matrix.component(k), 2) / norm
+            kappa = np.linalg.cond(spec.grams[k - 1])
+            bound = ADJOINT_FORWARD_C * order * UNIT_ROUNDOFF * kappa * growth
+            assert relative <= bound, (k, relative / bound)
 
     def test_projection_compatible(self):
         rng = np.random.default_rng(37)
@@ -382,7 +418,7 @@ class TestEigendecomposeSelfAdjoint:
         h = spec_operator_with_spectrum(rng, spec, values1, values2)
         assert is_self_adjoint(spec, h)
         pairs = eigendecompose_self_adjoint(spec, h)
-        assert orthonormal_defect(spec, [pair.ket for pair in pairs]) <= 1e-10
+        assert orthonormal_defect(spec, pairs.ket_components) <= 1e-10
         for k, expected in ((1, values1), (2, values2)):
             got = [pair.value.to_idempotent()[k - 1] for pair in pairs]
             assert np.abs(np.array(got) - np.sort(expected)).max() <= 1e-12
@@ -656,7 +692,7 @@ class TestEigendecomposeUnitary:
             rng, spec, np.exp(1j * np.array(phases1)), np.exp(1j * np.array(phases2))
         )
         pairs = eigendecompose_unitary(spec, u)
-        assert orthonormal_defect(spec, [pair.ket for pair in pairs]) <= 1e-10
+        assert orthonormal_defect(spec, pairs.ket_components) <= 1e-10
         for k, expected in ((1, phases1), (2, phases2)):
             got = [cmath.phase(pair.value.to_idempotent()[k - 1]) for pair in pairs]
             assert np.abs(np.array(got) - np.sort(expected)).max() <= 1e-12
@@ -674,7 +710,7 @@ class TestEigendecomposeUnitary:
         values = np.exp(1j * np.array(phases))
         u = spec_operator_with_spectrum(rng, spec, values, values[::-1])
         pairs = eigendecompose_unitary(spec, u)
-        assert orthonormal_defect(spec, [pair.ket for pair in pairs]) <= 1e-10
+        assert orthonormal_defect(spec, pairs.ket_components) <= 1e-10
         for k in (1, 2):
             got = [cmath.phase(pair.value.to_idempotent()[k - 1]) for pair in pairs]
             assert np.abs(np.array(got) - np.sort(phases)).max() <= 1e-12

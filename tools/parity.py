@@ -17,7 +17,13 @@ The calls run in process through ``bicomplex.cli.main`` under
 - the commands of the first ``spectral`` and the first ``linalg`` job
   again, on copies of their inputs in each odd layout of ``LAYOUTS``:
   CRLF everywhere, CRLF in the payload only, a blank line between rows,
-  and tabs for blanks.
+  and tabs for blanks;
+- the error paths: ``info`` on each document of ``MALFORMED``, one per
+  message that ``bct.parse`` and its payload reader raise; a kind a
+  command does not accept; a missing file, an invalid tolerance and an
+  invalid ``--xi``; ``exp`` on ``(-800 0 0 0)``, whose exp(-A) overflows;
+  and ``gram-schmidt`` and ``check`` on matrices with subnormal pivots.
+  Their inputs are written into the temporary directory too.
 
 Each line reads the exit code, the sha256 of stdout and of stderr, and
 the call, with the input directories written as ``<golden>`` and
@@ -47,6 +53,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +74,27 @@ LAYOUTS = {
     "tabs": lambda head, payload: head + payload.replace(" ", "\t"),
 }
 LAYOUT_WORKLOADS = ("spectral", "linalg")
+# one document per ParseError or DimMismatch message
+MALFORMED = {
+    "no-header": b"bct v2\nkind: scalar\ndim: 1\n(1 0 0 0)\n",
+    "no-dim": b"bct v1\nkind: scalar\n",
+    "no-kind": b"bct v1\ntype: scalar\ndim: 1\n(1 0 0 0)\n",
+    "unknown-kind": b"bct v1\nkind: tensor\ndim: 1\n(1 0 0 0)\n",
+    "no-dim-line": b"bct v1\nkind: scalar\nsize: 1\n(1 0 0 0)\n",
+    "dim-x": b"bct v1\nkind: ket\ndim: x\n(1 0 0 0)\n",
+    "dim-0": b"bct v1\nkind: ket\ndim: 0\n(1 0 0 0)\n",
+    "scalar-dim-2": b"bct v1\nkind: scalar\ndim: 2\n(1 0 0 0)\n",
+    "matrix-basis": b"bct v1\nkind: matrix\ndim: 1\nbasis: lab\n(1 0 0 0)\n",
+    "empty-basis": b"bct v1\nkind: ket\ndim: 1\nbasis:\n(1 0 0 0)\n",
+    "atom-of-3": b"bct v1\nkind: scalar\ndim: 1\n(1 0 0)\n",
+    "text-before": b"bct v1\nkind: ket\ndim: 2\n(1 0 0 0) x(0 0 0 0)\n",
+    "text-after": b"bct v1\nkind: scalar\ndim: 1\n(1 0 0 0)x\n",
+    "bad-number": b"bct v1\nkind: scalar\ndim: 1\n(1 0 0x1 0)\n",
+    "field-1e400": b"bct v1\nkind: scalar\ndim: 1\n(1e400 0 0 0)\n",
+    "row-short": b"bct v1\nkind: matrix\ndim: 2\n(1 0 0 0) (0 0 0 0)\n(0 0 0 0)\n",
+    "rows-missing": b"bct v1\nkind: matrix\ndim: 2\n(1 0 0 0) (0 0 0 0)\n",
+    "non-ascii": b"bct v1\nkind: scalar\ndim: 1\n(1 0 0 0) \xc3\xa9\n",
+}
 
 
 def calls(workdir: str) -> list[list[str]]:
@@ -89,6 +117,7 @@ def calls(workdir: str) -> list[list[str]]:
             found += job.commands
         if workload in LAYOUT_WORKLOADS:
             found += _layout_calls(jobs[0].commands, os.path.join(directory, "layouts"))
+    found += _error_calls(os.path.join(workdir, "errors"))
     unique = {json.dumps(argv): argv for argv in found}
     return list(unique.values())
 
@@ -111,6 +140,41 @@ def _layout_calls(commands: list[list[str]], directory: str) -> list[list[str]]:
                     text = rewrite("".join(lines[:headers]), "".join(lines[headers:]))
                     handle.write(text.encode("ascii"))
             found.append(copy)
+    return found
+
+
+def _error_calls(directory: str) -> list[list[str]]:
+    """Calls that end in an error or on an edge of the double range, on inputs written there."""
+    os.makedirs(directory)
+
+    def write(name: str, data: bytes) -> str:
+        path = os.path.join(directory, name + ".bct")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return path
+
+    def matrix(rows: list[list[float]]) -> bytes:
+        payload = "".join(" ".join("(%.17g 0 0 0)" % x for x in row) + "\n" for row in rows)
+        return f"bct v1\nkind: matrix\ndim: {len(rows)}\n{payload}".encode("ascii")
+
+    golden = lambda name: os.path.join(GOLDEN_DIR, name)
+    found = [["info", write(name, data)] for name, data in MALFORMED.items()]
+    evolve = ["evolve", "--hamiltonian", golden("operator_selfadjoint_n2.bct"), "--hbar", "1",
+              "--t0", "0", "--t1", "1", "--samples", "2"]
+    found += [
+        ["det", golden("ket_regular_n3.bct")],
+        evolve + ["--state", golden("matrix_identity_n2.bct")],
+        evolve + ["--state", golden("ket_nullcone_n2.bct"), "--xi", "(1 0 0)"],
+        ["info", os.path.join(directory, "missing.bct")],
+        ["--eps-null", "1", "info", golden("scalar_one.bct")],
+        ["exp", write("exp-800", matrix([[-800.0]]))],
+    ]
+    diag = write("diag-subnormal", matrix([[1e-310, 0.0], [0.0, 1.0]]))
+    scaled = [[math.ldexp(x, -1040) for x in row] for row in ([2, -1, 0.5], [1, 3, 1], [0, 1, -4])]
+    scaled = write("order-3-subnormal", matrix(scaled))
+    for path in (diag, scaled):
+        found += [["gram-schmidt", path], ["check", path]]
+    found.append(["gram-schmidt", diag, "--spec", golden("spec_identity_n2.bct")])
     return found
 
 
