@@ -190,7 +190,7 @@ def check_matrix(matrix: BicomplexMatrix, tol: Tolerance):
     if classification is Classification.INVERTIBLE:
         try:
             results.extend(verify_inverse(matrix, matrix.inverse(tol)))
-        except SingularMatrix as exc:
+        except (SingularMatrix, NonFinite) as exc:
             notes.append(f"inverse: skipped ({exc})")
         spec = ScalarProductSpec.identity(n)
         try:

@@ -411,10 +411,12 @@ def gram_schmidt(
     component.  With G_k = L L^H and the input kets as the columns of
     X_k, run k is the QR factorization L^H X_k = Q_k R_k with diag(R_k)
     made positive real; the output is L^{-H} Q_k, one coefficient
-    matrix.  Under the kept standard spec L = I, so the product and the
-    solve are skipped and the QR is the one the coefficient matrix keeps
-    (``BicomplexMatrix.qr``); the pivot test and the phase fix-up below
-    still run on every call.  Before normalization ket i has self-product
+    matrix.  L and X_k are each first divided exactly by the power of
+    two of their largest part, which leaves Q_k as it is wherever they
+    are normal and keeps R_k finite.  Under the kept standard spec
+    L = I, so the product and the solve are skipped and the QR is the
+    one the coefficient matrix keeps (``BicomplexMatrix.qr``); the pivot
+    test and the phase fix-up below still run on every call.  Before normalization ket i has self-product
     |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be invertible.  Its null-cone
     test runs on the pivot moduli divided by the power of two of the
     larger one before they are squared: the division is exact, so the
@@ -435,9 +437,10 @@ def gram_schmidt(
     if spec.standard:
         q, r = kets.matrix.qr()
     else:
-        # L / 2**k, exact: L^H X under- or overflows only where the output does
+        # L / 2**k and X / 2**j, exact: Q does not depend on either scale, and
+        # the output under- or overflows only where L^-H Q does
         chol_h, exponent = scaled_down(spec.chols.conj().mT)
-        q, r = np.linalg.qr(chol_h @ kets.matrix.components)
+        q, r = np.linalg.qr(chol_h @ scaled_down(kets.matrix.components)[0])
     pivots = np.diagonal(r, axis1=1, axis2=2)
     moduli = np.abs(pivots)
     # Bicomplex.from_idempotent(a, b).classify(tol) for every pivot self-product
@@ -449,19 +452,13 @@ def gram_schmidt(
         # the phase of each pivot, exactly -1 for a negative real one, with pivot
         # and modulus first divided exactly by the modulus's power of two: the
         # complex division forms 1/modulus, which overflows where that is
-        # subnormal; where the columns leave the double range, the constructor
-        # raises NonFinite
+        # subnormal; a zero pivot gives NaN columns, which its test rejects
         shifts = -np.frexp(moduli)[1]
         parts = np.ldexp(np.ascontiguousarray(pivots).view(float), np.repeat(shifts, 2, axis=-1))
         columns = q * (parts.view(complex) / np.ldexp(moduli, shifts))[:, None]
-    finite = np.isfinite(moduli).all(axis=0)
-    rejected = ~finite | (codes != 3)
+    rejected = codes != 3
     if rejected.any():
-        index = int(np.argmax(rejected))
-        if not finite[index]:
-            # an infinite or NaN pivot: the scalar path raises its own NonFinite
-            Bicomplex.from_idempotent(*moduli[:, index] ** 2)
-        raise NullConePivot(index)
+        raise NullConePivot(int(np.argmax(rejected)))
     if not spec.standard:
         columns, _ = scaled_down(np.linalg.solve(chol_h, columns), exponent)
     return KetColumns(BicomplexMatrix.from_components(*columns), kets.basis_id)

@@ -13,7 +13,12 @@ when at least one component determinant vanishes against the other
 Storage is the canonical (z1, z2) pair of complex arrays
 (``core.BicomplexArray``); determinant, inverse, condition numbers and
 QR factorization are each one batched LAPACK call on the ``(2, n, n)``
-component stack.  Each is computed once per matrix and
+component stack.  Every factorization but the determinant's reads the
+stack divided by the power of two of its largest part
+(``core.scaled_down``), which is exact, so singularity, the inverse and
+orthonormal rows do not depend on where in the double range A lies; the
+determinant keeps ``np.linalg.det`` of the stack as it is, so an
+overflowing one is reported.  Each is computed once per matrix and
 kept, as is the transposed copy: the commands of one process share a
 loaded matrix (``bct.load``), so ``det``, ``inv``, ``gram-schmidt`` and
 ``check`` on one document factorize A and its transpose once each, and
@@ -178,7 +183,8 @@ class BicomplexMatrix(BicomplexArray):
         """
         d1, d2 = self._component_dets()
         if not (np.isfinite(d1) and np.isfinite(d2)):
-            raise _det_overflow(d1, d2)
+            moduli = tuple(np.abs([d1, d2]).tolist())
+            raise NonFinite(f"determinant overflows: component moduli {moduli}")
         return Bicomplex.from_idempotent(d1, d2)
 
     def _classify_det(self, tol: Tolerance = DEFAULT_TOLERANCE) -> Classification:
@@ -187,19 +193,15 @@ class BicomplexMatrix(BicomplexArray):
         Both determinants are divided by the power of two of their largest
         part first, which is exact, so their recombination cannot
         overflow.  When one overflows, or is zero or subnormal, the moduli
-        come from the ``slogdet`` log-moduli as exp(l_k - max(l1, l2)): an
+        come from the ``slogdet`` log-moduli of the unit-scaled stack as
+        exp(l_k - max(l1, l2)): the scale shifts both log-moduli alike, an
         exactly singular component has log-modulus -inf and still
-        vanishes, one that only underflowed does not.  An overflow raises
-        NonFinite as in ``det`` when the product of two entries is not
-        finite.
+        vanishes, and one that only under- or overflowed does not.
         """
         d1, d2 = self._component_dets()
-        if np.isfinite(d1) and np.isfinite(d2):
-            if min(abs(d1), abs(d2)) >= _TINY:
-                return Bicomplex.from_idempotent(*scaled_down((d1, d2))[0]).classify(tol)
-        elif np.abs(self.components).max() > _ENTRY_LIMIT:
-            raise _det_overflow(d1, d2)
-        logs = np.linalg.slogdet(self.components).logabsdet
+        if np.isfinite(d1) and np.isfinite(d2) and min(abs(d1), abs(d2)) >= _TINY:
+            return Bicomplex.from_idempotent(*scaled_down((d1, d2))[0]).classify(tol)
+        logs = np.linalg.slogdet(scaled_down(self.components)[0]).logabsdet
         if logs.max() == -math.inf:
             return Classification.ZERO
         return _CLASSIFICATIONS[null_cone_codes(np.exp(logs - logs.max()), tol.eps_null)]
@@ -213,49 +215,54 @@ class BicomplexMatrix(BicomplexArray):
         The residual of A @ inv(A) scales with the reported conditions;
         callers decide how much accuracy to expect.  A condition estimate
         above 1/eps (or not finite) raises SingularMatrix: the matrix is
-        numerically singular.  The singularity test under ``tol`` runs on
-        every call; the inverse and the conditions are computed once per
-        matrix and the same ``MatrixInverse`` is returned after that.
+        numerically singular.  Both are computed on the component stack
+        divided by the power of two of its largest part, and the inverse
+        is scaled back exactly, so neither depends on where in the double
+        range A lies; an inverse beyond that range raises NonFinite.  The
+        singularity test under ``tol`` runs on every call; the inverse and
+        the conditions are computed once per matrix and the same
+        ``MatrixInverse`` is returned after that.
         """
         require_nonsingular(self, tol)
         try:
             return self._inverse
         except AttributeError:
-            conds = np.linalg.cond(self.components)
+            scaled, exponent = scaled_down(self.components)
+            conds = np.linalg.cond(scaled)
             ill = tuple(k for k, cond in enumerate(conds, 1) if not cond <= _COND_LIMIT)
             if ill:
                 raise SingularMatrix(ill, "reciprocal condition number is below machine epsilon")
-            inverse = BicomplexMatrix.from_components(*np.linalg.inv(self.components))
+            # inv(A / 2**k) = 2**k inv(A); an inverse that overflows is the constructor's NonFinite
+            with np.errstate(over="ignore"):
+                components, _ = scaled_down(np.linalg.inv(scaled), exponent)
+            inverse = BicomplexMatrix.from_components(*components)
             self._inverse = MatrixInverse(inverse, *map(float, conds))
             return self._inverse
 
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only component QR factorizations (Q, R), stacked as ``(2, n, n)``.
+        """The read-only QR factorizations (Q, R) of the unit-scaled component stack, ``(2, n, n)``.
 
-        One batched LAPACK call on first use, then kept: ``gram_schmidt``
-        under the standard product reads its pivots and columns from it.
+        The stack is divided by the power of two of its largest part
+        (``core.scaled_down``) first: wherever it is normal, Q is that of
+        the components and R is theirs divided by that power.  One batched
+        LAPACK call on first use, then kept: ``gram_schmidt`` under the
+        standard product reads its columns and the ratios of its pivots
+        from it.
         """
         try:
             return self._qr
         except AttributeError:
-            q, r = np.linalg.qr(self.components)
+            q, r = np.linalg.qr(scaled_down(self.components)[0])
             q.setflags(write=False)
             r.setflags(write=False)
             self._qr = q, r
             return self._qr
 
 
-# largest entry component modulus whose square is finite
-_ENTRY_LIMIT = math.sqrt(np.finfo(float).max)
 # smallest normal modulus: below it a determinant has lost relative precision
 _TINY = np.finfo(float).tiny
 # largest condition estimate of an invertible component: 1/eps, as LAPACK's xGESVX
 _COND_LIMIT = 1.0 / np.finfo(float).eps
-
-
-def _det_overflow(d1: complex, d2: complex) -> NonFinite:
-    moduli = tuple(np.abs([d1, d2]).tolist())
-    return NonFinite(f"determinant overflows: component moduli {moduli}")
 
 
 # idempotent components whose determinant vanishes, by det classification

@@ -6,8 +6,9 @@ of such pairs carry no rounding.  ``components`` splits bicomplex parts
 into their idempotent components exactly, ``matmul`` multiplies matrices
 of pairs, ``abs2`` is the squared modulus, ``det`` is the
 determinant by fraction-free (Bareiss) elimination, ``inverse`` the
-inverse by Gauss-Jordan elimination, and ``adjoint`` the adjoint
-G^-1 A^H G under a Gram matrix G.  Matrices are lists of rows of pairs;
+inverse by Gauss-Jordan elimination, ``adjoint`` the adjoint
+G^-1 A^H G under a Gram matrix G, and ``gram_defect`` the Gram residual
+V^H G V - I of kets V.  Matrices are lists of rows of pairs;
 ``matrix`` reads one from complex doubles and ``to_complex`` rounds one
 to complex doubles.
 """
@@ -125,10 +126,20 @@ def inverse(a: list) -> list:
     return [row[n:] for row in m]
 
 
+def conj_transpose(a: list) -> list:
+    return [[(re_, -im_) for re_, im_ in column] for column in zip(*a)]
+
+
 def adjoint(a: list, gram: list) -> list:
     """G^-1 A^H G of square matrices of pairs, from ``inverse`` and ``matmul``."""
-    conj_transpose = [[(re_, -im_) for re_, im_ in column] for column in zip(*a)]
-    return matmul(inverse(gram), matmul(conj_transpose, gram))
+    return matmul(inverse(gram), matmul(conj_transpose(a), gram))
+
+
+def gram_defect(v: list, gram: list) -> list:
+    """V^H G V - I of square matrices of pairs: the kets are the columns of V."""
+    product = matmul(conj_transpose(v), matmul(gram, v))
+    return [[(re_ - (i == j), im_) for j, (re_, im_) in enumerate(row)]
+            for i, row in enumerate(product)]
 
 
 def matrix(a: np.ndarray) -> list:

@@ -68,7 +68,46 @@ class TestDet:
         assert "KindMismatch" in out
 
 
+# a regular order-3 matrix whose entries and inverse scale exactly by any power of two
+SCALED_ROWS = [[2.0, -1.0, 0.5], [1.0, 3.0, 1.0], [0.0, 1.0, -4.0]]
+
+
+def _save_scaled(path, k: int) -> str:
+    rows = [[math.ldexp(x, k) for x in row] for row in SCALED_ROWS]
+    bct.save(path, bct.document_for(BicomplexMatrix.from_entries(rows)))
+    return str(path)
+
+
+def _result_fields(out: str) -> list[float]:
+    block = out.split("\nresult:\n", 1)[1].split("\ncheck ", 1)[0]
+    return [float(x) for atom in re.findall(r"\(([^()]*)\)", block) for x in atom.split()]
+
+
 class TestInv:
+    @pytest.mark.parametrize("k", [-500, 500, 1000])
+    def test_inverse_scales_exactly(self, capsys, tmp_path, k):
+        # LAPACK inverts the unit-scaled stack, so inv(A 2^k) = inv(A) 2^-k to the bit
+        code, out = run(capsys, "inv", _save_scaled(tmp_path / "a.bct", 0))
+        assert code == 0, out
+        expected = [math.ldexp(x, -k) for x in _result_fields(out)]
+        code, out = run(capsys, "inv", _save_scaled(tmp_path / "scaled.bct", k))
+        assert (code, out.endswith("verdict: pass\n")) == (0, True), out
+        assert _result_fields(out) == expected
+
+    def test_overflowing_inverse(self, capsys, tmp_path):
+        # A 2^-1040 is regular, but its inverse lies beyond the double range: inv
+        # exits 2, and check skips the inverse with a note and keeps its other results
+        path = _save_scaled(tmp_path / "a.bct", -1040)
+        code, out = run(capsys, "inv", path)
+        assert (code, out) == (2, "error: NonFinite: BicomplexMatrix entries must be finite\n")
+        code, out = run(capsys, "check", path)
+        assert code == 0, out
+        assert re.findall(r"^check ([\w-]+): .* pass$", out, re.M) == [
+            "det-idempotent-vs-direct", "det-transpose", "product-component-law",
+            "orthogonalize-rows",
+        ]
+        assert "\nnote: inverse: skipped (BicomplexMatrix entries must be finite)\n" in out
+
     def test_identity(self, capsys, tmp_path):
         bct.save(tmp_path / "eye.bct", bct.document_for(BicomplexMatrix.identity(2)))
         code, out = run(capsys, "inv", str(tmp_path / "eye.bct"))
@@ -196,6 +235,18 @@ class TestGramSchmidt:
             code, out = run(capsys, "check", str(tmp_path / "m.bct"))
             assert code == 0, out
             assert "check orthogonalize-rows: residual 0.000e+00 tol 1e-10 pass\n" in out
+
+    @pytest.mark.parametrize("spec", [False, True])
+    @pytest.mark.parametrize("k", [-1040, -500, 500, 1000])
+    def test_rows_do_not_depend_on_scale(self, capsys, tmp_path, k, spec):
+        # LAPACK factorizes the unit-scaled stack: A 2^k has A's orthonormal rows
+        argv = ["--spec", str(GOLDEN / "spec_general_n3.bct")] if spec else []
+        code, out = run(capsys, "gram-schmidt", _save_scaled(tmp_path / "a.bct", 0), *argv)
+        assert code == 0, out
+        expected = out.split("\nresult:\n", 1)[1]
+        code, out = run(capsys, "gram-schmidt", _save_scaled(tmp_path / "scaled.bct", k), *argv)
+        assert code == 0, out
+        assert out.split("\nresult:\n", 1)[1] == expected
 
     def test_null_cone_pivot_exit_2(self, capsys):
         code, out = run(capsys, "gram-schmidt", str(GOLDEN / "counter_nullcone_pivot_n2.bct"))
@@ -627,11 +678,13 @@ class TestDeterminism:
 
 
 class TestOverflow:
-    """Inputs whose arithmetic overflows end in exit 2 (or a failing check, exit 3)."""
+    """Inputs at the top of the double range: exit 2 where a result overflows (a failing
+    check, exit 3), and 0 with a passing verdict where none does."""
 
     INPUTS = {
         "scalar": "bct v1\nkind: scalar\ndim: 1\n(1e308 1e308 1e308 0)\n",
         "matrix": "bct v1\nkind: matrix\ndim: 2\n(1e308 0 0 0) (0 0 0 0)\n(0 0 0 0) (1e308 0 0 0)\n",
+        "upper": "bct v1\nkind: matrix\ndim: 2\n(1e308 0 0 0) (1e308 0 0 0)\n(0 0 0 0) (1e308 0 0 0)\n",
         # finite parts whose idempotent moduli and euclidean norm exceed the double range
         "modulus": "bct v1\nkind: scalar\ndim: 1\n(1.5e308 1.5e308 0 0)\n",
     }
@@ -645,9 +698,11 @@ class TestOverflow:
             ("matrix", "info", 2),
             ("matrix", "idempotent", 0),
             ("matrix", "det", 2),
-            ("matrix", "inv", 2),
+            # LAPACK factorizes the unit-scaled stack: only the determinant overflows
+            ("matrix", "inv", 0),
             ("matrix", "exp", 2),
-            ("matrix", "gram-schmidt", 2),
+            ("matrix", "gram-schmidt", 0),
+            ("upper", "gram-schmidt", 0),
             # halving before adding keeps 0.5 A + 0.5 A^H in range: eigenvalues 1e308
             ("matrix", "spectral", 0),
             ("matrix", "check", 3),
@@ -666,6 +721,8 @@ class TestOverflow:
             assert out.endswith("verdict: fail\n")
         elif code == 2:
             assert out.startswith("error: NonFinite: ")
+        else:
+            assert out.endswith("verdict: pass\n"), out
 
     @pytest.mark.parametrize("sub", ["spectral", "evolve", "check"])
     def test_adjoint_residual_overflow(self, capsys, recwarn, tmp_path, sub):

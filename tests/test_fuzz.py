@@ -12,6 +12,10 @@ must survive an exact oracle:
 
 - ``inv``: the printed inverse X has an exact (``Fraction``) residual
   max_k |A_k X_k - I| within the printed ``inverse-residual`` tolerance;
+- ``gram-schmidt``: the printed rows, as the columns of V, have an exact
+  Gram residual D_k = V_k^H G_k V_k - I under the call's spec whose
+  largest entry norm, sqrt((|D1_ij|^2 + |D2_ij|^2) / 2), is within the
+  printed ``orthonormal-defect`` tolerance;
 - ``spectral``, ``evolve`` and ``check``'s ``spectral-class: self-adjoint``:
   G_k A_k is Hermitian for both components, measured exactly on the parts
   divided by 2^k, k the exponent of the largest part.
@@ -43,6 +47,7 @@ ASYMMETRY = 1e-6
 
 _ATOM = re.compile(r"\(([^()]*)\)")
 _INVERSE_TOL = re.compile(r"^check inverse-residual: residual \S+ tol (\S+) pass$", re.M)
+_ORTHONORMAL_TOL = re.compile(r"^check orthonormal-defect: residual \S+ tol (\S+) pass$", re.M)
 
 
 # -- documents --------------------------------------------------------------------
@@ -127,13 +132,19 @@ def _asymmetry(z1, z2, grams) -> float:
     return math.sqrt(worst / (largest * gram_largest))
 
 
-def _inverse_residual(z1, z2, output: str) -> Fraction:
-    """max_k |A_k X_k - I|^2 for the inverse X printed in ``output``, exactly."""
+def _printed_parts(output: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (z1, z2) parts of the order-n matrix printed as the result in ``output``."""
     block = output.split("\nresult:\n", 1)[1].split("\ncheck ", 1)[0]
     fields = [[float(x) for x in atom.split()] for atom in _ATOM.findall(block)]
-    n = z1.shape[0]
     x1 = np.array([complex(a, b) for a, b, _, _ in fields]).reshape(n, n)
     x2 = np.array([complex(c, d) for _, _, c, d in fields]).reshape(n, n)
+    return x1, x2
+
+
+def _inverse_residual(z1, z2, output: str) -> Fraction:
+    """max_k |A_k X_k - I|^2 for the inverse X printed in ``output``, exactly."""
+    n = z1.shape[0]
+    x1, x2 = _printed_parts(output, n)
     worst = Fraction(0)
     for a, x in zip(exact.components(z1, z2), exact.components(x1, x2)):
         product = exact.matmul(a, x)
@@ -142,6 +153,19 @@ def _inverse_residual(z1, z2, output: str) -> Fraction:
                 re_, im_ = product[i][j]
                 worst = max(worst, exact.abs2((re_ - (i == j), im_)))
     return worst
+
+
+def _gram_residual(output: str, grams) -> Fraction:
+    """max_ij (|D1_ij|^2 + |D2_ij|^2) / 2, D_k = V_k^H G_k V_k - I, exactly.
+
+    The kets are the rows printed in ``output``; the quantity is the
+    square of ``orthonormal-defect``'s largest entry norm.
+    """
+    v1, v2 = (x.T for x in _printed_parts(output, len(grams[0])))
+    defects = [exact.gram_defect(v, exact.matrix(np.asarray(gram, dtype=complex)))
+               for v, gram in zip(exact.components(v1, v2), grams)]
+    return max((exact.abs2(a) + exact.abs2(b)) / 2
+               for r1, r2 in zip(*defects) for a, b in zip(r1, r2))
 
 
 # -- the run ------------------------------------------------------------------------
@@ -206,11 +230,16 @@ def test_extreme_values(tmp_path, seed):
                 (tol,) = map(float, _INVERSE_TOL.findall(text))
                 residual = _inverse_residual(*parts, text)
                 assert residual <= Fraction(tol) ** 2, (path, float(residual) ** 0.5, text)
-            if kind == "matrix":
-                _call(["gram-schmidt", path])
-                _call(["gram-schmidt", path, "--spec", spec_path])
-                _call(["check", path])
             standard = (np.eye(n), np.eye(n))
+            if kind == "matrix":
+                for spec_argv, spec_grams in ((), standard), (("--spec", spec_path), grams):
+                    argv = ["gram-schmidt", path, *spec_argv]
+                    code, text = _call(argv)
+                    if code == 0:
+                        (tol,) = map(float, _ORTHONORMAL_TOL.findall(text))
+                        residual = _gram_residual(text, spec_grams)
+                        assert residual <= Fraction(tol) ** 2, (argv, float(residual) ** 0.5, text)
+                _call(["check", path])
             for spec_argv, spec_grams in ((), standard), (("--spec", spec_path), grams):
                 argv = ["spectral", path, *spec_argv]
                 code, text = _call(argv)

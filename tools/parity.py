@@ -4,7 +4,7 @@ Usage, from the repository root:
 
     python tools/parity.py                 # one line per call
     python tools/parity.py --against REV   # the calls whose output differs at REV
-    python tools/parity.py --reach         # the src functions that no call enters
+    python tools/parity.py --reach         # the src functions and statements no call reaches
 
 The calls run in process through ``bicomplex.cli.main`` under
 ``OPENBLAS_NUM_THREADS=1``:
@@ -22,8 +22,11 @@ The calls run in process through ``bicomplex.cli.main`` under
   message that ``bct.parse`` and its payload reader raise; a kind a
   command does not accept; a missing file, an invalid tolerance and an
   invalid ``--xi``; ``exp`` on ``(-800 0 0 0)``, whose exp(-A) overflows;
-  and ``gram-schmidt`` and ``check`` on matrices with subnormal pivots.
-  Their inputs are written into the temporary directory too.
+  ``gram-schmidt`` and ``check`` on matrices with subnormal pivots; and
+  ``inv``, ``gram-schmidt``, ``check`` and ``gram-schmidt --spec`` on
+  matrices whose determinant overflows though their inverse and
+  orthonormal rows do not.  Their inputs are written into the temporary
+  directory too.
 
 Each line reads the exit code, the sha256 of stdout and of stderr, and
 the call, with the input directories written as ``<golden>`` and
@@ -37,10 +40,14 @@ whose exit code, stdout or stderr differs, with the first differing
 line, then the count.
 
 ``--reach`` runs the same calls in the worker process under
-``sys.setprofile``, from before ``bicomplex`` is imported, and prints
+``sys.settrace``, from before ``bicomplex`` is imported, and prints
 each function defined in ``src/bicomplex`` (found with ``ast``, methods
 and nested functions included) that no call entered, as
-``module:line qualname``, then the count.
+``module:line qualname``, then the count; then each statement that no
+call executed, as ``module:line`` and its first source line, then the
+count.  A line event counts for the innermost statement whose lines hold
+it, so a condition or call written over several lines counts for its
+statement; string expressions (docstrings) run no code and are left out.
 
 The exit status is 0 in every mode: the tool reports.
 """
@@ -169,12 +176,23 @@ def _error_calls(directory: str) -> list[list[str]]:
         ["--eps-null", "1", "info", golden("scalar_one.bct")],
         ["exp", write("exp-800", matrix([[-800.0]]))],
     ]
+    rows = ([2, -1, 0.5], [1, 3, 1], [0, 1, -4])
+    scaled = lambda k: matrix([[math.ldexp(x, k) for x in row] for row in rows])
     diag = write("diag-subnormal", matrix([[1e-310, 0.0], [0.0, 1.0]]))
-    scaled = [[math.ldexp(x, -1040) for x in row] for row in ([2, -1, 0.5], [1, 3, 1], [0, 1, -4])]
-    scaled = write("order-3-subnormal", matrix(scaled))
-    for path in (diag, scaled):
+    subnormal = write("order-3-subnormal", scaled(-1040))
+    for path in (diag, subnormal):
         found += [["gram-schmidt", path], ["check", path]]
     found.append(["gram-schmidt", diag, "--spec", golden("spec_identity_n2.bct")])
+    found.append(["gram-schmidt", subnormal, "--spec", golden("spec_general_n3.bct")])
+    # the determinant overflows; the inverse and the orthonormal rows do not
+    huge = [
+        (write("diag-1e308", matrix([[1e308, 0.0], [0.0, 1e308]])), "spec_identity_n2.bct"),
+        (write("upper-1e308", matrix([[1e308, 1e308], [0.0, 1e308]])), "spec_identity_n2.bct"),
+        (write("order-3-huge", scaled(1000)), "spec_general_n3.bct"),
+    ]
+    for path, spec in huge:
+        found += [["inv", path], ["gram-schmidt", path], ["check", path],
+                  ["gram-schmidt", path, "--spec", golden(spec)]]
     return found
 
 
@@ -201,15 +219,28 @@ def run_calls(argvs: list[list[str]]) -> list[list]:
 
 
 def _worker(src: str, calls_file: str, out_file: str, reach: bool) -> None:
-    """Write the calls' results, or with ``reach`` the [file, first line] of each code entered."""
-    entered = set()
+    """Write the calls' results, or with ``reach`` what they ran of ``src``'s ``bicomplex``.
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
+    That is ``{"entered": [file, first line] of each code entered,
+    "lines": [file, line] of each line event in a frame of the package}``.
+    """
+    package = os.path.join(os.path.realpath(src), "bicomplex") + os.sep
+    entered, lines, inside = set(), set(), {}
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        entered.add(code)
+        if code.co_filename not in inside:
+            inside[code.co_filename] = os.path.realpath(code.co_filename).startswith(package)
+        return local if inside[code.co_filename] else None
 
     if reach:
-        sys.setprofile(profile)
+        sys.settrace(trace)
     sys.path.insert(0, src)
     import bicomplex
 
@@ -218,9 +249,12 @@ def _worker(src: str, calls_file: str, out_file: str, reach: bool) -> None:
     with open(calls_file) as handle:
         argvs = json.load(handle)
     results = run_calls(argvs)
-    sys.setprofile(None)
+    sys.settrace(None)
     if reach:
-        results = sorted({(code.co_filename, code.co_firstlineno) for code in entered})
+        results = {
+            "entered": sorted({(code.co_filename, code.co_firstlineno) for code in entered}),
+            "lines": sorted(lines),
+        }
     with open(out_file, "w") as handle:
         json.dump(results, handle)
 
@@ -243,6 +277,15 @@ def _results(src: str, argvs: list[list[str]], scratch: str, *flags: str) -> lis
         return json.load(handle)
 
 
+def _modules(package: str):
+    """(real path, module name, source) of each module of ``package``, by file name."""
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.realpath(os.path.join(package, name))
+            with open(path) as handle:
+                yield path, f"{os.path.basename(package)}.{name[:-3]}", handle.read()
+
+
 def functions(package: str) -> list[tuple[tuple[str, int], str]]:
     """Each function defined in ``package``'s modules: its code's (file, first line) and its label.
 
@@ -250,13 +293,8 @@ def functions(package: str) -> list[tuple[tuple[str, int], str]]:
     reads it; the label is ``module:line qualname`` with the ``def`` line.
     """
     found = []
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.realpath(os.path.join(package, name))
-        module = f"{os.path.basename(package)}.{name[:-3]}"
-        with open(path) as handle:
-            pending = [(ast.parse(handle.read(), path), "")]
+    for path, module, source in _modules(package):
+        pending = [(ast.parse(source, path), "")]
         while pending:
             node, prefix = pending.pop()
             for child in ast.iter_child_nodes(node):
@@ -271,16 +309,58 @@ def functions(package: str) -> list[tuple[tuple[str, int], str]]:
     return sorted(found, key=lambda item: (item[0][0], item[0][1]))
 
 
+def statements(package: str) -> list[tuple[str, int, list[int], str]]:
+    """Each statement of ``package``'s modules: its file, first line, the lines it owns, its label.
+
+    A statement owns the lines of its range that no statement nested in
+    it holds; a function or class starts at its first decorator.  The
+    label is ``module:line`` and the statement's first source line.
+    String expressions (docstrings) run no code and are not listed.
+    """
+    found = []
+    for path, module, source in _modules(package):
+        text = source.splitlines()
+        nodes = []
+        for node in ast.walk(ast.parse(source, path)):
+            if not isinstance(node, ast.stmt):
+                continue
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                    and isinstance(node.value.value, str):
+                continue
+            decorators = getattr(node, "decorator_list", [])
+            first = min([node.lineno] + [d.lineno for d in decorators])
+            nodes.append((first, node.end_lineno, node.lineno))
+        # in order of first line, nested after their parent: each takes its lines over
+        owner = {}
+        for at, (first, last, _) in sorted(enumerate(nodes), key=lambda item: item[1][0]):
+            owner.update(dict.fromkeys(range(first, last + 1), at))
+        owned = {}
+        for line, at in owner.items():
+            owned.setdefault(at, []).append(line)
+        for at, (first, _, line) in enumerate(nodes):
+            label = f"{module}:{line} {text[line - 1].strip()}"
+            found.append((path, first, owned.get(at, []), label))
+    return sorted(found, key=lambda item: (item[0], item[1]))
+
+
 def _reach(argvs: list[list[str]], scratch: str) -> None:
-    """Print the functions of ``src/bicomplex`` that none of the calls enters, then the count."""
+    """Print the functions, then the statements, of ``src/bicomplex`` that no call reaches."""
     src = os.path.join(ROOT, "src")
     traced = _results(src, argvs, scratch, "--reach")
-    entered = {(os.path.realpath(path), line) for path, line in traced}
+    entered = {(os.path.realpath(path), line) for path, line in traced["entered"]}
     defined = functions(os.path.join(src, "bicomplex"))
     unreached = [label for key, label in defined if key not in entered]
     for label in unreached:
         print(label)
     print(f"{len(unreached)} of {len(defined)} functions in src/bicomplex entered by none of "
+          f"{len(argvs)} calls")
+    ran = {(os.path.realpath(path), line) for path, line in traced["lines"]}
+    listed = statements(os.path.join(src, "bicomplex"))
+    missed = [label for path, _, lines, label in listed
+              if not any((path, line) in ran for line in lines)]
+    for label in missed:
+        print(label)
+    print(f"{len(missed)} of {len(listed)} statements in src/bicomplex executed by none of "
           f"{len(argvs)} calls")
 
 
@@ -323,7 +403,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--against", metavar="REV", help="list the calls that differ at REV")
-    mode.add_argument("--reach", action="store_true", help="list the src functions no call enters")
+    mode.add_argument("--reach", action="store_true",
+                      help="list the src functions and statements no call reaches")
     parser.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
