@@ -411,17 +411,21 @@ def gram_schmidt(
     component.  With G_k = L L^H and the input kets as the columns of
     X_k, run k is the QR factorization L^H X_k = Q_k R_k with diag(R_k)
     made positive real; the output is L^{-H} Q_k, one coefficient
-    matrix.  L and X_k are each first divided exactly by the power of
-    two of their largest part, which leaves Q_k as it is wherever they
-    are normal and keeps R_k finite.  Under the kept standard spec
-    L = I, so the product and the solve are skipped and the QR is the
-    one the coefficient matrix keeps (``BicomplexMatrix.qr``); the pivot
-    test and the phase fix-up below still run on every call.  Before normalization ket i has self-product
-    |R1_ii|^2 e1 + |R2_ii|^2 e2, which must be invertible.  Its null-cone
-    test runs on the pivot moduli divided by the power of two of the
-    larger one before they are squared: the division is exact, so the
-    test is the one on the squares wherever those are normal, and the
-    squares do not depend on the scale of the kets or the spec.
+    matrix.  L is first divided exactly by the power of two of its
+    largest part, and each column of X_k, one ket shared by both
+    components, by a power of two of its own
+    (``BicomplexMatrix._ket_scaled``): that leaves Q_k as it is, scales
+    the columns of R_k and not the ratio of a ket's two pivots, and
+    overflows only where the unscaled QR does.  Under the kept standard
+    spec L = I, so the product and the solve are skipped and the QR is
+    the one the coefficient matrix keeps (``BicomplexMatrix.qr``); the
+    pivot test and the phase fix-up below still run on every call.
+    Before normalization ket i has self-product |R1_ii|^2 e1 + |R2_ii|^2
+    e2, which must be invertible.  Its null-cone test runs on the pivot
+    moduli divided by the power of two of the larger one before they are
+    squared: the division is exact, so the test is the one on the
+    squares wherever those are normal, and the squares do not depend on
+    the scale of the kets or the spec.
     """
     if not isinstance(kets, KetColumns):
         kets = list(kets)
@@ -437,10 +441,10 @@ def gram_schmidt(
     if spec.standard:
         q, r = kets.matrix.qr()
     else:
-        # L / 2**k and X / 2**j, exact: Q does not depend on either scale, and
-        # the output under- or overflows only where L^-H Q does
+        # L / 2**k and each ket by its own power of two, exact: Q does not depend
+        # on either scale, and the output under- or overflows only where L^-H Q does
         chol_h, exponent = scaled_down(spec.chols.conj().mT)
-        q, r = np.linalg.qr(chol_h @ scaled_down(kets.matrix.components)[0])
+        q, r = np.linalg.qr(chol_h @ kets.matrix._ket_scaled())
     pivots = np.diagonal(r, axis1=1, axis2=2)
     moduli = np.abs(pivots)
     # Bicomplex.from_idempotent(a, b).classify(tol) for every pivot self-product

@@ -13,21 +13,24 @@ when at least one component determinant vanishes against the other
 Storage is the canonical (z1, z2) pair of complex arrays
 (``core.BicomplexArray``); determinant, inverse, condition numbers and
 QR factorization are each one batched LAPACK call on the ``(2, n, n)``
-component stack.  Every factorization but the determinant's reads the
-stack divided by the power of two of its largest part
-(``core.scaled_down``), which is exact, so singularity, the inverse and
-orthonormal rows do not depend on where in the double range A lies; the
-determinant keeps ``np.linalg.det`` of the stack as it is, so an
-overflowing one is reported.  Each is computed once per matrix and
-kept, as is the transposed copy: the commands of one process share a
-loaded matrix (``bct.load``), so ``det``, ``inv``, ``gram-schmidt`` and
-``check`` on one document factorize A and its transpose once each, and
-the rows' Gram-Schmidt under the standard product is the kept QR of the
-transpose.  Only results that do not depend on a ``Tolerance`` are kept;
-the null-cone tests run on every call.  The product stays in (z1, z2)
-ring form, so the component law that ``checks`` verifies compares two
-independent routes.  Matrices are immutable and all operations are
-pure; two threads that race on a first use compute the same value twice.
+component stack.  The singularity test's log-moduli and the QR read the
+stack with each column (one ket, shared by both components) divided
+exactly by a power of two of its own (``_ket_scaled``); the condition
+numbers and the inverse read it divided by the power of two of its
+largest part (``core.scaled_down``).  So singularity, the inverse and
+orthonormal rows do not depend on where in the double range A or any of
+its columns lies.  The determinant keeps ``np.linalg.det`` of the stack
+as it is, so an overflowing one is reported.  Each is computed once per
+matrix and kept, as is the transposed copy: the commands of one process
+share a loaded matrix (``bct.load``), so ``det``, ``inv``,
+``gram-schmidt`` and ``check`` on one document factorize A and its
+transpose once each, and the rows' Gram-Schmidt under the standard
+product is the kept QR of the transpose.  Only results that do not
+depend on a ``Tolerance`` are kept; the null-cone tests run on every
+call.  The product stays in (z1, z2) ring form, so the component law
+that ``checks`` verifies compares two independent routes.  Matrices are
+immutable and all operations are pure; two threads that race on a first
+use compute the same value twice.
 """
 
 from __future__ import annotations
@@ -193,15 +196,21 @@ class BicomplexMatrix(BicomplexArray):
         Both determinants are divided by the power of two of their largest
         part first, which is exact, so their recombination cannot
         overflow.  When one overflows, or is zero or subnormal, the moduli
-        come from the ``slogdet`` log-moduli of the unit-scaled stack as
-        exp(l_k - max(l1, l2)): the scale shifts both log-moduli alike, an
-        exactly singular component has log-modulus -inf and still
-        vanishes, and one that only under- or overflowed does not.
+        come from the ``slogdet`` log-moduli of the ket-scaled stack
+        (``_ket_scaled``) as exp(l_k - max(l1, l2)): its column scales
+        shift both log-moduli alike, an exactly singular component has
+        log-modulus -inf and still vanishes, and one that only under- or
+        overflowed does not.
         """
         d1, d2 = self._component_dets()
         if np.isfinite(d1) and np.isfinite(d2) and min(abs(d1), abs(d2)) >= _TINY:
             return Bicomplex.from_idempotent(*scaled_down((d1, d2))[0]).classify(tol)
-        logs = np.linalg.slogdet(scaled_down(self.components)[0]).logabsdet
+        with np.errstate(over="ignore", invalid="ignore"):
+            logs = np.linalg.slogdet(self._ket_scaled()).logabsdet
+        if not (logs < math.inf).all():
+            # the LU overflowed on a column left near the top of the double range:
+            # the determinant is not finite either, and det raises NonFinite
+            return self.det().classify(tol)
         if logs.max() == -math.inf:
             return Classification.ZERO
         return _CLASSIFICATIONS[null_cone_codes(np.exp(logs - logs.max()), tol.eps_null)]
@@ -240,23 +249,43 @@ class BicomplexMatrix(BicomplexArray):
             return self._inverse
 
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only QR factorizations (Q, R) of the unit-scaled component stack, ``(2, n, n)``.
+        """The read-only QR factorizations (Q, R) of the ket-scaled component stack, ``(2, n, n)``.
 
-        The stack is divided by the power of two of its largest part
-        (``core.scaled_down``) first: wherever it is normal, Q is that of
-        the components and R is theirs divided by that power.  One batched
-        LAPACK call on first use, then kept: ``gram_schmidt`` under the
-        standard product reads its columns and the ratios of its pivots
-        from it.
+        Each column is divided by its own power of two first
+        (``_ket_scaled``), which is exact: Q is that of the components,
+        column j of R is theirs divided by column j's power, and so the
+        ratio of a ket's two pivots is theirs.  One batched LAPACK call on
+        first use, then kept: ``gram_schmidt`` under the standard product
+        reads its columns and pivot ratios from it.
         """
         try:
             return self._qr
         except AttributeError:
-            q, r = np.linalg.qr(scaled_down(self.components)[0])
+            q, r = np.linalg.qr(self._ket_scaled())
             q.setflags(write=False)
             r.setflags(write=False)
             self._qr = q, r
             return self._qr
+
+    def _ket_scaled(self) -> np.ndarray:
+        """The component stack with each column divided exactly by a power of two of its own.
+
+        Column j, ket j of both components, is divided by 2**s_j with s_j
+        the binary exponent of its largest part, lowered (to no less than
+        0) where that would take its smallest nonzero part below the
+        normal range.  So no part loses a bit, a column's largest part
+        ends at most max(1, its own), and A * 2**k gives the stack of A
+        unless a column of either spans more than the normal range.  The
+        QR of X D, D a positive diagonal, has the Q of X, and its slogdet
+        shifts both components' log-moduli alike.
+        """
+        parts = np.ascontiguousarray(self.components).view(float)
+        moduli = np.abs(parts).reshape(2, self.order, self.order, 2)
+        largest = np.frexp(moduli.max(axis=(0, 1, 3)))[1]
+        smallest = np.frexp(np.where(moduli > 0, moduli, np.inf).min(axis=(0, 1, 3)))[1]
+        # a part of binary exponent e stays normal when divided by 2**(e - frexp(_TINY)[1])
+        shifts = np.minimum(largest, np.maximum(smallest - np.frexp(_TINY)[1], 0))
+        return np.ldexp(parts, -np.repeat(shifts, 2)).view(complex)
 
 
 # smallest normal modulus: below it a determinant has lost relative precision

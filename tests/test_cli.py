@@ -239,7 +239,7 @@ class TestGramSchmidt:
     @pytest.mark.parametrize("spec", [False, True])
     @pytest.mark.parametrize("k", [-1040, -500, 500, 1000])
     def test_rows_do_not_depend_on_scale(self, capsys, tmp_path, k, spec):
-        # LAPACK factorizes the unit-scaled stack: A 2^k has A's orthonormal rows
+        # LAPACK factorizes the ket-scaled stack: A 2^k has A's orthonormal rows
         argv = ["--spec", str(GOLDEN / "spec_general_n3.bct")] if spec else []
         code, out = run(capsys, "gram-schmidt", _save_scaled(tmp_path / "a.bct", 0), *argv)
         assert code == 0, out
@@ -247,6 +247,37 @@ class TestGramSchmidt:
         code, out = run(capsys, "gram-schmidt", _save_scaled(tmp_path / "scaled.bct", k), *argv)
         assert code == 0, out
         assert out.split("\nresult:\n", 1)[1] == expected
+
+    # kets 2^1080 apart, a ket whose own parts span 2^1100, and a regular matrix whose
+    # determinant overflows: each ket is scaled exactly by a power of two of its own
+    WIDE = {
+        "diag(2^500, 2^-580)": [[2.0**500, 0.0], [0.0, 2.0**-580]],
+        "rows (2^500, 0), (2^500, 2^-600)": [[2.0**500, 0.0], [2.0**500, 2.0**-600]],
+        "diag(2^1000, 2^1000, 2^-100)": [
+            [2.0**1000, 0.0, 0.0], [0.0, 2.0**1000, 0.0], [0.0, 0.0, 2.0**-100],
+        ],
+    }
+
+    @pytest.mark.parametrize("spec", [False, True])
+    @pytest.mark.parametrize("name", list(WIDE))
+    def test_kets_of_any_scale(self, capsys, tmp_path, name, spec):
+        # each ket spans the flag of I's, so the rows are those of I, to the bit
+        rows = self.WIDE[name]
+        n = len(rows)
+        golden = "spec_identity_n2.bct" if n == 2 else "spec_general_n3.bct"
+        argv = ["--spec", str(GOLDEN / golden)] if spec else []
+        bct.save(tmp_path / "eye.bct", bct.document_for(BicomplexMatrix.identity(n)))
+        code, out = run(capsys, "gram-schmidt", str(tmp_path / "eye.bct"), *argv)
+        assert code == 0, out
+        expected = out.split("\nresult:\n", 1)[1]
+        bct.save(tmp_path / "m.bct", bct.document_for(BicomplexMatrix.from_entries(rows)))
+        code, out = run(capsys, "gram-schmidt", str(tmp_path / "m.bct"), *argv)
+        assert code == 0, out
+        assert out.split("\nresult:\n", 1)[1] == expected
+        if n == 2 and not spec:
+            code, out = run(capsys, "check", str(tmp_path / "m.bct"))
+            assert code == 0, out
+            assert "check orthogonalize-rows: residual 0.000e+00 tol 1e-10 pass\n" in out
 
     def test_null_cone_pivot_exit_2(self, capsys):
         code, out = run(capsys, "gram-schmidt", str(GOLDEN / "counter_nullcone_pivot_n2.bct"))
@@ -698,7 +729,7 @@ class TestOverflow:
             ("matrix", "info", 2),
             ("matrix", "idempotent", 0),
             ("matrix", "det", 2),
-            # LAPACK factorizes the unit-scaled stack: only the determinant overflows
+            # LAPACK factorizes rescaled stacks: only the determinant overflows
             ("matrix", "inv", 0),
             ("matrix", "exp", 2),
             ("matrix", "gram-schmidt", 0),

@@ -30,7 +30,7 @@ from bicomplex import (
 )
 from bicomplex import BicomplexMatrix, bct
 from bicomplex.checks import verify_gram_schmidt
-from bicomplex.core import E1, E2, J, ONE, ZERO, scaled_down
+from bicomplex.core import E1, E2, J, ONE, ZERO
 from bicomplex.hilbert import coefficient_matrix, ket_norms, row_kets
 from bicomplex.reference import gram_schmidt_ring, scalar_product_direct
 
@@ -484,8 +484,11 @@ class TestStandardSpec:
         assert len(calls) == 1 and np.array_equal(_bits(first), _bits(second))
         kept = matrix.transpose().qr()
         assert matrix.transpose().qr() is kept
-        # the factors of the unit-scaled stack
-        for factor, fresh in zip(kept, original(scaled_down(matrix.transpose().components)[0])):
+        # the factors of the ket-scaled stack: the components' Q, and each column of
+        # their R divided by a power of two of its own
+        q, r = original(matrix.transpose().components)
+        shifts = np.subtract(*(np.frexp(np.abs(x).max(axis=(0, 1)))[1] for x in (r, kept[1])))
+        for factor, fresh in zip(kept, (q, np.ldexp(r.view(float), -np.repeat(shifts, 2)))):
             assert not factor.flags.writeable
             assert np.array_equal(factor.view(np.uint64), fresh.view(np.uint64))
         with pytest.raises(ValueError):

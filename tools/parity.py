@@ -193,6 +193,12 @@ def _error_calls(directory: str) -> list[list[str]]:
     for path, spec in huge:
         found += [["inv", path], ["gram-schmidt", path], ["check", path],
                   ["gram-schmidt", path, "--spec", golden(spec)]]
+    # kets 2^1080 apart, and a ket whose own parts span 2^1100: scaling flushes no part
+    wide = [write("diag-wide", matrix([[2.0**500, 0.0], [0.0, 2.0**-580]])),
+            write("ket-wide", matrix([[2.0**500, 0.0], [2.0**500, 2.0**-600]]))]
+    for path in wide:
+        found += [["gram-schmidt", path], ["check", path],
+                  ["gram-schmidt", path, "--spec", golden("spec_identity_n2.bct")]]
     return found
 
 
