@@ -180,10 +180,12 @@ def atom_fields(*parts: np.ndarray) -> np.ndarray:
 def format_rows(template: str, fields: np.ndarray) -> list[str]:
     """One line per row of ``fields`` (a vector is one row), filled into ``template``.
 
-    Each line is ``template % tuple(row)``, byte for byte.  A float block
-    of at least ``BATCH_MIN_FIELDS`` fields, under a template of plain
-    ASCII text around its ``%.17g`` fields, is printed by the batch
-    kernel in :mod:`bicomplex.format17`; every other block row by row.
+    Each line is ``template % tuple(row)``, byte for byte.  The template
+    holds one ``%.17g`` field per column and plain ASCII text around them
+    (no ``%``, NUL or newline), as those built from ``atoms_template`` do.
+    A float block of at least ``BATCH_MIN_FIELDS`` fields is printed by
+    the batch kernel in :mod:`bicomplex.format17`; every other block row
+    by row.
     """
     fields = np.atleast_2d(fields)
     if fields.size >= BATCH_MIN_FIELDS and fields.dtype == np.float64 and fields.ndim == 2:
@@ -191,9 +193,7 @@ def format_rows(template: str, fields: np.ndarray) -> list[str]:
         # about 2 ms, and those that print only small blocks never run it
         from . import format17
 
-        lines = format17.format_rows(template, fields)
-        if lines is not None:
-            return lines
+        return format17.format_rows(template, fields)
     return [template % tuple(row) for row in fields.tolist()]
 
 

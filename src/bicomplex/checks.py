@@ -380,6 +380,10 @@ def check_spec(g1: np.ndarray, g2: np.ndarray, tol: Tolerance):
 def run_checks(doc, spec: ScalarProductSpec | None, tol: Tolerance = DEFAULT_TOLERANCE):
     """Dispatch on document kind; returns (results, notes).
 
+    ``spec`` is the scalar product of a ket or an operator, the standard
+    one where ``bct check`` reads no ``--spec`` (``cli._dispatch``
+    resolves it), and None for the other kinds.
+
     A suite whose arithmetic overflows ends in a failing
     ``finite-arithmetic`` check and a note instead of its other results.
     """
@@ -390,8 +394,6 @@ def run_checks(doc, spec: ScalarProductSpec | None, tol: Tolerance = DEFAULT_TOL
 
 
 def _run_suite(doc, spec: ScalarProductSpec | None, tol: Tolerance):
-    if doc.kind in ("ket", "operator") and spec is None:
-        spec = ScalarProductSpec.identity(doc.value.dim)
     if doc.kind == "scalar":
         return check_scalar(doc.value, tol)
     if doc.kind == "ket":

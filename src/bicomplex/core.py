@@ -66,7 +66,6 @@ __all__ = [
     "E2",
     "approx_eq",
     "as_bicomplex",
-    "component_index",
     "entry_norms",
     "max_entry_norm",
     "null_cone_codes",
@@ -561,13 +560,6 @@ def two_product(a, b, p, e, a_hi, a_lo, b_hi, b_lo) -> None:
         np.add(e, product, out=e)
 
 
-def component_index(k: int) -> int:
-    """Position of idempotent component k (1 for e1, 2 for e2) along a stack's first axis."""
-    if k == 1 or k == 2:
-        return int(k) - 1
-    raise ValueError(f"component index must be 1 or 2, got {k!r}")
-
-
 class BicomplexArray:
     """A nonempty array of bicomplex entries, stored as read-only (z1, z2) parts.
 
@@ -617,10 +609,6 @@ class BicomplexArray:
             stack.setflags(write=False)
             self._components = stack
             return stack
-
-    def component(self, k: int) -> np.ndarray:
-        """The complex component array multiplying e1 (k=1) or e2 (k=2)."""
-        return self.components[component_index(k)]
 
     def max_norm(self) -> float:
         """Largest entrywise Euclidean norm (``max_entry_norm``), kept after first use."""

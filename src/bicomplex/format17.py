@@ -135,16 +135,14 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-def format_rows(template: str, fields: np.ndarray) -> list[str] | None:
+def format_rows(template: str, fields: np.ndarray) -> list[str]:
     """``[template % tuple(row) for row in fields]`` for a 2-D float64 block.
 
-    None when the template holds anything but ``%.17g`` fields, one per
-    column, and plain ASCII text around them.
+    The template holds one ``%.17g`` field per column and plain ASCII
+    text around them (no ``%``, NUL or newline), as every template that
+    ``bct`` builds from its atoms does.
     """
-    layout = _template_layout(template)
-    if layout is None or len(layout[1]) != fields.shape[1]:
-        return None
-    first, literals = layout
+    first, literals = _template_layout(template)
     width = _SLOT_WORDS + literals.shape[1]
     row_bytes = 8 * width * fields.shape[1]
     part_bytes = max(1, _TEXT_BYTES // row_bytes) * row_bytes
@@ -171,18 +169,13 @@ def format_rows(template: str, fields: np.ndarray) -> list[str] | None:
 
 
 @functools.lru_cache(maxsize=16)
-def _template_layout(template: str) -> tuple[str, np.ndarray] | None:
+def _template_layout(template: str) -> tuple[str, np.ndarray]:
     """The template's first literal piece, and the pieces after its fields as uint64 rows.
 
     Each piece after a field is NUL-padded to whole words; the last one
     is followed by the newline and the first piece of the next row.
-    None when the template has no field, or a piece holds anything but
-    plain ASCII text: a ``%``, NUL or newline.
     """
     pieces = template.split(_FIELD)
-    literal = "".join(pieces)
-    if len(pieces) < 2 or not literal.isascii() or any(c in literal for c in "%\0\n"):
-        return None
     after = pieces[1:]
     after[-1] += "\n" + pieces[0]
     width = -(-max(map(len, after)) // 8) * 8
@@ -326,12 +319,10 @@ def _fill_scales(e_index: np.ndarray) -> None:
     # a set, not np.unique: that imports numpy.ma, about 15 ms
     for index in set(e_index[np.isnan(_CARRY_FROM.take(e_index))].tolist()):
         e = index + _E_MIN
-        # the largest k with 10^k <= 2^(e - 1), settled exactly
+        # the largest k with 10^k <= 2^(e - 1): for every binary exponent of a
+        # double, (e - 1) * log10(2) lies at least 4.5e-4 from an integer but
+        # at e = 1, where it is 0, so the floor of the rounded product is exact
         k = math.floor((e - 1) * math.log10(2.0))
-        while not _at_least(*_ratio(e - 1, -k), 1, 1):
-            k -= 1
-        while _at_least(*_ratio(e - 1, -k - 1), 1, 1):
-            k += 1
         for carry in (0, 1):
             row = 2 * index + carry
             _SCALE_HI[row], _SCALE_LO[row] = _double_double(*_ratio(e, 16 - carry - k))

@@ -14,13 +14,14 @@ normalized, and any basis can be orthogonalized.  A scalar-product spec
 holds its Gram matrices and their Cholesky factors as ``(2, n, n)``
 stacks, matching the component stacks of kets and matrices, so each
 product, solve and factorization below is one batched numpy call over
-both components.  Gram-Schmidt is one batched QR factorization, checked
-against the ring-arithmetic recursion of ``reference.gram_schmidt_ring``,
-and its basis stays stacked as ``KetColumns``.  The standard product
-(I, I) is one kept spec per order (``ScalarProductSpec.identity``);
-under it Gram-Schmidt skips the Cholesky route and reads the QR that the
-kets' coefficient matrix keeps along with its determinants, inverse and
-transpose (``BicomplexMatrix.qr``).
+both components.  Gram-Schmidt is one batched QR factorization, which
+the tests check against the ring-arithmetic recursion of
+``gram_schmidt_ring`` in ``tests/oracles.py``, and its basis stays
+stacked as ``KetColumns``.  The standard product (I, I) is one kept spec
+per order (``ScalarProductSpec.identity``); under it Gram-Schmidt skips
+the Cholesky route and reads the QR that the kets' coefficient matrix
+keeps along with its determinants, inverse and transpose
+(``BicomplexMatrix.qr``).
 
 Kets carry their basis label; mixing labels raises instead of silently
 coercing.  All values are immutable and operations pure.
@@ -487,7 +488,7 @@ def mix_orthogonal_bases(
         raise ValueError(f"not a permutation of 0..{n - 1}: {list(permutation)!r}")
     parent = kets[0].basis_id
     mixed = [
-        Ket.from_components(kets[l].component(1), kets[permutation[l]].component(2), parent)
+        Ket.from_components(kets[l].components[0], kets[permutation[l]].components[1], parent)
         for l in range(n)
     ]
     # the cross products (phi_i, phi_j), i < j, of the mixed kets

@@ -67,7 +67,7 @@ def random_matrix(rng, n: int, scale: float = 1.0) -> BicomplexMatrix:
 def random_well_conditioned(rng, n: int, cond_cap: float = 100.0) -> BicomplexMatrix:
     while True:
         matrix = random_matrix(rng, n)
-        conds = [np.linalg.cond(matrix.component(k)) for k in (1, 2)]
+        conds = [np.linalg.cond(matrix.components[k - 1]) for k in (1, 2)]
         if max(conds) <= cond_cap:
             return matrix
 

@@ -506,14 +506,6 @@ class TestBatchFormat:
         assert bct.format_rows(template, row) == [template % tuple(row[0].tolist())]
         assert format17._scratch.rows is kept[0] and format17._scratch.text is kept[1]
 
-    def test_templates_the_kernel_leaves_alone(self):
-        block = np.full((bct.BATCH_MIN_FIELDS, 1), 0.25)
-        for template in ("%.17g%%", "%.17g\u00e9", "a\n%.17g"):
-            assert bct.format_rows(template, block) == [template % (0.25,)] * len(block)
-        for template in ("%.17g %.17g", "no field"):
-            with pytest.raises(TypeError):
-                bct.format_rows(template, block)
-
 
 # Replacements and insertions that a reader must reject, or accept exactly
 # as float() and str.split() do.

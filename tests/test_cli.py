@@ -467,6 +467,7 @@ class TestEvolve:
             # U+FF11 and U+0660, which float reads as 1 and 0
             ("(\uff11 0 0 0)", "non-ASCII byte 0xef"),
             ("(1 0 0 \u0660)", "non-ASCII byte 0xd9"),
+            ("(1 0 0 0)\u00e9", "non-ASCII byte 0xc3"),
         ],
     )
     def test_xi_that_is_not_one_finite_atom_exit_2(self, capsys, workdir, xi, reason):
@@ -1557,6 +1558,74 @@ def test_evolve_reports_the_first_of_two_faults(capsys, faults, expected):
     argv = evolve_argv()
     flags = {**dict(zip(argv[1::2], argv[2::2])), **faults}
     assert run(capsys, "evolve", *[word for pair in flags.items() for word in pair]) == expected
+
+
+# the order-16 matrix diag(2 + 0.5 i2), one row per line: 1,024 fields, read
+# by the vectorized reader when its layout allows
+ORDER_16 = [" ".join("(2 0 0.5 0)" if i == j else "(0 0 0 0)" for j in range(16))
+            for i in range(16)]
+
+
+def order_16(rows: list[str], end: str = "\n") -> str:
+    return "bct v1\nkind: matrix\ndim: 16\n" + "\n".join(rows) + end
+
+
+def order_16_edited(row: int, atom: str) -> str:
+    """ORDER_16 with the first zero atom of ``row`` replaced by ``atom``."""
+    rows = list(ORDER_16)
+    rows[row] = rows[row].replace("(0 0 0 0)", atom, 1)
+    return order_16(rows)
+
+
+@pytest.mark.parametrize(
+    "argv, documents, code, line",
+    [
+        (["check", "g.bct"], {"g.bct": NOT_POSITIVE_DEFINITE}, 3,
+         "note: positive-definite: Gram matrices must be positive definite"),
+        (["info", "g.bct"], {"g.bct": NOT_POSITIVE_DEFINITE}, 0,
+         "valid: no (Gram matrices must be positive definite)"),
+        ([*evolve_argv(), "--hbar", "-1"], {}, 2,
+         "error: BicomplexError: invalid evolution settings: "
+         "hbar must be positive and finite, got -1.0"),
+        ([*evolve_argv(), "--t0=-1e308", "--t1=1e308"], {}, 2,
+         "error: BicomplexError: invalid evolution settings: t0, t1 and t1 - t0 must be finite"),
+        ([*evolve_argv(), "--state", str(GOLDEN / "ket_regular_n3.bct")], {}, 2,
+         "error: DimensionMismatch: dimensions differ: 2 vs 3"),
+        ([*evolve_argv(), "--state", "psi.bct"],
+         {"psi.bct": "bct v1\nkind: ket\ndim: 2\nbasis: lab\n(1 0 0 0) (0 1 0 0)\n"}, 2,
+         "error: BasisMismatch: bases differ: 'canonical' vs 'lab'"),
+        # eigenfrequency 1e300 over a window of 1e10
+        ([*evolve_argv(), "--hamiltonian", "h.bct", "--t1", "1e10"],
+         {"h.bct": "bct v1\nkind: operator\ndim: 2\n"
+                   "(1e300 0 0 0) (0 0 0 0)\n(0 0 0 0) (1 0 0 0)\n"},
+         2, "error: NonFinite: phases lambda (t - t0) / hbar overflow"),
+        # one row longer than a reader block: the reference scan reads it
+        (["info", "psi.bct"],
+         {"psi.bct": "bct v1\nkind: ket\ndim: 2049\n" + " ".join(["(1 0 0.5 0)"] * 2049) + "\n"},
+         0, "classification: regular"),
+        (["info", "a.bct"], {"a.bct": order_16(ORDER_16, end="")}, 0, "singular: no"),
+        (["info", "a.bct"], {"a.bct": order_16(ORDER_16[:8])}, 1,
+         "parse error: line 11, column 1: expected 16 payload rows for kind 'matrix', got 8"),
+        (["info", "a.bct"], {"a.bct": order_16_edited(5, ")0 0 0 0(")}, 1,
+         "parse error: line 9, column 1: unexpected text ')0 0 0 0('"),
+        (["info", "a.bct"], {"a.bct": order_16_edited(9, "(0x10 0 0 0)")}, 1,
+         "parse error: line 13, column 1: bad number '0x10'"),
+        # a field of 1e20 in a block of the batch writer
+        (["idempotent", "a.bct"], {"a.bct": order_16_edited(0, "(1e20 0 0 0)")}, 0,
+         "(2 -0.5) (1e+20 0)" + " (0 0)" * 14),
+    ],
+    ids=["check-spec-not-positive-definite", "info-spec-not-positive-definite",
+         "evolve-negative-hbar", "evolve-infinite-window", "evolve-state-dimension",
+         "evolve-state-basis", "evolve-phases-overflow", "info-ket-2049",
+         "info-no-final-newline", "info-rows-missing", "info-swapped-parens",
+         "info-bad-number", "idempotent-field-1e20"],
+)
+def test_outcomes_only_these_inputs_reach(capsys, tmp_path, argv, documents, code, line):
+    # each call is also one of tools/parity.py's error calls
+    for name, text in documents.items():
+        (tmp_path / name).write_text(text)
+    got, out = run(capsys, *[str(tmp_path / arg) if arg in documents else arg for arg in argv])
+    assert got == code and line in out.splitlines(), out
 
 
 NON_ASCII_DIGITS = ["\uff11", "\u0660"]  # FULLWIDTH DIGIT ONE, ARABIC-INDIC DIGIT ZERO

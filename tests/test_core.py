@@ -432,7 +432,7 @@ class TestComponentStack:
             assert stack.shape == expected.shape
             assert np.array_equal(*_bits(stack, expected))
             for k in (1, 2):
-                assert np.array_equal(*_bits(x.component(k), expected[k - 1]))
+                assert np.array_equal(*_bits(x.components[k - 1], expected[k - 1]))
             cls = type(x)
             got = _rebuilt_bits(cls, *stack)
             want = _rebuilt_bits(cls, *expected)
@@ -440,11 +440,6 @@ class TestComponentStack:
             assert got == want
         else:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    @pytest.mark.parametrize("k", [0, 3, -1])
-    def test_component_rejects_bad_index(self, k):
-        with pytest.raises(ValueError, match="component index must be 1 or 2"):
-            Ket.from_coeffs([1, I1]).component(k)
 
 
 class TestRecombination:

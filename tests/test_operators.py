@@ -129,8 +129,8 @@ class TestComposeAndProject:
         b = random_operator(rng, 5)
         product = compose(a, b)
         for k in (1, 2):
-            direct = a.matrix.component(k) @ b.matrix.component(k)
-            assert np.abs(product.matrix.component(k) - direct).max() <= 1e-11 * max(
+            direct = a.matrix.components[k - 1] @ b.matrix.components[k - 1]
+            assert np.abs(product.matrix.components[k - 1] - direct).max() <= 1e-11 * max(
                 1.0, float(np.abs(direct).max())
             )
 
@@ -139,8 +139,8 @@ class TestComposeAndProject:
         a = random_operator(rng, 5)
         b = random_operator(rng, 5)
         for k in (1, 2):
-            lhs = (a + b).matrix.component(k)
-            rhs = a.matrix.component(k) + b.matrix.component(k)
+            lhs = (a + b).matrix.components[k - 1]
+            rhs = a.matrix.components[k - 1] + b.matrix.components[k - 1]
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, float(np.abs(rhs).max()))
 
     def test_basis_mismatch(self):
@@ -202,7 +202,7 @@ class TestAdjoint:
             error = [[(g[0] - w[0], g[1] - w[1]) for g, w in zip(*rows)] for rows in zip(got, want)]
             norm = np.linalg.norm(exact.to_complex(want), 2)
             relative = np.linalg.norm(exact.to_complex(error), 2) / norm
-            growth = 1.0 + np.linalg.norm(a.matrix.component(k), 2) / norm
+            growth = 1.0 + np.linalg.norm(a.matrix.components[k - 1], 2) / norm
             kappa = np.linalg.cond(spec.grams[k - 1])
             bound = ADJOINT_FORWARD_C * order * UNIT_ROUNDOFF * kappa * growth
             assert relative <= bound, (k, relative / bound)
@@ -214,8 +214,8 @@ class TestAdjoint:
         star = adjoint(spec, a)
         for k in (1, 2):
             gram = spec.grams[k - 1]
-            direct = np.linalg.solve(gram, a.matrix.component(k).conj().T @ gram)
-            assert np.abs(star.matrix.component(k) - direct).max() <= 1e-11
+            direct = np.linalg.solve(gram, a.matrix.components[k - 1].conj().T @ gram)
+            assert np.abs(star.matrix.components[k - 1] - direct).max() <= 1e-11
 
 
 class TestOuterProduct:
@@ -569,7 +569,7 @@ class TestOrthogonalityCheck:
         hermitian = random_self_adjoint(rng, 4).matrix.components
         h = Operator(BicomplexMatrix.from_components(*np.linalg.solve(spec.grams, hermitian)))
         # an operator whose e2 component is 3 I: every e2 gap vanishes
-        shared = Operator(BicomplexMatrix.from_components(h.matrix.component(1), 3.0 * np.eye(4)))
+        shared = Operator(BicomplexMatrix.from_components(h.matrix.components[0], 3.0 * np.eye(4)))
         all_pairs = list(itertools.combinations(range(4), 2))
         for op, expected_free in ((h, []), (shared, all_pairs), (Operator.identity(4), None)):
             system = eigendecompose_self_adjoint(spec, op)

@@ -4,7 +4,8 @@ Usage, from the repository root:
 
     python tools/parity.py                 # one line per call
     python tools/parity.py --against REV   # the calls whose output differs at REV
-    python tools/parity.py --reach         # the src functions and statements no call reaches
+    python tools/parity.py --reach         # the src functions and statements no call or
+                                           # acceptance or fuzz test reaches
 
 The calls run in process through ``bicomplex.cli.main`` under
 ``OPENBLAS_NUM_THREADS=1``:
@@ -25,8 +26,20 @@ The calls run in process through ``bicomplex.cli.main`` under
   ``gram-schmidt`` and ``check`` on matrices with subnormal pivots; and
   ``inv``, ``gram-schmidt``, ``check`` and ``gram-schmidt --spec`` on
   matrices whose determinant overflows though their inverse and
-  orthonormal rows do not.  Their inputs are written into the temporary
-  directory too.
+  orthonormal rows do not;
+- the outcomes that only rarer inputs reach: ``spectral --spec``,
+  ``check`` and ``info`` on a spec that is not positive definite, and
+  ``info`` on one that is not Hermitian; ``evolve`` with a negative
+  ``--hbar``, no samples, an infinite window, three ``--xi`` values it
+  refuses (a non-ASCII byte, a value that is not its kind-3 conjugate,
+  a zero divisor), phases that overflow and a state of another
+  dimension or basis; ``info`` on a scalar whose norm overflows;
+  ``info`` on payloads of at least ``bct.READ_MIN_FIELDS`` fields that
+  the vectorized reader leaves to the reference scan; and
+  ``idempotent`` on a block of the batch writer with a field of 1e20.
+
+The inputs of the last two groups are written into the temporary
+directory too.
 
 Each line reads the exit code, the sha256 of stdout and of stderr, and
 the call, with the input directories written as ``<golden>`` and
@@ -40,14 +53,23 @@ whose exit code, stdout or stderr differs, with the first differing
 line, then the count.
 
 ``--reach`` runs the same calls in the worker process under
-``sys.settrace``, from before ``bicomplex`` is imported, and prints
-each function defined in ``src/bicomplex`` (found with ``ast``, methods
-and nested functions included) that no call entered, as
-``module:line qualname``, then the count; then each statement that no
-call executed, as ``module:line`` and its first source line, then the
-count.  A line event counts for the innermost statement whose lines hold
-it, so a condition or call written over several lines counts for its
-statement; string expressions (docstrings) run no code and are left out.
+``sys.settrace``, from before ``bicomplex`` is imported, then, still
+traced, the tests of ``REACH_TESTS`` (``tests/test_acceptance.py`` and
+``tests/test_fuzz.py``) through ``pytest.main``; it prints their pytest
+summary line.  A test that fails under the trace still counts what it
+ran: acceptance test 01 fails its fixed 1.0 s bound there, because the
+trace slows the ring arithmetic it times, which is why the union is a
+tool and not a tier-1 test.  It then prints each function defined in
+``src/bicomplex`` (found with ``ast``, methods and nested functions
+included) that neither the calls nor the tests entered, as
+``module:line qualname``, then the count; then each statement that
+neither executed, as ``module:line`` and its first source line, then
+the count and the count of each module.  A line event counts for the
+innermost statement whose lines hold it, so a condition or call written
+over several lines counts for its statement; string expressions
+(docstrings) run no code and are left out.  The unit tests are not
+traced, so what only they run is listed.  This mode needs pytest (the
+``test`` extra of ``pyproject.toml``).
 
 The exit status is 0 in every mode: the tool reports.
 """
@@ -56,6 +78,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import contextlib
 import hashlib
 import io
@@ -73,6 +96,8 @@ GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 SPECS = ("spec_identity_n2.bct", "spec_general_n3.bct")
 SPEC_SUBCOMMANDS = ("gram-schmidt", "spectral", "check")
 SEED = 1
+# the test modules that --reach runs under the trace after the calls
+REACH_TESTS = ("tests/test_acceptance.py", "tests/test_fuzz.py")
 # a document's text from its header lines (each ended by "\n") and its payload
 LAYOUTS = {
     "crlf": lambda head, payload: (head + payload).replace("\n", "\r\n"),
@@ -199,6 +224,50 @@ def _error_calls(directory: str) -> list[list[str]]:
     for path in wide:
         found += [["gram-schmidt", path], ["check", path],
                   ["gram-schmidt", path, "--spec", golden("spec_identity_n2.bct")]]
+    # specs that are not positive definite or not Hermitian
+    spec_of = lambda g1: ("bct v1\nkind: spec\ndim: 2\n" + "".join(
+        " ".join("(%.17g 0)" % x for x in row) + "\n" for row in (*g1, (1, 0), (0, 1)))).encode()
+    indefinite = write("spec-indefinite", spec_of([(1, 2), (2, 1)]))
+    found += [["spectral", golden("operator_selfadjoint_n2.bct"), "--spec", indefinite],
+              ["check", indefinite], ["info", indefinite],
+              ["info", write("spec-not-hermitian", spec_of([(1, 2), (0, 1)]))]]
+    # evolution settings and inputs that evolve refuses, the last three --xi
+    # values for a non-ASCII byte, a value that is not its kind-3 conjugate
+    # and a zero divisor
+    state = evolve + ["--state", golden("ket_nullcone_n2.bct")]
+    other_basis = b"bct v1\nkind: ket\ndim: 2\nbasis: lab\n(1 0 0 0) (0 1 0 0)\n"
+    huge_operator = (b"bct v1\nkind: operator\ndim: 2\n"
+                     b"(1e300 0 0 0) (0 0 0 0)\n(0 0 0 0) (1 0 0 0)\n")
+    found += [state + flags for flags in (
+        ["--hbar", "-1"], ["--samples", "0"], ["--t0=-1e308", "--t1=1e308"],
+        ["--xi", "(1 0 0 0)\u00e9"], ["--xi", "(0 1 0 0)"], ["--xi", "(0.5 0 0 0.5)"],
+        ["--hamiltonian", write("operator-1e300", huge_operator), "--t1", "1e10"],
+    )]
+    found += [evolve + ["--state", golden("ket_regular_n3.bct")],
+              evolve + ["--state", write("ket-other-basis", other_basis)],
+              ["info", write("scalar-norm-1e308", b"bct v1\nkind: scalar\ndim: 1\n"
+                                                 b"(1.7e308 0 1.7e308 0)\n")]]
+    # payloads of at least READ_MIN_FIELDS fields that the vectorized reader
+    # leaves to the reference scan: a ket whose one row is longer than a reader
+    # block, and order-16 matrices without the final newline, with rows
+    # missing, with an atom's parentheses swapped and with a field that float()
+    # rejects
+    rows = [" ".join("(2 0 0.5 0)" if i == j else "(0 0 0 0)" for j in range(16))
+            for i in range(16)]
+    edit = lambda at, atom: rows[:at] + [rows[at].replace("(0 0 0 0)", atom, 1)] + rows[at + 1 :]
+    order_16 = "bct v1\nkind: matrix\ndim: 16\n"
+    for name, text in (
+        ("ket-2049", "bct v1\nkind: ket\ndim: 2049\n" + " ".join(["(1 0 0.5 0)"] * 2049) + "\n"),
+        ("order-16-no-final-newline", order_16 + "\n".join(rows)),
+        ("order-16-rows-missing", order_16 + "\n".join(rows[:8]) + "\n"),
+        ("order-16-swapped-parens", order_16 + "\n".join(edit(5, ")0 0 0 0(")) + "\n"),
+        ("order-16-field-0x10", order_16 + "\n".join(edit(9, "(0x10 0 0 0)")) + "\n"),
+    ):
+        found.append(["info", write(name, text.encode("ascii"))])
+    # a block for the batch writer with a field of 1e20, whose power of ten
+    # has a negative exponent
+    large = order_16 + "\n".join(edit(0, "(1e20 0 0 0)")) + "\n"
+    found.append(["idempotent", write("order-16-entry-1e20", large.encode("ascii"))])
     return found
 
 
@@ -225,10 +294,11 @@ def run_calls(argvs: list[list[str]]) -> list[list]:
 
 
 def _worker(src: str, calls_file: str, out_file: str, reach: bool) -> None:
-    """Write the calls' results, or with ``reach`` what they ran of ``src``'s ``bicomplex``.
+    """Write the calls' results, or with ``reach`` what they and ``REACH_TESTS`` ran of the package.
 
     That is ``{"entered": [file, first line] of each code entered,
-    "lines": [file, line] of each line event in a frame of the package}``.
+    "lines": [file, line] of each line event in a frame of the package,
+    "tests": the last line of pytest's report}``.
     """
     package = os.path.join(os.path.realpath(src), "bicomplex") + os.sep
     entered, lines, inside = set(), set(), {}
@@ -255,11 +325,18 @@ def _worker(src: str, calls_file: str, out_file: str, reach: bool) -> None:
     with open(calls_file) as handle:
         argvs = json.load(handle)
     results = run_calls(argvs)
-    sys.settrace(None)
     if reach:
+        import pytest
+
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            pytest.main(["-q", "-p", "no:cacheprovider",
+                         *(os.path.join(ROOT, path) for path in REACH_TESTS)])
+        sys.settrace(None)
         results = {
             "entered": sorted({(code.co_filename, code.co_firstlineno) for code in entered}),
             "lines": sorted(lines),
+            "tests": report.getvalue().strip().splitlines()[-1],
         }
     with open(out_file, "w") as handle:
         json.dump(results, handle)
@@ -350,24 +427,28 @@ def statements(package: str) -> list[tuple[str, int, list[int], str]]:
 
 
 def _reach(argvs: list[list[str]], scratch: str) -> None:
-    """Print the functions, then the statements, of ``src/bicomplex`` that no call reaches."""
+    """Print the functions, then the statements, of ``src/bicomplex`` that neither the calls
+    nor ``REACH_TESTS`` reach, and the count of each module's statements."""
     src = os.path.join(ROOT, "src")
     traced = _results(src, argvs, scratch, "--reach")
+    print(f"{' '.join(REACH_TESTS)} under the trace: {traced['tests']}")
+    runs = f"{len(argvs)} calls and {len(REACH_TESTS)} test modules"
     entered = {(os.path.realpath(path), line) for path, line in traced["entered"]}
     defined = functions(os.path.join(src, "bicomplex"))
     unreached = [label for key, label in defined if key not in entered]
     for label in unreached:
         print(label)
     print(f"{len(unreached)} of {len(defined)} functions in src/bicomplex entered by none of "
-          f"{len(argvs)} calls")
+          f"{runs}")
     ran = {(os.path.realpath(path), line) for path, line in traced["lines"]}
     listed = statements(os.path.join(src, "bicomplex"))
     missed = [label for path, _, lines, label in listed
               if not any((path, line) in ran for line in lines)]
     for label in missed:
         print(label)
-    print(f"{len(missed)} of {len(listed)} statements in src/bicomplex executed by none of "
-          f"{len(argvs)} calls")
+    print(f"{len(missed)} of {len(listed)} statements in src/bicomplex executed by none of {runs}")
+    modules = collections.Counter(label.split(":")[0].rpartition(".")[2] for label in missed)
+    print("by module: " + ", ".join(f"{module} {count}" for module, count in modules.most_common()))
 
 
 def _normalize(text: str, workdir: str) -> str:
@@ -410,7 +491,8 @@ def main() -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--against", metavar="REV", help="list the calls that differ at REV")
     mode.add_argument("--reach", action="store_true",
-                      help="list the src functions and statements no call reaches")
+                      help="list the src functions and statements that no call and no test of "
+                           "REACH_TESTS reaches")
     parser.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
